@@ -2,7 +2,7 @@
 
 The numpy path computes the counter-based stream with vectorized uint64
 arithmetic (wraparound is the semantics we want, so overflow warnings are
-silenced locally). Both paths are bit-identical; ``flmm bench`` compares them.
+silenced locally). Both paths are bit-identical.
 Selection: FLMM_NO_NUMBA=1 forces numpy, otherwise numba is used when
 importable.
 """

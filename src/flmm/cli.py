@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from flmm.errors import ConfigError, FlmmError, StarvationError, TransportError
 
@@ -62,9 +61,6 @@ def main(argv=None) -> int:
     p.add_argument("--threshold", default="auto")
     p.add_argument("--out", default="")
 
-    p = sub.add_parser("bench", help="compare numba and numpy RNG kernels")
-    p.add_argument("--n", type=int, default=2_000_000)
-
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
@@ -97,8 +93,6 @@ def _dispatch(args) -> int:
         return _shapley(args)
     if args.command == "clean":
         return _clean(args)
-    if args.command == "bench":
-        return _bench(args)
     raise ConfigError(f"unknown command {args.command!r}")
 
 
@@ -219,33 +213,6 @@ def _clean(args) -> int:
         with open(args.out, "w") as f:
             f.write(save_corpus(kept))
         print(f"wrote kept records to {args.out}")
-    return 0
-
-
-def _bench(args) -> int:
-    import numpy as np
-    from flmm import _kernels
-    n = args.n
-    state = np.uint64(12345)
-    # warm both paths (and JIT compile if available)
-    a = _kernels._bulk_mix_numpy(state, 1000)
-    if _kernels.USING_NUMBA:
-        b = _kernels._bulk_mix_numba(state, 1000)
-        assert np.array_equal(a, b), "paths disagree"
-
-    t0 = time.perf_counter()
-    ref = _kernels._bulk_mix_numpy(state, n)
-    t_numpy = time.perf_counter() - t0
-    print(f"numpy:  {n} outputs in {t_numpy * 1e3:.1f} ms")
-    if _kernels.USING_NUMBA:
-        t0 = time.perf_counter()
-        jit = _kernels._bulk_mix_numba(state, n)
-        t_numba = time.perf_counter() - t0
-        print(f"numba:  {n} outputs in {t_numba * 1e3:.1f} ms")
-        print(f"bit-identical: {np.array_equal(ref, jit)}")
-        print(f"speedup numba/numpy: {t_numpy / t_numba:.2f}x")
-    else:
-        print("numba path disabled (FLMM_NO_NUMBA set or numba missing)")
     return 0
 
 

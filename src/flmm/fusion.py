@@ -17,10 +17,14 @@ from flmm.errors import CoverageError, EmptyProbeError, IdentityError, ShapeErro
 from flmm.model import (
     GradientSet,
     ModelSnapshot,
+    PairBatch,
+    Pairs,
     _text_backward,
     _text_forward,
+    _text_tower,
     _vision_backward,
     _vision_forward,
+    pair_batch,
 )
 
 
@@ -150,7 +154,7 @@ def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
 
 
 def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
-                               batch: list[tuple[np.ndarray, list[int]]],
+                               batch: PairBatch | Pairs,
                                mu: float) -> tuple[float, GradientSet]:
     """mu * mean ||z_v - stopgrad(z_t)||^2; text-side gradients are zero."""
     if not batch:
@@ -158,10 +162,10 @@ def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
     grads = GradientSet.zeros_like(snapshot)
     if mu == 0.0:
         return 0.0, grads
+    batch = pair_batch(snapshot, batch)
     n = len(batch)
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    z_v, cache = _vision_forward(snapshot, xs)
-    z_t, _ = _text_forward(snapshot, [list(t) for _, t in batch])
+    z_v, cache = _vision_forward(snapshot, batch.xs)
+    z_t, _ = _text_tower(snapshot, batch.ts)
     diff = z_v - z_t
     loss = mu * float(np.mean(np.sum(diff * diff, axis=1)))
     dz_v = (2.0 * mu / n) * diff

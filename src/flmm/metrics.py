@@ -96,6 +96,20 @@ def caption_bank(eval_set) -> list[list[int]]:
     return bank
 
 
+def _true_caption_ranks(scores: np.ndarray, bank: list[list[int]], eval_set) -> np.ndarray:
+    """Rank of each record's true caption in its row of caption_scores; ties
+    rank by lowest bank index."""
+    bank_idx = {tuple(cap): j for j, cap in enumerate(bank)}
+    true_j = np.array([bank_idx[tuple(rec.caption)] for rec in eval_set])
+    target = scores[np.arange(len(true_j)), true_j][:, None]
+    lower = np.arange(len(bank)) < true_j[:, None]
+    return (scores > target).sum(axis=1) + ((scores == target) & lower).sum(axis=1)
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
+    return int(np.count_nonzero(ranks < k)) / len(ranks)
+
+
 def recall_at_k(model: ModelSnapshot, eval_set, k: int) -> float:
     """Fraction of records whose true caption ranks in the retrieval top-k.
 
@@ -105,18 +119,8 @@ def recall_at_k(model: ModelSnapshot, eval_set, k: int) -> float:
     bank = caption_bank(eval_set)
     if k < 1 or k > len(bank):
         raise RangeError(f"k={k} outside [1, {len(bank)}]")
-    bank_idx = {tuple(cap): j for j, cap in enumerate(bank)}
     xs = np.stack([rec.image for rec in eval_set])
-    scores = caption_scores(model, xs, bank)
-    hits = 0
-    for i, rec in enumerate(eval_set):
-        true_j = bank_idx[tuple(rec.caption)]
-        s = scores[i]
-        target = s[true_j]
-        rank = int(np.sum(s > target) + np.sum((s == target).nonzero()[0] < true_j))
-        if rank < k:
-            hits += 1
-    return hits / len(eval_set)
+    return _recall(_true_caption_ranks(caption_scores(model, xs, bank), bank, eval_set), k)
 
 
 def evaluate(model: ModelSnapshot, eval_set, eval_set_id: str = "eval") -> EvalReport:
@@ -124,14 +128,15 @@ def evaluate(model: ModelSnapshot, eval_set, eval_set_id: str = "eval") -> EvalR
     bank = caption_bank(eval_set)
     xs = np.stack([rec.image for rec in eval_set])
     scores = caption_scores(model, xs, bank)
+    ranks = _true_caption_ranks(scores, bank, eval_set)
     bleus, rouges = [], []
     for i, rec in enumerate(eval_set):
         retrieved = bank[int(np.argmax(scores[i]))]
         bleus.append(bleu(retrieved, [list(rec.caption)]))
         rouges.append(rouge_l(retrieved, list(rec.caption)))
     return EvalReport(
-        recall_at_1=recall_at_k(model, eval_set, 1),
-        recall_at_5=recall_at_k(model, eval_set, min(5, len(bank))),
+        recall_at_1=_recall(ranks, 1),
+        recall_at_5=_recall(ranks, min(5, len(bank))),
         mean_bleu=float(np.mean(bleus)),
         mean_rouge_l=float(np.mean(rouges)),
         eval_set_id=eval_set_id,

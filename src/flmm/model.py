@@ -178,19 +178,70 @@ def _vision_forward(snapshot: ModelSnapshot, xs: np.ndarray):
 
 
 def _text_forward(snapshot: ModelSnapshot, token_lists: list[list[int]]):
-    ts = np.stack([_text_input(snapshot, toks) for toks in token_lists])
+    return _text_tower(snapshot, text_features(snapshot, token_lists))
+
+
+def _text_tower(snapshot: ModelSnapshot, ts: np.ndarray):
+    """Returns (z, cache) for rows of text_features."""
     y = ts @ snapshot.text.effective().T
     z, norms = _normalize_rows(y)
     return z, (ts, z, norms)
 
 
-def _text_input(snapshot: ModelSnapshot, tokens: list[int]) -> np.ndarray:
-    if len(tokens) == 0:
-        raise DegenerateInputError("empty token list")
-    for t in tokens:
-        if not 0 <= t < snapshot.vocab_size:
-            raise VocabularyError(f"token id {t} outside vocab of {snapshot.vocab_size}")
-    return snapshot.token_embed[np.asarray(tokens, dtype=np.intp)].mean(axis=0)
+def text_features(snapshot: ModelSnapshot, token_lists: list[list[int]]) -> np.ndarray:
+    """Text-tower inputs: row i is the mean embedding of token_lists[i]'s ids.
+
+    token_embed is frozen, so these rows are fixed for a corpus. The vocabulary
+    is checked once over all tokens; the first bad caption in order decides the
+    error. Captions of one length are averaged together, which sums the same
+    rows in the same order as a per-caption mean, so the bits are the same.
+    """
+    vocab = snapshot.vocab_size
+    by_len: dict[int, list[int]] = {}
+    for i, toks in enumerate(token_lists):
+        by_len.setdefault(len(toks), []).append(i)
+    out = np.empty((len(token_lists), snapshot.token_embed.shape[1]))
+    first_bad = len(token_lists)
+    for length, rows in by_len.items():
+        if length == 0:
+            first_bad = min(first_bad, rows[0])
+            continue
+        ids = np.array([token_lists[i] for i in rows])
+        bad = ((ids < 0) | (ids >= vocab)).any(axis=1)
+        if bad.any():
+            first_bad = min(first_bad, rows[int(np.argmax(bad))])
+            continue
+        out[rows] = snapshot.token_embed[ids.astype(np.intp, copy=False)].mean(axis=1)
+    if first_bad < len(token_lists):
+        toks = token_lists[first_bad]
+        if len(toks) == 0:
+            raise DegenerateInputError("empty token list")
+        t = next(t for t in toks if not 0 <= t < vocab)
+        raise VocabularyError(f"token id {t} outside vocab of {vocab}")
+    return out
+
+
+@dataclass(frozen=True)
+class PairBatch:
+    """Aligned (image, caption) pairs as tower inputs: image rows and the
+    captions' text features."""
+
+    xs: np.ndarray  # (n, d_v)
+    ts: np.ndarray  # (n, d_t), rows of text_features
+
+    def __len__(self) -> int:
+        return self.xs.shape[0]
+
+
+Pairs = list[tuple[np.ndarray, list[int]]]
+
+
+def pair_batch(snapshot: ModelSnapshot, batch: PairBatch | Pairs) -> PairBatch:
+    """The prepared form of a batch; a list of (image, tokens) pairs is converted."""
+    if isinstance(batch, PairBatch):
+        return batch
+    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
+    return PairBatch(xs, text_features(snapshot, [t for _, t in batch]))
 
 
 def _normalize_backward(dz: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -235,15 +286,14 @@ def encode_text(snapshot: ModelSnapshot, tokens: list[int]) -> np.ndarray:
 
 
 def contrastive_loss_and_grads(snapshot: ModelSnapshot,
-                               batch: list[tuple[np.ndarray, list[int]]]
-                               ) -> tuple[float, GradientSet]:
+                               batch: PairBatch | Pairs) -> tuple[float, GradientSet]:
     """Symmetric InfoNCE over the batch and its analytic adapter gradients."""
     n = len(batch)
     if n < 2:
         raise BatchError("contrastive loss needs a batch of at least 2")
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    z_v, cache_v = _vision_forward(snapshot, xs)
-    z_t, cache_t = _text_forward(snapshot, [list(t) for _, t in batch])
+    batch = pair_batch(snapshot, batch)
+    z_v, cache_v = _vision_forward(snapshot, batch.xs)
+    z_t, cache_t = _text_tower(snapshot, batch.ts)
 
     tau = snapshot.temperature
     s = (z_v @ z_t.T) / tau

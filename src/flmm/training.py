@@ -13,7 +13,8 @@ from flmm.aggregation import AggregationPlan, ClientUpdate, apply_block_mask, \
 from flmm.dataquality import SceneRecord
 from flmm.fusion import ConsensusMap, ProbeSet, compose_losses, \
     distillation_loss_and_grads, text_anchor_loss_and_grads
-from flmm.model import ModelSnapshot, contrastive_loss_and_grads, sgd_step
+from flmm.model import ModelSnapshot, PairBatch, contrastive_loss_and_grads, \
+    pair_batch, sgd_step
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 
@@ -36,8 +37,15 @@ def local_train(model: ModelSnapshot, records: list[SceneRecord], cfg: TrainConf
                 seed: int, probe: ProbeSet | None = None,
                 consensus: ConsensusMap | None = None,
                 modalities: set[str] | None = None) -> ModelSnapshot:
-    """Epochs of SGD on shuffled minibatches; deterministic given the seed."""
+    """Epochs of SGD on shuffled minibatches; deterministic given the seed.
+
+    Images and text features of the whole usable corpus are prepared once
+    (token_embed is frozen); each step gathers its rows.
+    """
     usable = trainable_records(records)
+    if len(usable) < 2:
+        return model  # no batch of 2 can be drawn
+    corpus = pair_batch(model, [(r.image, r.caption) for r in usable])
     rng = SplitMix64(seed)
     for _ in range(cfg.epochs):
         order = list(range(len(usable)))
@@ -46,7 +54,7 @@ def local_train(model: ModelSnapshot, records: list[SceneRecord], cfg: TrainConf
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue  # contrastive loss undefined below 2 pairs
-            batch = [(usable[i].image, list(usable[i].caption)) for i in idx]
+            batch = PairBatch(corpus.xs[idx], corpus.ts[idx])
             parts = [contrastive_loss_and_grads(model, batch)]
             weights = [cfg.contrastive_weight]
             if cfg.anchor_mu > 0:

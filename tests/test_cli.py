@@ -153,11 +153,6 @@ def test_client_bad_endpoint(config_file, capsys, monkeypatch):
     assert "transport error" in capsys.readouterr().err
 
 
-def test_bench(capsys):
-    assert main(["bench", "--n", "10000"]) == 0
-    assert "numpy:" in capsys.readouterr().out
-
-
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flmm.dataquality import CorpusSpec, generate_corpus
 from flmm.errors import RangeError
 from flmm.metrics import bleu, caption_bank, evaluate, recall_at_k, rouge_l
-from flmm.model import init_snapshot
+from flmm.model import caption_scores, init_snapshot
 from flmm.rng import SplitMix64
 
 
@@ -86,6 +88,56 @@ class TestRecallAtK:
             recall_at_k(model, recs, 0)
         with pytest.raises(RangeError):
             recall_at_k(model, recs, len(caption_bank(recs)) + 1)
+
+
+def recall_at_k_oracle(model, eval_set, k):
+    """Per-record ranking loop: ties rank by lowest bank index."""
+    bank = caption_bank(eval_set)
+    bank_idx = {tuple(cap): j for j, cap in enumerate(bank)}
+    scores = caption_scores(model, np.stack([rec.image for rec in eval_set]), bank)
+    hits = 0
+    for i, rec in enumerate(eval_set):
+        true_j = bank_idx[tuple(rec.caption)]
+        s = scores[i]
+        target = s[true_j]
+        rank = int(np.sum(s > target) + np.sum((s == target).nonzero()[0] < true_j))
+        if rank < k:
+            hits += 1
+    return hits / len(eval_set)
+
+
+def with_permuted_captions(recs, seed):
+    """Every third record gets a reversed caption: a distinct bank entry with
+    the same token multiset, so its mean embedding, and score, tie exactly."""
+    rng = SplitMix64(seed)
+    out = []
+    for i, rec in enumerate(recs):
+        cap = tuple(rec.caption)
+        if i % 3 == 0 and len(set(cap)) > 1:
+            cap = cap[::-1]
+        if i % 7 == 0:
+            cap = tuple(int(rng.next_u64() % 64) for _ in range(len(cap)))
+        out.append(replace(rec, caption=cap))
+    return out
+
+
+class TestRecallOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_record_loop_for_every_k(self, seed):
+        recs = with_permuted_captions(balanced_eval_set(seed=20 + seed, size=60), seed)
+        model = init_snapshot(30 + seed)
+        bank = caption_bank(recs)
+        scores = caption_scores(model, np.stack([r.image for r in recs]), bank)
+        assert any(np.sum(row == row[j]) > 1 for row in scores for j in range(len(bank)))
+        for k in range(1, len(bank) + 1):
+            assert recall_at_k(model, recs, k) == recall_at_k_oracle(model, recs, k)
+
+    def test_evaluate_recalls_equal_oracle(self):
+        recs = with_permuted_captions(balanced_eval_set(seed=24, size=60), 4)
+        model = init_snapshot(34)
+        rep = evaluate(model, recs)
+        assert rep.recall_at_1 == recall_at_k_oracle(model, recs, 1)
+        assert rep.recall_at_5 == recall_at_k_oracle(model, recs, 5)
 
 
 class TestEvaluate:

@@ -24,6 +24,7 @@ from flmm.model import (
     retrieve_caption,
     save_snapshot,
     sgd_step,
+    text_features,
 )
 from flmm.rng import SplitMix64
 
@@ -118,6 +119,57 @@ class TestEncoders:
             encode_text(s, [])
         with pytest.raises(VocabularyError):
             encode_text(s, [999])
+
+
+def random_captions(seed: int, n: int, vocab: int, max_len: int = 12) -> list:
+    rng = SplitMix64(seed)
+    return [[int(rng.next_u64() % vocab) for _ in range(1 + rng.next_u64() % max_len)]
+            for _ in range(n)]
+
+
+class TestTextFeatures:
+    @pytest.mark.parametrize("vocab", [64, 512])
+    def test_bytes_equal_per_caption_mean(self, vocab):
+        s = init_snapshot(21, vocab=vocab)
+        caps = random_captions(vocab, 2000, vocab)
+        want = np.stack([s.token_embed[np.asarray(t, dtype=np.intp)].mean(axis=0)
+                         for t in caps])
+        got = text_features(s, caps)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_tuples_and_lists_agree(self):
+        s = init_snapshot(22)
+        caps = random_captions(5, 50, 64)
+        assert text_features(s, [tuple(c) for c in caps]).tobytes() == \
+            text_features(s, caps).tobytes()
+
+    def test_empty_caption_raises(self):
+        s = small_snapshot(23)
+        with pytest.raises(DegenerateInputError):
+            text_features(s, [[1, 2], []])
+
+    @pytest.mark.parametrize("bad", [-1, 16, 999, 2**70, -(2**70)])
+    def test_token_outside_vocab_raises(self, bad):
+        s = small_snapshot(24)  # vocab 16
+        with pytest.raises(VocabularyError, match=str(bad)):
+            text_features(s, [[1, 2], [3, bad, 4]])
+
+    @pytest.mark.parametrize("caps, error", [
+        # first offending caption is the empty one, though a longer bad
+        # caption shares a length group with an earlier good one
+        ([[1, 2, 3], [], [1, 99, 2]], DegenerateInputError),
+        ([[1, 2, 3], [1, 99, 2], []], VocabularyError),
+        ([[5], [-3], [], [7, 8]], VocabularyError),
+        ([[5], [], [-3], [7, 8]], DegenerateInputError),
+    ])
+    def test_first_bad_caption_decides(self, caps, error):
+        with pytest.raises(error):
+            text_features(small_snapshot(25), caps)
+
+    def test_first_bad_token_named(self):
+        with pytest.raises(VocabularyError, match="token id 20 "):
+            text_features(small_snapshot(26), [[0, 1], [20, -1, 30]])
 
 
 class TestContrastiveLoss:
