@@ -7,7 +7,7 @@ or an in-process shim, both speaking the same frames.
 from __future__ import annotations
 
 import socket
-import struct
+import threading
 import time
 from dataclasses import dataclass
 
@@ -50,7 +50,12 @@ class InProcessTransport:
 
 
 class SocketTransport:
-    """One connection per request with bounded exponential-backoff retry."""
+    """One connection, reused for every request and reopened after a failure,
+    with bounded exponential-backoff retry.
+
+    The connection is opened on the first ``send``. A lock serialises
+    requests, so one transport may be shared between threads.
+    """
 
     def __init__(self, host: str, port: int, base_delay: float = 0.1,
                  max_delay: float = 5.0, max_attempts: int = 10):
@@ -59,21 +64,38 @@ class SocketTransport:
         self.base_delay = base_delay
         self.max_delay = max_delay
         self.max_attempts = max_attempts
+        self._lock = threading.Lock()
+        self._sock = None
+        self._rfile = None
 
     def send(self, msg: Message) -> Message:
         delay = self.base_delay
         last = None
-        for _ in range(self.max_attempts):
-            try:
-                with socket.create_connection((self.host, self.port), timeout=30) as s:
-                    s.sendall(encode_message(msg))
-                    f = s.makefile("rb")
-                    return read_frame(f)
-            except (OSError, ProtocolError) as e:
-                last = e
-                time.sleep(delay)
-                delay = min(self.max_delay, delay * 2)
+        with self._lock:
+            for _ in range(self.max_attempts):
+                try:
+                    if self._sock is None:
+                        self._sock = socket.create_connection(
+                            (self.host, self.port), timeout=30)
+                        self._rfile = self._sock.makefile("rb")
+                    self._sock.sendall(encode_message(msg))
+                    return read_frame(self._rfile)
+                except (OSError, ProtocolError) as e:
+                    last = e
+                    self._close()
+                    time.sleep(delay)
+                    delay = min(self.max_delay, delay * 2)
         raise TransportError(f"{self.host}:{self.port} unreachable: {last}")
+
+    def close(self) -> None:
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
 
 class ClientAgent:

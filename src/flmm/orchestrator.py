@@ -10,6 +10,7 @@ crash and to replay coalitions for contribution measurement.
 from __future__ import annotations
 
 import os
+import socket
 import socketserver
 import threading
 import time
@@ -42,7 +43,7 @@ from flmm.errors import (
 )
 from flmm.model import ModelSnapshot, load_snapshot, save_snapshot
 from flmm.protocol import Message, encode_message, decode_payload, pack_blocks, \
-    unpack_blocks
+    read_frame, unpack_blocks
 
 PHASES = ("open", "collecting", "aggregating", "closed")
 
@@ -472,20 +473,25 @@ class ServerCore:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        import struct as _struct
-        from flmm.protocol import read_frame
         while True:
             try:
                 msg = read_frame(self.rfile)
-            except ProtocolError:
-                return  # connection closed or garbage: drop it
+            except (OSError, ProtocolError):
+                return  # connection closed, shut down or garbage: drop it
             resp = encode_message(self.server.core.handle(msg))
-            self.wfile.write(resp)
-            self.wfile.flush()
+            try:
+                self.wfile.write(resp)
+                self.wfile.flush()
+            except OSError:
+                return  # the client left, or server_close shut the connection
 
 
 class FederationServer(socketserver.ThreadingTCPServer):
-    """Socket front end over a ServerCore; clients connect per request."""
+    """Socket front end over a ServerCore; each client keeps one connection.
+
+    ``server_close()`` also shuts down the connections still open and waits
+    for their handler threads, so no handler outlives the server.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -493,6 +499,32 @@ class FederationServer(socketserver.ThreadingTCPServer):
     def __init__(self, host: str, port: int, core: ServerCore):
         super().__init__((host, port), _Handler)
         self.core = core
+        self._live = {}  # open request socket -> its handler thread
+        self._live_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        t = threading.Thread(target=self.process_request_thread,
+                             args=(request, client_address), daemon=True)
+        with self._live_lock:  # so server_close never sees an unstarted thread
+            self._live[request] = t
+            t.start()
+
+    def shutdown_request(self, request):
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._live_lock:  # held so no handler closes its socket meanwhile
+            live = list(self._live.items())
+            for request, _ in live:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer has already reset it
+        for _, t in live:
+            t.join()
 
     def serve_background(self) -> threading.Thread:
         t = threading.Thread(target=self.serve_forever, daemon=True)

@@ -138,6 +138,7 @@ def run_server(cfg: ScenarioConfig, host: str, port: int, log_dir: str,
             time.sleep(0.05)
         time.sleep(0.5)  # grace period so clients can fetch the final model
         server.shutdown()
+        server.server_close()
     return core
 
 
@@ -146,5 +147,8 @@ def run_client(cfg: ScenarioConfig, party_id: str, host: str, port: int) -> int:
     if party is None:
         raise StarvationError(f"unknown party {party_id!r}", party_id)
     records = repair_corpus(generate_corpus(party.corpus))
-    agent = ClientAgent(cfg, party, records, SocketTransport(host, port))
-    return run_client_loop(agent)
+    transport = SocketTransport(host, port)
+    try:
+        return run_client_loop(ClientAgent(cfg, party, records, transport))
+    finally:
+        transport.close()

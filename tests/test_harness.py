@@ -1,19 +1,24 @@
 import glob
 import os
+import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import flmm.client
 from flmm.aggregation import AggregationPlan, BLOCK_NAMES, snapshot_blocks
 from flmm.client import ClientAgent, SocketTransport, StateMachineViolation, \
     run_client_loop
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
 from flmm.dataquality import CorpusSpec
+from flmm.errors import TransportError
 from flmm.model import load_snapshot, save_snapshot
 from flmm.orchestrator import FederationServer, ServerCore
 from flmm.privacy import PrivacyConfig
-from flmm.protocol import decode_payload
+from flmm.protocol import Message, decode_payload
 from flmm.simulate import (
     build_corpora,
     build_initial_model,
@@ -157,12 +162,12 @@ class TestDistributedLoopback:
         server = FederationServer("127.0.0.1", 0, core)
         port = server.server_address[1]
         server.serve_background()
+        transports = [SocketTransport("127.0.0.1", port) for _ in cfg.parties]
         try:
             corpora = build_corpora(cfg)
             threads = []
-            for p in cfg.parties:
-                agent = ClientAgent(cfg, p, corpora[p.party_id],
-                                    SocketTransport("127.0.0.1", port))
+            for p, transport in zip(cfg.parties, transports):
+                agent = ClientAgent(cfg, p, corpora[p.party_id], transport)
                 t = threading.Thread(target=run_client_loop, args=(agent,),
                                      daemon=True)
                 t.start()
@@ -171,12 +176,158 @@ class TestDistributedLoopback:
                 t.join(timeout=120)
                 assert not t.is_alive()
         finally:
+            for transport in transports:
+                transport.close()
             server.shutdown()
+            server.server_close()
 
         a = snapshot_blocks(in_proc.final_model)
         b = snapshot_blocks(core.snapshot)
         for n in a:
             np.testing.assert_allclose(a[n], b[n], atol=1e-12)
+
+
+class CountingServer(FederationServer):
+    """Counts the connections the server accepts."""
+
+    connections = 0
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+
+def request(msg_type, party="p0"):
+    headers = {"party": party, "token": "tok"}
+    if msg_type == "REGISTER":
+        headers["samples"] = 1
+    return Message(msg_type, headers)
+
+
+class TestSocketTransport:
+    @pytest.fixture
+    def served(self, tmp_path):
+        cfg = make_scenario()
+        core = ServerCore(server_config(cfg), build_initial_model(cfg),
+                          str(tmp_path / "log"))
+        server = CountingServer("127.0.0.1", 0, core)
+        server.serve_background()
+        transport = SocketTransport("127.0.0.1", server.server_address[1],
+                                    base_delay=0.01)
+        yield cfg, server, transport
+        transport.close()
+        server.shutdown()
+        server.server_close()
+
+    def test_requests_reuse_one_connection(self, served):
+        _, server, transport = served
+        assert transport.send(request("REGISTER")).msg_type == "ACK"
+        for _ in range(20):
+            assert transport.send(request("POLL")).msg_type == "ASSIGN"
+        assert server.connections == 1
+
+    def test_shared_between_threads(self, served):
+        _, server, transport = served
+        transport.send(request("REGISTER"))
+        responses = []
+
+        def poll():
+            for _ in range(50):
+                responses.append(transport.send(request("POLL")))
+
+        threads = [threading.Thread(target=poll) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(responses) == 200
+        for resp in responses:
+            assert resp.msg_type in ("NOTASK", "ASSIGN")
+            assert int(resp.header("round")) == 0
+        assert server.connections == 1
+
+    def test_each_thread_gets_its_own_response(self, served):
+        _, _, transport = served
+        wrong = []
+
+        def poll(party):
+            for _ in range(50):
+                resp = transport.send(request("POLL", party))
+                if party not in resp.headers.get("reason", ""):
+                    wrong.append((party, resp))
+
+        # none of these parties registered: each REJECT names its party
+        threads = [threading.Thread(target=poll, args=(f"x{i}",))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_server_close_ends_handlers_of_open_connections(self, served):
+        _, server, transport = served
+        before = set(threading.enumerate())
+        transport.send(request("REGISTER"))  # the connection stays open
+        handlers = set(threading.enumerate()) - before
+        assert len(handlers) == 1
+        server.shutdown()
+        server.server_close()
+        assert not any(t.is_alive() for t in handlers)
+
+    def test_reconnects_to_a_recovered_server(self, served, tmp_path):
+        cfg, server, transport = served
+        corpora = build_corpora(cfg)
+        agents = [ClientAgent(cfg, p, corpora[p.party_id], transport)
+                  for p in cfg.parties]
+        for agent in agents:
+            agent.register()
+        old = server.core
+        port = server.server_address[1]
+        server.shutdown()
+        server.server_close()
+
+        core = ServerCore.recover(server_config(cfg), str(tmp_path / "log"))
+        restarted = FederationServer("127.0.0.1", port, core)
+        restarted.serve_background()
+        try:
+            for agent in agents:
+                assert agent.register().msg_type == "ACK"
+            while core.state.round == 0:
+                assert any([agent.step() == "ACK" for agent in agents])
+        finally:
+            transport.close()
+            restarted.shutdown()
+            restarted.server_close()
+        assert core.state.round == 1
+        assert old.state.round == 0
+
+    def test_retry_is_bounded(self, monkeypatch):
+        attempts = []
+
+        class CountingSocket:
+            def create_connection(self, *args, **kwargs):
+                attempts.append(args)
+                return socket.create_connection(*args, **kwargs)
+
+        monkeypatch.setattr(flmm.client, "socket", CountingSocket())
+        with socket.socket() as idle:  # bound, never listening: refuses
+            idle.bind(("127.0.0.1", 0))
+            transport = SocketTransport("127.0.0.1", idle.getsockname()[1],
+                                        base_delay=0.001, max_delay=0.002,
+                                        max_attempts=4)
+            t0 = time.monotonic()
+            with pytest.raises(TransportError):
+                transport.send(request("POLL"))
+        assert len(attempts) == 4
+        assert time.monotonic() - t0 < 5.0
 
 
 class TestArtifacts:
