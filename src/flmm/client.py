@@ -54,7 +54,9 @@ class SocketTransport:
     with bounded exponential-backoff retry.
 
     The connection is opened on the first ``send``. A lock serialises
-    requests, so one transport may be shared between threads.
+    requests, so one transport may be shared between threads. Between failed
+    attempts ``send`` sleeps ``base_delay``, doubling up to ``max_delay``;
+    after the last one it raises TransportError without sleeping.
     """
 
     def __init__(self, host: str, port: int, base_delay: float = 0.1,
@@ -72,7 +74,7 @@ class SocketTransport:
         delay = self.base_delay
         last = None
         with self._lock:
-            for _ in range(self.max_attempts):
+            for attempt in range(1, self.max_attempts + 1):
                 try:
                     if self._sock is None:
                         self._sock = socket.create_connection(
@@ -83,8 +85,9 @@ class SocketTransport:
                 except (OSError, ProtocolError) as e:
                     last = e
                     self._close()
-                    time.sleep(delay)
-                    delay = min(self.max_delay, delay * 2)
+                    if attempt < self.max_attempts:
+                        time.sleep(delay)
+                        delay = min(self.max_delay, delay * 2)
         raise TransportError(f"{self.host}:{self.port} unreachable: {last}")
 
     def close(self) -> None:

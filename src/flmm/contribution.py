@@ -3,13 +3,16 @@
 Exact Shapley by coalition enumeration (memoized, 2^n evaluations),
 a weighted-truncated permutation-sampling approximation with efficiency
 renormalization, and per-block masking attribution. The coalition value in
-FL replays the logged per-party updates instead of retraining per coalition.
+FL replays the logged per-party updates instead of retraining per coalition,
+and scores each replayed model against an eval set prepared once per value
+function.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +20,7 @@ import numpy as np
 from flmm.aggregation import AggregationPlan, apply_block_mask, fedavg_adapters, \
     snapshot_blocks
 from flmm.errors import HistoryError, IdentityError, SamplingError, SizeError
-from flmm.metrics import recall_at_k
+from flmm.metrics import EvalBatch, eval_batch, recall_at_k
 from flmm.model import ModelSnapshot
 from flmm.rng import SplitMix64
 
@@ -178,13 +181,19 @@ class ClientUpdateRebased:
 
 
 def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
-                      eval_set, parties: list[str]) -> CoalitionValueFn:
-    """Coalition value = recall@1 of the coalition-replayed model."""
+                      eval_set: EvalBatch | Sequence,
+                      parties: list[str]) -> CoalitionValueFn:
+    """Coalition value = recall@1 of the coalition-replayed model.
+
+    The eval set is prepared once, from ``initial``; every coalition's model
+    shares its frozen token_embed and is scored against that one batch.
+    """
     if any(not rec.updates for rec in rounds):
         raise HistoryError("round log has a round with no recorded updates")
+    batch = eval_batch(initial, eval_set)
 
     def evaluate(coalition: frozenset) -> float:
         model = replay_coalition(initial, rounds, coalition)
-        return recall_at_k(model, eval_set, 1)
+        return recall_at_k(model, batch, 1)
 
     return CoalitionValueFn(parties=list(parties), evaluate=evaluate)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from flmm.errors import SpecError, StarvationError, TemplateGapError
-from flmm.metrics import recall_at_k
+from flmm.metrics import EvalBatch, recall_at_k
 from flmm.model import ModelSnapshot, _text_forward, _vision_forward
 from flmm.rng import SplitMix64, mix_seed
 
@@ -276,7 +276,7 @@ class LoopIteration:
 
 
 def quality_loop(corpora_by_party: dict, model0: ModelSnapshot, train_fn,
-                 eval_set: list[SceneRecord], max_iters: int,
+                 eval_set: EvalBatch | list[SceneRecord], max_iters: int,
                  target_metric: float, threshold: float | str = "auto",
                  floor: int = 10):
     """Iterative data/model loop: train, filter each party, retrain on kept.

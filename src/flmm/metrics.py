@@ -1,14 +1,21 @@
-"""Caption and retrieval metrics: BLEU, ROUGE-L, recall@k."""
+"""Caption and retrieval metrics: BLEU, ROUGE-L, recall@k.
+
+Retrieval scores an eval set in its prepared form, an EvalBatch. Only the
+adapters differ between the models one eval set scores, so a caller that
+scores many models (one value function, one simulation run) prepares the
+eval set once with eval_batch and passes the batch.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from flmm.errors import RangeError
-from flmm.model import ModelSnapshot, caption_scores
+from flmm.errors import IdentityError, RangeError
+from flmm.model import ModelSnapshot, caption_scores, text_features
 
 
 @dataclass(frozen=True)
@@ -86,23 +93,55 @@ def rouge_l(candidate: list[int], reference: list[int]) -> float:
 
 def caption_bank(eval_set) -> list[list[int]]:
     """Distinct captions of an eval set, in first-occurrence order."""
-    seen = set()
-    bank = []
-    for rec in eval_set:
-        key = tuple(rec.caption)
-        if key not in seen:
-            seen.add(key)
-            bank.append(list(rec.caption))
-    return bank
+    return _bank_and_index(eval_set)[0]
 
 
-def _true_caption_ranks(scores: np.ndarray, bank: list[list[int]], eval_set) -> np.ndarray:
+def _bank_and_index(eval_set) -> tuple[list[list[int]], np.ndarray]:
+    """The caption bank, and each record's true-caption index into it."""
+    bank_idx: dict[tuple, int] = {}
+    true_j = [bank_idx.setdefault(tuple(rec.caption), len(bank_idx)) for rec in eval_set]
+    return [list(cap) for cap in bank_idx], np.array(true_j, dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class EvalBatch:
+    """An eval set prepared for scoring: its caption bank, stacked images,
+    the bank's text features and each record's true-caption index.
+
+    token_embed is frozen, so one batch serves every model that shares the
+    token_embed it was built from; scoring any other model raises
+    IdentityError.
+    """
+
+    bank: list[list[int]]
+    xs: np.ndarray  # (n, d_v)
+    ts: np.ndarray  # (len(bank), d_t), rows of text_features
+    true_j: np.ndarray  # (n,), index into bank
+    token_embed: np.ndarray
+
+
+def eval_batch(model: ModelSnapshot, eval_set: EvalBatch | Sequence) -> EvalBatch:
+    """The prepared form of an eval set; a list of records is converted, and a
+    batch is checked against the model's token_embed."""
+    if isinstance(eval_set, EvalBatch):
+        if eval_set.token_embed is not model.token_embed \
+                and not np.array_equal(eval_set.token_embed, model.token_embed):
+            raise IdentityError("eval batch was built from a different token_embed")
+        return eval_set
+    bank, true_j = _bank_and_index(eval_set)
+    if len(eval_set):
+        xs = np.stack([rec.image for rec in eval_set])
+    else:
+        xs = np.empty((0, model.vision.w_base.shape[1]))
+    return EvalBatch(bank=bank, xs=xs, ts=text_features(model, bank), true_j=true_j,
+                     token_embed=model.token_embed)
+
+
+def _true_caption_ranks(scores: np.ndarray, true_j: np.ndarray) -> np.ndarray:
     """Rank of each record's true caption in its row of caption_scores; ties
     rank by lowest bank index."""
-    bank_idx = {tuple(cap): j for j, cap in enumerate(bank)}
-    true_j = np.array([bank_idx[tuple(rec.caption)] for rec in eval_set])
     target = scores[np.arange(len(true_j)), true_j][:, None]
-    lower = np.arange(len(bank)) < true_j[:, None]
+    lower = np.arange(scores.shape[1]) < true_j[:, None]
     return (scores > target).sum(axis=1) + ((scores == target) & lower).sum(axis=1)
 
 
@@ -110,33 +149,36 @@ def _recall(ranks: np.ndarray, k: int) -> float:
     return int(np.count_nonzero(ranks < k)) / len(ranks)
 
 
-def recall_at_k(model: ModelSnapshot, eval_set, k: int) -> float:
+def recall_at_k(model: ModelSnapshot, eval_set: EvalBatch | Sequence, k: int) -> float:
     """Fraction of records whose true caption ranks in the retrieval top-k.
 
     The bank holds the eval set's distinct captions; ties rank by lowest
-    bank index.
+    bank index. A record list is prepared with eval_batch on every call;
+    pass an EvalBatch to score many models against one eval set.
     """
-    bank = caption_bank(eval_set)
-    if k < 1 or k > len(bank):
-        raise RangeError(f"k={k} outside [1, {len(bank)}]")
-    xs = np.stack([rec.image for rec in eval_set])
-    return _recall(_true_caption_ranks(caption_scores(model, xs, bank), bank, eval_set), k)
+    batch = eval_batch(model, eval_set)
+    if k < 1 or k > len(batch.bank):
+        raise RangeError(f"k={k} outside [1, {len(batch.bank)}]")
+    scores = caption_scores(model, batch.xs, batch.ts)
+    return _recall(_true_caption_ranks(scores, batch.true_j), k)
 
 
-def evaluate(model: ModelSnapshot, eval_set, eval_set_id: str = "eval") -> EvalReport:
-    """Bundle retrieval recall and caption-overlap metrics for one eval set."""
-    bank = caption_bank(eval_set)
-    xs = np.stack([rec.image for rec in eval_set])
-    scores = caption_scores(model, xs, bank)
-    ranks = _true_caption_ranks(scores, bank, eval_set)
+def evaluate(model: ModelSnapshot, eval_set: EvalBatch | Sequence,
+             eval_set_id: str = "eval") -> EvalReport:
+    """Bundle retrieval recall and caption-overlap metrics for one eval set
+    (a record list, or an EvalBatch prepared once)."""
+    batch = eval_batch(model, eval_set)
+    scores = caption_scores(model, batch.xs, batch.ts)
+    ranks = _true_caption_ranks(scores, batch.true_j)
     bleus, rouges = [], []
-    for i, rec in enumerate(eval_set):
-        retrieved = bank[int(np.argmax(scores[i]))]
-        bleus.append(bleu(retrieved, [list(rec.caption)]))
-        rouges.append(rouge_l(retrieved, list(rec.caption)))
+    for i, j in enumerate(batch.true_j):
+        retrieved = batch.bank[int(np.argmax(scores[i]))]
+        truth = batch.bank[j]
+        bleus.append(bleu(retrieved, [truth]))
+        rouges.append(rouge_l(retrieved, truth))
     return EvalReport(
         recall_at_1=_recall(ranks, 1),
-        recall_at_5=_recall(ranks, min(5, len(bank))),
+        recall_at_5=_recall(ranks, min(5, len(batch.bank))),
         mean_bleu=float(np.mean(bleus)),
         mean_rouge_l=float(np.mean(rouges)),
         eval_set_id=eval_set_id,

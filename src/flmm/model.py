@@ -359,12 +359,17 @@ def retrieve_caption(snapshot: ModelSnapshot, x: np.ndarray,
 
 
 def caption_scores(snapshot: ModelSnapshot, xs: np.ndarray,
-                   bank: list[list[int]]) -> np.ndarray:
-    """Score matrix (len(xs), len(bank)) of image-caption alignments."""
-    if not bank:
+                   bank: list[list[int]] | np.ndarray) -> np.ndarray:
+    """Score matrix (len(xs), len(bank)) of image-caption alignments.
+
+    The bank is given as token lists, or as their text_features rows.
+    """
+    if len(bank) == 0:
         raise EmptyBankError("caption bank is empty")
     z_v, _ = _vision_forward(snapshot, np.asarray(xs, dtype=np.float64))
-    z_bank, _ = _text_forward(snapshot, [list(c) for c in bank])
+    if not isinstance(bank, np.ndarray):
+        bank = text_features(snapshot, [list(c) for c in bank])
+    z_bank, _ = _text_tower(snapshot, bank)
     return z_v @ z_bank.T
 
 

@@ -146,9 +146,11 @@ class RoundLog:
             return f.read()
 
     def prune_checkpoints(self, keep_from: int) -> None:
+        """Delete checkpoints older than keep_from, except v0: coalition
+        replay for Shapley starts from it."""
         for name in os.listdir(os.path.join(self.dir, "checkpoints")):
             v = int(name[1:].split(".")[0])
-            if v < keep_from:
+            if 0 < v < keep_from:
                 os.remove(os.path.join(self.dir, "checkpoints", name))
 
     def _ckpt_path(self, version: int) -> str:

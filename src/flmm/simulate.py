@@ -15,7 +15,7 @@ from flmm.config import ScenarioConfig
 from flmm.contribution import ShapleyResult, exact_shapley, fl_value_function
 from flmm.dataquality import generate_corpus, quality_loop, repair_corpus
 from flmm.errors import StarvationError
-from flmm.metrics import EvalReport, evaluate
+from flmm.metrics import eval_batch, evaluate
 from flmm.model import ModelSnapshot, init_snapshot, save_snapshot
 from flmm.orchestrator import FederationServer, ServerConfig, ServerCore
 from flmm.rng import mix_seed
@@ -67,9 +67,9 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     log_dir = os.path.join(out_dir, "log")
     corpora = build_corpora(cfg)
-    eval_set = build_eval_set(cfg)
-
     initial = build_initial_model(cfg)
+    # prepared once: every model this run scores shares initial's token_embed
+    eval_set = eval_batch(initial, build_eval_set(cfg))
     core = ServerCore(server_config(cfg), initial, log_dir)
     transport = InProcessTransport(core)
     agents = [ClientAgent(cfg, p, corpora[p.party_id], transport)

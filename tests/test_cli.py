@@ -113,6 +113,35 @@ def test_shapley_from_log(config_file, tmp_path, capsys):
     assert "method=wtdp" in capsys.readouterr().out
 
 
+def test_shapley_after_more_rounds_than_history_window(tmp_path, capsys):
+    from flmm.aggregation import AggregationPlan
+    from flmm.config import load_config
+    from flmm.contribution import exact_shapley, fl_value_function
+    from flmm.orchestrator import RoundLog
+    from flmm.simulate import build_eval_set, build_initial_model
+    path = tmp_path / "scenario.ini"
+    path.write_text(CONFIG.replace("rounds = 2", "rounds = 5")
+                    + "\n[aggregation]\nhistory_window = 2\n")
+    data = str(tmp_path / "data")
+    run = str(tmp_path / "run")
+    log = os.path.join(run, "log")
+    assert main(["gendata", "--spec", str(path), "--out", data]) == 0
+    assert main(["simulate", "--config", str(path), "--out", run]) == 0
+    # versions 1 and 2 fell out of the window; v0 is the replay base
+    assert sorted(os.listdir(os.path.join(log, "checkpoints"))) == \
+        ["v0.ckpt", "v3.ckpt", "v4.ckpt", "v5.ckpt"]
+    capsys.readouterr()
+    assert main(["shapley", "--log", log,
+                 "--eval", os.path.join(data, "eval.corpus")]) == 0
+    text = capsys.readouterr().out
+    cfg = load_config(str(path))
+    rounds = RoundLog(log).logged_rounds(AggregationPlan())
+    fn = fl_value_function(build_initial_model(cfg), rounds, build_eval_set(cfg),
+                           ["p0", "p1"])
+    for party, value in sorted(exact_shapley(fn).values.items()):
+        assert f"value {party}={value:.6f}" in text
+
+
 def test_server_client_loopback(config_file, tmp_path, capsys):
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))

@@ -314,3 +314,24 @@ class TestFlValueFunction:
                                      model)
         fn = fl_value_function(initial, log, eval_set, ["hz", "sf"])
         assert fn(frozenset({"hz"})) > fn(frozenset({"sf"}))
+
+
+class TestPreparedValueFunction:
+    def test_every_coalition_equals_recall_from_scratch(self):
+        initial, log, _, eval_set, parties = make_fl_fixture(parties=("pa", "pb", "pc"))
+        fn = fl_value_function(initial, log, eval_set, parties)
+
+        def from_scratch(coalition):
+            return recall_at_k(replay_coalition(initial, log, coalition), eval_set, 1)
+
+        values = set()
+        for k in range(len(parties) + 1):
+            for subset in itertools.combinations(parties, k):
+                s = frozenset(subset)
+                assert fn(s) == from_scratch(s)
+                values.add(fn(s))
+        assert len(values) > 1
+        weights = {"pa": 1.0, "pb": 2.0, "pc": 0.5}
+        oracle = CoalitionValueFn(parties=parties, evaluate=from_scratch)
+        assert wtdp_shapley(fn, weights, budget=12, tolerance=0.0, seed=3) == \
+               wtdp_shapley(oracle, weights, budget=12, tolerance=0.0, seed=3)

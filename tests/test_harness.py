@@ -311,22 +311,30 @@ class TestSocketTransport:
 
     def test_retry_is_bounded(self, monkeypatch):
         attempts = []
+        sleeps = []
 
         class CountingSocket:
             def create_connection(self, *args, **kwargs):
                 attempts.append(args)
                 return socket.create_connection(*args, **kwargs)
 
+        class RecordingTime:
+            def sleep(self, seconds):
+                sleeps.append(seconds)
+
         monkeypatch.setattr(flmm.client, "socket", CountingSocket())
+        monkeypatch.setattr(flmm.client, "time", RecordingTime())
         with socket.socket() as idle:  # bound, never listening: refuses
             idle.bind(("127.0.0.1", 0))
             transport = SocketTransport("127.0.0.1", idle.getsockname()[1],
-                                        base_delay=0.001, max_delay=0.002,
-                                        max_attempts=4)
+                                        base_delay=0.125, max_delay=0.5,
+                                        max_attempts=5)
             t0 = time.monotonic()
             with pytest.raises(TransportError):
                 transport.send(request("POLL"))
-        assert len(attempts) == 4
+        assert len(attempts) == 5
+        # doubling up to max_delay between attempts, none after the last
+        assert sleeps == [0.125, 0.25, 0.5, 0.5]
         assert time.monotonic() - t0 < 5.0
 
 

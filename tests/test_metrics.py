@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from flmm.aggregation import apply_block_mask, snapshot_blocks
 from flmm.dataquality import CorpusSpec, generate_corpus
-from flmm.errors import RangeError
-from flmm.metrics import bleu, caption_bank, evaluate, recall_at_k, rouge_l
-from flmm.model import caption_scores, init_snapshot
+from flmm.errors import EmptyBankError, IdentityError, RangeError
+from flmm.metrics import bleu, caption_bank, eval_batch, evaluate, recall_at_k, \
+    rouge_l
+from flmm.model import caption_scores, init_snapshot, load_snapshot, save_snapshot, \
+    text_features
 from flmm.rng import SplitMix64
 
 
@@ -150,3 +153,102 @@ class TestEvaluate:
         model = init_snapshot(5)
         recs = balanced_eval_set(seed=13)
         assert evaluate(model, recs) == evaluate(model, recs)
+
+
+def with_random_adapters(base, seed):
+    """base with random adapters and bridge: another model that shares base's
+    frozen token_embed, as every coalition replay of one run does."""
+    rng = SplitMix64(seed)
+    blocks = {n: rng.normal_matrix(*b.shape, std=0.5)
+              for n, b in snapshot_blocks(base).items()}
+    return apply_block_mask(blocks, base)
+
+
+class TestEvalBatch:
+    @pytest.mark.parametrize("vocab", [64, 512])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_recall_equals_records_and_oracle_for_every_k(self, vocab, seed):
+        recs = with_permuted_captions(balanced_eval_set(seed=40 + seed, size=60), seed)
+        base = init_snapshot(50 + seed, vocab=vocab)
+        batch = eval_batch(base, recs)
+        models = [base] + [with_random_adapters(base, 60 + i) for i in range(3)]
+        tied = False
+        for model in models:
+            scores = caption_scores(model, batch.xs, batch.ts)
+            tied |= any(np.sum(row == row[j]) > 1 for row in scores for j in range(len(row)))
+            for k in range(1, len(batch.bank) + 1):
+                got = recall_at_k(model, batch, k)
+                assert got == recall_at_k(model, recs, k)
+                assert got == recall_at_k_oracle(model, recs, k)
+        assert tied
+        assert len({recall_at_k(m, batch, 1) for m in models}) > 1
+
+    def test_fields(self):
+        recs = with_permuted_captions(balanced_eval_set(seed=45, size=60), 5)
+        model = init_snapshot(55)
+        batch = eval_batch(model, recs)
+        assert batch.bank == caption_bank(recs)
+        assert [batch.bank[j] for j in batch.true_j] == [list(r.caption) for r in recs]
+        np.testing.assert_array_equal(batch.xs, np.stack([r.image for r in recs]))
+        assert batch.ts.tobytes() == text_features(model, batch.bank).tobytes()
+        assert batch.token_embed is model.token_embed
+        assert eval_batch(model, batch) is batch
+
+    def test_evaluate_equals_records_field_for_field(self):
+        recs = with_permuted_captions(balanced_eval_set(seed=46, size=60), 6)
+        base = init_snapshot(56)
+        batch = eval_batch(base, recs)
+        for model in [base] + [with_random_adapters(base, 70 + i) for i in range(3)]:
+            rep = evaluate(model, batch, "e")
+            assert rep == evaluate(model, recs, "e")
+            # caption overlap against each record's own caption, per record
+            bank = caption_bank(recs)
+            scores = caption_scores(model, np.stack([r.image for r in recs]), bank)
+            retrieved = [bank[int(np.argmax(row))] for row in scores]
+            assert rep.mean_bleu == float(np.mean(
+                [bleu(c, [list(r.caption)]) for c, r in zip(retrieved, recs)]))
+            assert rep.mean_rouge_l == float(np.mean(
+                [rouge_l(c, list(r.caption)) for c, r in zip(retrieved, recs)]))
+            assert rep.recall_at_1 == recall_at_k_oracle(model, recs, 1)
+            assert rep.recall_at_5 == recall_at_k_oracle(model, recs, 5)
+
+    def test_caption_scores_takes_tokens_or_features(self):
+        recs = balanced_eval_set(seed=47)
+        model = with_random_adapters(init_snapshot(57), 80)
+        bank = caption_bank(recs)
+        xs = np.stack([r.image for r in recs])
+        by_tokens = caption_scores(model, xs, bank)
+        by_features = caption_scores(model, xs, text_features(model, bank))
+        assert by_tokens.tobytes() == by_features.tobytes()
+
+    def test_other_token_embed_raises(self):
+        recs = balanced_eval_set(seed=48)
+        batch = eval_batch(init_snapshot(58), recs)
+        other = init_snapshot(59)
+        with pytest.raises(IdentityError):
+            recall_at_k(other, batch, 1)
+        with pytest.raises(IdentityError):
+            evaluate(other, batch)
+
+    def test_reloaded_checkpoint_passes(self):
+        recs = balanced_eval_set(seed=49)
+        model = with_random_adapters(init_snapshot(60), 81)
+        batch = eval_batch(model, recs)
+        reloaded = load_snapshot(save_snapshot(model))
+        assert reloaded.token_embed is not model.token_embed
+        assert recall_at_k(reloaded, batch, 1) == recall_at_k(model, recs, 1)
+
+    def test_empty_bank_raises_for_both_forms(self):
+        model = init_snapshot(61)
+        xs = np.stack([r.image for r in balanced_eval_set(seed=50)])
+        with pytest.raises(EmptyBankError):
+            caption_scores(model, xs, [])
+        with pytest.raises(EmptyBankError):
+            caption_scores(model, xs, np.empty((0, model.token_embed.shape[1])))
+
+    def test_empty_eval_set(self):
+        model = init_snapshot(62)
+        with pytest.raises(RangeError):
+            recall_at_k(model, [], 1)
+        with pytest.raises(EmptyBankError):
+            evaluate(model, [])
