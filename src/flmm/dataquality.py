@@ -10,6 +10,7 @@ enter training or the wire.
 from __future__ import annotations
 
 import base64
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,11 +76,18 @@ class CorpusSpec:
             raise SpecError("scene class pool is empty")
 
 
+@functools.lru_cache(maxsize=256)
 def class_prototype(class_id: int, d_v: int) -> np.ndarray:
-    """Shared deterministic image prototype for a scene class."""
+    """Shared deterministic image prototype for a scene class.
+
+    A pure function of its arguments, so it is computed once per
+    (class_id, d_v) and every caller gets the same read-only array.
+    """
     rng = SplitMix64(mix_seed(_PROTO_SALT, class_id))
     v = rng.gaussians(d_v)
-    return v / np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def class_hazard(class_id: int) -> bool:

@@ -18,13 +18,13 @@ from flmm.model import (
     GradientSet,
     ModelSnapshot,
     PairBatch,
+    PairForward,
     Pairs,
     _text_backward,
     _text_forward,
-    _text_tower,
     _vision_backward,
     _vision_forward,
-    pair_batch,
+    pair_forward,
 )
 
 
@@ -154,22 +154,25 @@ def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
 
 
 def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
-                               batch: PairBatch | Pairs,
+                               batch: PairForward | PairBatch | Pairs,
                                mu: float) -> tuple[float, GradientSet]:
-    """mu * mean ||z_v - stopgrad(z_t)||^2; text-side gradients are zero."""
+    """mu * mean ||z_v - stopgrad(z_t)||^2; text-side gradients are zero.
+
+    The batch is given as (image, tokens) pairs, a PairBatch, or the
+    PairForward of this snapshot that a training step already computed for
+    its contrastive loss, whose z_v, vision cache and z_t are reused.
+    """
     if not batch:
         raise ShapeError("empty batch for anchor loss")
     grads = GradientSet.zeros_like(snapshot)
     if mu == 0.0:
         return 0.0, grads
-    batch = pair_batch(snapshot, batch)
-    n = len(batch)
-    z_v, cache = _vision_forward(snapshot, batch.xs)
-    z_t, _ = _text_tower(snapshot, batch.ts)
-    diff = z_v - z_t
+    fwd = pair_forward(snapshot, batch)
+    n = len(fwd)
+    diff = fwd.z_v - fwd.z_t
     loss = mu * float(np.mean(np.sum(diff * diff, axis=1)))
     dz_v = (2.0 * mu / n) * diff
-    dva, dvb, dbr = _vision_backward(snapshot, cache, dz_v)
+    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, dz_v)
     return loss, GradientSet(dva, dvb, grads.d_text_a, grads.d_text_b, dbr)
 
 

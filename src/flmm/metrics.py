@@ -170,12 +170,17 @@ def evaluate(model: ModelSnapshot, eval_set: EvalBatch | Sequence,
     batch = eval_batch(model, eval_set)
     scores = caption_scores(model, batch.xs, batch.ts)
     ranks = _true_caption_ranks(scores, batch.true_j)
+    # Records share few (retrieved, truth) pairs: score each pair once, and
+    # list the per-record values in record order for the means.
+    overlap: dict[tuple[int, int], tuple[float, float]] = {}
     bleus, rouges = [], []
-    for i, j in enumerate(batch.true_j):
-        retrieved = batch.bank[int(np.argmax(scores[i]))]
-        truth = batch.bank[j]
-        bleus.append(bleu(retrieved, [truth]))
-        rouges.append(rouge_l(retrieved, truth))
+    for pair in zip(np.argmax(scores, axis=1).tolist(), batch.true_j.tolist()):
+        if pair not in overlap:
+            retrieved, truth = batch.bank[pair[0]], batch.bank[pair[1]]
+            overlap[pair] = (bleu(retrieved, [truth]), rouge_l(retrieved, truth))
+        b, r = overlap[pair]
+        bleus.append(b)
+        rouges.append(r)
     return EvalReport(
         recall_at_1=_recall(ranks, 1),
         recall_at_5=_recall(ranks, min(5, len(batch.bank))),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from flmm.errors import (
     CheckpointError,
     DegenerateInputError,
     EmptyBankError,
+    IdentityError,
     NumericError,
     ShapeError,
     VocabularyError,
@@ -244,6 +245,40 @@ def pair_batch(snapshot: ModelSnapshot, batch: PairBatch | Pairs) -> PairBatch:
     return PairBatch(xs, text_features(snapshot, [t for _, t in batch]))
 
 
+@dataclass(frozen=True)
+class PairForward:
+    """Both towers' forward pass over a batch of aligned pairs: the unit
+    embeddings and the caches their backward passes read.
+
+    One forward serves every loss of a training step. It is valid only for
+    the snapshot it was computed with; a loss given another raises
+    IdentityError.
+    """
+
+    snapshot: ModelSnapshot
+    z_v: np.ndarray  # (n, d_emb)
+    cache_v: tuple
+    z_t: np.ndarray  # (n, d_emb)
+    cache_t: tuple
+
+    def __len__(self) -> int:
+        return self.z_v.shape[0]
+
+
+def pair_forward(snapshot: ModelSnapshot,
+                 batch: PairForward | PairBatch | Pairs) -> PairForward:
+    """The forward pass of a batch; pairs and a PairBatch are run through both
+    towers, a PairForward of this snapshot is returned as it is."""
+    if isinstance(batch, PairForward):
+        if batch.snapshot is not snapshot:
+            raise IdentityError("pair forward was computed with another snapshot")
+        return batch
+    batch = pair_batch(snapshot, batch)
+    z_v, cache_v = _vision_forward(snapshot, batch.xs)
+    z_t, cache_t = _text_tower(snapshot, batch.ts)
+    return PairForward(snapshot, z_v, cache_v, z_t, cache_t)
+
+
 def _normalize_backward(dz: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # z = u / |u|  =>  du = (dz - (dz.z) z) / |u|
     dot = np.sum(dz * z, axis=1, keepdims=True)
@@ -286,59 +321,74 @@ def encode_text(snapshot: ModelSnapshot, tokens: list[int]) -> np.ndarray:
 
 
 def contrastive_loss_and_grads(snapshot: ModelSnapshot,
-                               batch: PairBatch | Pairs) -> tuple[float, GradientSet]:
-    """Symmetric InfoNCE over the batch and its analytic adapter gradients."""
+                               batch: PairForward | PairBatch | Pairs
+                               ) -> tuple[float, GradientSet]:
+    """Symmetric InfoNCE over the batch and its analytic adapter gradients.
+
+    The batch is given as (image, tokens) pairs, a PairBatch, or the
+    PairForward that pair_forward computed for it with this snapshot, which
+    a training step shares with its other losses.
+    """
     n = len(batch)
     if n < 2:
         raise BatchError("contrastive loss needs a batch of at least 2")
-    batch = pair_batch(snapshot, batch)
-    z_v, cache_v = _vision_forward(snapshot, batch.xs)
-    z_t, cache_t = _text_tower(snapshot, batch.ts)
+    fwd = pair_forward(snapshot, batch)
+    z_v, z_t = fwd.z_v, fwd.z_t
 
     tau = snapshot.temperature
     s = (z_v @ z_t.T) / tau
+    d = np.arange(n)
+    diag = s[d, d]
     # rows: image -> text, cols: text -> image
-    p_row = _softmax(s, axis=1)
-    p_col = _softmax(s, axis=0)
-    eye = np.eye(n)
-    loss = 0.5 * (_cross_entropy(s, axis=1) + _cross_entropy(s, axis=0))
-    g = (p_row - eye + p_col - eye) / (2.0 * n)
+    p_row, ce_row = _softmax_and_cross_entropy(s, 1, diag)
+    p_col, ce_col = _softmax_and_cross_entropy(s, 0, diag)
+    loss = 0.5 * (ce_row + ce_col)
+    # (p_row - I + p_col - I) / 2n, with the identity applied to the diagonal only
+    g = p_row + p_col
+    g[d, d] = p_row[d, d] - 1.0 + p_col[d, d] - 1.0
+    g /= 2.0 * n
 
     dz_v = (g @ z_t) / tau
     dz_t = (g.T @ z_v) / tau
-    dva, dvb, dbr = _vision_backward(snapshot, cache_v, dz_v)
-    dta, dtb = _text_backward(snapshot, cache_t, dz_t)
+    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, dz_v)
+    dta, dtb = _text_backward(snapshot, fwd.cache_t, dz_t)
     return float(loss), GradientSet(dva, dvb, dta, dtb, dbr)
 
 
-def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
+def _softmax_and_cross_entropy(s: np.ndarray, axis: int,
+                               diag: np.ndarray) -> tuple[np.ndarray, float]:
+    """Softmax of s along axis, and the mean cross-entropy of the diagonal
+    targets, from one max, exp and sum."""
     m = s.max(axis=axis, keepdims=True)
     e = np.exp(s - m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _cross_entropy(s: np.ndarray, axis: int) -> float:
-    m = s.max(axis=axis, keepdims=True)
-    lse = np.squeeze(m, axis=axis) + np.log(np.exp(s - m).sum(axis=axis))
-    return float(np.mean(lse - np.diag(s)))
+    total = e.sum(axis=axis, keepdims=True)
+    lse = np.squeeze(m, axis=axis) + np.log(np.squeeze(total, axis=axis))
+    return e / total, float(np.mean(lse - diag))
 
 
 def sgd_step(snapshot: ModelSnapshot, grads: GradientSet, lr: float) -> ModelSnapshot:
     """One descent step on adapters and bridge; frozen weights untouched."""
     for block in (grads.d_vision_a, grads.d_vision_b, grads.d_text_a, grads.d_text_b,
                   grads.d_bridge):
-        if block is not None and not np.all(np.isfinite(block)):
+        if block is not None and not np.isfinite(block).all():
             raise NumericError("non-finite gradient entries")
-    v_ad = snapshot.vision.adapter
-    t_ad = snapshot.text.adapter
-    new_vision = replace(snapshot.vision, adapter=replace(
-        v_ad, a=v_ad.a - lr * grads.d_vision_a, b=v_ad.b - lr * grads.d_vision_b))
-    new_text = replace(snapshot.text, adapter=replace(
-        t_ad, a=t_ad.a - lr * grads.d_text_a, b=t_ad.b - lr * grads.d_text_b))
+    vision, text = snapshot.vision, snapshot.text
+    v_ad, t_ad = vision.adapter, text.adapter
     bridge = snapshot.bridge
     if bridge is not None and grads.d_bridge is not None:
         bridge = bridge - lr * grads.d_bridge
-    return replace(snapshot, vision=new_vision, text=new_text, bridge=bridge)
+    return ModelSnapshot(
+        vision=TowerParams(vision.w_base, AdapterPair(
+            v_ad.a - lr * grads.d_vision_a, v_ad.b - lr * grads.d_vision_b,
+            v_ad.rank, v_ad.alpha)),
+        text=TowerParams(text.w_base, AdapterPair(
+            t_ad.a - lr * grads.d_text_a, t_ad.b - lr * grads.d_text_b,
+            t_ad.rank, t_ad.alpha)),
+        token_embed=snapshot.token_embed,
+        bridge=bridge,
+        temperature=snapshot.temperature,
+        version=snapshot.version,
+    )
 
 
 def alignment_score(snapshot: ModelSnapshot, x: np.ndarray, tokens: list[int]) -> float:

@@ -3,15 +3,15 @@
 Corpora, masks, and DP noise must be bit-reproducible across runs and across
 machines, so we do not use numpy's Generator. The stream is counter-based:
 state_i = seed + i * GOLDEN (mod 2^64), output = mix(state_i), which lets the
-bulk paths vectorize.
+bulk paths vectorize. Uniforms, Gaussians and the swap indices of a shuffle
+are drawn in one bulk call each; every one of them advances the state by
+exactly the number of outputs it consumed, as the scalar next_u64 would.
 
 Hot bulk kernels live in ``_kernels``; set FLMM_NO_NUMBA=1 to force the pure
 numpy fallback.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
-        self._spare: float | None = None
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64
@@ -45,25 +44,10 @@ class SplitMix64:
         # 53-bit mantissa in [0, 1)
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def next_gaussian(self) -> float:
-        if self._spare is not None:
-            g = self._spare
-            self._spare = None
-            return g
-        # Box-Muller; reject u1 == 0 to keep log finite
-        u1 = self.next_uniform()
-        while u1 == 0.0:
-            u1 = self.next_uniform()
-        u2 = self.next_uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
-
     def uniforms(self, n: int) -> np.ndarray:
         """Vectorized draw of n uniforms; advances the stream by n."""
         out = bulk_uniform(np.uint64(self.state), n)
         self.state = (self.state + n * GOLDEN) & MASK64
-        self._spare = None
         return out
 
     def gaussians(self, n: int) -> np.ndarray:
@@ -84,9 +68,18 @@ class SplitMix64:
         return self.gaussians(rows * cols).reshape(rows, cols) * std
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates using the stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+        """In-place Fisher-Yates using the stream.
+
+        Step i (from len - 1 down to 1) swaps items[i] with items[j], where
+        j is the stream's next output mod i + 1. All len - 1 outputs are
+        drawn with one bulk_mix, and the state advances by len - 1.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        js = bulk_mix(np.uint64(self.state), n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        self.state = (self.state + (n - 1) * GOLDEN) & MASK64
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

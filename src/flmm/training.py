@@ -14,7 +14,7 @@ from flmm.dataquality import SceneRecord
 from flmm.fusion import ConsensusMap, ProbeSet, compose_losses, \
     distillation_loss_and_grads, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, contrastive_loss_and_grads, \
-    pair_batch, sgd_step
+    pair_batch, pair_forward, sgd_step
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 
@@ -40,7 +40,10 @@ def local_train(model: ModelSnapshot, records: list[SceneRecord], cfg: TrainConf
     """Epochs of SGD on shuffled minibatches; deterministic given the seed.
 
     Images and text features of the whole usable corpus are prepared once
-    (token_embed is frozen); each step gathers its rows.
+    (token_embed is frozen); each step gathers its rows, runs both towers
+    once with pair_forward, and hands that PairForward to the contrastive
+    and the anchor loss. Each loss backpropagates its own dz (summing the dz
+    first would round differently), and compose_losses adds the gradients.
     """
     usable = trainable_records(records)
     if len(usable) < 2:
@@ -54,11 +57,11 @@ def local_train(model: ModelSnapshot, records: list[SceneRecord], cfg: TrainConf
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue  # contrastive loss undefined below 2 pairs
-            batch = PairBatch(corpus.xs[idx], corpus.ts[idx])
-            parts = [contrastive_loss_and_grads(model, batch)]
+            fwd = pair_forward(model, PairBatch(corpus.xs[idx], corpus.ts[idx]))
+            parts = [contrastive_loss_and_grads(model, fwd)]
             weights = [cfg.contrastive_weight]
             if cfg.anchor_mu > 0:
-                parts.append(text_anchor_loss_and_grads(model, batch, cfg.anchor_mu))
+                parts.append(text_anchor_loss_and_grads(model, fwd, cfg.anchor_mu))
                 weights.append(1.0)
             if cfg.distill_lambda > 0 and probe is not None and consensus is not None:
                 parts.append(distillation_loss_and_grads(

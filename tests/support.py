@@ -80,6 +80,14 @@ def grad_blocks(grads):
     return out
 
 
+def grads_bytes(loss, grads) -> tuple:
+    """A loss and its gradient blocks as bytes, for exact comparison."""
+    return (np.float64(loss).tobytes(),) + tuple(
+        None if b is None else b.tobytes()
+        for b in (grads.d_vision_a, grads.d_vision_b, grads.d_text_a, grads.d_text_b,
+                  grads.d_bridge))
+
+
 def check_grads_fd(snapshot, loss_fn, grads, step: float = 1e-5,
                    rtol: float = 1e-4, atol: float = 1e-7,
                    blocks=None) -> float:

@@ -3,6 +3,7 @@ import pytest
 
 from flmm.aggregation import AggregationPlan
 from flmm.dataquality import (
+    _PROTO_SALT,
     BLACKLIST_TOKENS,
     SENSITIVE_TOKENS,
     CorpusSpec,
@@ -24,6 +25,7 @@ from flmm.dataquality import (
 from flmm.errors import SpecError, StarvationError, TemplateGapError
 from flmm.metrics import recall_at_k
 from flmm.model import init_snapshot
+from flmm.rng import SplitMix64, mix_seed
 from flmm.training import TrainConfig, federated_train
 
 
@@ -85,6 +87,17 @@ class TestGeneration:
         for r in recs:
             proto = class_prototype(r.truth.scene_class, 16)
             assert np.linalg.norm(r.image - proto) < 0.1 * 6 * np.sqrt(16)
+
+    @pytest.mark.parametrize("class_id, d_v", [(0, 16), (5, 16), (5, 8), (29, 32)])
+    def test_class_prototype_cached_read_only(self, class_id, d_v):
+        v = SplitMix64(mix_seed(_PROTO_SALT, class_id)).gaussians(d_v)
+        want = v / np.linalg.norm(v)
+        got = class_prototype(class_id, d_v)
+        assert got.tobytes() == want.tobytes()
+        assert class_prototype(class_id, d_v) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
 
 
 class TestRepairs:

@@ -14,10 +14,11 @@ from flmm.fusion import (
     save_probe,
     text_anchor_loss_and_grads,
 )
-from flmm.model import encode_image, encode_text, sgd_step
+from flmm.model import encode_image, encode_text, load_snapshot, pair_batch, \
+    pair_forward, save_snapshot, sgd_step
 from flmm.rng import SplitMix64
 
-from support import check_grads_fd, random_batch, small_snapshot
+from support import check_grads_fd, grads_bytes, random_batch, small_snapshot
 
 
 def mixed_probe(seed=50, n_img=3, n_txt=3):
@@ -157,6 +158,20 @@ class TestTextAnchor:
         # vision-side blocks; text blocks are checked structurally above
         check_grads_fd(s, lambda snap: text_anchor_loss_and_grads(
             snap, batch, 0.7)[0], g, blocks={"vision.a", "vision.b", "bridge"})
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_same_bytes_for_every_form(self, bridge):
+        s = small_snapshot(71, with_bridge=bridge)
+        pairs = random_batch(71, n=6)
+        want = grads_bytes(*text_anchor_loss_and_grads(s, pairs, 0.7))
+        for form in (pair_batch(s, pairs), pair_forward(s, pairs)):
+            assert grads_bytes(*text_anchor_loss_and_grads(s, form, 0.7)) == want
+
+    def test_forward_of_another_snapshot_raises(self):
+        s = small_snapshot(72)
+        fwd = pair_forward(s, random_batch(72))
+        with pytest.raises(IdentityError):
+            text_anchor_loss_and_grads(load_snapshot(save_snapshot(s)), fwd, 0.7)
 
 
 class TestComposeLosses:

@@ -154,6 +154,31 @@ class TestEvaluate:
         recs = balanced_eval_set(seed=13)
         assert evaluate(model, recs) == evaluate(model, recs)
 
+    def test_overlap_equals_per_record_oracle_with_shared_pairs_and_tied_argmax(self):
+        # Token 63 gets token 1's embedding row, so a caption and its twin
+        # with 1 -> 63 have identical features: every row's maximum ties, and
+        # argmax takes the twin that comes first in the bank.
+        base = init_snapshot(6)
+        tok = base.token_embed.copy()
+        tok[63] = tok[1]
+        base = replace(base, token_embed=tok)
+        recs = balanced_eval_set(seed=14, size=200)
+        recs = [replace(r, caption=tuple(63 if t == 1 and i % 2 else t for t in r.caption))
+                for i, r in enumerate(recs)]
+        batch = eval_batch(base, recs)
+        for model in [base] + [with_random_adapters(base, 90 + i) for i in range(2)]:
+            scores = caption_scores(model, batch.xs, batch.ts)
+            assert all(np.sum(row == row.max()) >= 2 for row in scores)
+            retrieved = [batch.bank[int(np.argmax(row))] for row in scores]
+            truths = [list(r.caption) for r in recs]
+            assert len({(tuple(c), tuple(t)) for c, t in zip(retrieved, truths)}) <= 50
+            bleus = [bleu(c, [t]) for c, t in zip(retrieved, truths)]
+            rouges = [rouge_l(c, t) for c, t in zip(retrieved, truths)]
+            assert len(set(bleus)) > 1 and len(set(rouges)) > 1
+            rep = evaluate(model, batch)
+            assert rep.mean_bleu == float(np.mean(bleus))
+            assert rep.mean_rouge_l == float(np.mean(rouges))
+
 
 def with_random_adapters(base, seed):
     """base with random adapters and bridge: another model that shares base's

@@ -7,6 +7,7 @@ from flmm.errors import (
     CheckpointError,
     DegenerateInputError,
     EmptyBankError,
+    IdentityError,
     NumericError,
     ShapeError,
     VocabularyError,
@@ -21,6 +22,8 @@ from flmm.model import (
     frozen_checksum,
     init_snapshot,
     load_snapshot,
+    pair_batch,
+    pair_forward,
     retrieve_caption,
     save_snapshot,
     sgd_step,
@@ -28,7 +31,8 @@ from flmm.model import (
 )
 from flmm.rng import SplitMix64
 
-from support import check_grads_fd, identity_snapshot, random_batch, small_snapshot
+from support import check_grads_fd, grads_bytes, identity_snapshot, random_batch, \
+    small_snapshot
 
 
 class TestAdapterPair:
@@ -209,6 +213,40 @@ class TestContrastiveLoss:
         assert loss2 == pytest.approx(2.137392940660198, abs=1e-12)
 
 
+class TestPairForward:
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_contrastive_same_bytes_for_every_form(self, bridge):
+        s = small_snapshot(18, with_bridge=bridge)
+        pairs = random_batch(18, n=6)
+        want = grads_bytes(*contrastive_loss_and_grads(s, pairs))
+        for form in (pair_batch(s, pairs), pair_forward(s, pairs),
+                     pair_forward(s, pair_batch(s, pairs))):
+            assert grads_bytes(*contrastive_loss_and_grads(s, form)) == want
+
+    def test_forward_fields_and_passthrough(self):
+        s = small_snapshot(19)
+        pairs = random_batch(19, n=5)
+        fwd = pair_forward(s, pairs)
+        assert len(fwd) == 5 and fwd.snapshot is s
+        np.testing.assert_allclose(
+            fwd.z_v, np.stack([encode_image(s, x) for x, _ in pairs]), atol=1e-15)
+        np.testing.assert_allclose(
+            fwd.z_t, np.stack([encode_text(s, t) for _, t in pairs]), atol=1e-15)
+        assert pair_forward(s, fwd) is fwd
+
+    def test_one_row_forward_raises_batch_error(self):
+        s = small_snapshot(20)
+        with pytest.raises(BatchError):
+            contrastive_loss_and_grads(s, pair_forward(s, random_batch(20, n=1)))
+
+    def test_forward_of_another_snapshot_raises(self):
+        s = small_snapshot(21)
+        fwd = pair_forward(s, random_batch(21))
+        other = load_snapshot(save_snapshot(s))
+        with pytest.raises(IdentityError):
+            contrastive_loss_and_grads(other, fwd)
+
+
 def check_grads_and_return(s, batch):
     loss, grads = contrastive_loss_and_grads(s, batch)
     check_grads_fd(s, lambda snap: contrastive_loss_and_grads(snap, batch)[0], grads)
@@ -256,6 +294,17 @@ class TestSgdStep:
         g = GradientSet(bad, g.d_vision_b, g.d_text_a, g.d_text_b, g.d_bridge)
         with pytest.raises(NumericError):
             sgd_step(s, g, 0.1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["d_vision_a", "d_vision_b", "d_text_a",
+                                       "d_text_b", "d_bridge"])
+    def test_non_finite_gradient_rejected_in_every_block(self, block, value):
+        s = small_snapshot(22)
+        g = GradientSet.zeros_like(s)
+        bad = getattr(g, block).copy()
+        bad[-1, -1] = value
+        with pytest.raises(NumericError):
+            sgd_step(s, replace(g, **{block: bad}), 0.1)
 
 
 class TestAlignmentAndRetrieval:

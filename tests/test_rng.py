@@ -85,3 +85,23 @@ def test_mix_seed_and_hash_text_stability():
     assert mix_seed(1, 2, 3) != mix_seed(1, 3, 2)
     assert hash_text("alpha") == hash_text("alpha")
     assert hash_text("alpha") != hash_text("beta")
+
+
+def scalar_shuffle(rng, items):
+    """Fisher-Yates with one next_u64 per swap: the oracle for the bulk draw
+    in SplitMix64.shuffle."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("seed", [1, 42, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 400, 1000])
+def test_shuffle_matches_scalar_fisher_yates(seed, n):
+    got, want = list(range(n)), list(range(n))
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    bulk.shuffle(got)
+    scalar_shuffle(scalar, want)
+    assert got == want
+    assert bulk.state == scalar.state
+    assert bulk.next_u64() == scalar.next_u64()

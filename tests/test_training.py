@@ -1,13 +1,18 @@
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flmm.dataquality import SceneRecord
+from flmm.aggregation import AggregationPlan, snapshot_blocks
+from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
+from flmm.dataquality import CorpusSpec, SceneRecord
 from flmm.errors import DegenerateInputError, VocabularyError
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot, sgd_step
+from flmm.privacy import PrivacyConfig
 from flmm.rng import SplitMix64
+from flmm.simulate import run_simulation
 from flmm.training import TrainConfig, local_train, trainable_records
 
 
@@ -47,16 +52,85 @@ def random_records(seed: int, n: int, d_v: int = 16, vocab: int = 64) -> list:
     return out
 
 
+def block_crcs(model) -> dict:
+    """CRC32 of each trainable block, as the round log's blocks= field has it."""
+    return {name: f"{zlib.crc32(np.ascontiguousarray(m, dtype='<f8').tobytes()):08x}"
+            for name, m in sorted(snapshot_blocks(model).items())}
+
+
+# Block CRCs of local_train(init_snapshot(40, with_bridge=bridge),
+# random_records(41, 90), epochs 3, lr 0.1, batch 16, seed 42), keyed by
+# (bridge, anchor_mu, contrastive_weight). The oracle above shares shuffle and
+# both losses with local_train, so only these pinned bits can see a drift in
+# those functions.
+LOCAL_TRAIN_CRCS = {
+    (True, 0.0, 1.0): {"bridge": "369c77c6", "text.a": "d5953fad", "text.b": "5f214755",
+                       "vision.a": "1829901c", "vision.b": "19ae7dee"},
+    (True, 0.0, 0.5): {"bridge": "b49b374e", "text.a": "92b4cdaf", "text.b": "1c09dbcb",
+                       "vision.a": "067ef18e", "vision.b": "1b282710"},
+    (True, 1.5, 1.0): {"bridge": "f5e3270f", "text.a": "444c9e44", "text.b": "c0825d09",
+                       "vision.a": "bf488e84", "vision.b": "51a3c8ed"},
+    (True, 1.5, 0.5): {"bridge": "d417ba4d", "text.a": "92000666", "text.b": "85a00f2a",
+                       "vision.a": "be41747c", "vision.b": "8bd22456"},
+    (False, 0.0, 1.0): {"text.a": "a2bce7fa", "text.b": "18aa603b",
+                        "vision.a": "57f795ee", "vision.b": "293cc8d8"},
+    (False, 0.0, 0.5): {"text.a": "e64ac9d8", "text.b": "bd061cff",
+                        "vision.a": "a8f6e1ec", "vision.b": "e71fda09"},
+    (False, 1.5, 1.0): {"text.a": "fc5278a6", "text.b": "b0624210",
+                        "vision.a": "97695a9e", "vision.b": "ebaa3ca3"},
+    (False, 1.5, 0.5): {"text.a": "f61628ee", "text.b": "8007f12c",
+                        "vision.a": "7c67772a", "vision.b": "8c8b76c5"},
+}
+
+
 @pytest.mark.parametrize("bridge", [True, False])
 @pytest.mark.parametrize("anchor_mu", [0.0, 1.5])
 def test_local_train_bit_identical_to_list_of_pairs_loop(bridge, anchor_mu):
     model = init_snapshot(40, with_bridge=bridge)
     records = random_records(41, 90)
-    cfg = TrainConfig(epochs=3, lr=0.1, batch_size=16, anchor_mu=anchor_mu)
-    got = local_train(model, records, cfg, seed=42)
-    want = local_train_oracle(model, records, cfg, seed=42)
-    assert save_snapshot(got) == save_snapshot(want)
-    assert save_snapshot(got) != save_snapshot(model)
+    for weight in (1.0, 0.5):
+        cfg = TrainConfig(epochs=3, lr=0.1, batch_size=16, anchor_mu=anchor_mu,
+                          contrastive_weight=weight)
+        got = local_train(model, records, cfg, seed=42)
+        want = local_train_oracle(model, records, cfg, seed=42)
+        assert save_snapshot(got) == save_snapshot(want)
+        assert save_snapshot(got) != save_snapshot(model)
+        assert block_crcs(got) == LOCAL_TRAIN_CRCS[(bridge, anchor_mu, weight)]
+
+
+def quality_scenario() -> ScenarioConfig:
+    """Two parties of 40 records, one with mismatched captions and one with a
+    text anchor; 2 rounds and one quality-loop iteration."""
+    parties = tuple(
+        PartyConfig(party_id=f"p{i}",
+                    corpus=CorpusSpec(party=f"p{i}", size=40,
+                                      corruption_rates={"mismatched": 0.2} if i == 0 else {},
+                                      seed=60 + i, scene_class_pool=(0, 1, 2, 3)),
+                    anchor_mu=0.0 if i == 0 else 2.0)
+        for i in range(2))
+    return ScenarioConfig(
+        seed=61, rounds=2, token="tok", deadline=60.0,
+        train=TrainConfig(epochs=2, lr=0.1, batch_size=16), model=ModelConfig(),
+        plan=AggregationPlan(), history_window=16, privacy=PrivacyConfig(),
+        parties=parties,
+        eval_spec=CorpusSpec(party="eval", size=40, corruption_rates={}, seed=160,
+                             scene_class_pool=(0, 1, 2, 3)),
+        quality=QualityConfig(iters=1, target=2.0, threshold=0.0))
+
+
+def test_run_simulation_with_quality_loop_pinned_bits(tmp_path):
+    result = run_simulation(quality_scenario(), str(tmp_path))
+    assert result.failure is None
+    assert result.round_records[-1]["blocks"] == (
+        "bridge:544dc5d3;text.a:738969f1;text.b:acc98755;vision.a:f12ef0af;"
+        "vision.b:0ced0d31")
+    assert block_crcs(result.final_model) == {
+        "bridge": "7c29a337", "text.a": "36971142", "text.b": "4e3805c0",
+        "vision.a": "4a2a6a1c", "vision.b": "166f5732"}
+    assert [(r.recall_at_1.hex(), r.mean_bleu.hex(), r.mean_rouge_l.hex())
+            for r in result.reports] == [
+        ("0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.db33333333333p-1"),
+        ("0x1.c000000000000p-1", "0x1.c000000000000p-1", "0x1.f000000000000p-1")]
 
 
 def test_too_few_usable_records_return_model_unchanged():
