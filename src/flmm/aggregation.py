@@ -8,7 +8,7 @@ bit-deterministic regardless of arrival order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from flmm.errors import (
     ShapeError,
     StalenessError,
 )
-from flmm.model import AdapterPair, ModelSnapshot
+from flmm.model import AdapterPair, ModelSnapshot, TowerParams
 from flmm.rng import SplitMix64
 
 BLOCK_NAMES = ("vision.a", "vision.b", "text.a", "text.b", "bridge")
@@ -48,7 +48,7 @@ class ClientUpdate:
         for name, m in self.deltas.items():
             if name not in BLOCK_NAMES:
                 raise PlanError(f"unknown block {name!r}")
-            if not np.all(np.isfinite(m)):
+            if not np.isfinite(m).all():
                 raise NumericError(f"non-finite values in block {name!r}")
 
 
@@ -199,15 +199,23 @@ def apply_block_mask(result: dict, snapshot: ModelSnapshot) -> ModelSnapshot:
     bad = set(result) - set(BLOCK_NAMES)
     if bad:
         raise PlanError(f"unknown blocks: {sorted(bad)}")
-    v_ad = snapshot.vision.adapter
-    t_ad = snapshot.text.adapter
-    new_v = AdapterPair(result.get("vision.a", v_ad.a), result.get("vision.b", v_ad.b),
-                        v_ad.rank, v_ad.alpha)
-    new_t = AdapterPair(result.get("text.a", t_ad.a), result.get("text.b", t_ad.b),
-                        t_ad.rank, t_ad.alpha)
-    bridge = result.get("bridge", snapshot.bridge)
-    return replace(snapshot,
-                   vision=replace(snapshot.vision, adapter=new_v),
-                   text=replace(snapshot.text, adapter=new_t),
-                   bridge=bridge,
-                   version=snapshot.version + 1)
+    return with_blocks(snapshot, result, snapshot.version + 1)
+
+
+def with_blocks(snapshot: ModelSnapshot, blocks: dict, version: int) -> ModelSnapshot:
+    """The snapshot at ``version``, with each named trainable block replaced;
+    frozen weights, alpha and temperature are shared with ``snapshot``."""
+    vision, text = snapshot.vision, snapshot.text
+    v_ad, t_ad = vision.adapter, text.adapter
+    return ModelSnapshot(
+        vision=TowerParams(vision.w_base, AdapterPair(
+            blocks.get("vision.a", v_ad.a), blocks.get("vision.b", v_ad.b),
+            v_ad.rank, v_ad.alpha)),
+        text=TowerParams(text.w_base, AdapterPair(
+            blocks.get("text.a", t_ad.a), blocks.get("text.b", t_ad.b),
+            t_ad.rank, t_ad.alpha)),
+        token_embed=snapshot.token_embed,
+        bridge=blocks.get("bridge", snapshot.bridge),
+        temperature=snapshot.temperature,
+        version=version,
+    )

@@ -1,7 +1,9 @@
 """Client agent: poll -> train -> package -> submit state machine.
 
 The agent only ever initiates requests; its transport may be a real socket
-or an in-process shim, both speaking the same frames.
+or an in-process shim, both speaking the same frames. The model to train
+arrives with each ASSIGN as trainable blocks only; the frozen base is fetched
+once and kept.
 """
 
 from __future__ import annotations
@@ -9,14 +11,16 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from dataclasses import dataclass
+import zlib
 
+from flmm.aggregation import snapshot_blocks, with_blocks
 from flmm.config import PartyConfig, ScenarioConfig
 from flmm.dataquality import SceneRecord
-from flmm.errors import FlmmError, ProtocolError, TransportError
-from flmm.model import ModelSnapshot, load_snapshot
+from flmm.errors import FlmmError, IdentityError, ProtocolError, TransportError
+from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot
 from flmm.privacy import apply_pairwise_masks, gaussian_mechanism
-from flmm.protocol import Message, encode_message, pack_blocks, read_frame
+from flmm.protocol import Message, encode_message, pack_blocks, read_frame, \
+    unpack_blocks
 from flmm.rng import hash_text, mix_seed
 from flmm.training import TrainConfig, local_train, make_update, trainable_records
 
@@ -102,6 +106,17 @@ class SocketTransport:
 
 
 class ClientAgent:
+    """One party: polls, trains the model an ASSIGN names, submits its update.
+
+    An ASSIGN carries the round's trainable blocks (``blocks`` names them,
+    ``crc`` is the CRC32 of the body) and ``base``, the frozen-weight
+    checksum they belong to. The agent keeps ``base``, the snapshot of its
+    first FETCH, and rebuilds each round's model from its frozen weights and
+    the ASSIGN's blocks. It FETCHes again only when ``base`` changes; a base
+    that still differs after that raises IdentityError, and a body that fails
+    its CRC raises before anything is submitted.
+    """
+
     def __init__(self, cfg: ScenarioConfig, party: PartyConfig,
                  records: list[SceneRecord], transport):
         self.cfg = cfg
@@ -109,8 +124,11 @@ class ClientAgent:
         self.records = records
         self.transport = transport
         self.phase = "idle"
-        self.snapshot: ModelSnapshot | None = None
+        self.base: ModelSnapshot | None = None
+        self.base_checksum = ""  # hex frozen_checksum of base
+        self._block_shapes: dict = {}
         self.last_round = -1
+        self.finished_round: int | None = None  # set by a NOTASK saying finished
 
     def _transition(self, new: str) -> None:
         if (self.phase, new) not in _ALLOWED:
@@ -133,6 +151,8 @@ class ClientAgent:
         """One poll cycle; returns the response type observed."""
         resp = self._request("POLL")
         if resp.msg_type == "NOTASK":
+            if resp.headers.get("finished") == "1":
+                self.finished_round = int(resp.header("round"))
             if self.phase == "waiting" and int(resp.header("round")) != self.last_round:
                 self._transition("idle")
             return "NOTASK"
@@ -143,10 +163,9 @@ class ClientAgent:
         if self.phase == "waiting":
             self._transition("idle")  # new round observed
         round_num = int(resp.header("round"))
-        version = int(resp.header("version"))
         self._transition("training")
         try:
-            update = self._train(round_num, version)
+            update = self._train(round_num, self._assigned_model(resp))
             self._transition("submitting")
             ack = self._submit(update)
         except FlmmError:
@@ -156,7 +175,7 @@ class ClientAgent:
             self.last_round = round_num
             self._transition("waiting")
             return "ACK"
-        self._transition("idle")  # REJECT: refetch and retry on next poll
+        self._transition("idle")  # REJECT: retry with the next ASSIGN
         return "REJECT"
 
     def _fetch(self, version: int) -> ModelSnapshot:
@@ -165,9 +184,26 @@ class ClientAgent:
             raise ProtocolError(f"fetch failed: {resp.headers.get('reason')}")
         return load_snapshot(resp.body)
 
-    def _train(self, round_num: int, version: int):
-        model = self._fetch(version)
-        self.snapshot = model
+    def _assigned_model(self, assign: Message) -> ModelSnapshot:
+        """The snapshot an ASSIGN names: the kept frozen base plus its blocks."""
+        version = int(assign.header("version"))
+        if assign.header("base") != self.base_checksum:
+            self.base = self._fetch(version)
+            self.base_checksum = f"{frozen_checksum(self.base):08x}"
+            self._block_shapes = {n: m.shape
+                                  for n, m in snapshot_blocks(self.base).items()}
+            if assign.header("base") != self.base_checksum:
+                raise IdentityError(
+                    f"ASSIGN base {assign.header('base')} != fetched base "
+                    f"{self.base_checksum}")
+        if f"{zlib.crc32(assign.body):08x}" != assign.header("crc"):
+            raise ProtocolError("ASSIGN body CRC mismatch")
+        blocks = unpack_blocks(assign.header("blocks"), assign.body)
+        if {n: m.shape for n, m in blocks.items()} != self._block_shapes:
+            raise ProtocolError("ASSIGN blocks do not match the base's trainable blocks")
+        return with_blocks(self.base, blocks, version)
+
+    def _train(self, round_num: int, model: ModelSnapshot):
         usable = trainable_records(self.records)
         train_cfg = TrainConfig(
             epochs=self.cfg.train.epochs, lr=self.cfg.train.lr,
@@ -202,16 +238,18 @@ class ClientAgent:
 
 def run_client_loop(agent: ClientAgent, poll_interval: float = 0.05,
                     max_idle_polls: int = 2400) -> int:
-    """Poll until the server reports the run finished; returns round count."""
+    """Step until the server reports the run finished; returns round count.
+
+    Each cycle is one ``step``, so one POLL; a cycle that submits nothing
+    accepted sleeps ``poll_interval`` and counts as idle.
+    """
     agent.register()
     idle = 0
     while idle < max_idle_polls:
-        resp = agent._request("POLL")
-        if resp.msg_type == "ASSIGN":
+        if agent.step() == "ACK":
             idle = 0
-            agent.step()
-        elif resp.headers.get("finished") == "1":
-            return int(resp.header("round"))
+        elif agent.finished_round is not None:
+            return agent.finished_round
         else:
             idle += 1
             time.sleep(poll_interval)

@@ -1,10 +1,13 @@
 """Round-based coordination server.
 
 Clients always initiate (register, poll, submit, fetch); the server opens no
-connections. All round-state mutations are serialized under one lock; reads
-of the current model touch only immutable snapshots. Every round is appended
-to a CRC-chained log with per-version checkpoints, enough to recover after a
-crash and to replay coalitions for contribution measurement.
+connections. An ASSIGN carries the current version's trainable blocks and the
+checksum of the frozen base they belong to; FETCH returns a whole checkpoint,
+which a client needs only for its frozen base. All round-state mutations are
+serialized under one lock; reads of the current model touch only immutable
+snapshots. Every round is appended to a CRC-chained log with per-version
+checkpoints, enough to recover after a crash and to replay coalitions for
+contribution measurement.
 """
 
 from __future__ import annotations
@@ -37,11 +40,14 @@ from flmm.errors import (
     ConflictError,
     DuplicateError,
     HistoryError,
+    NumericError,
+    PlanError,
     ProtocolError,
+    ShapeError,
     StalenessError,
     ValidationError,
 )
-from flmm.model import ModelSnapshot, load_snapshot, save_snapshot
+from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, save_snapshot
 from flmm.protocol import Message, encode_message, decode_payload, pack_blocks, \
     read_frame, unpack_blocks
 
@@ -202,15 +208,22 @@ class ServerCore:
 
     def __init__(self, cfg: ServerConfig, initial: ModelSnapshot, log_dir: str,
                  clock=time.monotonic):
+        self._attach(cfg, RoundLog(log_dir), initial, clock)
+        self.finished = False
+        self.log.save_checkpoint(initial)
+        self.state = self._open_round(0)
+
+    def _attach(self, cfg: ServerConfig, log: RoundLog, snapshot: ModelSnapshot,
+                clock) -> None:
         self.cfg = cfg
         self.clock = clock
         self.lock = threading.RLock()
         self.registry: dict = {}
-        self.log = RoundLog(log_dir)
-        self.snapshot = initial
-        self.finished = False
-        self.log.save_checkpoint(initial)
-        self.state = self._open_round(0)
+        self.log = log
+        self.snapshot = snapshot
+        # every version shares the frozen base, so its checksum is taken once
+        self.base_checksum = f"{frozen_checksum(snapshot):08x}"
+        self._assign_body = None  # (version, block names, body, body crc)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -233,12 +246,7 @@ class ServerCore:
             next_round = int(f["round"]) + 1
         snapshot = log.load_checkpoint(version)
         core = cls.__new__(cls)
-        core.cfg = cfg
-        core.clock = clock
-        core.lock = threading.RLock()
-        core.registry = {}
-        core.log = log
-        core.snapshot = snapshot
+        core._attach(cfg, log, snapshot, clock)
         core.finished = next_round >= cfg.rounds
         core.state = core._open_round(next_round)
         return core
@@ -314,7 +322,18 @@ class ServerCore:
                 or party not in st.expected or party in st.received):
             return self._respond("NOTASK", {"finished": "1" if self.finished else "0"})
         deadline_left = max(0.0, self.cfg.deadline - (self.clock() - st.opened_at))
-        return self._respond("ASSIGN", {"deadline": f"{deadline_left:.3f}"})
+        _, names, body, crc = self._adapter_body()
+        return self._respond("ASSIGN", {"deadline": f"{deadline_left:.3f}",
+                                        "base": self.base_checksum, "blocks": names,
+                                        "crc": crc}, body)
+
+    def _adapter_body(self) -> tuple:
+        """The current version's trainable blocks, packed once per version."""
+        if self._assign_body is None or self._assign_body[0] != self.snapshot.version:
+            names, body = pack_blocks(snapshot_blocks(self.snapshot))
+            self._assign_body = (self.snapshot.version, names, body,
+                                 f"{zlib.crc32(body):08x}")
+        return self._assign_body
 
     def _submit(self, msg: Message) -> Message:
         party = self._auth(msg)
@@ -326,17 +345,14 @@ class ServerCore:
         if party in st.received:
             raise DuplicateError(f"duplicate submission from {party!r}")
         base_version = int(msg.header("base_version"))
-        try:
-            deltas = unpack_blocks(msg.header("blocks"), msg.body)
-        except ProtocolError as e:
+        sample_count = int(msg.header("sample_count"))
+        try:  # ClientUpdate is the one finiteness and block-name check
+            update = ClientUpdate(
+                client_id=party, base_version=base_version,
+                deltas=unpack_blocks(msg.header("blocks"), msg.body),
+                sample_count=sample_count, submitted_round=st.round)
+        except (ProtocolError, NumericError, PlanError, ShapeError) as e:
             raise ValidationError(str(e)) from e
-        for name, m in deltas.items():
-            if not np.all(np.isfinite(m)):
-                raise ValidationError(f"non-finite values in block {name!r}")
-        update = ClientUpdate(
-            client_id=party, base_version=base_version, deltas=deltas,
-            sample_count=int(msg.header("sample_count")),
-            submitted_round=st.round)
         if self.cfg.plan.strategy == SYNC_AVG and base_version != st.model_version:
             raise StalenessError(
                 f"update base {base_version} != round version {st.model_version}; refetch")

@@ -79,10 +79,22 @@ def quantize_deltas(deltas: dict) -> dict:
     return {n: np.round(m * _GRID) / _GRID for n, m in deltas.items()}
 
 
-def _grid_mask(rng: SplitMix64, shape: tuple) -> np.ndarray:
-    """Uniform mask on [-1, 1) with every entry on the fixed-point grid."""
-    u = rng.uniforms(shape[0] * shape[1]).reshape(shape)
-    return np.round((2.0 * u - 1.0) * _GRID) / _GRID
+def _pair_masks(seed: int, shapes: list) -> dict:
+    """One pair's masks for the ``(name, shape)`` blocks, in the order given.
+
+    The whole mask is one draw of uniforms on [-1, 1), snapped to the
+    fixed-point grid once; block k takes the next slice. The stream is
+    counter-based, so this equals one draw per block in the same order.
+    """
+    sizes = [rows * cols for _, (rows, cols) in shapes]
+    u = SplitMix64(seed).uniforms(sum(sizes))
+    flat = np.round((2.0 * u - 1.0) * _GRID) / _GRID
+    out = {}
+    pos = 0
+    for (name, shape), size in zip(shapes, sizes):
+        out[name] = flat[pos:pos + size].reshape(shape)
+        pos += size
+    return out
 
 
 def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[MaskedUpdate]:
@@ -95,12 +107,10 @@ def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[MaskedUp
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             ui, uj = ordered[i], ordered[j]
+            shared = [(n, ui.deltas[n].shape) for n in sorted(ui.deltas)
+                      if n in uj.deltas]
             seed = mix_seed(round_seed, hash_text(ui.client_id), hash_text(uj.client_id))
-            rng = SplitMix64(seed)
-            for name in sorted(ui.deltas):
-                if name not in uj.deltas:
-                    continue
-                m = _grid_mask(rng, ui.deltas[name].shape)
+            for name, m in _pair_masks(seed, shared).items():
                 masked[ui.client_id][name] += m
                 masked[uj.client_id][name] -= m
     return [MaskedUpdate(u.client_id, u.base_version, masked[u.client_id],
@@ -121,15 +131,15 @@ def apply_pairwise_masks(update: ClientUpdate, party_ids: list[str],
     if len(ordered) < 2:
         raise MaskingError("pairwise masking needs at least two clients")
     deltas = quantize_deltas(update.deltas)
+    shapes = [(n, deltas[n].shape) for n in sorted(deltas)]
     me = update.client_id
     for other in ordered:
         if other == me:
             continue
         lo, hi = (me, other) if me < other else (other, me)
-        rng = SplitMix64(mix_seed(round_seed, hash_text(lo), hash_text(hi)))
+        seed = mix_seed(round_seed, hash_text(lo), hash_text(hi))
         sign = 1.0 if me == lo else -1.0
-        for name in sorted(deltas):
-            m = _grid_mask(rng, deltas[name].shape)
+        for name, m in _pair_masks(seed, shapes).items():
             deltas[name] += sign * m
     return replace(update, deltas=deltas)
 

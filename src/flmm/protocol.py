@@ -8,6 +8,13 @@ Every request carries ``party`` and ``token`` headers; every response
 carries ``round`` and ``version``. Matrix bodies reuse the checkpoint
 block encoding (u32 rows, u32 cols, row-major f64 LE), with a ``blocks``
 header naming them in order.
+
+An ASSIGN carries the assigned version's trainable blocks as its body, with
+``blocks``, ``crc`` (CRC32 of the body, 8 hex digits) and ``base`` (the
+hex ``model.frozen_checksum`` of the frozen weights the blocks belong to).
+A SUBMIT carries the client's deltas the same way. A MODEL, the answer to
+FETCH, is a whole checkpoint; a client fetches one only to get the frozen
+base, at start-up or when ``base`` changes.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from flmm.aggregation import AggregationPlan, snapshot_blocks
 from flmm.errors import HistoryError
-from flmm.model import load_snapshot
+from flmm.model import frozen_checksum, load_snapshot
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, pack_blocks, unpack_blocks
 from flmm.rng import SplitMix64
@@ -121,6 +123,32 @@ class TestSyncRound:
         assert resp.msg_type == "REJECT" and resp.header("kind") == "ValidationError"
         assert "pa" not in core.state.received
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reject_names_the_block(self, tmp_path, bad):
+        core = make_core(tmp_path)
+        register(core, "pa")
+        for name in sorted(snapshot_blocks(core.snapshot)):
+            deltas = random_deltas(9, core.snapshot)
+            deltas[name][-1, -1] = bad
+            resp = submit(core, "pa", deltas, 0)
+            assert resp.msg_type == "REJECT"
+            assert resp.header("kind") == "ValidationError"
+            assert resp.header("reason") == f"non-finite values in block {name!r}"
+        assert core.state.received == {}
+
+    @pytest.mark.parametrize("case", ["zero_samples", "frozen_block"])
+    def test_malformed_update_rejected_not_raised(self, tmp_path, case):
+        core = make_core(tmp_path)
+        register(core, "pa")
+        deltas = random_deltas(11, core.snapshot)
+        samples = 0 if case == "zero_samples" else 4
+        if case == "frozen_block":
+            deltas["w_base"] = deltas.pop("bridge")
+        resp = submit(core, "pa", deltas, 0, samples=samples)
+        assert resp.msg_type == "REJECT"
+        assert resp.header("kind") == "ValidationError"
+        assert core.state.received == {}
+
     def test_finished_after_configured_rounds(self, tmp_path):
         core = make_core(tmp_path, rounds=2)
         for p in ("pa", "pb"):
@@ -159,6 +187,44 @@ class TestDeadline:
         clock.t += 31.0
         core.handle(Message("POLL", {"party": "pa", "token": TOKEN}))
         assert core.state.round == 0
+
+
+def poll(core, party):
+    return core.handle(Message("POLL", {"party": party, "token": TOKEN}))
+
+
+class TestAssign:
+    def test_carries_the_version_blocks_and_the_frozen_base(self, tmp_path):
+        core = make_core(tmp_path)
+        for p in ("pa", "pb"):
+            register(core, p)
+        for r in range(2):
+            names, body = pack_blocks(snapshot_blocks(core.snapshot))
+            first, second = poll(core, "pa"), poll(core, "pb")
+            assert first.msg_type == second.msg_type == "ASSIGN"
+            assert first.body is second.body  # packed once per version
+            assert first.body == body
+            assert first.header("blocks") == names
+            assert first.header("crc") == f"{zlib.crc32(body):08x}"
+            assert first.header("base") == f"{frozen_checksum(core.snapshot):08x}"
+            assert int(first.header("version")) == core.snapshot.version
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                submit(core, p, random_deltas(90 + 2 * r + i, core.snapshot), v)
+        assert core.snapshot.version == 2
+
+    def test_recovered_server_assigns_the_same_bytes(self, tmp_path):
+        core = make_core(tmp_path / "live", rounds=3)
+        for p in ("pa", "pb"):
+            register(core, p)
+        for i, p in enumerate(("pa", "pb")):
+            submit(core, p, random_deltas(95 + i, core.snapshot), 0)
+        live = poll(core, "pa")
+        recovered = ServerCore.recover(core.cfg, str(tmp_path / "live"),
+                                       clock=FakeClock())
+        register(recovered, "pa")
+        again = poll(recovered, "pa")
+        assert (again.headers, again.body) == (live.headers, live.body)
 
 
 class TestFetch:

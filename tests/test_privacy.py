@@ -13,7 +13,7 @@ from flmm.privacy import (
     quantize_deltas,
     sanitize_text,
 )
-from flmm.rng import SplitMix64
+from flmm.rng import SplitMix64, hash_text, mix_seed
 
 from test_aggregation import random_update
 
@@ -122,6 +122,83 @@ class TestPairwiseMask:
             mine = apply_pairwise_masks(u, ids, round_seed=9)
             for name in u.deltas:
                 np.testing.assert_array_equal(mine.deltas[name], j.deltas[name])
+
+
+_GRID = 2.0 ** 40
+
+
+def grid_mask_oracle(rng, shape):
+    """One block's mask, drawn on its own: the per-block reference."""
+    u = rng.uniforms(shape[0] * shape[1]).reshape(shape)
+    return np.round((2.0 * u - 1.0) * _GRID) / _GRID
+
+
+def client_masks_oracle(update, party_ids, round_seed):
+    """Client-side masking with one uniforms draw per block."""
+    deltas = quantize_deltas(update.deltas)
+    me = update.client_id
+    for other in sorted(party_ids):
+        if other == me:
+            continue
+        lo, hi = (me, other) if me < other else (other, me)
+        rng = SplitMix64(mix_seed(round_seed, hash_text(lo), hash_text(hi)))
+        sign = 1.0 if me == lo else -1.0
+        for name in sorted(deltas):
+            deltas[name] += sign * grid_mask_oracle(rng, deltas[name].shape)
+    return deltas
+
+
+def joint_masks_oracle(updates, round_seed):
+    """Joint masking with one uniforms draw per block shared by the pair."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    masked = {u.client_id: quantize_deltas(u.deltas) for u in ordered}
+    for i, ui in enumerate(ordered):
+        for uj in ordered[i + 1:]:
+            rng = SplitMix64(mix_seed(round_seed, hash_text(ui.client_id),
+                                      hash_text(uj.client_id)))
+            for name in sorted(ui.deltas):
+                if name not in uj.deltas:
+                    continue
+                m = grid_mask_oracle(rng, ui.deltas[name].shape)
+                masked[ui.client_id][name] += m
+                masked[uj.client_id][name] -= m
+    return masked
+
+
+def without_bridge(u):
+    return ClientUpdate(u.client_id, u.base_version,
+                        {n: m for n, m in u.deltas.items() if n != "bridge"},
+                        u.sample_count, u.submitted_round)
+
+
+def assert_same_bits(got, want):
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestMaskOracle:
+    @pytest.mark.parametrize("bridge", [True, False])
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+    @pytest.mark.parametrize("parties", [2, 3, 5])
+    def test_one_draw_per_pair_equals_per_block_draws(self, parties, seed, bridge):
+        ups = [random_update(seed % 1000 + 7 * i, f"c{i}") for i in range(parties)]
+        if not bridge:
+            ups = [without_bridge(u) for u in ups]
+        ids = [u.client_id for u in ups]
+        for u in ups:
+            assert_same_bits(apply_pairwise_masks(u, ids, seed).deltas,
+                             client_masks_oracle(u, ids, seed))
+        joint = joint_masks_oracle(ups, seed)
+        for m in pairwise_mask(ups, seed):
+            assert_same_bits(m.deltas, joint[m.client_id])
+
+    def test_joint_skips_blocks_a_pair_does_not_share(self):
+        ups = [random_update(60, "c0"), without_bridge(random_update(61, "c1")),
+               random_update(62, "c2")]
+        joint = joint_masks_oracle(ups, 5)
+        for m in pairwise_mask(ups, 5):
+            assert_same_bits(m.deltas, joint[m.client_id])
 
 
 class TestTextFilters:
