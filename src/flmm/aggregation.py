@@ -1,14 +1,16 @@
-"""Server-side fusion of adapter-only client updates.
+"""Fusion of adapter-only client updates.
 
-Four strategies: synchronous sample-weighted averaging, product-space
-re-factorization, asynchronous staleness-weighted mixing, and chained
-scheduling. Summation always runs in sorted-client order so results are
-bit-deterministic regardless of arrival order.
+``aggregate`` fuses updates for the server, ``federated_train`` and Shapley
+replay alike, with one of three strategies: sample-weighted averaging,
+product-space re-factorization, or staleness-weighted async mixing. A masked
+plan must average, with unit weights: pair masks cancel only in a plain sum.
+Summation runs in sorted-client order, so results are bit-deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +30,7 @@ BLOCK_NAMES = ("vision.a", "vision.b", "text.a", "text.b", "bridge")
 SYNC_AVG = "sync_avg"
 PRODUCT_REFACTOR = "product_refactor"
 ASYNC_MIX = "async_mix"
-CHAINED = "chained"
-STRATEGIES = (SYNC_AVG, PRODUCT_REFACTOR, ASYNC_MIX, CHAINED)
+STRATEGIES = (SYNC_AVG, PRODUCT_REFACTOR, ASYNC_MIX)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class AggregationPlan:
     block_mask: frozenset = frozenset(BLOCK_NAMES)
     staleness_exponent: float = 0.5
     mixing_rate: float = 0.5
-    chain_order: tuple = ()
+    masking_enabled: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -70,10 +71,10 @@ class AggregationPlan:
             raise PlanError(f"unknown blocks in mask: {sorted(bad)}")
         if not 0.0 < self.mixing_rate <= 1.0:
             raise PlanError("mixing_rate must be in (0, 1]")
-        if self.staleness_exponent < 0.0:
-            raise PlanError("staleness_exponent must be >= 0")
-        if self.strategy == CHAINED and not self.chain_order:
-            raise PlanError("chained strategy needs a client ordering")
+        if not 0.0 <= self.staleness_exponent < math.inf:  # false for nan
+            raise PlanError("staleness_exponent must be finite and >= 0")
+        if self.masking_enabled and self.strategy != SYNC_AVG:
+            raise PlanError(f"masking needs sync_avg, not {self.strategy}")
 
 
 def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
@@ -90,14 +91,16 @@ def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
 
 
 def fedavg_adapters(updates: list[ClientUpdate], plan: AggregationPlan) -> dict:
-    """Sample-count-weighted mean of deltas, per block in the mask."""
+    """Sample-count-weighted mean of deltas, per block in the mask; a masked
+    plan weights every update 1."""
     if not updates:
         raise StalenessError("no updates to aggregate")
     versions = {u.base_version for u in updates}
     if len(versions) > 1:
         raise StalenessError(f"mixed base versions {sorted(versions)}; use async_mix")
     ordered = sorted(updates, key=lambda u: u.client_id)
-    total = sum(u.sample_count for u in ordered)
+    unit = plan.masking_enabled
+    total = len(ordered) if unit else sum(u.sample_count for u in ordered)
     out = {}
     for name in sorted(plan.block_mask):
         present = [u for u in ordered if name in u.deltas]
@@ -105,7 +108,7 @@ def fedavg_adapters(updates: list[ClientUpdate], plan: AggregationPlan) -> dict:
             continue
         acc = np.zeros_like(present[0].deltas[name])
         for u in present:
-            acc = acc + u.sample_count * u.deltas[name]
+            acc = acc + (1 if unit else u.sample_count) * u.deltas[name]
         out[name] = acc / total
     return out
 
@@ -149,28 +152,13 @@ def refactor_matrix(m: np.ndarray, rank: int, scale: float, tol: float = 1e-10,
                              residual)
 
 
-def product_refactor(updates: list[ClientUpdate], tower: str, rank: int,
-                     alpha: float, tol: float = 1e-10,
-                     max_iters: int = 500) -> tuple[np.ndarray, np.ndarray]:
-    """Average adapter deltas in product space, then re-factorize to rank r.
-
-    Computes M = weighted mean of (alpha/r) * B_i @ A_i and returns (a, b)
-    such that (alpha/r) * b @ a is the best rank-r approximation of M,
-    found by orthogonal (subspace) iteration rather than a dense
-    decomposition.
-    """
-    scale = alpha / rank
-    m = product_mean(updates, tower, scale)
-    return refactor_matrix(m, rank, scale, tol, max_iters)
-
-
 def async_mix(server_blocks: dict, update: ClientUpdate, current_version: int,
               plan: AggregationPlan, server_at_base: dict) -> dict:
     """Staleness-weighted blend of a (possibly stale) update into the server.
 
     beta_t = mixing_rate * (1 + staleness)^(-staleness_exponent);
-    new = (1 - beta_t) * server + beta_t * (server_at_base + delta).
-    server_at_base comes from the round log (the orchestrator's history).
+    new = (1 - beta_t) * server + beta_t * (server_at_base + delta),
+    where server_at_base holds the blocks of the update's base model.
     """
     if update.base_version > current_version:
         raise FutureVersionError(
@@ -186,12 +174,50 @@ def async_mix(server_blocks: dict, update: ClientUpdate, current_version: int,
     return out
 
 
-def chained_schedule(clients: list[str], rounds: int) -> list[tuple[int, str]]:
-    """Round-robin hand-off: one active client per step, rounds full passes."""
-    if not clients:
-        raise PlanError("chained schedule needs at least one client")
-    return [(p * len(clients) + i, c)
-            for p in range(rounds) for i, c in enumerate(clients)]
+def aggregate(plan: AggregationPlan, snapshot: ModelSnapshot, updates,
+              history) -> ModelSnapshot:
+    """Fuse one round's updates into ``snapshot``; returns the next version.
+
+    sync_avg and product_refactor need every update based on ``snapshot``.
+    async_mix mixes the updates in client order, each against its base model
+    ``history[base_version]``; no other strategy reads ``history``.
+    """
+    base = snapshot_blocks(snapshot)
+    if plan.strategy == ASYNC_MIX:
+        result = base
+        for u in sorted(updates, key=lambda u: u.client_id):
+            result = async_mix(result, u, snapshot.version, plan,
+                               snapshot_blocks(history[u.base_version]))
+        result = {n: result[n] for n in plan.block_mask if n in result}
+    else:
+        stale = sorted({u.base_version for u in updates} - {snapshot.version})
+        if stale:
+            raise StalenessError(f"bases {stale} != version {snapshot.version}")
+        if plan.strategy == PRODUCT_REFACTOR:
+            result = _refactored_blocks(plan, snapshot, base, updates)
+        else:
+            delta = fedavg_adapters(updates, plan)
+            result = {n: base[n] + d for n, d in delta.items()}
+    return apply_block_mask(result, snapshot)
+
+
+def _refactored_blocks(plan: AggregationPlan, snapshot: ModelSnapshot,
+                       base: dict, updates) -> dict:
+    """New adapter factors approximating the old product plus the averaged
+    product-space delta; the bridge (full-rank) still averages elementwise."""
+    result = {}
+    for tower, adapter in (("vision", snapshot.vision.adapter),
+                           ("text", snapshot.text.adapter)):
+        scale = adapter.alpha / adapter.rank
+        m = scale * (base[f"{tower}.b"] @ base[f"{tower}.a"]) \
+            + product_mean(updates, tower, scale)
+        result[f"{tower}.a"], result[f"{tower}.b"] = \
+            refactor_matrix(m, adapter.rank, scale)
+    bridged = [u for u in updates if "bridge" in u.deltas]
+    if "bridge" in plan.block_mask and bridged:
+        delta = fedavg_adapters(bridged, replace(plan, block_mask=frozenset({"bridge"})))
+        result["bridge"] = base["bridge"] + delta["bridge"]
+    return {n: m for n, m in result.items() if n in plan.block_mask}
 
 
 def apply_block_mask(result: dict, snapshot: ModelSnapshot) -> ModelSnapshot:

@@ -169,12 +169,11 @@ def _eval(args) -> int:
 
 
 def _shapley(args) -> int:
-    from flmm.aggregation import AggregationPlan
     from flmm.contribution import exact_shapley, fl_value_function, wtdp_shapley
     from flmm.dataquality import load_corpus
     from flmm.orchestrator import RoundLog
     log = RoundLog(args.log)
-    rounds = log.logged_rounds(AggregationPlan())
+    rounds = log.logged_rounds()
     with open(args.eval) as f:
         eval_set = load_corpus(f.read())
     parties = sorted({u.client_id for rec in rounds for u in rec.updates})

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from flmm.aggregation import AggregationPlan, BLOCK_NAMES
 from flmm.dataquality import CorpusSpec, SENSITIVE_TOKENS
-from flmm.errors import ConfigError
+from flmm.errors import ConfigError, PlanError
+from flmm.orchestrator import valid_party_id
 from flmm.privacy import PrivacyConfig
 from flmm.training import TrainConfig
 
@@ -76,7 +77,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     try:
         return _build(cp)
-    except (configparser.Error, KeyError, ValueError) as e:
+    except (configparser.Error, KeyError, ValueError, PlanError) as e:
         raise ConfigError(f"bad config {path!r}: {e}") from e
 
 
@@ -95,16 +96,6 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         bridge=str(model_sec.get("bridge", "true")).lower() in ("1", "true", "yes"),
     )
 
-    agg = cp["aggregation"] if cp.has_section("aggregation") else {}
-    mask = agg.get("block_mask", ",".join(BLOCK_NAMES))
-    plan = AggregationPlan(
-        strategy=agg.get("strategy", "sync_avg"),
-        block_mask=frozenset(b.strip() for b in mask.split(",") if b.strip()),
-        staleness_exponent=float(agg.get("staleness_exponent", 0.5)),
-        mixing_rate=float(agg.get("mixing_rate", 0.5)),
-        chain_order=tuple(agg.get("chain_order", "").split(",")) if agg.get("chain_order") else (),
-    )
-
     priv = cp["privacy"] if cp.has_section("privacy") else {}
     privacy = PrivacyConfig(
         dp_enabled=str(priv.get("dp_enabled", "false")).lower() in ("1", "true", "yes"),
@@ -117,12 +108,24 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         refusal_sequence=_ints(priv.get("refusal_sequence", "0")) or (0,),
     )
 
+    agg = cp["aggregation"] if cp.has_section("aggregation") else {}
+    mask = agg.get("block_mask", ",".join(BLOCK_NAMES))
+    plan = AggregationPlan(
+        strategy=agg.get("strategy", "sync_avg"),
+        block_mask=frozenset(b.strip() for b in mask.split(",") if b.strip()),
+        staleness_exponent=float(agg.get("staleness_exponent", 0.5)),
+        mixing_rate=float(agg.get("mixing_rate", 0.5)),
+        masking_enabled=privacy.masking_enabled,
+    )
+
     parties = []
     for section in cp.sections():
         if not section.startswith("party:"):
             continue
         p = cp[section]
         pid = section.split(":", 1)[1]
+        if not valid_party_id(pid):
+            raise ConfigError(f"[{section}]: party id cannot go in the round log")
         rates = {}
         for tag in ("mismatched", "sensitive_noise", "labels_only", "too_short"):
             if tag in p:

@@ -3,9 +3,10 @@
 Exact Shapley by coalition enumeration (memoized, 2^n evaluations),
 a weighted-truncated permutation-sampling approximation with efficiency
 renormalization, and per-block masking attribution. The coalition value in
-FL replays the logged per-party updates instead of retraining per coalition,
-and scores each replayed model against an eval set prepared once per value
-function.
+FL re-aggregates the coalition's logged updates under each round's logged
+plan instead of retraining, so the grand coalition reproduces the trained
+model, and scores it against an eval set prepared once per value function.
+Masked logs are not valued: pair masks do not cancel within a coalition.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from flmm.aggregation import AggregationPlan, apply_block_mask, fedavg_adapters, \
+from flmm.aggregation import AggregationPlan, aggregate, apply_block_mask, \
     snapshot_blocks
 from flmm.errors import HistoryError, IdentityError, SamplingError, SizeError
 from flmm.metrics import EvalBatch, eval_batch, recall_at_k
@@ -155,29 +154,19 @@ class LoggedRound:
 
 def replay_coalition(initial: ModelSnapshot, rounds: list[LoggedRound],
                      coalition: frozenset) -> ModelSnapshot:
-    """Re-aggregate only the coalition's logged updates, round by round."""
+    """Re-aggregate only the coalition's logged updates, round by round.
+
+    A round the coalition sat out still advances the version, so versions,
+    async_mix staleness and base models follow the coalition's own history.
+    """
     model = initial
+    history = {model.version: model}
     for rec in rounds:
         subset = [u for u in rec.updates if u.client_id in coalition]
-        if not subset:
-            continue
-        # rebase logged deltas onto the replayed model's version
-        rebased = [ClientUpdateRebased(u, model.version) for u in subset]
-        delta = fedavg_adapters(rebased, rec.plan)
-        base = snapshot_blocks(model)
-        model = apply_block_mask({n: base[n] + d for n, d in delta.items()}, model)
+        model = aggregate(rec.plan, model, subset, history) if subset \
+            else apply_block_mask({}, model)
+        history[model.version] = model
     return model
-
-
-class ClientUpdateRebased:
-    """View of a logged update with its base version mapped to the replay."""
-
-    def __init__(self, update, version: int):
-        self.client_id = update.client_id
-        self.base_version = version
-        self.deltas = update.deltas
-        self.sample_count = update.sample_count
-        self.submitted_round = update.submitted_round
 
 
 def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
@@ -190,6 +179,8 @@ def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
     """
     if any(not rec.updates for rec in rounds):
         raise HistoryError("round log has a round with no recorded updates")
+    if any(rec.plan.masking_enabled for rec in rounds):
+        raise HistoryError("round log has a masked round; it cannot be valued")
     batch = eval_batch(initial, eval_set)
 
     def evaluate(coalition: frozenset) -> float:

@@ -18,20 +18,15 @@ import socketserver
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from flmm.aggregation import (
     ASYNC_MIX,
-    SYNC_AVG,
     AggregationPlan,
     ClientUpdate,
-    apply_block_mask,
-    async_mix,
-    fedavg_adapters,
-    product_mean,
-    refactor_matrix,
+    aggregate,
     snapshot_blocks,
 )
 from flmm.contribution import LoggedRound
@@ -81,7 +76,11 @@ class ServerConfig:
     deadline: float = 60.0
     history_window: int = 16
     expected_parties: tuple = ()
-    masking_enabled: bool = False
+
+
+def valid_party_id(party: str) -> bool:
+    """Non-empty, without whitespace or the round log's separators ,:="""
+    return bool(party) and not any(c.isspace() or c in ",:=" for c in party)
 
 
 class RoundLog:
@@ -124,8 +123,12 @@ class RoundLog:
                     raise HistoryError(f"round log line {i}: no crc field")
                 if f"{zlib.crc32(body.encode()):08x}" != crc_field:
                     raise HistoryError(f"round log line {i}: CRC mismatch")
-                fields = dict(kv.split("=", 1) for kv in body.split(" "))
-                if int(fields["prev_crc"], 16) != prev:
+                try:
+                    fields = dict(kv.split("=", 1) for kv in body.split(" "))
+                    chained = int(fields["prev_crc"], 16) == prev
+                except (KeyError, ValueError) as e:
+                    raise HistoryError(f"round log line {i}: cannot parse") from e
+                if not chained:
                     raise HistoryError(f"round log line {i}: broken chain")
                 fields["crc"] = crc_field
                 prev = int(crc_field, 16)
@@ -189,18 +192,35 @@ class RoundLog:
             submitted_round=int(msg.header("round")),
         )
 
-    def logged_rounds(self, plan: AggregationPlan) -> list:
-        """Successful rounds with their updates, for coalition replay."""
+    def logged_rounds(self, plan: AggregationPlan | None = None) -> list:
+        """Successful rounds with their updates and the plan each ran with,
+        for coalition replay. A ``plan``, if given, must be the logged one."""
         out = []
         for fields in self.verify():
             if fields.get("status") != "ok":
                 continue
             r = int(fields["round"])
+            logged = _logged_plan(fields)
+            if plan is not None and plan != logged:
+                raise HistoryError(f"round {r} ran with {logged}, not {plan}")
             contributors = [kv.split(":")[0]
                             for kv in fields["contributors"].split(",") if kv]
             updates = tuple(self.load_update(r, p) for p in contributors)
-            out.append(LoggedRound(round=r, plan=plan, updates=updates))
+            out.append(LoggedRound(round=r, plan=logged, updates=updates))
         return out
+
+
+def _logged_plan(fields: dict) -> AggregationPlan:
+    """The plan a round record names."""
+    try:
+        return AggregationPlan(
+            strategy=fields["strategy"],
+            block_mask=frozenset(fields["block_mask"].split(",")),
+            mixing_rate=float(fields["mixing_rate"]),
+            staleness_exponent=float(fields["staleness_exponent"]),
+            masking_enabled=fields["masked"] == "1")
+    except (KeyError, ValueError, PlanError) as e:
+        raise HistoryError(f"round {fields['round']} records no valid plan") from e
 
 
 class ServerCore:
@@ -290,9 +310,12 @@ class ServerCore:
         return self._respond("REJECT", {"reason": reason, "kind": kind})
 
     def _auth(self, msg: Message) -> str:
+        """The requesting party, which must hold the token and be registered."""
         party = msg.header("party")
         if msg.header("token") != self.cfg.token:
             raise AuthError(f"bad token for party {party!r}")
+        if party not in self.registry:
+            raise AuthError(f"party {party!r} is not registered")
         return party
 
     def _register(self, msg: Message) -> Message:
@@ -300,13 +323,15 @@ class ServerCore:
         token = msg.header("token")
         if token != self.cfg.token:
             raise AuthError(f"bad token for party {party!r}")
+        if not valid_party_id(party):
+            raise ValidationError(f"party id {party!r} cannot go in the round log")
         existing = self.registry.get(party)
         if existing is not None and existing.token != token:
             raise ConflictError(f"party {party!r} already registered with another token")
         modalities = tuple(m for m in msg.headers.get("modalities", "").split(",") if m)
         self.registry[party] = PartyInfo(
             modalities=modalities,
-            sample_count=int(msg.headers.get("samples", "1")),
+            sample_count=msg.int_header("samples") if "samples" in msg.headers else 1,
             token=token, last_seen=self.clock())
         if not self.cfg.expected_parties:
             self.state.expected.add(party)
@@ -314,8 +339,6 @@ class ServerCore:
 
     def _poll(self, msg: Message) -> Message:
         party = self._auth(msg)
-        if party not in self.registry:
-            raise AuthError(f"party {party!r} is not registered")
         self.registry[party].last_seen = self.clock()
         st = self.state
         if (self.finished or st.phase not in ("open", "collecting")
@@ -337,15 +360,13 @@ class ServerCore:
 
     def _submit(self, msg: Message) -> Message:
         party = self._auth(msg)
-        if party not in self.registry:
-            raise AuthError(f"party {party!r} is not registered")
         st = self.state
         if self.finished or st.phase not in ("open", "collecting"):
             raise StalenessError("no round accepting submissions")
         if party in st.received:
             raise DuplicateError(f"duplicate submission from {party!r}")
-        base_version = int(msg.header("base_version"))
-        sample_count = int(msg.header("sample_count"))
+        base_version = msg.int_header("base_version")
+        sample_count = msg.int_header("sample_count")
         try:  # ClientUpdate is the one finiteness and block-name check
             update = ClientUpdate(
                 client_id=party, base_version=base_version,
@@ -353,42 +374,22 @@ class ServerCore:
                 sample_count=sample_count, submitted_round=st.round)
         except (ProtocolError, NumericError, PlanError, ShapeError) as e:
             raise ValidationError(str(e)) from e
-        if self.cfg.plan.strategy == SYNC_AVG and base_version != st.model_version:
-            raise StalenessError(
-                f"update base {base_version} != round version {st.model_version}; refetch")
-        if self.cfg.plan.strategy == ASYNC_MIX:
-            return self._submit_async(update)
+        mixing = self.cfg.plan.strategy == ASYNC_MIX  # each update closes a round
+        oldest = max(0, st.model_version - self.cfg.history_window) if mixing \
+            else st.model_version
+        if not oldest <= base_version <= st.model_version:
+            raise StalenessError(f"update base {base_version} outside versions "
+                                 f"{oldest}..{st.model_version}; refetch")
         st.received[party] = update
         st.phase = "collecting"
-        if set(st.received) >= st.expected:
+        if mixing or set(st.received) >= st.expected:
             st.phase = "aggregating"
             self.close_round()
         return self._respond("ACK")
 
-    def _submit_async(self, update: ClientUpdate) -> Message:
-        """Async plan: mix each update into the model as it arrives."""
-        st = self.state
-        window_floor = self.snapshot.version - self.cfg.history_window
-        if update.base_version < max(0, window_floor):
-            raise StalenessError(f"base version {update.base_version} outside the "
-                                 f"history window of {self.cfg.history_window}")
-        at_base = snapshot_blocks(self.log.load_checkpoint(update.base_version))
-        started = self.clock()
-        blocks = async_mix(snapshot_blocks(self.snapshot), update,
-                           self.snapshot.version, self.cfg.plan, at_base)
-        pre = self.snapshot.version
-        self.log.save_update(st.round, update)
-        self.snapshot = apply_block_mask(
-            {n: blocks[n] for n in self.cfg.plan.block_mask if n in blocks},
-            self.snapshot)
-        self.log.save_checkpoint(self.snapshot)
-        self._append_round_record([update], pre, started, status="ok")
-        self._advance_round()
-        return self._respond("ACK")
-
     def _fetch(self, msg: Message) -> Message:
-        party = self._auth(msg)
-        version = int(msg.header("version"))
+        self._auth(msg)
+        version = msg.int_header("version")
         if version < max(0, self.snapshot.version - self.cfg.history_window):
             raise HistoryError(f"version {version} evicted from history")
         data = self.log.checkpoint_bytes(version)
@@ -414,19 +415,10 @@ class ServerCore:
         pre = self.snapshot.version
         for u in updates:
             self.log.save_update(st.round, u)
-        try:
-            base = snapshot_blocks(self.snapshot)
-            if self.cfg.masking_enabled:
-                # masked deltas only cancel in an unweighted sum
-                unweighted = [replace(u, sample_count=1) for u in updates]
-                delta = fedavg_adapters(unweighted, self.cfg.plan)
-                result = {n: base[n] + d for n, d in delta.items()}
-            elif self.cfg.plan.strategy == "product_refactor":
-                result = self._refactor(updates, base)
-            else:
-                delta = fedavg_adapters(updates, self.cfg.plan)
-                result = {n: base[n] + d for n, d in delta.items()}
-            self.snapshot = apply_block_mask(result, self.snapshot)
+        try:  # only async_mix reads base models, from their checkpoints
+            history = {u.base_version: self.log.load_checkpoint(u.base_version)
+                       for u in updates if self.cfg.plan.strategy == ASYNC_MIX}
+            self.snapshot = aggregate(self.cfg.plan, self.snapshot, updates, history)
             self.log.save_checkpoint(self.snapshot)
             self._append_round_record(updates, pre, started, status="ok")
         except Exception as e:  # failed rounds leave the model untouched
@@ -434,27 +426,6 @@ class ServerCore:
                                       reason=type(e).__name__)
         st.phase = "closed"
         self._advance_round()
-
-    def _refactor(self, updates, base):
-        """New adapter factors approximating the old product plus the averaged
-        product-space delta; the bridge (full-rank) still averages elementwise."""
-        result = {}
-        for tower, adapter in (("vision", self.snapshot.vision.adapter),
-                               ("text", self.snapshot.text.adapter)):
-            scale = adapter.alpha / adapter.rank
-            m = scale * (base[f"{tower}.b"] @ base[f"{tower}.a"]) \
-                + product_mean(updates, tower, scale)
-            a, b = refactor_matrix(m, adapter.rank, scale)
-            result[f"{tower}.a"] = a
-            result[f"{tower}.b"] = b
-        if "bridge" in self.cfg.plan.block_mask:
-            bridged = [u for u in updates if "bridge" in u.deltas]
-            if bridged:
-                delta = fedavg_adapters(
-                    bridged, replace(self.cfg.plan, strategy=SYNC_AVG,
-                                     block_mask=frozenset({"bridge"})))["bridge"]
-                result["bridge"] = base["bridge"] + delta
-        return {n: m for n, m in result.items() if n in self.cfg.plan.block_mask}
 
     def _append_round_record(self, updates, pre_version: int, started: float,
                              status: str, reason: str = "") -> None:
@@ -465,9 +436,14 @@ class ServerCore:
                 crc = zlib.crc32(np.ascontiguousarray(m, dtype="<f8").tobytes())
                 parts.append(f"{name}:{crc:08x}")
             blocks_crc = ";".join(parts)
+        plan = self.cfg.plan
         fields = {
             "round": self.state.round,
-            "strategy": self.cfg.plan.strategy,
+            "strategy": plan.strategy,
+            "block_mask": ",".join(sorted(plan.block_mask)),
+            "mixing_rate": repr(plan.mixing_rate),
+            "staleness_exponent": repr(plan.staleness_exponent),
+            "masked": int(plan.masking_enabled),
             "contributors": ",".join(f"{u.client_id}:{u.sample_count}" for u in updates),
             "absent": ",".join(self.state.absentees),
             "blocks": blocks_crc,

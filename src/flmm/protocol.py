@@ -44,6 +44,13 @@ class Message:
             raise ProtocolError(f"missing header {key!r} in {self.msg_type}")
         return self.headers[key]
 
+    def int_header(self, key: str) -> int:
+        try:
+            return int(self.header(key))
+        except ValueError:
+            raise ProtocolError(
+                f"{self.msg_type} header {key!r} is not an integer") from None
+
 
 def encode_message(msg: Message) -> bytes:
     if msg.msg_type not in MSG_TYPES:

@@ -7,7 +7,7 @@ with identical seeds they produce identical round logs and checkpoints.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from flmm.client import ClientAgent, InProcessTransport, SocketTransport, \
     run_client_loop
@@ -54,10 +54,11 @@ def build_eval_set(cfg: ScenarioConfig):
 
 
 def server_config(cfg: ScenarioConfig) -> ServerConfig:
-    return ServerConfig(token=cfg.token, plan=cfg.plan, rounds=cfg.rounds,
+    """The server's settings; its plan is masked exactly when the clients mask."""
+    plan = replace(cfg.plan, masking_enabled=cfg.privacy.masking_enabled)
+    return ServerConfig(token=cfg.token, plan=plan, rounds=cfg.rounds,
                         deadline=cfg.deadline, history_window=cfg.history_window,
-                        expected_parties=cfg.party_ids(),
-                        masking_enabled=cfg.privacy.masking_enabled)
+                        expected_parties=cfg.party_ids())
 
 
 def run_simulation(cfg: ScenarioConfig, out_dir: str,
@@ -93,11 +94,9 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
     reports = [evaluate(model, eval_set, "union-eval")]
 
     if cfg.quality.iters > 0 and failure is None:
-        plan = cfg.plan
-
         def train_fn(m, corpora_by_party):
             return federated_train(m, corpora_by_party, cfg.train,
-                                   rounds=cfg.rounds, plan=plan, seed=cfg.seed)
+                                   rounds=cfg.rounds, plan=cfg.plan, seed=cfg.seed)
 
         try:
             model, corpora, _loop = quality_loop(
@@ -108,17 +107,17 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
         except StarvationError as e:
             failure = str(e)
 
-    shapley = None
-    if with_shapley and failure is None:
-        rounds = core.log.logged_rounds(cfg.plan)
-        fn = fl_value_function(initial, rounds, eval_set, list(cfg.party_ids()))
-        shapley = exact_shapley(fn)
-
     with open(os.path.join(out_dir, "final.ckpt"), "wb") as f:
         f.write(save_snapshot(model))
     with open(os.path.join(out_dir, "eval.txt"), "w") as f:
         for rep in reports:
             f.write("\n".join(rep.lines()) + "\n\n")
+
+    shapley = None  # valued after the artifacts are written: a masked log raises
+    if with_shapley and failure is None:
+        fn = fl_value_function(initial, core.log.logged_rounds(), eval_set,
+                               list(cfg.party_ids()))
+        shapley = exact_shapley(fn)
 
     return SimulationResult(final_model=model,
                             round_records=core.log.verify(),

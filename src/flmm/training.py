@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from flmm.aggregation import AggregationPlan, ClientUpdate, apply_block_mask, \
-    fedavg_adapters, snapshot_blocks
+from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate, \
+    snapshot_blocks
 from flmm.dataquality import SceneRecord
 from flmm.fusion import ConsensusMap, ProbeSet, compose_losses, \
     distillation_loss_and_grads, text_anchor_loss_and_grads
@@ -85,7 +85,8 @@ def make_update(before: ModelSnapshot, after: ModelSnapshot, client_id: str,
 
 def federated_train(model: ModelSnapshot, corpora_by_party: dict, cfg: TrainConfig,
                     rounds: int, plan: AggregationPlan, seed: int) -> ModelSnapshot:
-    """Synchronous federated rounds over in-memory parties."""
+    """Synchronous federated rounds over in-memory parties; each round's
+    updates are fused by ``aggregate`` under ``plan``."""
     for r in range(rounds):
         updates = []
         for party in sorted(corpora_by_party):
@@ -95,9 +96,6 @@ def federated_train(model: ModelSnapshot, corpora_by_party: dict, cfg: TrainConf
             trained = local_train(model, records, cfg,
                                   mix_seed(seed, r, hash_text(party)))
             updates.append(make_update(model, trained, party, len(records), r))
-        if not updates:
-            continue
-        base = snapshot_blocks(model)
-        delta = fedavg_adapters(updates, plan)
-        model = apply_block_mask({n: base[n] + d for n, d in delta.items()}, model)
+        if updates:
+            model = aggregate(plan, model, updates, {model.version: model})
     return model

@@ -5,11 +5,12 @@ from flmm.aggregation import (
     BLOCK_NAMES,
     AggregationPlan,
     ClientUpdate,
+    aggregate,
     apply_block_mask,
     async_mix,
-    chained_schedule,
     fedavg_adapters,
-    product_refactor,
+    product_mean,
+    refactor_matrix,
     snapshot_blocks,
 )
 from flmm.errors import NumericError, PlanError, ShapeError, StalenessError, \
@@ -118,6 +119,12 @@ class TestFedavg:
             ClientUpdate("a", 0, d, 1, 0)
 
 
+def product_refactor(updates, tower, rank, alpha):
+    """Rank-r factors of the clients' mean product-space delta."""
+    scale = alpha / rank
+    return refactor_matrix(product_mean(updates, tower, scale), rank, scale)
+
+
 def best_rank_r_oracle(m, r):
     """Dense decomposition residual; independent of the iterative route."""
     u, s, vt = np.linalg.svd(m)
@@ -213,24 +220,6 @@ class TestAsyncMix:
             async_mix(self.server, self._update(9), 5, plan, self.at_base)
 
 
-class TestChainedSchedule:
-    def test_single_client(self):
-        sched = chained_schedule(["x"], 3)
-        assert [c for _, c in sched] == ["x", "x", "x"]
-
-    def test_round_robin(self):
-        sched = chained_schedule(["x", "y", "z"], 2)
-        assert [c for _, c in sched] == ["x", "y", "z", "x", "y", "z"]
-        assert [s for s, _ in sched] == list(range(6))
-
-    def test_length(self):
-        assert len(chained_schedule(["a", "b"], 7)) == 14
-
-    def test_empty_rejected(self):
-        with pytest.raises(PlanError):
-            chained_schedule([], 1)
-
-
 class TestApplyBlockMask:
     def test_empty_result_bumps_version_only(self):
         s = small_snapshot(91)
@@ -266,6 +255,61 @@ class TestApplyBlockMask:
             s2.vision.w_base, s.vision.w_base)
 
 
+class TestAggregate:
+    def test_sync_avg_is_base_plus_fedavg(self):
+        s = small_snapshot(100)
+        updates = [random_update(101 + i, f"c{i}", i + 1) for i in range(3)]
+        out = snapshot_blocks(aggregate(PLAN, s, updates, {}))
+        base = snapshot_blocks(s)
+        for n, d in fedavg_adapters(updates, PLAN).items():
+            np.testing.assert_array_equal(out[n], base[n] + d)
+
+    def test_masked_plan_averages_with_unit_weights(self):
+        s = small_snapshot(102)
+        updates = [random_update(103 + i, f"c{i}", 5 * i + 1) for i in range(3)]
+        masked = aggregate(AggregationPlan(masking_enabled=True), s, updates, {})
+        unit = [ClientUpdate(u.client_id, 0, u.deltas, 1, 0) for u in updates]
+        plain = aggregate(PLAN, s, unit, {})
+        a, b = snapshot_blocks(masked), snapshot_blocks(plain)
+        for n in a:
+            np.testing.assert_array_equal(a[n], b[n])
+
+    def test_product_refactor_keeps_the_mask(self):
+        s = small_snapshot(104)
+        plan = AggregationPlan(strategy="product_refactor",
+                               block_mask=frozenset({"vision.a", "vision.b"}))
+        out = snapshot_blocks(aggregate(plan, s, [random_update(105, "c")], {}))
+        base = snapshot_blocks(s)
+        for n in ("text.a", "text.b", "bridge"):
+            np.testing.assert_array_equal(out[n], base[n])
+        assert not np.array_equal(out["vision.a"], base["vision.a"])
+
+    def test_async_reads_the_base_model_from_history(self):
+        s = small_snapshot(106)
+        old = apply_block_mask({}, small_snapshot(107))  # version 1
+        s = apply_block_mask({}, apply_block_mask({}, apply_block_mask({}, s)))
+        plan = AggregationPlan(strategy="async_mix", mixing_rate=0.5,
+                               staleness_exponent=1.0)
+        u = random_update(108, "c", base_version=1)
+        out = snapshot_blocks(aggregate(plan, s, [u], {1: old}))
+        expected = async_mix(snapshot_blocks(s), u, 3, plan, snapshot_blocks(old))
+        for n in out:
+            np.testing.assert_array_equal(out[n], expected[n])
+        with pytest.raises(KeyError):
+            aggregate(plan, s, [u], {})
+
+    @pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor"])
+    def test_update_on_another_version_rejected(self, strategy):
+        s = apply_block_mask({}, small_snapshot(109))
+        with pytest.raises(StalenessError):
+            aggregate(AggregationPlan(strategy=strategy), s,
+                      [random_update(110, "c", base_version=0)], {})
+
+    def test_no_updates_rejected(self):
+        with pytest.raises(StalenessError):
+            aggregate(PLAN, small_snapshot(111), [], {})
+
+
 def test_plan_validation():
     with pytest.raises(PlanError):
         AggregationPlan(strategy="bogus")
@@ -277,3 +321,9 @@ def test_plan_validation():
         AggregationPlan(strategy="chained")
     with pytest.raises(PlanError):
         AggregationPlan(mixing_rate=0.0)
+    for exponent in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(PlanError):
+            AggregationPlan(strategy="async_mix", staleness_exponent=exponent)
+    for strategy in ("product_refactor", "async_mix"):
+        with pytest.raises(PlanError):
+            AggregationPlan(strategy=strategy, masking_enabled=True)

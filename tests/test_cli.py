@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from flmm.cli import main
+from flmm.errors import HistoryError
 
 CONFIG = """
 [run]
@@ -140,6 +141,44 @@ def test_shapley_after_more_rounds_than_history_window(tmp_path, capsys):
                            ["p0", "p1"])
     for party, value in sorted(exact_shapley(fn).values.items()):
         assert f"value {party}={value:.6f}" in text
+
+
+def test_shapley_replays_with_the_runs_block_mask(tmp_path, capsys):
+    from flmm.aggregation import AggregationPlan
+    from flmm.config import load_config
+    from flmm.contribution import exact_shapley, fl_value_function
+    from flmm.orchestrator import RoundLog
+    from flmm.simulate import build_eval_set, build_initial_model
+    path = tmp_path / "scenario.ini"
+    path.write_text(CONFIG + "\n[aggregation]\nblock_mask = vision.a,vision.b\n")
+    data = str(tmp_path / "data")
+    run = str(tmp_path / "run")
+    log = os.path.join(run, "log")
+    assert main(["gendata", "--spec", str(path), "--out", data]) == 0
+    assert main(["simulate", "--config", str(path), "--out", run]) == 0
+    capsys.readouterr()
+    assert main(["shapley", "--log", log,
+                 "--eval", os.path.join(data, "eval.corpus")]) == 0
+    text = capsys.readouterr().out
+    cfg = load_config(str(path))
+    rounds = RoundLog(log).logged_rounds(cfg.plan)
+    fn = fl_value_function(build_initial_model(cfg), rounds, build_eval_set(cfg),
+                           ["p0", "p1"])
+    for party, value in sorted(exact_shapley(fn).values.items()):
+        assert f"value {party}={value:.6f}" in text
+    with pytest.raises(HistoryError):
+        RoundLog(log).logged_rounds(AggregationPlan())
+
+
+def test_simulate_shapley_on_a_masked_run_fails_after_writing_artifacts(tmp_path,
+                                                                      capsys):
+    path = tmp_path / "scenario.ini"
+    path.write_text(CONFIG + "\n[privacy]\nmasking_enabled = true\n")
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(run),
+                 "--shapley"]) == 4
+    assert "masked" in capsys.readouterr().err
+    assert (run / "final.ckpt").exists() and (run / "eval.txt").exists()
 
 
 def test_server_client_loopback(config_file, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from flmm.aggregation import AggregationPlan
+from flmm.aggregation import BLOCK_NAMES, AggregationPlan, snapshot_blocks
 from flmm.contribution import (
     CoalitionValueFn,
     LoggedRound,
@@ -18,6 +19,8 @@ from flmm.dataquality import CorpusSpec, generate_corpus
 from flmm.errors import HistoryError, SamplingError, SizeError
 from flmm.metrics import recall_at_k
 from flmm.model import init_snapshot
+from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
+from flmm.protocol import Message, pack_blocks
 from flmm.rng import SplitMix64
 from flmm.training import TrainConfig, local_train, make_update
 
@@ -335,3 +338,96 @@ class TestPreparedValueFunction:
         oracle = CoalitionValueFn(parties=parties, evaluate=from_scratch)
         assert wtdp_shapley(fn, weights, budget=12, tolerance=0.0, seed=3) == \
                wtdp_shapley(oracle, weights, budget=12, tolerance=0.0, seed=3)
+
+
+# ---------------------------------------------------------------------------
+# Replay of a ServerCore round log follows each round's logged plan.
+# ---------------------------------------------------------------------------
+
+TOKEN = "tok"
+PARTIES = ("pa", "pb", "pc")
+VISION = frozenset({"vision.a", "vision.b"})
+
+
+def block_crcs(model) -> str:
+    """Block CRCs in the round log's ``blocks=`` format."""
+    return ";".join(
+        f"{n}:{zlib.crc32(np.ascontiguousarray(m, dtype='<f8').tobytes()):08x}"
+        for n, m in sorted(snapshot_blocks(model).items()))
+
+
+def logged_server_run(log_dir, plan, waves=3):
+    """A ServerCore run fed random deltas. In each wave every party submits
+    against the version the wave started at, so async_mix sees staleness 0, 1
+    and 2; sample counts differ, so weighting matters."""
+    per_wave = len(PARTIES) if plan.strategy == "async_mix" else 1
+    cfg = ServerConfig(token=TOKEN, plan=plan, rounds=waves * per_wave,
+                       expected_parties=PARTIES)
+    core = ServerCore(cfg, small_snapshot(3), log_dir, clock=lambda: 0.0)
+    for p in PARTIES:
+        core.handle(Message("REGISTER", {"party": p, "token": TOKEN}))
+    rng = SplitMix64(17)
+    for _ in range(waves):
+        version = core.snapshot.version
+        for i, p in enumerate(PARTIES):
+            names, body = pack_blocks({n: rng.normal_matrix(*m.shape, 0.05) for n, m
+                                       in snapshot_blocks(core.snapshot).items()})
+            resp = core.handle(Message("SUBMIT", {
+                "party": p, "token": TOKEN, "base_version": str(version),
+                "sample_count": str(i + 1), "blocks": names}, body))
+            assert resp.msg_type == "ACK", resp.headers
+    assert core.finished
+    return core
+
+
+class TestReplayFollowsTheLoggedPlan:
+    @pytest.mark.parametrize("mask", [frozenset(BLOCK_NAMES), VISION],
+                             ids=["all_blocks", "vision_only"])
+    @pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor", "async_mix"])
+    def test_grand_coalition_reproduces_the_logged_blocks(self, tmp_path, strategy,
+                                                           mask):
+        plan = AggregationPlan(strategy=strategy, block_mask=mask)
+        core = logged_server_run(str(tmp_path), plan)
+        log = RoundLog(str(tmp_path))
+        records = log.verify()
+        assert [r["status"] for r in records] == ["ok"] * len(records)
+        rounds = log.logged_rounds()
+        assert all(rec.plan == plan for rec in rounds)
+        initial = log.load_checkpoint(0)
+        replayed = replay_coalition(initial, rounds, frozenset(PARTIES))
+        assert replayed.version == core.snapshot.version
+        assert block_crcs(replayed) == records[-1]["blocks"]
+        # a coalition that sat rounds out still ends on the logged version
+        assert replay_coalition(initial, rounds, frozenset({"pc"})).version \
+            == core.snapshot.version
+
+    def test_async_coalition_uses_its_own_history(self, tmp_path):
+        plan = AggregationPlan(strategy="async_mix", mixing_rate=0.5,
+                               staleness_exponent=1.0)
+        logged_server_run(str(tmp_path), plan, waves=1)
+        log = RoundLog(str(tmp_path))
+        initial = log.load_checkpoint(0)
+        pc = log.load_update(2, "pc")
+        # pc trained on v0 and was mixed in at v2: staleness 2, and with pa
+        # and pb left out the coalition's own v0 and v2 are both the initial
+        beta = 0.5 * (1 + 2) ** -1.0
+        replayed = snapshot_blocks(replay_coalition(initial, log.logged_rounds(),
+                                                    frozenset({"pc"})))
+        for n, m in snapshot_blocks(initial).items():
+            expected = (1.0 - beta) * m + beta * (m + pc.deltas[n])
+            np.testing.assert_array_equal(replayed[n], expected)
+
+    def test_another_plan_is_refused(self, tmp_path):
+        logged_server_run(str(tmp_path), AggregationPlan(block_mask=VISION))
+        log = RoundLog(str(tmp_path))
+        assert len(log.logged_rounds(AggregationPlan(block_mask=VISION))) == 3
+        with pytest.raises(HistoryError):
+            log.logged_rounds(AggregationPlan())
+
+    def test_masked_log_is_not_valued(self, tmp_path):
+        logged_server_run(str(tmp_path), AggregationPlan(masking_enabled=True))
+        log = RoundLog(str(tmp_path))
+        rounds = log.logged_rounds()
+        assert all(rec.plan.masking_enabled for rec in rounds)
+        with pytest.raises(HistoryError):
+            fl_value_function(log.load_checkpoint(0), rounds, [], list(PARTIES))

@@ -25,9 +25,9 @@ class FakeClock:
 
 def make_core(tmp_path, parties=("pa", "pb"), rounds=3, strategy="sync_avg",
               masking=False, deadline=60.0, clock=None):
-    plan = AggregationPlan(strategy=strategy)
+    plan = AggregationPlan(strategy=strategy, masking_enabled=masking)
     cfg = ServerConfig(token=TOKEN, plan=plan, rounds=rounds, deadline=deadline,
-                       expected_parties=tuple(parties), masking_enabled=masking)
+                       expected_parties=tuple(parties))
     return ServerCore(cfg, small_snapshot(1), str(tmp_path),
                       clock=clock or FakeClock())
 
@@ -60,6 +60,15 @@ class TestRegistration:
         core = make_core(tmp_path)
         resp = register(core, "pa", token="wrong")
         assert resp.msg_type == "REJECT" and resp.header("kind") == "AuthError"
+
+    @pytest.mark.parametrize("party", ["", "a b", "a\tb", "a,b", "a:b", "a=b"])
+    def test_party_id_the_log_cannot_record_rejected(self, tmp_path, party):
+        core = make_core(tmp_path)
+        resp = register(core, party)
+        assert resp.msg_type == "REJECT"
+        assert resp.headers["kind"] == "ValidationError"
+        assert party not in core.registry
+        RoundLog(str(tmp_path))  # the log still opens
 
     def test_unregistered_poll_rejected(self, tmp_path):
         core = make_core(tmp_path)
@@ -239,6 +248,14 @@ class TestFetch:
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
 
+    def test_unregistered_fetch_rejected(self, tmp_path):
+        core = make_core(tmp_path)
+        resp = core.handle(Message("FETCH", {"party": "ghost", "token": TOKEN,
+                                             "version": "0"}))
+        assert resp.msg_type == "REJECT"
+        assert resp.headers["kind"] == "AuthError"
+        assert resp.body == b""
+
     def test_fetch_missing_version(self, tmp_path):
         core = make_core(tmp_path)
         register(core, "pa")
@@ -312,6 +329,15 @@ class TestRoundLog:
         assert len(records) == 2
         assert [r["status"] for r in records] == ["ok", "ok"]
 
+    def test_unparseable_line_is_a_history_error(self, tmp_path):
+        core = self.run_rounds(tmp_path)
+        # a well-chained record whose body is not all key=value pairs
+        core.log.append({"round": 2, "contributors": "a b:4"})
+        with pytest.raises(HistoryError):
+            core.log.verify()
+        with pytest.raises(HistoryError):
+            RoundLog(str(tmp_path))
+
     def test_single_byte_flip_detected(self, tmp_path):
         core = self.run_rounds(tmp_path)
         path = core.log.path
@@ -383,6 +409,26 @@ class TestHandleBytes:
         resp_bytes = core.handle_bytes(encode_message(msg)[4:])
         resp = decode_payload(resp_bytes)
         assert resp.msg_type == "ACK"
+
+    @pytest.mark.parametrize("msg_type,headers,bad", [
+        ("REGISTER", {"samples": "four"}, "samples"),
+        ("FETCH", {"version": "1.5"}, "version"),
+        ("SUBMIT", {"base_version": "zero", "sample_count": "4"}, "base_version"),
+        ("SUBMIT", {"base_version": "0", "sample_count": ""}, "sample_count"),
+    ], ids=["register_samples", "fetch_version", "submit_base_version",
+            "submit_sample_count"])
+    def test_non_integer_header_rejected(self, tmp_path, msg_type, headers, bad):
+        from flmm.protocol import decode_payload, encode_message
+        core = make_core(tmp_path)
+        if msg_type != "REGISTER":
+            register(core, "pa")
+        names, body = pack_blocks(random_deltas(1, core.snapshot))
+        msg = Message(msg_type, {"party": "pa", "token": TOKEN, "blocks": names,
+                                 **headers}, body if msg_type == "SUBMIT" else b"")
+        resp = decode_payload(core.handle_bytes(encode_message(msg)[4:]))
+        assert resp.msg_type == "REJECT"
+        assert resp.headers["kind"] == "ProtocolError"
+        assert repr(bad) in resp.headers["reason"]
 
     def test_garbage_bytes_rejected(self, tmp_path):
         from flmm.protocol import decode_payload

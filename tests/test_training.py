@@ -4,16 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flmm.aggregation import AggregationPlan, snapshot_blocks
+from flmm.aggregation import AggregationPlan, aggregate, snapshot_blocks
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
-from flmm.dataquality import CorpusSpec, SceneRecord
+from flmm.dataquality import CorpusSpec, SceneRecord, generate_corpus
 from flmm.errors import DegenerateInputError, VocabularyError
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot, sgd_step
 from flmm.privacy import PrivacyConfig
-from flmm.rng import SplitMix64
+from flmm.rng import SplitMix64, hash_text, mix_seed
 from flmm.simulate import run_simulation
-from flmm.training import TrainConfig, local_train, trainable_records
+from flmm.training import TrainConfig, federated_train, local_train, make_update, \
+    trainable_records
 
 
 def local_train_oracle(model, records, cfg, seed):
@@ -156,3 +157,25 @@ def test_pairs_with_empty_caption_raise():
         contrastive_loss_and_grads(init_snapshot(48), pairs)
     with pytest.raises(DegenerateInputError):
         text_anchor_loss_and_grads(init_snapshot(48), pairs, 0.5)
+
+
+@pytest.mark.parametrize("strategy", ["product_refactor", "async_mix"])
+def test_federated_train_follows_the_plan_strategy(strategy):
+    corpora = {p: generate_corpus(CorpusSpec(party=p, size=24, corruption_rates={},
+                                             seed=40 + i, scene_class_pool=(0, 1, 2)))
+               for i, p in enumerate(("pa", "pb"))}
+    cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8)
+    plan = AggregationPlan(strategy=strategy)
+    initial = init_snapshot(41)
+    got = federated_train(initial, corpora, cfg, rounds=2, plan=plan, seed=42)
+    model = initial
+    for r in range(2):  # aggregate applied round by round
+        updates = [make_update(model, local_train(model, corpora[p], cfg,
+                                                  mix_seed(42, r, hash_text(p))),
+                               p, len(trainable_records(corpora[p])), r)
+                   for p in sorted(corpora)]
+        model = aggregate(plan, model, updates, {model.version: model})
+    averaged = federated_train(initial, corpora, cfg, rounds=2,
+                               plan=AggregationPlan(), seed=42)
+    assert save_snapshot(got) == save_snapshot(model)
+    assert save_snapshot(got) != save_snapshot(averaged)
