@@ -7,6 +7,7 @@ partial failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -177,16 +178,12 @@ def _shapley(args) -> int:
     with open(args.eval) as f:
         eval_set = load_corpus(f.read())
     parties = sorted({u.client_id for rec in rounds for u in rec.updates})
+    weights = _party_weights(args.weights, parties)
     initial = log.load_checkpoint(0)
     fn = fl_value_function(initial, rounds, eval_set, parties)
     if args.method == "exact":
         result = exact_shapley(fn)
     else:
-        weights = {p: 1.0 for p in parties}
-        for kv in args.weights.split(","):
-            if kv:
-                k, v = kv.split("=")
-                weights[k] = float(v)
         result = wtdp_shapley(fn, weights, args.budget, args.tolerance, args.seed)
     v_grand = fn(frozenset(parties))
     v_empty = fn(frozenset())
@@ -196,6 +193,24 @@ def _shapley(args) -> int:
     for party, value in sorted(result.values.items()):
         print(f"value {party}={value:.6f}")
     return 0
+
+
+def _party_weights(spec: str, parties: list) -> dict:
+    """``--weights party=weight,...`` over the log's parties; unnamed ones weigh 1."""
+    weights = {p: 1.0 for p in parties}
+    for entry in filter(None, spec.split(",")):
+        party, sep, value = entry.partition("=")
+        if not sep:
+            raise ConfigError(f"--weights entry {entry!r} is not party=weight")
+        if party not in weights:
+            raise ConfigError(f"--weights names {party!r}, which the log does not hold")
+        try:
+            weights[party] = float(value)
+        except ValueError:
+            raise ConfigError(f"--weights entry {entry!r}: weight is not a number") from None
+        if not math.isfinite(weights[party]):
+            raise ConfigError(f"--weights entry {entry!r}: weight is not finite")
+    return weights
 
 
 def _clean(args) -> int:

@@ -142,10 +142,7 @@ class ClientAgent:
         return self.transport.send(Message(msg_type, h, body))
 
     def register(self) -> Message:
-        return self._request("REGISTER", {
-            "modalities": ",".join(self.party.modalities),
-            "samples": len(trainable_records(self.records)),
-        })
+        return self._request("REGISTER")
 
     def step(self) -> str:
         """One poll cycle; returns the response type observed."""
@@ -208,11 +205,9 @@ class ClientAgent:
         train_cfg = TrainConfig(
             epochs=self.cfg.train.epochs, lr=self.cfg.train.lr,
             batch_size=self.cfg.train.batch_size,
-            anchor_mu=self.party.anchor_mu,
-            distill_lambda=self.party.distill_lambda)
+            anchor_mu=self.party.anchor_mu)
         seed = mix_seed(self.cfg.seed, round_num, hash_text(self.party.party_id))
-        trained = local_train(model, usable, train_cfg, seed,
-                              modalities=set(self.party.modalities))
+        trained = local_train(model, usable, train_cfg, seed)
         update = make_update(model, trained, self.party.party_id,
                              len(usable), round_num)
         if self.cfg.privacy.dp_enabled:

@@ -1,17 +1,18 @@
 """Scenario configuration: INI-style file covering the whole run.
 
 Every knob has a stated default; FLMM_SEED in the environment overrides the
-configured seed.
+configured seed. KNOWN_KEYS lists every section and key a run reads; any
+other section or key raises ConfigError, so no setting is silently ignored.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from flmm.aggregation import AggregationPlan, BLOCK_NAMES
-from flmm.dataquality import CorpusSpec, SENSITIVE_TOKENS
+from flmm.dataquality import CorpusSpec
 from flmm.errors import ConfigError, PlanError
 from flmm.orchestrator import valid_party_id
 from flmm.privacy import PrivacyConfig
@@ -22,10 +23,7 @@ from flmm.training import TrainConfig
 class PartyConfig:
     party_id: str
     corpus: CorpusSpec
-    modalities: tuple = ("image", "text")
     anchor_mu: float = 0.0
-    distill_lambda: float = 0.0
-    shapley_weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,20 @@ class ScenarioConfig:
         return tuple(p.party_id for p in self.parties)
 
 
+# section -> the keys a run reads from it
+KNOWN_KEYS = {
+    "run": {"seed", "rounds", "token", "deadline", "epochs", "lr", "batch_size"},
+    "model": {"d_v", "d_t", "d_emb", "rank", "vocab", "temperature", "bridge"},
+    "privacy": {"dp_enabled", "clip_norm", "noise_std", "masking_enabled"},
+    "aggregation": {"strategy", "block_mask", "staleness_exponent", "mixing_rate",
+                    "history_window"},
+    "party:<id>": {"size", "seed", "classes", "anchor_mu", "mismatched",
+                   "sensitive_noise", "labels_only", "too_short"},
+    "eval": {"size", "seed", "classes"},
+    "quality": {"iters", "target", "threshold", "floor"},
+}
+
+
 def _ints(s: str) -> tuple:
     return tuple(int(x) for x in s.replace(",", " ").split())
 
@@ -81,7 +93,20 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"bad config {path!r}: {e}") from e
 
 
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    if cp.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
+    for section in cp.sections():
+        kind = "party:<id>" if section.startswith("party:") else section
+        if kind not in KNOWN_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(cp[section]) - KNOWN_KEYS[kind])
+        if unknown:
+            raise ConfigError(f"[{section}]: unknown key {unknown[0]!r}")
+
+
 def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
+    _check_keys(cp)
     run = cp["run"] if cp.has_section("run") else {}
     seed = int(os.environ.get("FLMM_SEED", run.get("seed", "42")))
 
@@ -102,10 +127,6 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         clip_norm=float(priv.get("clip_norm", 1.0)),
         noise_std=float(priv.get("noise_std", 0.0)),
         masking_enabled=str(priv.get("masking_enabled", "false")).lower() in ("1", "true", "yes"),
-        blacklist=frozenset(_ints(priv.get("blacklist", ""))),
-        sensitive_patterns=frozenset(_ints(priv.get("sensitive_patterns",
-                                                    ",".join(map(str, sorted(SENSITIVE_TOKENS)))))),
-        refusal_sequence=_ints(priv.get("refusal_sequence", "0")) or (0,),
     )
 
     agg = cp["aggregation"] if cp.has_section("aggregation") else {}
@@ -138,13 +159,8 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
             scene_class_pool=_ints(p.get("classes", "0,1,2,3,4,5,6,7")),
             d_v=model.d_v,
         )
-        parties.append(PartyConfig(
-            party_id=pid, corpus=corpus,
-            modalities=tuple(m.strip() for m in p.get("modalities", "image,text").split(",")),
-            anchor_mu=float(p.get("anchor_mu", 0.0)),
-            distill_lambda=float(p.get("distill_lambda", 0.0)),
-            shapley_weight=float(p.get("shapley_weight", 1.0)),
-        ))
+        parties.append(PartyConfig(party_id=pid, corpus=corpus,
+                                   anchor_mu=float(p.get("anchor_mu", 0.0))))
     if not parties:
         raise ConfigError("at least one [party:<id>] section is required")
     parties.sort(key=lambda p: p.party_id)

@@ -1,11 +1,11 @@
 """Participant contribution measurement.
 
-Exact Shapley by coalition enumeration (memoized, 2^n evaluations),
-a weighted-truncated permutation-sampling approximation with efficiency
-renormalization, and per-block masking attribution. The coalition value in
-FL re-aggregates the coalition's logged updates under each round's logged
-plan instead of retraining, so the grand coalition reproduces the trained
-model, and scores it against an eval set prepared once per value function.
+Exact Shapley by coalition enumeration (memoized, 2^n evaluations) and a
+weighted-truncated permutation-sampling approximation with efficiency
+renormalization. The coalition value in FL re-aggregates the coalition's
+logged updates under each round's logged plan instead of retraining, so the
+grand coalition reproduces the trained model, and scores it against an eval
+set prepared once per value function.
 Masked logs are not valued: pair masks do not cancel within a coalition.
 """
 
@@ -16,9 +16,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from flmm.aggregation import AggregationPlan, aggregate, apply_block_mask, \
-    snapshot_blocks
-from flmm.errors import HistoryError, IdentityError, SamplingError, SizeError
+from flmm.aggregation import AggregationPlan, aggregate, apply_block_mask
+from flmm.errors import HistoryError, SamplingError, SizeError
 from flmm.metrics import EvalBatch, eval_batch, recall_at_k
 from flmm.model import ModelSnapshot
 from flmm.rng import SplitMix64
@@ -121,26 +120,6 @@ def wtdp_shapley(fn: CoalitionValueFn, weights: dict, budget: int,
     return ShapleyResult(values=values, method="wtdp", samples_used=completed,
                          truncation_tolerance=tolerance,
                          party_weights=dict(weights))
-
-
-def block_mask_attribution(snapshot: ModelSnapshot, baseline: ModelSnapshot,
-                           eval_fn, blocks: list[str]) -> dict:
-    """Metric drop when each block's delta is reverted to the baseline."""
-    cur = snapshot_blocks(snapshot)
-    base = snapshot_blocks(baseline)
-    if set(cur) != set(base):
-        raise IdentityError("snapshot and baseline have different block structure")
-    for name in cur:
-        if cur[name].shape != base[name].shape:
-            raise IdentityError(f"block {name!r} shape differs from baseline")
-    full = eval_fn(snapshot)
-    out = {}
-    for name in blocks:
-        masked = dict(cur)
-        masked[name] = base[name]
-        masked_snap = apply_block_mask(masked, snapshot)
-        out[name] = full - eval_fn(masked_snap)
-    return out
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,9 @@ class EmptyProbeError(FlmmError):
     """Probe set with no items."""
 
 
-class CoverageError(FlmmError):
-    """A probe item covered by no client."""
-
-
 class IdentityError(FlmmError):
-    """Mismatched identities (probe vs consensus, snapshot vs baseline)."""
+    """Mismatched identities (probe vs consensus, a forward pass or eval batch
+    vs the model scoring it, an ASSIGN's frozen base vs the fetched one)."""
 
 
 class StalenessError(FlmmError):

@@ -109,15 +109,6 @@ class GradientSet:
     d_text_b: np.ndarray
     d_bridge: np.ndarray | None = None
 
-    def scaled(self, w: float) -> "GradientSet":
-        return GradientSet(
-            d_vision_a=w * self.d_vision_a,
-            d_vision_b=w * self.d_vision_b,
-            d_text_a=w * self.d_text_a,
-            d_text_b=w * self.d_text_b,
-            d_bridge=None if self.d_bridge is None else w * self.d_bridge,
-        )
-
     def add(self, other: "GradientSet") -> "GradientSet":
         if self.d_vision_a.shape != other.d_vision_a.shape:
             raise ShapeError("gradient shapes differ")
@@ -308,18 +299,6 @@ def _text_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray):
     return ad.scale * (ad.b.T @ d_weff), ad.scale * (d_weff @ ad.a.T)
 
 
-def encode_image(snapshot: ModelSnapshot, x: np.ndarray) -> np.ndarray:
-    """Unit-norm embedding of one image feature vector."""
-    z, _ = _vision_forward(snapshot, np.asarray(x, dtype=np.float64)[None, :])
-    return z[0]
-
-
-def encode_text(snapshot: ModelSnapshot, tokens: list[int]) -> np.ndarray:
-    """Unit-norm embedding of a bag of token ids (mean of embedding rows)."""
-    z, _ = _text_forward(snapshot, [list(tokens)])
-    return z[0]
-
-
 def contrastive_loss_and_grads(snapshot: ModelSnapshot,
                                batch: PairForward | PairBatch | Pairs
                                ) -> tuple[float, GradientSet]:
@@ -389,23 +368,6 @@ def sgd_step(snapshot: ModelSnapshot, grads: GradientSet, lr: float) -> ModelSna
         temperature=snapshot.temperature,
         version=snapshot.version,
     )
-
-
-def alignment_score(snapshot: ModelSnapshot, x: np.ndarray, tokens: list[int]) -> float:
-    """Cosine of the two embeddings; in [-1, 1]."""
-    return float(encode_image(snapshot, x) @ encode_text(snapshot, tokens))
-
-
-def retrieve_caption(snapshot: ModelSnapshot, x: np.ndarray,
-                     bank: list[list[int]]) -> tuple[int, list[int]]:
-    """Best-aligned caption from the bank; ties go to the lowest index."""
-    if not bank:
-        raise EmptyBankError("caption bank is empty")
-    zx = encode_image(snapshot, x)
-    z_bank, _ = _text_forward(snapshot, [list(c) for c in bank])
-    scores = z_bank @ zx
-    idx = int(np.argmax(scores))  # argmax returns the first maximum
-    return idx, list(bank[idx])
 
 
 def caption_scores(snapshot: ModelSnapshot, xs: np.ndarray,

@@ -50,14 +50,6 @@ PHASES = ("open", "collecting", "aggregating", "closed")
 
 
 @dataclass
-class PartyInfo:
-    modalities: tuple
-    sample_count: int
-    token: str
-    last_seen: float
-
-
-@dataclass
 class RoundState:
     round: int
     model_version: int
@@ -238,11 +230,13 @@ class ServerCore:
         self.cfg = cfg
         self.clock = clock
         self.lock = threading.RLock()
-        self.registry: dict = {}
+        self.registry: dict = {}  # party id -> its token
         self.log = log
         self.snapshot = snapshot
-        # every version shares the frozen base, so its checksum is taken once
+        # every version shares the frozen base and the block shapes, so both
+        # are taken once
         self.base_checksum = f"{frozen_checksum(snapshot):08x}"
+        self._block_shapes = {n: m.shape for n, m in snapshot_blocks(snapshot).items()}
         self._assign_body = None  # (version, block names, body, body crc)
 
     # -- lifecycle ----------------------------------------------------------
@@ -325,21 +319,15 @@ class ServerCore:
             raise AuthError(f"bad token for party {party!r}")
         if not valid_party_id(party):
             raise ValidationError(f"party id {party!r} cannot go in the round log")
-        existing = self.registry.get(party)
-        if existing is not None and existing.token != token:
+        if self.registry.get(party, token) != token:
             raise ConflictError(f"party {party!r} already registered with another token")
-        modalities = tuple(m for m in msg.headers.get("modalities", "").split(",") if m)
-        self.registry[party] = PartyInfo(
-            modalities=modalities,
-            sample_count=msg.int_header("samples") if "samples" in msg.headers else 1,
-            token=token, last_seen=self.clock())
+        self.registry[party] = token
         if not self.cfg.expected_parties:
             self.state.expected.add(party)
         return self._respond("ACK")
 
     def _poll(self, msg: Message) -> Message:
         party = self._auth(msg)
-        self.registry[party].last_seen = self.clock()
         st = self.state
         if (self.finished or st.phase not in ("open", "collecting")
                 or party not in st.expected or party in st.received):
@@ -374,6 +362,10 @@ class ServerCore:
                 sample_count=sample_count, submitted_round=st.round)
         except (ProtocolError, NumericError, PlanError, ShapeError) as e:
             raise ValidationError(str(e)) from e
+        for name, m in update.deltas.items():
+            if m.shape != self._block_shapes.get(name):
+                raise ValidationError(f"block {name!r} has shape {m.shape}, the "
+                                      f"model's is {self._block_shapes.get(name)}")
         mixing = self.cfg.plan.strategy == ASYNC_MIX  # each update closes a round
         oldest = max(0, st.model_version - self.cfg.history_window) if mixing \
             else st.model_version

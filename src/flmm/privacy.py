@@ -1,5 +1,11 @@
 """Privacy mechanisms: DP noise on uploads, pairwise-mask secure-aggregation
-simulation, training-text sanitization, and output blacklist filtering.
+simulation, and output blacklist filtering.
+
+A run applies gaussian_mechanism when [privacy] dp_enabled is set, and each
+client masks its own update with apply_pairwise_masks when masking_enabled
+is set. pairwise_mask, the joint form of that masking, and output_filter
+are library functions that no run calls; blacklist and refusal_sequence are
+PrivacyConfig fields for output_filter, not config keys.
 
 The masking simulation preserves the functional contract (the server learns
 only the sum of client deltas); real key agreement and crypto are out of
@@ -8,7 +14,7 @@ scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +30,6 @@ class PrivacyConfig:
     noise_std: float = 0.0
     masking_enabled: bool = False
     blacklist: frozenset = frozenset()
-    sensitive_patterns: frozenset = frozenset()
     refusal_sequence: tuple = (0,)
 
     def __post_init__(self):
@@ -53,16 +58,6 @@ def gaussian_mechanism(update: ClientUpdate, cfg: PrivacyConfig,
         out[n] = flat[pos:pos + size].reshape(update.deltas[n].shape)
         pos += size
     return replace(update, deltas=out)
-
-
-@dataclass(frozen=True)
-class MaskedUpdate:
-    client_id: str
-    base_version: int
-    deltas: dict
-    sample_count: int
-    submitted_round: int
-    mask_round: int
 
 
 # Fixed-point grid for masking. Deltas and masks are snapped to multiples of
@@ -97,7 +92,7 @@ def _pair_masks(seed: int, shapes: list) -> dict:
     return out
 
 
-def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[MaskedUpdate]:
+def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[ClientUpdate]:
     """Additive masking: each ordered pair (i < j) shares a mask added to i
     and subtracted from j, so the element-wise sum is bit-exactly preserved."""
     if len(updates) < 2:
@@ -113,9 +108,7 @@ def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[MaskedUp
             for name, m in _pair_masks(seed, shared).items():
                 masked[ui.client_id][name] += m
                 masked[uj.client_id][name] -= m
-    return [MaskedUpdate(u.client_id, u.base_version, masked[u.client_id],
-                         u.sample_count, u.submitted_round, mask_round=round_seed)
-            for u in ordered]
+    return [replace(u, deltas=masked[u.client_id]) for u in ordered]
 
 
 def apply_pairwise_masks(update: ClientUpdate, party_ids: list[str],
@@ -142,11 +135,6 @@ def apply_pairwise_masks(update: ClientUpdate, party_ids: list[str],
         for name, m in _pair_masks(seed, shapes).items():
             deltas[name] += sign * m
     return replace(update, deltas=deltas)
-
-
-def sanitize_text(tokens: list[int], cfg: PrivacyConfig) -> list[int]:
-    """Drop sensitive token ids, keeping the order of the rest."""
-    return [t for t in tokens if t not in cfg.sensitive_patterns]
 
 
 def output_filter(caption: list[int], cfg: PrivacyConfig) -> tuple[list[int], bool]:

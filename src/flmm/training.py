@@ -6,13 +6,12 @@ local_train so both paths produce identical updates for identical seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate, \
     snapshot_blocks
 from flmm.dataquality import SceneRecord
-from flmm.fusion import ConsensusMap, ProbeSet, compose_losses, \
-    distillation_loss_and_grads, text_anchor_loss_and_grads
+from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, contrastive_loss_and_grads, \
     pair_batch, pair_forward, sgd_step
 from flmm.rng import SplitMix64, hash_text, mix_seed
@@ -23,9 +22,7 @@ class TrainConfig:
     epochs: int = 2
     lr: float = 1e-2
     batch_size: int = 16
-    contrastive_weight: float = 1.0
     anchor_mu: float = 0.0
-    distill_lambda: float = 0.0
 
 
 def trainable_records(records: list[SceneRecord]) -> list[SceneRecord]:
@@ -34,9 +31,7 @@ def trainable_records(records: list[SceneRecord]) -> list[SceneRecord]:
 
 
 def local_train(model: ModelSnapshot, records: list[SceneRecord], cfg: TrainConfig,
-                seed: int, probe: ProbeSet | None = None,
-                consensus: ConsensusMap | None = None,
-                modalities: set[str] | None = None) -> ModelSnapshot:
+                seed: int) -> ModelSnapshot:
     """Epochs of SGD on shuffled minibatches; deterministic given the seed.
 
     Images and text features of the whole usable corpus are prepared once
@@ -59,15 +54,9 @@ def local_train(model: ModelSnapshot, records: list[SceneRecord], cfg: TrainConf
                 continue  # contrastive loss undefined below 2 pairs
             fwd = pair_forward(model, PairBatch(corpus.xs[idx], corpus.ts[idx]))
             parts = [contrastive_loss_and_grads(model, fwd)]
-            weights = [cfg.contrastive_weight]
             if cfg.anchor_mu > 0:
                 parts.append(text_anchor_loss_and_grads(model, fwd, cfg.anchor_mu))
-                weights.append(1.0)
-            if cfg.distill_lambda > 0 and probe is not None and consensus is not None:
-                parts.append(distillation_loss_and_grads(
-                    model, probe, consensus, cfg.distill_lambda, modalities))
-                weights.append(1.0)
-            _, grads = compose_losses(weights, parts)
+            _, grads = compose_losses(parts)
             model = sgd_step(model, grads, cfg.lr)
     return model
 

@@ -114,6 +114,35 @@ def test_shapley_from_log(config_file, tmp_path, capsys):
     assert "method=wtdp" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def logged_run(tmp_path_factory):
+    """The round log and eval corpus of a two-party run."""
+    work = tmp_path_factory.mktemp("logged")
+    (work / "scenario.ini").write_text(CONFIG)
+    assert main(["gendata", "--spec", str(work / "scenario.ini"),
+                 "--out", str(work / "data")]) == 0
+    assert main(["simulate", "--config", str(work / "scenario.ini"),
+                 "--out", str(work / "run")]) == 0
+    return str(work / "run" / "log"), str(work / "data" / "eval.corpus")
+
+
+@pytest.mark.parametrize("weights", ["p0", "p0=heavy", "p0=nan", "p0=2.0,p9=1.0"],
+                         ids=["no_equals", "not_a_float", "not_finite", "party_not_in_log"])
+def test_shapley_bad_weights_rejected_before_replay(logged_run, capsys, monkeypatch,
+                                                    weights):
+    import flmm.contribution
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("replay ran before --weights was checked")
+
+    monkeypatch.setattr(flmm.contribution, "fl_value_function", no_replay)
+    log, eval_corpus = logged_run
+    capsys.readouterr()
+    assert main(["shapley", "--log", log, "--eval", eval_corpus, "--method", "wtdp",
+                 "--weights", weights]) == 2
+    assert "config error: --weights" in capsys.readouterr().err
+
+
 def test_shapley_after_more_rounds_than_history_window(tmp_path, capsys):
     from flmm.aggregation import AggregationPlan
     from flmm.config import load_config

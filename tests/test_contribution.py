@@ -9,7 +9,6 @@ from flmm.aggregation import BLOCK_NAMES, AggregationPlan, snapshot_blocks
 from flmm.contribution import (
     CoalitionValueFn,
     LoggedRound,
-    block_mask_attribution,
     exact_shapley,
     fl_value_function,
     replay_coalition,
@@ -183,46 +182,6 @@ class TestWtdpShapley:
         res = wtdp_shapley(fn, {p: 1.0 for p in fn.parties}, budget=33,
                            tolerance=0.0, seed=6)
         assert res.samples_used <= 33
-
-
-class TestBlockMaskAttribution:
-    def test_identical_models_zero(self):
-        s = small_snapshot(80)
-        out = block_mask_attribution(s, s, lambda m: 1.23,
-                                     ["vision.a", "text.b"])
-        assert out == {"vision.a": 0.0, "text.b": 0.0}
-
-    def test_localized_difference(self):
-        base = small_snapshot(81)
-        import dataclasses
-        from flmm.model import AdapterPair
-        ad = base.vision.adapter
-        bumped = dataclasses.replace(
-            base, vision=dataclasses.replace(
-                base.vision, adapter=AdapterPair(ad.a + 0.1, ad.b + 0.1,
-                                                 ad.rank, ad.alpha)))
-
-        def eval_fn(m):
-            # sensitive only to the vision adapter product
-            return float(np.sum(m.vision.adapter.delta()))
-
-        out = block_mask_attribution(bumped, base, eval_fn,
-                                     ["vision.a", "vision.b", "text.a", "text.b"])
-        assert out["text.a"] == 0.0 and out["text.b"] == 0.0
-        assert out["vision.a"] != 0.0 and out["vision.b"] != 0.0
-
-    def test_structural_mismatch(self):
-        from flmm.errors import IdentityError
-        s = small_snapshot(82)
-        other = init_snapshot(1)  # default (larger) dims
-        with pytest.raises(IdentityError):
-            block_mask_attribution(s, other, lambda m: 0.0, ["vision.a"])
-
-    def test_deterministic(self):
-        s, b = small_snapshot(83), small_snapshot(84)
-        eval_fn = lambda m: float(np.sum(m.vision.adapter.delta() ** 2))
-        assert block_mask_attribution(s, b, eval_fn, ["vision.a"]) == \
-               block_mask_attribution(s, b, eval_fn, ["vision.a"])
 
 
 def make_fl_fixture(seed=90, parties=("pa", "pb"), rounds=2):

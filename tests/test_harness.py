@@ -198,10 +198,7 @@ class CountingServer(FederationServer):
 
 
 def request(msg_type, party="p0"):
-    headers = {"party": party, "token": "tok"}
-    if msg_type == "REGISTER":
-        headers["samples"] = 1
-    return Message(msg_type, headers)
+    return Message(msg_type, {"party": party, "token": "tok"})
 
 
 class TestSocketTransport:

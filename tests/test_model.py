@@ -6,7 +6,6 @@ from flmm.errors import (
     BatchError,
     CheckpointError,
     DegenerateInputError,
-    EmptyBankError,
     IdentityError,
     NumericError,
     ShapeError,
@@ -15,16 +14,13 @@ from flmm.errors import (
 from flmm.model import (
     AdapterPair,
     GradientSet,
-    alignment_score,
+    caption_scores,
     contrastive_loss_and_grads,
-    encode_image,
-    encode_text,
     frozen_checksum,
     init_snapshot,
     load_snapshot,
     pair_batch,
     pair_forward,
-    retrieve_caption,
     save_snapshot,
     sgd_step,
     text_features,
@@ -63,24 +59,31 @@ class TestAdapterPair:
         np.testing.assert_allclose(ad1.delta(), ad2.delta(), atol=1e-14)
 
 
+def embed(s, x, tokens=(1,)):
+    """One (image, caption) pair through both towers: its two unit embeddings."""
+    fwd = pair_forward(s, [(np.asarray(x, dtype=np.float64), list(tokens))])
+    return fwd.z_v[0], fwd.z_t[0]
+
+
 class TestEncoders:
     def test_identity_base_normalizes_input(self):
         s = identity_snapshot(d=4)
-        out = encode_image(s, np.array([3.0, 4.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out, [0.6, 0.8, 0.0, 0.0], atol=1e-15)
+        z_v, _ = embed(s, [3.0, 4.0, 0.0, 0.0])
+        np.testing.assert_allclose(z_v, [0.6, 0.8, 0.0, 0.0], atol=1e-15)
 
     def test_identity_bridge_is_noop(self):
         s_no = identity_snapshot(d=4, with_bridge=False)
         s_br = identity_snapshot(d=4, with_bridge=True)
         x = SplitMix64(4).gaussians(4)
-        np.testing.assert_array_equal(encode_image(s_no, x), encode_image(s_br, x))
+        np.testing.assert_array_equal(embed(s_no, x)[0], embed(s_br, x)[0])
 
     def test_unit_norm(self):
         s = small_snapshot(7)
         for seed in range(5):
-            x = SplitMix64(seed).gaussians(8)
-            assert abs(np.linalg.norm(encode_image(s, x)) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(encode_text(s, [1, 2, 3])) - 1.0) < 1e-12
+            z_v, _ = embed(s, SplitMix64(seed).gaussians(8))
+            assert abs(np.linalg.norm(z_v) - 1.0) < 1e-12
+        _, z_t = embed(s, np.ones(8), [1, 2, 3])
+        assert abs(np.linalg.norm(z_t) - 1.0) < 1e-12
 
     def test_image_oracle(self):
         # independent naive matrix-multiply-then-normalize reimplementation
@@ -89,19 +92,19 @@ class TestEncoders:
         w = s.vision.w_base + (s.vision.adapter.alpha / s.vision.adapter.rank) * (
             s.vision.adapter.b @ s.vision.adapter.a)
         u = s.bridge @ (w @ x)
-        np.testing.assert_allclose(encode_image(s, x), u / np.linalg.norm(u),
-                                   atol=1e-12)
+        np.testing.assert_allclose(embed(s, x)[0], u / np.linalg.norm(u), atol=1e-12)
 
     def test_text_single_token_is_normalized_row(self):
         s = identity_snapshot(d=4)
         k = 5
         row = s.token_embed[k]
-        np.testing.assert_allclose(encode_text(s, [k]), row / np.linalg.norm(row),
-                                   atol=1e-14)
+        np.testing.assert_allclose(embed(s, np.ones(4), [k])[1],
+                                   row / np.linalg.norm(row), atol=1e-14)
 
     def test_text_mean_invariant_under_repetition(self):
         s = small_snapshot(9)
-        np.testing.assert_array_equal(encode_text(s, [3]), encode_text(s, [3, 3, 3]))
+        x = np.ones(8)
+        np.testing.assert_array_equal(embed(s, x, [3])[1], embed(s, x, [3, 3, 3])[1])
 
     def test_text_oracle(self):
         s = small_snapshot(10)
@@ -110,19 +113,19 @@ class TestEncoders:
         w = s.text.w_base + (s.text.adapter.alpha / s.text.adapter.rank) * (
             s.text.adapter.b @ s.text.adapter.a)
         u = w @ t
-        np.testing.assert_allclose(encode_text(s, tokens), u / np.linalg.norm(u),
-                                   atol=1e-12)
+        np.testing.assert_allclose(embed(s, np.ones(8), tokens)[1],
+                                   u / np.linalg.norm(u), atol=1e-12)
 
     def test_errors(self):
         s = small_snapshot(11)
         with pytest.raises(ShapeError):
-            encode_image(s, np.zeros(5))
+            embed(s, np.zeros(5))
         with pytest.raises(DegenerateInputError):
-            encode_image(identity_snapshot(4), np.zeros(4))
+            embed(identity_snapshot(4), np.zeros(4))
         with pytest.raises(DegenerateInputError):
-            encode_text(s, [])
+            embed(s, np.ones(8), [])
         with pytest.raises(VocabularyError):
-            encode_text(s, [999])
+            embed(s, np.ones(8), [999])
 
 
 def random_captions(seed: int, n: int, vocab: int, max_len: int = 12) -> list:
@@ -228,10 +231,11 @@ class TestPairForward:
         pairs = random_batch(19, n=5)
         fwd = pair_forward(s, pairs)
         assert len(fwd) == 5 and fwd.snapshot is s
+        one_by_one = [embed(s, x, t) for x, t in pairs]
         np.testing.assert_allclose(
-            fwd.z_v, np.stack([encode_image(s, x) for x, _ in pairs]), atol=1e-15)
+            fwd.z_v, np.stack([z_v for z_v, _ in one_by_one]), atol=1e-15)
         np.testing.assert_allclose(
-            fwd.z_t, np.stack([encode_text(s, t) for _, t in pairs]), atol=1e-15)
+            fwd.z_t, np.stack([z_t for _, z_t in one_by_one]), atol=1e-15)
         assert pair_forward(s, fwd) is fwd
 
     def test_one_row_forward_raises_batch_error(self):
@@ -264,7 +268,7 @@ class TestSgdStep:
     def test_inverse_steps_cancel_exactly(self):
         s = small_snapshot(14)
         _, g = contrastive_loss_and_grads(s, random_batch(14))
-        s2 = sgd_step(sgd_step(s, g, 0.1), g.scaled(-1.0), 0.1)
+        s2 = sgd_step(sgd_step(s, g, 0.1), g, -0.1)
         # (x - d) + d can differ from x by one ulp; that is the only slack
         np.testing.assert_allclose(s.vision.adapter.a, s2.vision.adapter.a, atol=1e-15)
         np.testing.assert_allclose(s.text.adapter.b, s2.text.adapter.b, atol=1e-15)
@@ -310,31 +314,17 @@ class TestSgdStep:
 class TestAlignmentAndRetrieval:
     def test_identical_unit_vectors_score_one(self):
         s = identity_snapshot(d=4)
-        tokens = [3]
         x = s.token_embed[3]
-        assert alignment_score(s, x, tokens) == pytest.approx(1.0, abs=1e-12)
-        assert alignment_score(s, -x, tokens) == pytest.approx(-1.0, abs=1e-12)
+        np.testing.assert_allclose(caption_scores(s, np.stack([x, -x]), [[3]]),
+                                   [[1.0], [-1.0]], atol=1e-12)
 
     def test_alignment_is_encoder_recomposition(self):
         s = small_snapshot(18)
         x = SplitMix64(18).gaussians(8)
         tokens = [1, 4]
-        expected = float(encode_image(s, x) @ encode_text(s, tokens))
-        assert alignment_score(s, x, tokens) == expected
-
-    def test_single_entry_bank(self):
-        s = small_snapshot(19)
-        idx, cap = retrieve_caption(s, SplitMix64(19).gaussians(8), [[1, 2]])
-        assert idx == 0 and cap == [1, 2]
-
-    def test_tie_break_lowest_index(self):
-        s = small_snapshot(20)
-        idx, _ = retrieve_caption(s, SplitMix64(20).gaussians(8), [[5, 6], [5, 6]])
-        assert idx == 0
-
-    def test_empty_bank(self):
-        with pytest.raises(EmptyBankError):
-            retrieve_caption(small_snapshot(21), np.ones(8), [])
+        z_v, z_t = embed(s, x, tokens)
+        assert caption_scores(s, x[None, :], [tokens])[0, 0] == pytest.approx(
+            float(z_v @ z_t), abs=1e-15)
 
 
 class TestCheckpoint:

@@ -38,9 +38,8 @@ def random_deltas(seed, model):
             for n, m in snapshot_blocks(model).items()}
 
 
-def register(core, party, token=TOKEN, samples=4):
-    return core.handle(Message("REGISTER", {"party": party, "token": token,
-                                            "samples": str(samples)}))
+def register(core, party, token=TOKEN):
+    return core.handle(Message("REGISTER", {"party": party, "token": token}))
 
 
 def submit(core, party, deltas, base_version, token=TOKEN, samples=4):
@@ -95,8 +94,8 @@ class TestSyncRound:
 
     def test_aggregation_is_base_plus_weighted_mean(self, tmp_path):
         core = make_core(tmp_path)
-        register(core, "pa", samples=1)
-        register(core, "pb", samples=3)
+        register(core, "pa")
+        register(core, "pb")
         base = snapshot_blocks(core.snapshot)
         d1 = random_deltas(3, core.snapshot)
         d2 = random_deltas(4, core.snapshot)
@@ -144,6 +143,26 @@ class TestSyncRound:
             assert resp.header("kind") == "ValidationError"
             assert resp.header("reason") == f"non-finite values in block {name!r}"
         assert core.state.received == {}
+
+    @pytest.mark.parametrize("block, shape", [("bridge", (3, 3)), ("vision.a", (16, 2))],
+                             ids=["bridge_3x3", "vision_a_16x2"])
+    def test_wrong_block_shape_rejected_and_round_closes_for_the_others(
+            self, tmp_path, block, shape):
+        core = make_core(tmp_path)
+        for p in ("pa", "pb"):
+            register(core, p)
+        bad = random_deltas(10, core.snapshot)
+        bad[block] = np.zeros(shape)
+        resp = submit(core, "pa", bad, 0)
+        assert resp.msg_type == "REJECT"
+        assert resp.header("kind") == "ValidationError"
+        assert "pa" not in core.state.received
+        assert submit(core, "pb", random_deltas(11, core.snapshot), 0).msg_type == "ACK"
+        assert submit(core, "pa", random_deltas(12, core.snapshot), 0).msg_type == "ACK"
+        record = core.log.verify()[-1]
+        assert (record["round"], record["status"], record["post_version"]) == \
+            ("0", "ok", "1")
+        assert core.snapshot.version == 1
 
     @pytest.mark.parametrize("case", ["zero_samples", "frozen_block"])
     def test_malformed_update_rejected_not_raised(self, tmp_path, case):
@@ -411,17 +430,14 @@ class TestHandleBytes:
         assert resp.msg_type == "ACK"
 
     @pytest.mark.parametrize("msg_type,headers,bad", [
-        ("REGISTER", {"samples": "four"}, "samples"),
         ("FETCH", {"version": "1.5"}, "version"),
         ("SUBMIT", {"base_version": "zero", "sample_count": "4"}, "base_version"),
         ("SUBMIT", {"base_version": "0", "sample_count": ""}, "sample_count"),
-    ], ids=["register_samples", "fetch_version", "submit_base_version",
-            "submit_sample_count"])
+    ], ids=["fetch_version", "submit_base_version", "submit_sample_count"])
     def test_non_integer_header_rejected(self, tmp_path, msg_type, headers, bad):
         from flmm.protocol import decode_payload, encode_message
         core = make_core(tmp_path)
-        if msg_type != "REGISTER":
-            register(core, "pa")
+        register(core, "pa")
         names, body = pack_blocks(random_deltas(1, core.snapshot))
         msg = Message(msg_type, {"party": "pa", "token": TOKEN, "blocks": names,
                                  **headers}, body if msg_type == "SUBMIT" else b"")
