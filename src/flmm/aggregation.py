@@ -1,10 +1,16 @@
 """Fusion of adapter-only client updates.
 
-``aggregate`` fuses updates for the server, ``federated_train`` and Shapley
-replay alike, with one of three strategies: sample-weighted averaging,
+``aggregate_stack`` is the one fusion step. It fuses a round's updates into C
+models at once: each block is a (C, r, c) stack, and a membership matrix says
+which updates join which row. Shapley replay runs it with one row per
+coalition; ``aggregate``, for the server and ``federated_train``, is its
+one-row slice. There are three strategies: sample-weighted averaging,
 product-space re-factorization, or staleness-weighted async mixing. A masked
 plan must average, with unit weights: pair masks cancel only in a plain sum.
-Summation runs in sorted-client order, so results are bit-deterministic.
+Summation runs in sorted-client order, and a row with nothing to add keeps
+its blocks by a masked select, never by adding a zero delta (which could
+turn -0.0 into +0.0), so every row has the bits of fusing that model on its
+own.
 """
 
 from __future__ import annotations
@@ -90,27 +96,42 @@ def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
     return blocks
 
 
-def fedavg_adapters(updates: list[ClientUpdate], plan: AggregationPlan) -> dict:
-    """Sample-count-weighted mean of deltas, per block in the mask; a masked
-    plan weights every update 1."""
+def fedavg_adapters(updates: list[ClientUpdate], plan: AggregationPlan,
+                    weights=None) -> dict:
+    """Weighted mean of deltas, per block in the mask: summed in sorted
+    client order, then divided by the integer weight total.
+
+    ``weights`` holds one integer per update, in the order of ``updates``. It
+    defaults to the server's row: sample counts, or 1 each under a masked
+    plan. A (C, k) matrix averages C coalitions at once into (C, r, c)
+    blocks; a zero weight leaves the update out of that row, and a row of
+    zeros gets zero deltas, which the caller must not add.
+    """
     if not updates:
         raise StalenessError("no updates to aggregate")
     versions = {u.base_version for u in updates}
     if len(versions) > 1:
         raise StalenessError(f"mixed base versions {sorted(versions)}; use async_mix")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    unit = plan.masking_enabled
-    total = len(ordered) if unit else sum(u.sample_count for u in ordered)
+    w = _server_weights(updates, plan) if weights is None else np.asarray(weights)
+    total = w.sum(axis=-1)
+    total = np.where(total == 0, 1, total)[..., None, None]
+    order = sorted(range(len(updates)), key=lambda j: updates[j].client_id)
+    column = {j: w[..., j, None, None] for j in order}
     out = {}
     for name in sorted(plan.block_mask):
-        present = [u for u in ordered if name in u.deltas]
+        present = [j for j in order if name in updates[j].deltas]
         if not present:
             continue
-        acc = np.zeros_like(present[0].deltas[name])
-        for u in present:
-            acc = acc + (1 if unit else u.sample_count) * u.deltas[name]
+        acc = np.zeros(w.shape[:-1] + updates[present[0]].deltas[name].shape)
+        for j in present:
+            acc = acc + column[j] * updates[j].deltas[name]
         out[name] = acc / total
     return out
+
+
+def _server_weights(updates: list[ClientUpdate], plan: AggregationPlan) -> np.ndarray:
+    """One weight per update: its sample count, or 1 under a masked plan."""
+    return np.array([1 if plan.masking_enabled else u.sample_count for u in updates])
 
 
 def product_mean(updates: list[ClientUpdate], tower: str,
@@ -178,27 +199,69 @@ def aggregate(plan: AggregationPlan, snapshot: ModelSnapshot, updates,
               history) -> ModelSnapshot:
     """Fuse one round's updates into ``snapshot``; returns the next version.
 
-    sync_avg and product_refactor need every update based on ``snapshot``.
-    async_mix mixes the updates in client order, each against its base model
-    ``history[base_version]``; no other strategy reads ``history``.
+    The one-row slice of ``aggregate_stack``: ``history`` maps each version
+    to its snapshot.
     """
-    base = snapshot_blocks(snapshot)
+    def stacked(s: ModelSnapshot) -> dict:
+        return {n: m[None] for n, m in snapshot_blocks(s).items()}
+
+    past = {v: stacked(s) for v, s in history.items()} \
+        if plan.strategy == ASYNC_MIX else {}
+    fused = aggregate_stack(plan, snapshot, stacked(snapshot), updates,
+                            np.ones((1, len(updates)), dtype=bool), past)
+    return apply_block_mask({n: fused[n][0] for n in plan.block_mask if n in fused},
+                            snapshot)
+
+
+def aggregate_stack(plan: AggregationPlan, model: ModelSnapshot, blocks: dict,
+                    updates, member, history) -> dict:
+    """Fuse one round's updates into C models at once; returns their next
+    blocks, stacked the same way.
+
+    ``blocks`` maps each block name to a (C, r, c) array whose row i is model
+    i's block. ``member[i, j]`` is true when ``updates[j]`` joins row i's
+    round. Every row is at ``model.version``, and ``model`` also gives each
+    adapter's rank and alpha; its blocks are not read. sync_avg and
+    product_refactor need every joining update based on that version.
+    async_mix mixes the updates in client order, each against its base
+    blocks ``history[base_version]``, stacked like ``blocks``; no other
+    strategy reads ``history``. A row with nothing to add keeps its blocks
+    bit for bit.
+    """
+    if not updates:
+        raise StalenessError("no updates to aggregate")
+    member = np.asarray(member, dtype=bool)
+    joined = member.any(axis=0)
+    updates = [u for u, j in zip(updates, joined) if j]
+    member = member[:, joined]
     if plan.strategy == ASYNC_MIX:
-        result = base
-        for u in sorted(updates, key=lambda u: u.client_id):
-            result = async_mix(result, u, snapshot.version, plan,
-                               snapshot_blocks(history[u.base_version]))
-        result = {n: result[n] for n in plan.block_mask if n in result}
-    else:
-        stale = sorted({u.base_version for u in updates} - {snapshot.version})
-        if stale:
-            raise StalenessError(f"bases {stale} != version {snapshot.version}")
-        if plan.strategy == PRODUCT_REFACTOR:
-            result = _refactored_blocks(plan, snapshot, base, updates)
-        else:
-            delta = fedavg_adapters(updates, plan)
-            result = {n: base[n] + d for n, d in delta.items()}
-    return apply_block_mask(result, snapshot)
+        out = dict(blocks)
+        for j in sorted(range(len(updates)), key=lambda j: updates[j].client_id):
+            u = updates[j]
+            mixed = async_mix(out, u, model.version, plan, history[u.base_version])
+            out = {n: m if m is out[n] else np.where(member[:, j, None, None], m, out[n])
+                   for n, m in mixed.items()}
+        return out
+    stale = sorted({u.base_version for u in updates} - {model.version})
+    if stale:
+        raise StalenessError(f"bases {stale} != version {model.version}")
+    if plan.strategy == PRODUCT_REFACTOR:
+        out = {n: m.copy() if n in plan.block_mask else m for n, m in blocks.items()}
+        for i in np.flatnonzero(member.any(axis=1)):
+            subset = [u for u, j in zip(updates, member[i]) if j]
+            base = {n: m[i].copy() for n, m in blocks.items()}
+            for n, m in _refactored_blocks(plan, model, base, subset).items():
+                out[n][i] = m
+        return out
+    weights = np.where(member, _server_weights(updates, plan), 0)
+    out = dict(blocks)
+    for n, new in fedavg_adapters(updates, plan, weights).items():
+        adds = member[:, [n in u.deltas for u in updates]].any(axis=1)
+        # in place, so a replay holds no third stack; copyto acts as np.where
+        new += blocks[n]
+        np.copyto(new, blocks[n], where=~adds[:, None, None])
+        out[n] = new
+    return out
 
 
 def _refactored_blocks(plan: AggregationPlan, snapshot: ModelSnapshot,

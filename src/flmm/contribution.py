@@ -6,7 +6,13 @@ renormalization. The coalition value in FL re-aggregates the coalition's
 logged updates under each round's logged plan instead of retraining, so the
 grand coalition reproduces the trained model, and scores it against an eval
 set prepared once per value function.
-Masked logs are not valued: pair masks do not cancel within a coalition.
+
+Replay stacks coalitions: each round is one ``aggregate_stack`` call over
+every coalition still to be valued, with a membership matrix picking each
+row's updates, and gives the same bits as replaying the coalitions one by
+one. ``exact_shapley`` hands all its coalitions to the value function's
+``prepare`` first, so they are replayed in one batch and then scored one by
+one. Masked logs are not valued: pair masks do not cancel within a coalition.
 """
 
 from __future__ import annotations
@@ -14,9 +20,17 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from flmm.aggregation import AggregationPlan, aggregate, apply_block_mask
+import numpy as np
+
+from flmm.aggregation import (
+    ASYNC_MIX,
+    AggregationPlan,
+    aggregate_stack,
+    snapshot_blocks,
+    with_blocks,
+)
 from flmm.errors import HistoryError, SamplingError, SizeError
 from flmm.metrics import EvalBatch, eval_batch, recall_at_k
 from flmm.model import ModelSnapshot
@@ -25,11 +39,16 @@ from flmm.rng import SplitMix64
 
 @dataclass
 class CoalitionValueFn:
-    """Deterministic coalition -> value mapping with a subset memo."""
+    """Deterministic coalition -> value mapping with a subset memo.
+
+    ``prepare``, if set, is told the coalitions about to be evaluated, so it
+    can do their shared work in one batch.
+    """
 
     parties: list
     evaluate: object  # callable(frozenset) -> float
     cache: dict = field(default_factory=dict)
+    prepare: object = None  # callable(list of frozenset) -> None
 
     def __call__(self, coalition) -> float:
         key = frozenset(coalition)
@@ -59,6 +78,10 @@ def exact_shapley(fn: CoalitionValueFn) -> ShapleyResult:
     n = len(fn.parties)
     if n > 10:
         raise SizeError(f"{n} parties: enumeration capped at 10, use wtdp_shapley")
+    if fn.prepare is not None:
+        fn.prepare([s for k in range(n + 1)
+                    for s in map(frozenset, itertools.combinations(fn.parties, k))
+                    if s not in fn.cache])
     values = {p: 0.0 for p in fn.parties}
     fact = math.factorial
     denom = fact(n)
@@ -131,21 +154,38 @@ class LoggedRound:
     updates: tuple  # ClientUpdate per contributing party
 
 
+def replay_coalitions(initial: ModelSnapshot, rounds: list[LoggedRound],
+                      coalitions: list) -> list[ModelSnapshot]:
+    """Re-aggregate each coalition's logged updates, round by round, all
+    coalitions at once; returns one snapshot per coalition.
+
+    Row i of every stacked block is coalition i's model. A round a coalition
+    sat out still advances the version, so all rows share it, and async_mix
+    staleness and base models follow each coalition's own history.
+    """
+    n = len(coalitions)
+    blocks = {name: np.repeat(m[None], n, axis=0)
+              for name, m in snapshot_blocks(initial).items()}
+    model = initial  # carries the shared version; its blocks are not read
+    mixing = any(rec.plan.strategy == ASYNC_MIX for rec in rounds)
+    history = {model.version: blocks} if mixing else {}
+    for rec in rounds:
+        member = np.array([[u.client_id in c for u in rec.updates]
+                           for c in coalitions], dtype=bool).reshape(n, len(rec.updates))
+        if member.any():
+            blocks = aggregate_stack(rec.plan, model, blocks, rec.updates, member,
+                                     history)
+        model = replace(model, version=model.version + 1)
+        if mixing:
+            history[model.version] = blocks
+    return [with_blocks(initial, {name: m[i] for name, m in blocks.items()},
+                        model.version) for i in range(n)]
+
+
 def replay_coalition(initial: ModelSnapshot, rounds: list[LoggedRound],
                      coalition: frozenset) -> ModelSnapshot:
-    """Re-aggregate only the coalition's logged updates, round by round.
-
-    A round the coalition sat out still advances the version, so versions,
-    async_mix staleness and base models follow the coalition's own history.
-    """
-    model = initial
-    history = {model.version: model}
-    for rec in rounds:
-        subset = [u for u in rec.updates if u.client_id in coalition]
-        model = aggregate(rec.plan, model, subset, history) if subset \
-            else apply_block_mask({}, model)
-        history[model.version] = model
-    return model
+    """One coalition's replay: a slice of ``replay_coalitions``."""
+    return replay_coalitions(initial, rounds, [coalition])[0]
 
 
 def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
@@ -155,15 +195,24 @@ def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
 
     The eval set is prepared once, from ``initial``; every coalition's model
     shares its frozen token_embed and is scored against that one batch.
+    ``prepare`` replays the given coalitions in one batch; ``evaluate`` scores
+    a prepared model and drops it, or replays a coalition that was not
+    prepared on its own.
     """
     if any(not rec.updates for rec in rounds):
         raise HistoryError("round log has a round with no recorded updates")
     if any(rec.plan.masking_enabled for rec in rounds):
         raise HistoryError("round log has a masked round; it cannot be valued")
     batch = eval_batch(initial, eval_set)
+    prepared: dict = {}  # coalition -> replayed model, until it is scored
+
+    def prepare(coalitions: list) -> None:
+        prepared.update(zip(coalitions, replay_coalitions(initial, rounds, coalitions)))
 
     def evaluate(coalition: frozenset) -> float:
-        model = replay_coalition(initial, rounds, coalition)
+        model = prepared.pop(coalition, None)
+        if model is None:
+            model = replay_coalition(initial, rounds, coalition)
         return recall_at_k(model, batch, 1)
 
-    return CoalitionValueFn(parties=list(parties), evaluate=evaluate)
+    return CoalitionValueFn(parties=list(parties), evaluate=evaluate, prepare=prepare)

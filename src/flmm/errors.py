@@ -87,15 +87,12 @@ class SamplingError(FlmmError):
 
 
 class MaskingError(FlmmError):
-    """Pairwise masking needs at least two clients."""
+    """Pairwise masks that cannot cancel: fewer than two clients, or a masked
+    round closed with absentees."""
 
 
 class AuthError(FlmmError):
     """Bad or missing credential."""
-
-
-class ConflictError(FlmmError):
-    """Re-registration with a different token."""
 
 
 class DuplicateError(FlmmError):

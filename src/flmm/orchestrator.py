@@ -29,12 +29,12 @@ from flmm.aggregation import (
     aggregate,
     snapshot_blocks,
 )
-from flmm.contribution import LoggedRound
+from flmm.contribution import LoggedRound, replay_coalition
 from flmm.errors import (
     AuthError,
-    ConflictError,
     DuplicateError,
     HistoryError,
+    MaskingError,
     NumericError,
     PlanError,
     ProtocolError,
@@ -68,6 +68,13 @@ class ServerConfig:
     deadline: float = 60.0
     history_window: int = 16
     expected_parties: tuple = ()
+
+
+def blocks_field(snapshot: ModelSnapshot) -> str:
+    """A round record's ``blocks=`` field: each trainable block's CRC."""
+    return ";".join(
+        f"{name}:{zlib.crc32(np.ascontiguousarray(m, dtype='<f8').tobytes()):08x}"
+        for name, m in sorted(snapshot_blocks(snapshot).items()))
 
 
 def valid_party_id(party: str) -> bool:
@@ -186,8 +193,14 @@ class RoundLog:
 
     def logged_rounds(self, plan: AggregationPlan | None = None) -> list:
         """Successful rounds with their updates and the plan each ran with,
-        for coalition replay. A ``plan``, if given, must be the logged one."""
+        for coalition replay. A ``plan``, if given, must be the logged one.
+
+        Replaying every contributor from v0 must reproduce the last round's
+        logged blocks; otherwise the updates on disk did not train the
+        logged model, and a HistoryError says so.
+        """
         out = []
+        last = None
         for fields in self.verify():
             if fields.get("status") != "ok":
                 continue
@@ -199,6 +212,13 @@ class RoundLog:
                             for kv in fields["contributors"].split(",") if kv]
             updates = tuple(self.load_update(r, p) for p in contributors)
             out.append(LoggedRound(round=r, plan=logged, updates=updates))
+            last = fields
+        if out:
+            everyone = frozenset(u.client_id for rec in out for u in rec.updates)
+            replayed = replay_coalition(self.load_checkpoint(0), out, everyone)
+            if blocks_field(replayed) != last["blocks"]:
+                raise HistoryError(f"replaying the logged updates does not reproduce "
+                                   f"the blocks logged in round {last['round']}")
         return out
 
 
@@ -230,7 +250,7 @@ class ServerCore:
         self.cfg = cfg
         self.clock = clock
         self.lock = threading.RLock()
-        self.registry: dict = {}  # party id -> its token
+        self.registry: set = set()  # registered party ids
         self.log = log
         self.snapshot = snapshot
         # every version shares the frozen base and the block shapes, so both
@@ -290,7 +310,7 @@ class ServerCore:
                 if msg.msg_type == "FETCH":
                     return self._fetch(msg)
                 raise ProtocolError(f"unexpected message type {msg.msg_type}")
-            except (AuthError, ConflictError, DuplicateError, StalenessError,
+            except (AuthError, DuplicateError, StalenessError,
                     ValidationError, HistoryError, ProtocolError) as e:
                 return self._reject(str(e), kind=type(e).__name__)
 
@@ -319,9 +339,7 @@ class ServerCore:
             raise AuthError(f"bad token for party {party!r}")
         if not valid_party_id(party):
             raise ValidationError(f"party id {party!r} cannot go in the round log")
-        if self.registry.get(party, token) != token:
-            raise ConflictError(f"party {party!r} already registered with another token")
-        self.registry[party] = token
+        self.registry.add(party)
         if not self.cfg.expected_parties:
             self.state.expected.add(party)
         return self._respond("ACK")
@@ -408,6 +426,9 @@ class ServerCore:
         for u in updates:
             self.log.save_update(st.round, u)
         try:  # only async_mix reads base models, from their checkpoints
+            if self.cfg.plan.masking_enabled and st.absentees:
+                raise MaskingError(f"absent {','.join(st.absentees)}: their pair "
+                                   f"masks would not cancel")
             history = {u.base_version: self.log.load_checkpoint(u.base_version)
                        for u in updates if self.cfg.plan.strategy == ASYNC_MIX}
             self.snapshot = aggregate(self.cfg.plan, self.snapshot, updates, history)
@@ -421,13 +442,6 @@ class ServerCore:
 
     def _append_round_record(self, updates, pre_version: int, started: float,
                              status: str, reason: str = "") -> None:
-        blocks_crc = ""
-        if status == "ok":
-            parts = []
-            for name, m in sorted(snapshot_blocks(self.snapshot).items()):
-                crc = zlib.crc32(np.ascontiguousarray(m, dtype="<f8").tobytes())
-                parts.append(f"{name}:{crc:08x}")
-            blocks_crc = ";".join(parts)
         plan = self.cfg.plan
         fields = {
             "round": self.state.round,
@@ -438,7 +452,7 @@ class ServerCore:
             "masked": int(plan.masking_enabled),
             "contributors": ",".join(f"{u.client_id}:{u.sample_count}" for u in updates),
             "absent": ",".join(self.state.absentees),
-            "blocks": blocks_crc,
+            "blocks": blocks_field(self.snapshot) if status == "ok" else "",
             "pre_version": pre_version,
             "post_version": self.snapshot.version,
             "metric": "NA",

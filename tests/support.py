@@ -6,6 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 
+from flmm.aggregation import (
+    apply_block_mask,
+    async_mix,
+    product_mean,
+    refactor_matrix,
+    snapshot_blocks,
+)
 from flmm.model import AdapterPair, ModelSnapshot, TowerParams, init_snapshot
 from flmm.rng import SplitMix64
 
@@ -113,3 +120,67 @@ def check_grads_fd(snapshot, loss_fn, grads, step: float = 1e-5,
                 assert err <= atol or rel <= rtol, \
                     f"{name}[{i},{j}]: analytic {g[i, j]:.3e} vs fd {fd:.3e}"
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Per-coalition replay oracle: one coalition at a time, each round fused by
+# its own loop over the coalition's updates, with no stacking and no weights
+# of zero.
+# ---------------------------------------------------------------------------
+
+def oracle_fedavg(updates, plan) -> dict:
+    """Sample-weighted mean per block (unit weights when masked), summed in
+    sorted client order over the updates that hold the block."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    unit = plan.masking_enabled
+    total = len(ordered) if unit else sum(u.sample_count for u in ordered)
+    out = {}
+    for name in sorted(plan.block_mask):
+        present = [u for u in ordered if name in u.deltas]
+        if not present:
+            continue
+        acc = np.zeros_like(present[0].deltas[name])
+        for u in present:
+            acc = acc + (1 if unit else u.sample_count) * u.deltas[name]
+        out[name] = acc / total
+    return out
+
+
+def oracle_aggregate(plan, snapshot: ModelSnapshot, updates, history) -> ModelSnapshot:
+    """One round of fusion for one coalition."""
+    base = snapshot_blocks(snapshot)
+    if plan.strategy == "async_mix":
+        result = base
+        for u in sorted(updates, key=lambda u: u.client_id):
+            result = async_mix(result, u, snapshot.version, plan,
+                               snapshot_blocks(history[u.base_version]))
+    elif plan.strategy == "product_refactor":
+        result = {}
+        for tower, adapter in (("vision", snapshot.vision.adapter),
+                               ("text", snapshot.text.adapter)):
+            scale = adapter.alpha / adapter.rank
+            m = scale * (base[f"{tower}.b"] @ base[f"{tower}.a"]) \
+                + product_mean(updates, tower, scale)
+            result[f"{tower}.a"], result[f"{tower}.b"] = \
+                refactor_matrix(m, adapter.rank, scale)
+        bridged = [u for u in updates if "bridge" in u.deltas]
+        if "bridge" in plan.block_mask and bridged:
+            bridge_only = replace(plan, block_mask=frozenset({"bridge"}))
+            result["bridge"] = base["bridge"] + oracle_fedavg(bridged, bridge_only)["bridge"]
+    else:
+        result = {n: base[n] + d for n, d in oracle_fedavg(updates, plan).items()}
+    return apply_block_mask({n: m for n, m in result.items() if n in plan.block_mask},
+                            snapshot)
+
+
+def oracle_replay_coalition(initial: ModelSnapshot, rounds, coalition) -> ModelSnapshot:
+    """Re-aggregate one coalition's logged updates round by round; a round it
+    sat out only advances the version."""
+    model = initial
+    history = {model.version: model}
+    for rec in rounds:
+        subset = [u for u in rec.updates if u.client_id in coalition]
+        model = oracle_aggregate(rec.plan, model, subset, history) if subset \
+            else apply_block_mask({}, model)
+        history[model.version] = model
+    return model

@@ -3,21 +3,24 @@ import pytest
 
 from flmm.aggregation import (
     BLOCK_NAMES,
+    STRATEGIES,
     AggregationPlan,
     ClientUpdate,
     aggregate,
+    aggregate_stack,
     apply_block_mask,
     async_mix,
     fedavg_adapters,
     product_mean,
     refactor_matrix,
     snapshot_blocks,
+    with_blocks,
 )
 from flmm.errors import NumericError, PlanError, ShapeError, StalenessError, \
     FutureVersionError
 from flmm.rng import SplitMix64
 
-from support import small_snapshot
+from support import oracle_aggregate, small_snapshot
 
 FULL_MASK = frozenset(BLOCK_NAMES)
 PLAN = AggregationPlan(strategy="sync_avg", block_mask=FULL_MASK)
@@ -117,6 +120,71 @@ class TestFedavg:
         d["bridge"][0, 0] = np.inf
         with pytest.raises(NumericError):
             ClientUpdate("a", 0, d, 1, 0)
+
+
+def without(update, *names):
+    """The update minus the named blocks."""
+    return ClientUpdate(update.client_id, update.base_version,
+                        {n: m for n, m in update.deltas.items() if n not in names},
+                        update.sample_count, update.submitted_round)
+
+
+class TestWeightMatrix:
+    @pytest.mark.parametrize("masked", [False, True], ids=["weighted", "masked"])
+    def test_rows_equal_per_row_calls(self, masked):
+        plan = AggregationPlan(masking_enabled=masked)
+        updates = [random_update(200 + i, f"c{i}", sample_count=i + 2) for i in range(5)]
+        updates[1] = without(updates[1], "bridge")  # a row of c1 alone has no bridge
+        member = np.array([[(r >> j) & 1 for j in range(5)] for r in range(32)],
+                          dtype=bool)
+        row = np.array([1 if masked else u.sample_count for u in updates])
+        out = fedavg_adapters(updates, plan, member * row)
+        # the weight columns follow the order of the updates given
+        shuffled = fedavg_adapters(updates[::-1], plan, (member * row)[:, ::-1])
+        checked = 0
+        for i in range(1, 32):
+            subset = [u for u, m in zip(updates, member[i]) if m]
+            for n, d in fedavg_adapters(subset, plan).items():
+                assert out[n][i].tobytes() == d.tobytes(), (i, n)
+                assert shuffled[n][i].tobytes() == d.tobytes(), (i, n)
+                checked += 1
+        assert checked == 31 * 5 - 1
+
+    def test_default_is_the_servers_row(self):
+        updates = [random_update(210 + i, f"c{i}", sample_count=i + 1) for i in range(3)]
+        row = fedavg_adapters(updates, PLAN, [u.sample_count for u in updates])
+        for n, d in fedavg_adapters(updates, PLAN).items():
+            assert d.shape == row[n].shape == updates[0].deltas[n].shape
+            assert d.tobytes() == row[n].tobytes()
+
+
+class TestAggregateStack:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rows_equal_the_per_row_oracle_and_idle_rows_keep_their_bits(self,
+                                                                          strategy):
+        s = small_snapshot(120)
+        rows = [snapshot_blocks(s) for _ in range(3)]
+        for blocks in rows:  # -0.0 survives only if the row is left alone
+            blocks["bridge"][0, 0] = -0.0
+            blocks["vision.a"][0, 0] = -0.0
+        stack = {n: np.stack([r[n] for r in rows]) for n in rows[0]}
+        updates = [random_update(121, "a", 2), without(random_update(122, "b", 3), "bridge")]
+        # row 1 has no member; row 2's only member has no bridge
+        member = np.array([[True, True], [False, False], [False, True]])
+        plan = AggregationPlan(strategy=strategy)
+        out = aggregate_stack(plan, s, stack, updates, member, {0: stack})
+        for n in stack:
+            assert out[n][1].tobytes() == stack[n][1].tobytes(), n
+            assert not np.array_equal(out[n][0], stack[n][0]), n
+        assert out["bridge"][2].tobytes() == stack["bridge"][2].tobytes()
+        assert not np.array_equal(out["vision.a"][2], stack["vision.a"][2])
+        assert np.signbit(stack["bridge"][1, 0, 0])
+        for i in (0, 2):
+            model = with_blocks(s, rows[i], 0)
+            subset = [u for u, m in zip(updates, member[i]) if m]
+            oracle = snapshot_blocks(oracle_aggregate(plan, model, subset, {0: model}))
+            for n in stack:
+                assert out[n][i].tobytes() == oracle[n].tobytes(), (i, n)
 
 
 def product_refactor(updates, tower, rank, alpha):

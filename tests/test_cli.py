@@ -199,6 +199,29 @@ def test_shapley_replays_with_the_runs_block_mask(tmp_path, capsys):
         RoundLog(log).logged_rounds(AggregationPlan())
 
 
+def test_shapley_refuses_an_update_from_another_run(tmp_path, capsys):
+    """Replaying the log must reproduce its logged blocks; an update file
+    taken from a run at another seed does not."""
+    import shutil
+    from flmm.orchestrator import RoundLog
+    for seed in (7, 8):
+        path = tmp_path / f"seed{seed}.ini"
+        path.write_text(CONFIG.replace("[run]\nseed = 7", f"[run]\nseed = {seed}"))
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / f"run{seed}")]) == 0
+    assert main(["gendata", "--spec", str(tmp_path / "seed7.ini"),
+                 "--out", str(tmp_path / "data")]) == 0
+    log = tmp_path / "run7" / "log"
+    shutil.copy(tmp_path / "run8" / "log" / "updates" / "r1_p0.upd",
+                log / "updates" / "r1_p0.upd")
+    capsys.readouterr()
+    assert main(["shapley", "--log", str(log),
+                 "--eval", str(tmp_path / "data" / "eval.corpus")]) == 4
+    assert "does not reproduce the blocks logged in round 1" in capsys.readouterr().err
+    with pytest.raises(HistoryError):
+        RoundLog(str(log)).logged_rounds()
+
+
 def test_simulate_shapley_on_a_masked_run_fails_after_writing_artifacts(tmp_path,
                                                                       capsys):
     path = tmp_path / "scenario.ini"

@@ -12,6 +12,7 @@ from flmm.contribution import (
     exact_shapley,
     fl_value_function,
     replay_coalition,
+    replay_coalitions,
     wtdp_shapley,
 )
 from flmm.dataquality import CorpusSpec, generate_corpus
@@ -23,7 +24,7 @@ from flmm.protocol import Message, pack_blocks
 from flmm.rng import SplitMix64
 from flmm.training import TrainConfig, local_train, make_update
 
-from support import small_snapshot
+from support import oracle_replay_coalition, small_snapshot
 
 
 def additive_game(costs: dict) -> CoalitionValueFn:
@@ -99,6 +100,28 @@ class TestExactShapley:
             fn = random_game(20 + n, n)
             exact_shapley(fn)
             assert fn.evaluations == 2 ** n
+
+    def test_prepare_sees_every_uncached_coalition_once_before_evaluate(self):
+        calls = []
+
+        def prepare(coalitions):
+            calls.append(("prepare", list(coalitions)))
+
+        def evaluate(coalition):
+            calls.append(("evaluate", coalition))
+            return float(len(coalition))
+
+        parties = ["a", "b", "c"]
+        fn = CoalitionValueFn(parties=parties, evaluate=evaluate, prepare=prepare)
+        fn.cache[frozenset({"a"})] = 1.0
+        exact_shapley(fn)
+        subsets = {frozenset(s) for k in range(4)
+                   for s in itertools.combinations(parties, k)} - {frozenset({"a"})}
+        assert calls[0][0] == "prepare"
+        assert len(calls[0][1]) == len(subsets) and set(calls[0][1]) == subsets
+        evaluated = [c for kind, c in calls[1:] if kind == "evaluate"]
+        assert len(calls) == 1 + len(evaluated)
+        assert len(evaluated) == len(subsets) and set(evaluated) == subsets
 
     def test_size_guard(self):
         fn = CoalitionValueFn(parties=[f"p{i}" for i in range(11)],
@@ -298,6 +321,25 @@ class TestPreparedValueFunction:
         assert wtdp_shapley(fn, weights, budget=12, tolerance=0.0, seed=3) == \
                wtdp_shapley(oracle, weights, budget=12, tolerance=0.0, seed=3)
 
+    def test_prepared_models_are_scored_once_then_dropped(self, monkeypatch):
+        import flmm.contribution as contribution
+        initial, log, _, eval_set, parties = make_fl_fixture(parties=("pa", "pb", "pc"))
+        subsets = [frozenset(s) for k in range(len(parties) + 1)
+                   for s in itertools.combinations(parties, k)]
+        expected = {s: recall_at_k(oracle_replay_coalition(initial, log, s), eval_set, 1)
+                    for s in subsets}
+        replayed = []
+        one_by_one = contribution.replay_coalition
+        monkeypatch.setattr(contribution, "replay_coalition",
+                            lambda *args: replayed.append(args[2]) or one_by_one(*args))
+        fn = fl_value_function(initial, log, eval_set, parties)
+        exact_shapley(fn)
+        assert replayed == []
+        assert fn.cache == expected
+        grand = frozenset(parties)
+        assert fn.evaluate(grand) == expected[grand]
+        assert replayed == [grand]
+
 
 # ---------------------------------------------------------------------------
 # Replay of a ServerCore round log follows each round's logged plan.
@@ -315,28 +357,51 @@ def block_crcs(model) -> str:
         for n, m in sorted(snapshot_blocks(model).items()))
 
 
-def logged_server_run(log_dir, plan, waves=3):
+def logged_server_run(log_dir, plan, waves=3, parties=PARTIES, bridge=True,
+                      gaps=False):
     """A ServerCore run fed random deltas. In each wave every party submits
     against the version the wave started at, so async_mix sees staleness 0, 1
-    and 2; sample counts differ, so weighting matters."""
-    per_wave = len(PARTIES) if plan.strategy == "async_mix" else 1
-    cfg = ServerConfig(token=TOKEN, plan=plan, rounds=waves * per_wave,
-                       expected_parties=PARTIES)
-    core = ServerCore(cfg, small_snapshot(3), log_dir, clock=lambda: 0.0)
-    for p in PARTIES:
+    and 2; sample counts differ, so weighting matters.
+
+    With ``gaps``, the second wave has holes: the last party sits it out (a
+    sync round closes at its deadline without it), and the first party sends
+    no bridge, and under sync_avg and async_mix no text.b either."""
+    mixing = plan.strategy == "async_mix"
+    rounds = waves * len(parties) - gaps if mixing else waves
+    cfg = ServerConfig(token=TOKEN, plan=plan, rounds=rounds, deadline=60.0,
+                       expected_parties=parties)
+    now = [0.0]
+    core = ServerCore(cfg, small_snapshot(3, with_bridge=bridge), log_dir,
+                      clock=lambda: now[0])
+    for p in parties:
         core.handle(Message("REGISTER", {"party": p, "token": TOKEN}))
     rng = SplitMix64(17)
-    for _ in range(waves):
+    for wave in range(waves):
+        holes = gaps and wave == 1
         version = core.snapshot.version
-        for i, p in enumerate(PARTIES):
-            names, body = pack_blocks({n: rng.normal_matrix(*m.shape, 0.05) for n, m
-                                       in snapshot_blocks(core.snapshot).items()})
+        for i, p in enumerate(parties):
+            if holes and i == len(parties) - 1:
+                continue
+            blocks = {n: rng.normal_matrix(*m.shape, 0.05) for n, m
+                      in snapshot_blocks(core.snapshot).items()}
+            if holes and i == 0:
+                dropped = {"bridge"} if plan.strategy == "product_refactor" \
+                    else {"bridge", "text.b"}
+                blocks = {n: m for n, m in blocks.items() if n not in dropped}
+            names, body = pack_blocks(blocks)
             resp = core.handle(Message("SUBMIT", {
                 "party": p, "token": TOKEN, "base_version": str(version),
                 "sample_count": str(i + 1), "blocks": names}, body))
             assert resp.msg_type == "ACK", resp.headers
+        if holes and not mixing:
+            now[0] += 61.0
+            core.handle(Message("POLL", {"party": parties[0], "token": TOKEN}))
     assert core.finished
     return core
+
+
+def blocks_bytes(model) -> dict:
+    return {n: m.tobytes() for n, m in snapshot_blocks(model).items()}
 
 
 class TestReplayFollowsTheLoggedPlan:
@@ -359,6 +424,35 @@ class TestReplayFollowsTheLoggedPlan:
         # a coalition that sat rounds out still ends on the logged version
         assert replay_coalition(initial, rounds, frozenset({"pc"})).version \
             == core.snapshot.version
+
+    @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "no_bridge"])
+    @pytest.mark.parametrize("mask", [frozenset(BLOCK_NAMES), VISION],
+                             ids=["all_blocks", "vision_only"])
+    @pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor", "async_mix"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_batched_replay_equals_the_per_coalition_oracle(self, tmp_path, n, strategy,
+                                                            mask, bridge):
+        parties = tuple(f"p{i}" for i in range(n))
+        plan = AggregationPlan(strategy=strategy, block_mask=mask)
+        logged_server_run(str(tmp_path), plan, parties=parties, bridge=bridge,
+                          gaps=True)
+        log = RoundLog(str(tmp_path))
+        assert {r["status"] for r in log.verify()} == {"ok"}
+        rounds = log.logged_rounds()
+        last = parties[-1]
+        assert any(last not in {u.client_id for u in rec.updates} for rec in rounds)
+        initial = log.load_checkpoint(0)
+        coalitions = [frozenset(s) for k in range(n + 1)
+                      for s in itertools.combinations(parties, k)]
+        for c, model in zip(coalitions, replay_coalitions(initial, rounds, coalitions)):
+            oracle = oracle_replay_coalition(initial, rounds, c)
+            assert model.version == oracle.version == len(rounds)
+            assert blocks_bytes(model) == blocks_bytes(oracle), sorted(c)
+
+    def test_replaying_no_coalitions_gives_no_models(self, tmp_path):
+        logged_server_run(str(tmp_path), AggregationPlan())
+        log = RoundLog(str(tmp_path))
+        assert replay_coalitions(log.load_checkpoint(0), log.logged_rounds(), []) == []
 
     def test_async_coalition_uses_its_own_history(self, tmp_path):
         plan = AggregationPlan(strategy="async_mix", mixing_rate=0.5,

@@ -5,7 +5,7 @@ import pytest
 
 from flmm.aggregation import AggregationPlan, snapshot_blocks
 from flmm.errors import HistoryError
-from flmm.model import frozen_checksum, load_snapshot
+from flmm.model import frozen_checksum, load_snapshot, save_snapshot
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, pack_blocks, unpack_blocks
 from flmm.rng import SplitMix64
@@ -330,6 +330,30 @@ class TestMasking:
             expected = base[n] + (raw["pa"][n] + raw["pb"][n]) / 2.0
             np.testing.assert_allclose(after[n], expected, atol=1e-15)
 
+    def test_round_with_an_absentee_fails_and_keeps_the_model(self, tmp_path):
+        from flmm.aggregation import ClientUpdate
+        from flmm.privacy import apply_pairwise_masks
+        parties = ("pa", "pb", "pc")
+        clock = FakeClock()
+        core = make_core(tmp_path, parties=parties, masking=True, deadline=30.0,
+                         clock=clock)
+        for p in parties:
+            register(core, p)
+        before = save_snapshot(core.snapshot)
+        for i, p in enumerate(("pa", "pb")):
+            u = ClientUpdate(p, 0, random_deltas(70 + i, core.snapshot), 4, 0)
+            masked = apply_pairwise_masks(u, list(parties), round_seed=123)
+            assert submit(core, p, masked.deltas, 0).msg_type == "ACK"
+        clock.t += 31.0
+        poll(core, "pa")
+        record = core.log.verify()[-1]
+        assert (record["status"], record["reason"]) == ("failed", "MaskingError")
+        assert record["absent"] == "pc" and record["blocks"] == ""
+        assert record["pre_version"] == record["post_version"] == "0"
+        assert core.state.round == 1
+        assert save_snapshot(core.snapshot) == before
+        assert core.log.logged_rounds() == []
+
 
 class TestRoundLog:
     def run_rounds(self, tmp_path, n=2):
@@ -377,6 +401,16 @@ class TestRoundLog:
         rounds = core.log.logged_rounds(core.cfg.plan)
         assert [r.round for r in rounds] == [0, 1]
         assert all(len(r.updates) == 2 for r in rounds)
+
+    def test_logged_rounds_refuses_updates_that_did_not_train_the_model(self, tmp_path):
+        from flmm.aggregation import ClientUpdate
+        core = self.run_rounds(tmp_path)
+        logged = core.log.load_update(1, "pa")
+        core.log.save_update(1, ClientUpdate(
+            "pa", logged.base_version, random_deltas(999, core.snapshot),
+            logged.sample_count, logged.submitted_round))
+        with pytest.raises(HistoryError, match="does not reproduce"):
+            core.log.logged_rounds()
 
 
 class TestRecovery:
