@@ -3,7 +3,7 @@
 The agent only ever initiates requests; its transport may be a real socket
 or an in-process shim, both speaking the same frames. The model to train
 arrives with each ASSIGN as trainable blocks only; the frozen base is fetched
-once and kept.
+once and kept, and the party's corpus is prepared for training once per base.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from flmm.privacy import apply_pairwise_masks, gaussian_mechanism
 from flmm.protocol import Message, encode_message, pack_blocks, read_frame, \
     unpack_blocks
 from flmm.rng import hash_text, mix_seed
-from flmm.training import TrainConfig, local_train, make_update, trainable_records
+from flmm.training import TrainConfig, TrainingSet, local_train, make_update, \
+    training_set
 
 PHASES = ("idle", "training", "submitting", "waiting")
 _ALLOWED = {
@@ -114,7 +115,8 @@ class ClientAgent:
     first FETCH, and rebuilds each round's model from its frozen weights and
     the ASSIGN's blocks. It FETCHes again only when ``base`` changes; a base
     that still differs after that raises IdentityError, and a body that fails
-    its CRC raises before anything is submitted.
+    its CRC raises before anything is submitted. Its records are prepared as
+    a TrainingSet at the first training after each FETCH.
     """
 
     def __init__(self, cfg: ScenarioConfig, party: PartyConfig,
@@ -127,6 +129,7 @@ class ClientAgent:
         self.base: ModelSnapshot | None = None
         self.base_checksum = ""  # hex frozen_checksum of base
         self._block_shapes: dict = {}
+        self._inputs: TrainingSet | None = None  # records prepared for base
         self.last_round = -1
         self.finished_round: int | None = None  # set by a NOTASK saying finished
 
@@ -186,6 +189,7 @@ class ClientAgent:
         version = int(assign.header("version"))
         if assign.header("base") != self.base_checksum:
             self.base = self._fetch(version)
+            self._inputs = None
             self.base_checksum = f"{frozen_checksum(self.base):08x}"
             self._block_shapes = {n: m.shape
                                   for n, m in snapshot_blocks(self.base).items()}
@@ -201,15 +205,16 @@ class ClientAgent:
         return with_blocks(self.base, blocks, version)
 
     def _train(self, round_num: int, model: ModelSnapshot):
-        usable = trainable_records(self.records)
+        if self._inputs is None:
+            self._inputs = training_set(model, self.records)
         train_cfg = TrainConfig(
             epochs=self.cfg.train.epochs, lr=self.cfg.train.lr,
             batch_size=self.cfg.train.batch_size,
             anchor_mu=self.party.anchor_mu)
         seed = mix_seed(self.cfg.seed, round_num, hash_text(self.party.party_id))
-        trained = local_train(model, usable, train_cfg, seed)
+        trained = local_train(model, self._inputs, train_cfg, seed)
         update = make_update(model, trained, self.party.party_id,
-                             len(usable), round_num)
+                             len(self._inputs), round_num)
         if self.cfg.privacy.dp_enabled:
             update = gaussian_mechanism(
                 update, self.cfg.privacy,

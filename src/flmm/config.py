@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from flmm.aggregation import AggregationPlan, BLOCK_NAMES
 from flmm.dataquality import CorpusSpec
-from flmm.errors import ConfigError, PlanError
+from flmm.errors import ConfigError, PlanError, SpecError
 from flmm.orchestrator import valid_party_id
 from flmm.privacy import PrivacyConfig
 from flmm.training import TrainConfig
@@ -89,7 +89,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     try:
         return _build(cp)
-    except (configparser.Error, KeyError, ValueError, PlanError) as e:
+    except (configparser.Error, KeyError, ValueError, PlanError, SpecError) as e:
         raise ConfigError(f"bad config {path!r}: {e}") from e
 
 
@@ -182,16 +182,23 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         floor=int(q.get("floor", 10)),
     )
 
+    train = TrainConfig(
+        epochs=int(run.get("epochs", 2)),
+        lr=float(run.get("lr", 0.01)),
+        batch_size=int(run.get("batch_size", 16)),
+    )
+    # a contrastive step needs a batch of 2; below that no step would run
+    if train.batch_size < 2:
+        raise ConfigError(f"[run] batch_size = {train.batch_size}: must be at least 2")
+    if train.epochs < 1:
+        raise ConfigError(f"[run] epochs = {train.epochs}: must be at least 1")
+
     return ScenarioConfig(
         seed=seed,
         rounds=int(run.get("rounds", 10)),
         token=run.get("token", "flmm-shared-token"),
         deadline=float(run.get("deadline", 60.0)),
-        train=TrainConfig(
-            epochs=int(run.get("epochs", 2)),
-            lr=float(run.get("lr", 0.01)),
-            batch_size=int(run.get("batch_size", 16)),
-        ),
+        train=train,
         model=model,
         plan=plan,
         history_window=int(agg.get("history_window", 16)),

@@ -5,6 +5,12 @@ Token-id layout (vocab >= 64): 0 refusal, 1-5 structural filler, 10+c class
 name for scene class c, 40/41 hazard/safe, 50-55 sensitive (addresses, IDs),
 58-59 blacklisted. Truth fields on records are test-only oracles and never
 enter training or the wire.
+
+A corpus is drawn from one splitmix64 stream. Its scalar draws (class, tag,
+mismatch class, noise tokens and their position) are made record by record;
+the Gaussian image noise of every record is drawn afterwards in one bulk
+pass, from the stream states the scalar pass noted. The records are the same
+bits as drawing each record's noise in turn.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from flmm.errors import SpecError, StarvationError, TemplateGapError
 from flmm.metrics import EvalBatch, recall_at_k
 from flmm.model import ModelSnapshot, _text_forward, _vision_forward
-from flmm.rng import SplitMix64, mix_seed
+from flmm.rng import SplitMix64, gaussian_outputs, gaussian_rows, mix_seed
 
 REFUSAL_TOKEN = 0
 CLASS_TOKEN_BASE = 10
@@ -28,6 +34,8 @@ SENSITIVE_TOKENS = frozenset(range(50, 56))
 BLACKLIST_TOKENS = frozenset({58, 59})
 
 TAGS = ("mismatched", "sensitive_noise", "labels_only", "too_short")
+
+_NOISE_TOKENS = tuple(sorted(SENSITIVE_TOKENS))
 
 _PROTO_SALT = 0x5CE7E
 
@@ -74,6 +82,8 @@ class CorpusSpec:
                 raise SpecError(f"unknown corruption tag {tag!r}")
         if not self.scene_class_pool:
             raise SpecError("scene class pool is empty")
+        if len(set(self.scene_class_pool)) != len(self.scene_class_pool):
+            raise SpecError(f"scene class pool {self.scene_class_pool} repeats a class")
 
 
 @functools.lru_cache(maxsize=256)
@@ -112,19 +122,27 @@ def default_label_templates() -> dict:
 
 
 def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
-    """Deterministic synthetic corpus; same spec gives a bit-identical list."""
+    """Deterministic synthetic corpus; same spec gives a bit-identical list.
+
+    Each record draws from the spec's stream, in order: its class, its image
+    noise (gaussian_outputs(d_v) outputs), its tag, then whatever the tag
+    needs. One pass makes the scalar draws and notes the state each record's
+    noise starts from; one gaussian_rows call then draws every record's noise.
+    """
     rng = SplitMix64(spec.seed)
     pool = spec.scene_class_pool
     tags_in_play = [t for t, r in sorted(spec.corruption_rates.items()) if r > 0]
     if "mismatched" in tags_in_play and len(pool) < 2:
         raise SpecError("mismatched corruption needs at least two scene classes")
-    records = []
-    for i in range(spec.size):
-        cls = pool[rng.next_u64() % len(pool)]
-        hazard = class_hazard(cls)
-        image = class_prototype(cls, spec.d_v) + 0.1 * rng.gaussians(spec.d_v)
-        pristine = caption_template(cls, hazard)
-        labels = (CLASS_TOKEN_BASE + cls, HAZARD_TOKEN if hazard else SAFE_TOKEN)
+    noise_outputs = gaussian_outputs(spec.d_v)
+    drawn = []  # (pool index, pristine caption, caption, tag) per record
+    noise_starts = []
+    for _ in range(spec.size):
+        k = rng.next_u64() % len(pool)
+        noise_starts.append(rng.state)
+        rng.skip(noise_outputs)
+        cls = pool[k]
+        pristine = caption_template(cls, class_hazard(cls))
 
         u = rng.next_uniform()
         tag = None
@@ -138,25 +156,32 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
         caption = pristine
         if tag == "mismatched":
             # caption content of a different scene class
-            other = pool[(pool.index(cls) + 1 + rng.next_u64() % (len(pool) - 1))
-                         % len(pool)]
+            other = pool[(k + 1 + rng.next_u64() % (len(pool) - 1)) % len(pool)]
             caption = caption_template(other, class_hazard(other))
         elif tag == "sensitive_noise":
-            noise = sorted(SENSITIVE_TOKENS)
-            ins = (noise[rng.next_u64() % len(noise)], noise[rng.next_u64() % len(noise)])
+            ins = (_NOISE_TOKENS[rng.next_u64() % len(_NOISE_TOKENS)],
+                   _NOISE_TOKENS[rng.next_u64() % len(_NOISE_TOKENS)])
             pos = rng.next_u64() % (len(pristine) + 1)
             caption = pristine[:pos] + ins + pristine[pos:]
         elif tag == "labels_only":
             caption = ()
         elif tag == "too_short":
             caption = pristine[:2]
+        drawn.append((k, pristine, caption, tag))
 
+    prototypes = np.stack([class_prototype(c, spec.d_v) for c in pool])
+    noise = gaussian_rows(noise_starts, spec.d_v)
+    images = prototypes[[k for k, _, _, _ in drawn]] + 0.1 * noise
+    records = []
+    for i, ((k, pristine, caption, tag), image) in enumerate(zip(drawn, images)):
+        cls = pool[k]
+        hazard = class_hazard(cls)
         records.append(SceneRecord(
             id=f"{spec.party}-{i:05d}",
             party=spec.party,
             image=image,
             caption=caption,
-            object_labels=labels,
+            object_labels=(CLASS_TOKEN_BASE + cls, HAZARD_TOKEN if hazard else SAFE_TOKEN),
             corruption=frozenset() if tag is None else frozenset({tag}),
             truth=Truth(scene_class=cls, hazard=hazard, pristine_caption=pristine),
         ))

@@ -113,7 +113,7 @@ def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
     fwd = pair_forward(snapshot, batch)
     n = len(fwd)
     diff = fwd.z_v - fwd.z_t
-    loss = mu * float(np.mean(np.sum(diff * diff, axis=1)))
+    loss = mu * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / n)
     dz_v = (2.0 * mu / n) * diff
     dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, dz_v)
     return loss, GradientSet(dva, dvb, grads.d_text_a, grads.d_text_b, dbr)

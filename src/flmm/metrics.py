@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flmm.errors import IdentityError, RangeError
-from flmm.model import ModelSnapshot, caption_scores, text_features
+from flmm.errors import RangeError
+from flmm.model import ModelSnapshot, caption_scores, check_token_embed, text_features
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,7 @@ def eval_batch(model: ModelSnapshot, eval_set: EvalBatch | Sequence) -> EvalBatc
     """The prepared form of an eval set; a list of records is converted, and a
     batch is checked against the model's token_embed."""
     if isinstance(eval_set, EvalBatch):
-        if eval_set.token_embed is not model.token_embed \
-                and not np.array_equal(eval_set.token_embed, model.token_embed):
-            raise IdentityError("eval batch was built from a different token_embed")
+        check_token_embed(eval_set.token_embed, model, "eval batch")
         return eval_set
     bank, true_j = _bank_and_index(eval_set)
     if len(eval_set):

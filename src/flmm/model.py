@@ -152,9 +152,19 @@ def init_snapshot(seed: int, d_v: int = D_V, d_t: int = D_T, d_emb: int = D_EMB,
     )
 
 
+def check_token_embed(token_embed: np.ndarray, snapshot: ModelSnapshot,
+                      what: str) -> None:
+    """Raise IdentityError unless the snapshot's token_embed equals the one
+    ``what`` was prepared from."""
+    if token_embed is not snapshot.token_embed \
+            and not np.array_equal(token_embed, snapshot.token_embed):
+        raise IdentityError(f"{what} was built from a different token_embed")
+
+
 def _normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(u, axis=1)
-    if np.any(norms == 0.0):
+    # the arithmetic np.linalg.norm(u, axis=1) runs, without its dispatch
+    norms = np.sqrt(np.add.reduce(u * u, axis=1))
+    if (norms == 0.0).any():
         raise DegenerateInputError("zero vector before normalization")
     return u / norms[:, None], norms
 
@@ -272,7 +282,7 @@ def pair_forward(snapshot: ModelSnapshot,
 
 def _normalize_backward(dz: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # z = u / |u|  =>  du = (dz - (dz.z) z) / |u|
-    dot = np.sum(dz * z, axis=1, keepdims=True)
+    dot = np.add.reduce(dz * z, axis=1, keepdims=True)
     return (dz - dot * z) / norms[:, None]
 
 
@@ -316,15 +326,14 @@ def contrastive_loss_and_grads(snapshot: ModelSnapshot,
 
     tau = snapshot.temperature
     s = (z_v @ z_t.T) / tau
-    d = np.arange(n)
-    diag = s[d, d]
+    diag = s.diagonal()
     # rows: image -> text, cols: text -> image
     p_row, ce_row = _softmax_and_cross_entropy(s, 1, diag)
     p_col, ce_col = _softmax_and_cross_entropy(s, 0, diag)
     loss = 0.5 * (ce_row + ce_col)
     # (p_row - I + p_col - I) / 2n, with the identity applied to the diagonal only
     g = p_row + p_col
-    g[d, d] = p_row[d, d] - 1.0 + p_col[d, d] - 1.0
+    np.fill_diagonal(g, p_row.diagonal() - 1.0 + p_col.diagonal() - 1.0)
     g /= 2.0 * n
 
     dz_v = (g @ z_t) / tau
@@ -341,8 +350,8 @@ def _softmax_and_cross_entropy(s: np.ndarray, axis: int,
     m = s.max(axis=axis, keepdims=True)
     e = np.exp(s - m)
     total = e.sum(axis=axis, keepdims=True)
-    lse = np.squeeze(m, axis=axis) + np.log(np.squeeze(total, axis=axis))
-    return e / total, float(np.mean(lse - diag))
+    lse = m.reshape(-1) + np.log(total.reshape(-1))
+    return e / total, float(np.add.reduce(lse - diag) / len(diag))
 
 
 def sgd_step(snapshot: ModelSnapshot, grads: GradientSet, lr: float) -> ModelSnapshot:

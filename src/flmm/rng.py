@@ -7,15 +7,23 @@ bulk paths vectorize. Uniforms, Gaussians and the swap indices of a shuffle
 are drawn in one bulk call each; every one of them advances the state by
 exactly the number of outputs it consumed, as the scalar next_u64 would.
 
+Because a state fixes every output after it, Gaussians for many places in
+one stream are drawn together: gaussian_rows takes the state each row starts
+from and returns all the rows from one Box-Muller pass, the only one in the
+package. SplitMix64.gaussians is its one-row case. A corpus notes where each
+record's image noise starts while it makes its scalar draws, then draws all
+that noise at once.
+
 Hot bulk kernels live in ``_kernels``; set FLMM_NO_NUMBA=1 to force the pure
-numpy fallback.
+numpy fallback for uniforms and shuffles. Gaussian rows always mix on the
+numpy counter array, which gives the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from flmm._kernels import bulk_mix, bulk_uniform
+from flmm._kernels import bulk_mix, bulk_uniform, mix_counters, to_uniform
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -47,22 +55,18 @@ class SplitMix64:
     def uniforms(self, n: int) -> np.ndarray:
         """Vectorized draw of n uniforms; advances the stream by n."""
         out = bulk_uniform(np.uint64(self.state), n)
-        self.state = (self.state + n * GOLDEN) & MASK64
+        self.skip(n)
         return out
 
     def gaussians(self, n: int) -> np.ndarray:
-        """n Gaussians via Box-Muller on consecutive uniform pairs."""
-        m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        u1 = np.where(u1 == 0.0, 2.0**-53, u1)  # cheap guard, p ~ 2^-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(ang)
-        out[1::2] = r * np.sin(ang)
-        return out[:n]
+        """n Gaussians; advances the stream by gaussian_outputs(n)."""
+        out = gaussian_rows([self.state], n)[0]
+        self.skip(gaussian_outputs(n))
+        return out
+
+    def skip(self, n: int) -> None:
+        """Advance the stream by n outputs without drawing them."""
+        self.state = (self.state + n * GOLDEN) & MASK64
 
     def normal_matrix(self, rows: int, cols: int, std: float = 1.0) -> np.ndarray:
         return self.gaussians(rows * cols).reshape(rows, cols) * std
@@ -78,9 +82,34 @@ class SplitMix64:
         if n < 2:
             return
         js = bulk_mix(np.uint64(self.state), n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
-        self.state = (self.state + (n - 1) * GOLDEN) & MASK64
+        self.skip(n - 1)
         for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
+
+
+def gaussian_outputs(n: int) -> int:
+    """Stream outputs that n Gaussians consume: Box-Muller uses whole pairs."""
+    return 2 * ((n + 1) // 2)
+
+
+def gaussian_rows(starts, n: int) -> np.ndarray:
+    """(len(starts), n) Gaussians; row i is what SplitMix64(starts[i])
+    .gaussians(n) returns. ``starts`` holds stream states, 0 <= s < 2^64.
+
+    Box-Muller on consecutive uniform pairs: the first of a pair sets the
+    radius, the second the angle, and the pair gives a cosine and a sine.
+    """
+    m = gaussian_outputs(n) // 2
+    u = to_uniform(mix_counters(starts, 2 * m))
+    u1 = u[:, 0::2]
+    u2 = u[:, 1::2]
+    u1 = np.where(u1 == 0.0, 2.0**-53, u1)  # cheap guard, p ~ 2^-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    ang = 2.0 * np.pi * u2
+    out = np.empty((len(starts), 2 * m))
+    out[:, 0::2] = r * np.cos(ang)
+    out[:, 1::2] = r * np.sin(ang)
+    return out[:, :n]
 
 
 def mix_seed(*parts: int) -> int:
@@ -98,4 +127,5 @@ def hash_text(s: str) -> int:
     return acc
 
 
-__all__ = ["SplitMix64", "mix_seed", "hash_text", "bulk_mix", "GOLDEN", "MASK64"]
+__all__ = ["SplitMix64", "gaussian_outputs", "gaussian_rows", "mix_seed", "hash_text",
+           "bulk_mix", "GOLDEN", "MASK64"]

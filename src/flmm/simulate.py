@@ -90,6 +90,7 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
     except StarvationError as e:
         failure = str(e)
 
+    del agents  # each holds its prepared corpus; the quality loop prepares its own
     model = core.snapshot
     reports = [evaluate(model, eval_set, "union-eval")]
 

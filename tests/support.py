@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import flmm.training
 from flmm.aggregation import (
     apply_block_mask,
     async_mix,
@@ -13,7 +14,33 @@ from flmm.aggregation import (
     refactor_matrix,
     snapshot_blocks,
 )
-from flmm.model import AdapterPair, ModelSnapshot, TowerParams, init_snapshot
+from flmm.dataquality import (
+    CLASS_TOKEN_BASE,
+    HAZARD_TOKEN,
+    SAFE_TOKEN,
+    SENSITIVE_TOKENS,
+    SceneRecord,
+    Truth,
+    caption_template,
+    class_hazard,
+    class_prototype,
+)
+from flmm.errors import SpecError
+from flmm.fusion import compose_losses, text_anchor_loss_and_grads
+from flmm.model import (
+    AdapterPair,
+    GradientSet,
+    ModelSnapshot,
+    PairBatch,
+    TowerParams,
+    _text_backward,
+    _vision_backward,
+    contrastive_loss_and_grads,
+    init_snapshot,
+    pair_batch,
+    pair_forward,
+    sgd_step,
+)
 from flmm.rng import SplitMix64
 
 SMALL = dict(d_v=8, d_t=8, d_emb=4, rank=2, vocab=16)
@@ -184,3 +211,157 @@ def oracle_replay_coalition(initial: ModelSnapshot, rounds, coalition) -> ModelS
             else apply_block_mask({}, model)
         history[model.version] = model
     return model
+
+
+# ---------------------------------------------------------------------------
+# Record-by-record corpus and per-call training oracles: each record draws
+# its own image noise in turn, and local_train prepares its corpus and
+# gathers each batch's rows on every call.
+# ---------------------------------------------------------------------------
+
+def oracle_gaussians(rng: SplitMix64, n: int) -> np.ndarray:
+    """n Gaussians by Box-Muller on consecutive pairs of scalar uniforms."""
+    m = (n + 1) // 2
+    u = np.array([rng.next_uniform() for _ in range(2 * m)])
+    u1 = u[0::2]
+    u2 = u[1::2]
+    u1 = np.where(u1 == 0.0, 2.0**-53, u1)
+    r = np.sqrt(-2.0 * np.log(u1))
+    ang = 2.0 * np.pi * u2
+    out = np.empty(2 * m)
+    out[0::2] = r * np.cos(ang)
+    out[1::2] = r * np.sin(ang)
+    return out[:n]
+
+
+def oracle_generate_corpus(spec) -> list:
+    """The corpus drawn record by record, each record's noise in its turn."""
+    rng = SplitMix64(spec.seed)
+    pool = spec.scene_class_pool
+    tags_in_play = [t for t, r in sorted(spec.corruption_rates.items()) if r > 0]
+    if "mismatched" in tags_in_play and len(pool) < 2:
+        raise SpecError("mismatched corruption needs at least two scene classes")
+    records = []
+    for i in range(spec.size):
+        cls = pool[rng.next_u64() % len(pool)]
+        hazard = class_hazard(cls)
+        image = class_prototype(cls, spec.d_v) + 0.1 * oracle_gaussians(rng, spec.d_v)
+        pristine = caption_template(cls, hazard)
+        labels = (CLASS_TOKEN_BASE + cls, HAZARD_TOKEN if hazard else SAFE_TOKEN)
+
+        u = rng.next_uniform()
+        tag = None
+        acc = 0.0
+        for t in tags_in_play:
+            acc += spec.corruption_rates[t]
+            if u < acc:
+                tag = t
+                break
+
+        caption = pristine
+        if tag == "mismatched":
+            other = pool[(pool.index(cls) + 1 + rng.next_u64() % (len(pool) - 1))
+                         % len(pool)]
+            caption = caption_template(other, class_hazard(other))
+        elif tag == "sensitive_noise":
+            noise = sorted(SENSITIVE_TOKENS)
+            ins = (noise[rng.next_u64() % len(noise)], noise[rng.next_u64() % len(noise)])
+            pos = rng.next_u64() % (len(pristine) + 1)
+            caption = pristine[:pos] + ins + pristine[pos:]
+        elif tag == "labels_only":
+            caption = ()
+        elif tag == "too_short":
+            caption = pristine[:2]
+
+        records.append(SceneRecord(
+            id=f"{spec.party}-{i:05d}",
+            party=spec.party,
+            image=image,
+            caption=caption,
+            object_labels=labels,
+            corruption=frozenset() if tag is None else frozenset({tag}),
+            truth=Truth(scene_class=cls, hazard=hazard, pristine_caption=pristine),
+        ))
+    return records
+
+
+def corpus_bytes(records) -> list:
+    """Every field of every record, images as bytes, for exact comparison."""
+    return [(r.id, r.party, r.image.dtype.str, r.image.shape, r.image.tobytes(),
+             r.caption, r.object_labels, r.corruption, r.truth, r.quality_score)
+            for r in records]
+
+
+def oracle_local_train(model, records, cfg, seed):
+    """Prepares the usable corpus on every call and gathers each batch's rows
+    from it by index."""
+    usable = [r for r in records if r.caption]
+    if len(usable) < 2:
+        return model
+    corpus = pair_batch(model, [(r.image, r.caption) for r in usable])
+    rng = SplitMix64(seed)
+    for _ in range(cfg.epochs):
+        order = list(range(len(usable)))
+        rng.shuffle(order)
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            if len(idx) < 2:
+                continue
+            fwd = pair_forward(model, PairBatch(corpus.xs[idx], corpus.ts[idx]))
+            parts = [contrastive_loss_and_grads(model, fwd)]
+            if cfg.anchor_mu > 0:
+                parts.append(text_anchor_loss_and_grads(model, fwd, cfg.anchor_mu))
+            _, grads = compose_losses(parts)
+            model = sgd_step(model, grads, cfg.lr)
+    return model
+
+
+def count_pair_batches(monkeypatch) -> list:
+    """Records the size of every corpus training featurizes."""
+    calls = []
+    original = flmm.training.pair_batch
+
+    def counted(model, batch):
+        calls.append(len(batch))
+        return original(model, batch)
+
+    monkeypatch.setattr(flmm.training, "pair_batch", counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Loss oracles in numpy's high-level spelling: np.linalg.norm, np.mean,
+# np.squeeze and fancy-indexed diagonals.
+# ---------------------------------------------------------------------------
+
+def oracle_contrastive(snapshot, fwd):
+    """Symmetric InfoNCE and its gradients from a PairForward."""
+    n = len(fwd)
+    tau = snapshot.temperature
+    s = (fwd.z_v @ fwd.z_t.T) / tau
+    d = np.arange(n)
+    diag = s[d, d]
+    probs, ces = [], []
+    for axis in (1, 0):
+        m = s.max(axis=axis, keepdims=True)
+        e = np.exp(s - m)
+        total = e.sum(axis=axis, keepdims=True)
+        lse = np.squeeze(m, axis=axis) + np.log(np.squeeze(total, axis=axis))
+        probs.append(e / total)
+        ces.append(float(np.mean(lse - diag)))
+    p_row, p_col = probs
+    g = p_row + p_col
+    g[d, d] = p_row[d, d] - 1.0 + p_col[d, d] - 1.0
+    g /= 2.0 * n
+    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, (g @ fwd.z_t) / tau)
+    dta, dtb = _text_backward(snapshot, fwd.cache_t, (g.T @ fwd.z_v) / tau)
+    return float(0.5 * (ces[0] + ces[1])), GradientSet(dva, dvb, dta, dtb, dbr)
+
+
+def oracle_anchor(snapshot, fwd, mu):
+    """mu * mean ||z_v - z_t||^2 and its vision-side gradients."""
+    diff = fwd.z_v - fwd.z_t
+    loss = mu * float(np.mean(np.sum(diff * diff, axis=1)))
+    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, (2.0 * mu / len(fwd)) * diff)
+    return loss, GradientSet(dva, dvb, np.zeros_like(snapshot.text.adapter.a),
+                             np.zeros_like(snapshot.text.adapter.b), dbr)

@@ -59,6 +59,24 @@ def test_gendata_missing_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("batch_size = 16", "batch_size = 0"),
+    ("batch_size = 16", "batch_size = 1"),
+    ("epochs = 2", "epochs = 0"),
+    ("anchor_mu = 2.0\n\n[party:p1]", "anchor_mu = 2.0\nmismatched = 2.0\n\n[party:p1]"),
+    ("classes = 0,1,2,3\nanchor_mu = 2.0\n\n[party:p1]",
+     "classes = ,\nanchor_mu = 2.0\n\n[party:p1]"),
+], ids=["batch_size_0", "batch_size_1", "epochs_0", "rates_above_1", "empty_pool"])
+def test_simulate_out_of_range_config_exits_2(tmp_path, capsys, old, new):
+    assert old in CONFIG
+    path = tmp_path / "scenario.ini"
+    path.write_text(CONFIG.replace(old, new, 1))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate(config_file, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["simulate", "--config", config_file, "--out", out]) == 0

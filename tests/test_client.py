@@ -5,6 +5,7 @@ import zlib
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import flmm.simulate
@@ -23,6 +24,7 @@ from flmm.simulate import (
     server_config,
 )
 
+from support import count_pair_batches
 from test_harness import make_scenario
 
 
@@ -140,11 +142,23 @@ class TestSocketLoop:
         assert [t.assigns for t in transports] == [rounds, rounds]
 
 
+def test_each_agent_prepares_its_corpus_once_per_base(tmp_path, monkeypatch):
+    calls = count_pair_batches(monkeypatch)
+    result = run_simulation(make_scenario(parties=2, rounds=3, size=40), str(tmp_path))
+    assert len(result.round_records) == 3
+    assert calls == [40, 40]
+
+
 class TestIdentity:
-    def test_new_frozen_base_refetches_and_matches_a_fresh_client(self, tmp_path):
+    def test_new_frozen_base_refetches_and_matches_a_fresh_client(self, tmp_path,
+                                                                   monkeypatch):
         cfg = make_scenario(parties=1, rounds=1)
         other = build_initial_model(make_scenario(seed=8))
         assert frozen_checksum(other) != frozen_checksum(build_initial_model(cfg))
+        # the new base's text features differ, so the old prepared set is stale
+        assert not np.array_equal(other.token_embed,
+                                  build_initial_model(cfg).token_embed)
+        prepared = count_pair_batches(monkeypatch)
 
         first = Recording(ServerCore(server_config(cfg), build_initial_model(cfg),
                                      str(tmp_path / "first")))
@@ -159,6 +173,7 @@ class TestIdentity:
         moved.register()
         assert moved.step() == "ACK"
         assert len(second.sent("FETCH")) == 1
+        assert len(prepared) == 2
 
         fresh_transport = Recording(ServerCore(server_config(cfg), other,
                                                str(tmp_path / "fresh")))

@@ -58,6 +58,27 @@ def test_rejected_with_config_error(tmp_path, extra):
         load_config(write(tmp_path, BASE + "\n" + extra))
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("run", "batch_size", "0", "batch_size = 0: must be at least 2"),
+    ("run", "batch_size", "1", "batch_size = 1: must be at least 2"),
+    ("run", "batch_size", "-4", "batch_size = -4: must be at least 2"),
+    ("run", "epochs", "0", "epochs = 0: must be at least 1"),
+    ("run", "epochs", "-1", "epochs = -1: must be at least 1"),
+    ("party:p0", "mismatched", "2.0", "corruption rates sum above 1"),
+    ("party:p0", "classes", ",", "scene class pool is empty"),
+    ("party:p0", "classes", "0,0,1", "repeats a class"),
+    ("eval", "classes", ",", "scene class pool is empty"),
+])
+def test_out_of_range_value_is_a_config_error(tmp_path, section, key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, render({section: {key: value}})))
+
+
+def test_smallest_batch_and_epochs_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, render({"run": {"batch_size": "2", "epochs": "1"}})))
+    assert (cfg.train.batch_size, cfg.train.epochs) == (2, 1)
+
+
 def test_finite_exponent_accepted(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "\n[aggregation]\nstrategy = async_mix\n"
                                              "staleness_exponent = 2.0\n"))

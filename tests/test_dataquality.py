@@ -28,6 +28,8 @@ from flmm.model import init_snapshot
 from flmm.rng import SplitMix64, mix_seed
 from flmm.training import TrainConfig, federated_train
 
+from support import corpus_bytes, oracle_generate_corpus
+
 
 def spec(party="p", size=50, rates=None, seed=5, classes=(0, 1, 2, 3)):
     return CorpusSpec(party=party, size=size, corruption_rates=rates or {},
@@ -60,6 +62,39 @@ class TestGeneration:
     def test_rates_sum_validated(self):
         with pytest.raises(SpecError):
             spec(rates={"mismatched": 0.6, "too_short": 0.5})
+
+    @pytest.mark.parametrize("classes", [(0, 0, 1), (3, 1, 3), (2, 2)])
+    def test_repeated_class_in_pool_raises(self, classes):
+        # a repeat would skew the class draw and let a mismatched caption
+        # land on its own class
+        with pytest.raises(SpecError, match="repeats a class"):
+            spec(classes=classes, rates={"mismatched": 0.5})
+
+    @pytest.mark.parametrize("seed", [3, 42, 2**64 - 7])
+    @pytest.mark.parametrize("d_v", [15, 16])
+    def test_bit_identical_to_record_by_record_draws(self, seed, d_v):
+        """Every field of every record, for sizes 0, 1 and 23, each tag alone,
+        all tags at once and none, and pools of 1 to 8 classes."""
+        rate_sets = [{}, {"mismatched": 0.5}, {"sensitive_noise": 0.5},
+                     {"labels_only": 0.5}, {"too_short": 0.5},
+                     {t: 0.2 for t in ("mismatched", "sensitive_noise",
+                                       "labels_only", "too_short")}]
+        for n_classes in range(1, 9):
+            pool = tuple((5 * c + seed) % 11 for c in range(n_classes))
+            for rates in rate_sets:
+                if "mismatched" in rates and n_classes < 2:
+                    continue
+                for size in (0, 1, 23):
+                    s = CorpusSpec(party="q", size=size, corruption_rates=rates,
+                                   seed=seed, scene_class_pool=pool, d_v=d_v)
+                    assert corpus_bytes(generate_corpus(s)) \
+                        == corpus_bytes(oracle_generate_corpus(s))
+
+    def test_every_tag_drawn_in_the_oracle_comparison(self):
+        rates = {t: 0.2 for t in ("mismatched", "sensitive_noise", "labels_only",
+                                  "too_short")}
+        recs = generate_corpus(spec(size=23, rates=rates, seed=3, classes=(3, 8)))
+        assert {t for r in recs for t in r.corruption} == set(rates)
 
     def test_planted_corruption_shapes(self):
         rates = {"mismatched": 0.2, "sensitive_noise": 0.2,

@@ -14,7 +14,8 @@ from flmm.model import GradientSet, load_snapshot, pair_batch, pair_forward, \
     save_snapshot, sgd_step
 from flmm.rng import SplitMix64
 
-from support import check_grads_fd, grads_bytes, random_batch, small_snapshot
+from support import check_grads_fd, grads_bytes, oracle_anchor, random_batch, \
+    small_snapshot
 
 
 def mixed_probe(seed=50, n_img=3, n_txt=3):
@@ -123,6 +124,14 @@ class TestTextAnchor:
         fwd = pair_forward(s, random_batch(72))
         with pytest.raises(IdentityError):
             text_anchor_loss_and_grads(load_snapshot(save_snapshot(s)), fwd, 0.7)
+
+    @pytest.mark.parametrize("seed, n", [(73, 2), (74, 5), (75, 32)])
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_bit_identical_to_np_mean_oracle(self, seed, n, bridge):
+        s = small_snapshot(seed, with_bridge=bridge)
+        fwd = pair_forward(s, random_batch(seed, n=n))
+        assert grads_bytes(*text_anchor_loss_and_grads(s, fwd, 1.3)) \
+            == grads_bytes(*oracle_anchor(s, fwd, 1.3))
 
 
 class TestComposeLosses:

@@ -13,6 +13,7 @@ from flmm.errors import (
 )
 from flmm.model import (
     AdapterPair,
+    _normalize_rows,
     GradientSet,
     caption_scores,
     contrastive_loss_and_grads,
@@ -27,8 +28,8 @@ from flmm.model import (
 )
 from flmm.rng import SplitMix64
 
-from support import check_grads_fd, grads_bytes, identity_snapshot, random_batch, \
-    small_snapshot
+from support import check_grads_fd, grads_bytes, identity_snapshot, oracle_contrastive, \
+    random_batch, small_snapshot
 
 
 class TestAdapterPair:
@@ -134,6 +135,18 @@ def random_captions(seed: int, n: int, vocab: int, max_len: int = 12) -> list:
             for _ in range(n)]
 
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 8), (7, 16), (33, 5)])
+    def test_row_norms_are_linalg_norm_bits(self, shape):
+        u = SplitMix64(shape[0] * 100 + shape[1]).normal_matrix(*shape, std=3.0)
+        z, norms = _normalize_rows(u)
+        assert norms.tobytes() == np.linalg.norm(u, axis=1).tobytes()
+        assert z.tobytes() == (u / np.linalg.norm(u, axis=1)[:, None]).tobytes()
+
+    def test_zero_row_raises(self):
+        with pytest.raises(DegenerateInputError):
+            _normalize_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+
 class TestTextFeatures:
     @pytest.mark.parametrize("vocab", [64, 512])
     def test_bytes_equal_per_caption_mean(self, vocab):
@@ -192,6 +205,14 @@ class TestContrastiveLoss:
         s = replace(s, token_embed=tok)
         loss, _ = contrastive_loss_and_grads(s, [(e1, [0]), (e2, [1])])
         assert abs(loss - np.log(1 + np.exp(-1.0))) < 1e-12
+
+    @pytest.mark.parametrize("seed, n", [(70, 2), (71, 3), (72, 16), (73, 32)])
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_bit_identical_to_high_level_numpy_oracle(self, seed, n, bridge):
+        s = small_snapshot(seed, with_bridge=bridge)
+        fwd = pair_forward(s, random_batch(seed + 1, n=n))
+        assert grads_bytes(*contrastive_loss_and_grads(s, fwd)) \
+            == grads_bytes(*oracle_contrastive(s, fwd))
 
     def test_batch_too_small(self):
         s = small_snapshot(12)

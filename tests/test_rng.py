@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from flmm import _kernels
-from flmm.rng import GOLDEN, MASK64, SplitMix64, hash_text, mix_seed
+from flmm.rng import GOLDEN, MASK64, SplitMix64, gaussian_outputs, gaussian_rows, \
+    hash_text, mix_seed
+
+from support import oracle_gaussians
 
 
 def reference_splitmix64(seed, n):
@@ -70,6 +73,38 @@ def test_gaussian_moments():
 def test_determinism_and_seed_sensitivity():
     assert np.array_equal(SplitMix64(9).gaussians(64), SplitMix64(9).gaussians(64))
     assert not np.array_equal(SplitMix64(9).gaussians(64), SplitMix64(10).gaussians(64))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 101])
+def test_gaussians_match_scalar_box_muller(seed, n):
+    rng, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = rng.gaussians(n)
+    want = oracle_gaussians(scalar, n)
+    assert got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert rng.state == scalar.state
+    assert gaussian_outputs(n) == 2 * ((n + 1) // 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16])
+def test_gaussian_rows_are_the_gaussians_of_each_start(n):
+    """Starts that overlap, repeat, wrap around 2^64 and sit next to each
+    other: each row is the draw of a stream at that state."""
+    starts = [5, 5 + GOLDEN, 5, MASK64, 2**63, 0]
+    rows = gaussian_rows(starts, n)
+    assert rows.shape == (len(starts), n)
+    for row, start in zip(rows, starts):
+        assert row.tobytes() == oracle_gaussians(SplitMix64(start), n).tobytes()
+    assert gaussian_rows([], n).shape == (0, n)
+
+
+def test_skip_advances_like_discarded_draws():
+    a, b = SplitMix64(77), SplitMix64(77)
+    a.skip(13)
+    for _ in range(13):
+        b.next_u64()
+    assert a.state == b.state
 
 
 def test_shuffle_is_a_permutation():

@@ -7,14 +7,16 @@ import pytest
 from flmm.aggregation import AggregationPlan, aggregate, snapshot_blocks
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
 from flmm.dataquality import CorpusSpec, SceneRecord, generate_corpus
-from flmm.errors import DegenerateInputError, VocabularyError
+from flmm.errors import DegenerateInputError, IdentityError, VocabularyError
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot, sgd_step
 from flmm.privacy import PrivacyConfig
 from flmm.rng import SplitMix64, hash_text, mix_seed
 from flmm.simulate import run_simulation
 from flmm.training import TrainConfig, federated_train, local_train, make_update, \
-    trainable_records
+    trainable_records, training_set
+
+from support import count_pair_batches, oracle_local_train
 
 
 def local_train_oracle(model, records, cfg, seed):
@@ -84,6 +86,48 @@ def test_local_train_bit_identical_to_list_of_pairs_loop(bridge, anchor_mu):
     assert save_snapshot(got) == save_snapshot(want)
     assert save_snapshot(got) != save_snapshot(model)
     assert block_crcs(got) == LOCAL_TRAIN_CRCS[(bridge, anchor_mu)]
+
+
+@pytest.mark.parametrize("prepared", [False, True], ids=["records", "prepared"])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("n_records, last_batch", [(21, 1), (22, 2)])
+@pytest.mark.parametrize("anchor_mu", [0.0, 1.5])
+@pytest.mark.parametrize("bridge", [True, False])
+def test_local_train_bit_identical_to_per_call_oracle(bridge, anchor_mu, n_records,
+                                                      last_batch, epochs, prepared):
+    """Batches of 8 over 17 or 18 usable records: the last batch of each
+    epoch holds 1 record (skipped) or 2."""
+    model = init_snapshot(50, with_bridge=bridge)
+    records = random_records(51, n_records)
+    assert len(trainable_records(records)) % 8 == last_batch
+    cfg = TrainConfig(epochs=epochs, lr=0.1, batch_size=8, anchor_mu=anchor_mu)
+    data = training_set(model, records) if prepared else records
+    got = local_train(model, data, cfg, seed=52)
+    assert save_snapshot(got) == save_snapshot(oracle_local_train(model, records, cfg, 52))
+    if prepared:  # training leaves the set as it was: a second call repeats
+        assert save_snapshot(local_train(model, data, cfg, seed=52)) == save_snapshot(got)
+
+
+def test_training_set_of_another_token_embed_raises():
+    records = random_records(54, 10)
+    data = training_set(init_snapshot(53), records)
+    assert len(data) == len(trainable_records(records)) == 8
+    with pytest.raises(IdentityError, match="training set"):
+        local_train(init_snapshot(55), data, TrainConfig(), seed=1)
+    # an equal token_embed held in another array is the same text features
+    same = init_snapshot(53)
+    assert same.token_embed is not data.token_embed
+    assert save_snapshot(local_train(same, data, TrainConfig(), seed=1)) \
+        == save_snapshot(local_train(same, records, TrainConfig(), seed=1))
+
+
+def test_federated_train_prepares_each_party_once(monkeypatch):
+    corpora = {p: random_records(60 + i, 20) for i, p in enumerate(("pa", "pb", "pc"))}
+    corpora["pc"] = corpora["pc"][3:5]  # one usable record: never featurized
+    calls = count_pair_batches(monkeypatch)
+    federated_train(init_snapshot(63), corpora, TrainConfig(epochs=1, batch_size=8),
+                    rounds=3, plan=AggregationPlan(), seed=64)
+    assert calls == [16, 16]
 
 
 def quality_scenario() -> ScenarioConfig:
