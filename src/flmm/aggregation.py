@@ -11,6 +11,10 @@ Summation runs in sorted-client order, and a row with nothing to add keeps
 its blocks by a masked select, never by adding a zero delta (which could
 turn -0.0 into +0.0), so every row has the bits of fusing that model on its
 own.
+
+Blocks here are the block dicts of ``model`` (BLOCK_NAMES, snapshot_blocks,
+with_blocks); a ClientUpdate's deltas are one. Its SUBMIT and round-log
+form is ``protocol.update_message``.
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ from flmm.errors import (
     ShapeError,
     StalenessError,
 )
-from flmm.model import AdapterPair, ModelSnapshot, TowerParams
+from flmm.model import BLOCK_NAMES, ModelSnapshot, snapshot_blocks, with_blocks
 from flmm.rng import SplitMix64
-
-BLOCK_NAMES = ("vision.a", "vision.b", "text.a", "text.b", "bridge")
 
 SYNC_AVG = "sync_avg"
 PRODUCT_REFACTOR = "product_refactor"
@@ -81,19 +83,6 @@ class AggregationPlan:
             raise PlanError("staleness_exponent must be finite and >= 0")
         if self.masking_enabled and self.strategy != SYNC_AVG:
             raise PlanError(f"masking needs sync_avg, not {self.strategy}")
-
-
-def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
-    """Trainable blocks of a snapshot, copied."""
-    blocks = {
-        "vision.a": snapshot.vision.adapter.a.copy(),
-        "vision.b": snapshot.vision.adapter.b.copy(),
-        "text.a": snapshot.text.adapter.a.copy(),
-        "text.b": snapshot.text.adapter.b.copy(),
-    }
-    if snapshot.bridge is not None:
-        blocks["bridge"] = snapshot.bridge.copy()
-    return blocks
 
 
 def fedavg_adapters(updates: list[ClientUpdate], plan: AggregationPlan,
@@ -290,21 +279,3 @@ def apply_block_mask(result: dict, snapshot: ModelSnapshot) -> ModelSnapshot:
         raise PlanError(f"unknown blocks: {sorted(bad)}")
     return with_blocks(snapshot, result, snapshot.version + 1)
 
-
-def with_blocks(snapshot: ModelSnapshot, blocks: dict, version: int) -> ModelSnapshot:
-    """The snapshot at ``version``, with each named trainable block replaced;
-    frozen weights, alpha and temperature are shared with ``snapshot``."""
-    vision, text = snapshot.vision, snapshot.text
-    v_ad, t_ad = vision.adapter, text.adapter
-    return ModelSnapshot(
-        vision=TowerParams(vision.w_base, AdapterPair(
-            blocks.get("vision.a", v_ad.a), blocks.get("vision.b", v_ad.b),
-            v_ad.rank, v_ad.alpha)),
-        text=TowerParams(text.w_base, AdapterPair(
-            blocks.get("text.a", t_ad.a), blocks.get("text.b", t_ad.b),
-            t_ad.rank, t_ad.alpha)),
-        token_embed=snapshot.token_embed,
-        bridge=blocks.get("bridge", snapshot.bridge),
-        temperature=snapshot.temperature,
-        version=version,
-    )

@@ -13,14 +13,14 @@ import threading
 import time
 import zlib
 
-from flmm.aggregation import snapshot_blocks, with_blocks
 from flmm.config import PartyConfig, ScenarioConfig
 from flmm.dataquality import SceneRecord
 from flmm.errors import FlmmError, IdentityError, ProtocolError, TransportError
-from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot
+from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, snapshot_blocks, \
+    with_blocks
 from flmm.privacy import apply_pairwise_masks, gaussian_mechanism
-from flmm.protocol import Message, encode_message, pack_blocks, read_frame, \
-    unpack_blocks
+from flmm.protocol import Message, encode_message, read_frame, unpack_blocks, \
+    update_message
 from flmm.rng import hash_text, mix_seed
 from flmm.training import TrainConfig, TrainingSet, local_train, make_update, \
     training_set
@@ -227,13 +227,7 @@ class ClientAgent:
         return update
 
     def _submit(self, update) -> Message:
-        names, body = pack_blocks(update.deltas)
-        return self._request("SUBMIT", {
-            "base_version": update.base_version,
-            "sample_count": update.sample_count,
-            "round": update.submitted_round,
-            "blocks": names,
-        }, body)
+        return self.transport.send(update_message(update, self.cfg.token))
 
 
 def run_client_loop(agent: ClientAgent, poll_interval: float = 0.05,

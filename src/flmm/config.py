@@ -11,9 +11,10 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from flmm.aggregation import AggregationPlan, BLOCK_NAMES
+from flmm.aggregation import AggregationPlan
 from flmm.dataquality import CorpusSpec
 from flmm.errors import ConfigError, PlanError, SpecError
+from flmm.model import BLOCK_NAMES
 from flmm.orchestrator import valid_party_id
 from flmm.privacy import PrivacyConfig
 from flmm.training import TrainConfig

@@ -28,12 +28,10 @@ from flmm.aggregation import (
     ASYNC_MIX,
     AggregationPlan,
     aggregate_stack,
-    snapshot_blocks,
-    with_blocks,
 )
 from flmm.errors import HistoryError, SamplingError, SizeError
 from flmm.metrics import EvalBatch, eval_batch, recall_at_k
-from flmm.model import ModelSnapshot
+from flmm.model import ModelSnapshot, snapshot_blocks, with_blocks
 from flmm.rng import SplitMix64
 
 

@@ -5,6 +5,9 @@ embeddings; local_train adds it for a party whose anchor_mu is positive.
 The distillation loss pulls embeddings of a public probe set toward a
 consensus map. It is a library function: no run builds a probe set or a
 consensus, so no run applies it.
+
+Each loss returns its gradients as a block dict, keyed like
+``model.snapshot_blocks``; compose_losses sums them by block name.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import numpy as np
 
 from flmm.errors import EmptyProbeError, IdentityError, ShapeError
 from flmm.model import (
-    GradientSet,
     ModelSnapshot,
     PairBatch,
     PairForward,
     Pairs,
+    _blocks,
     _text_backward,
     _text_forward,
     _vision_backward,
@@ -55,11 +58,11 @@ class ConsensusMap:
 
 def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
                                 consensus: ConsensusMap, lam: float
-                                ) -> tuple[float, GradientSet]:
+                                ) -> tuple[float, dict]:
     """lam * mean ||z_item - c_item||^2 over the items the consensus holds."""
     if consensus.probe_id != probe.probe_id:
         raise IdentityError(f"consensus for {consensus.probe_id!r}, probe is {probe.probe_id!r}")
-    grads = GradientSet.zeros_like(snapshot)
+    grads = _zero_grads(snapshot)
     if lam == 0.0:
         return 0.0, grads
 
@@ -79,26 +82,26 @@ def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
         diff = z - c
         loss += float(np.sum(diff * diff))
         dz = (2.0 * lam / m) * diff
-        dva, dvb, dbr = _vision_backward(snapshot, cache, dz)
-        grads = grads.add(GradientSet(dva, dvb, np.zeros_like(grads.d_text_a),
-                                      np.zeros_like(grads.d_text_b), dbr))
+        for n, g in _vision_backward(snapshot, cache, dz).items():
+            grads[n] = grads[n] + g
     if txt_items:
         z, cache = _text_forward(snapshot, [list(it.tokens) for it in txt_items])
         c = np.stack([consensus.embeddings[it.item_id] for it in txt_items])
         diff = z - c
         loss += float(np.sum(diff * diff))
         dz = (2.0 * lam / m) * diff
-        dta, dtb = _text_backward(snapshot, cache, dz)
-        grads = grads.add(GradientSet(np.zeros_like(grads.d_vision_a),
-                                      np.zeros_like(grads.d_vision_b), dta, dtb,
-                                      None if grads.d_bridge is None
-                                      else np.zeros_like(grads.d_bridge)))
+        for n, g in _text_backward(snapshot, cache, dz).items():
+            grads[n] = grads[n] + g
     return lam * loss / m, grads
+
+
+def _zero_grads(snapshot: ModelSnapshot) -> dict:
+    return {n: np.zeros_like(m) for n, m in _blocks(snapshot).items()}
 
 
 def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
                                batch: PairForward | PairBatch | Pairs,
-                               mu: float) -> tuple[float, GradientSet]:
+                               mu: float) -> tuple[float, dict]:
     """mu * mean ||z_v - stopgrad(z_t)||^2; text-side gradients are zero.
 
     The batch is given as (image, tokens) pairs, a PairBatch, or the
@@ -107,25 +110,33 @@ def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
     """
     if not batch:
         raise ShapeError("empty batch for anchor loss")
-    grads = GradientSet.zeros_like(snapshot)
     if mu == 0.0:
-        return 0.0, grads
+        return 0.0, _zero_grads(snapshot)
     fwd = pair_forward(snapshot, batch)
     n = len(fwd)
     diff = fwd.z_v - fwd.z_t
     loss = mu * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / n)
     dz_v = (2.0 * mu / n) * diff
-    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, dz_v)
-    return loss, GradientSet(dva, dvb, grads.d_text_a, grads.d_text_b, dbr)
+    grads = _vision_backward(snapshot, fwd.cache_v, dz_v)
+    # explicit zeros, so compose_losses adds every block of every part
+    grads["text.a"] = np.zeros_like(snapshot.text.adapter.a)
+    grads["text.b"] = np.zeros_like(snapshot.text.adapter.b)
+    return loss, grads
 
 
-def compose_losses(parts: list[tuple[float, GradientSet]]) -> tuple[float, GradientSet]:
-    """Sum of loss/gradient pairs."""
+def compose_losses(parts: list[tuple[float, dict]]) -> tuple[float, dict]:
+    """Sum of loss/gradient pairs, the gradients added block by block in
+    the order of the parts. Every part must hold the same blocks."""
     total_loss = 0.0
-    total_grads: GradientSet | None = None
+    total_grads: dict | None = None
     for loss, g in parts:
         total_loss += loss
-        total_grads = g if total_grads is None else total_grads.add(g)
+        if total_grads is None:
+            total_grads = g
+        elif g.keys() != total_grads.keys():
+            raise ShapeError(f"gradient blocks {sorted(g)} != {sorted(total_grads)}")
+        else:
+            total_grads = {n: m + g[n] for n, m in total_grads.items()}
     if total_grads is None:
         raise ShapeError("no parts to compose")
     return total_loss, total_grads

@@ -3,6 +3,12 @@
 Only the adapter factors (and the optional bridge) are trainable; everything
 else is frozen at construction. All operations are pure: they return new
 values and never mutate a snapshot.
+
+The trainable blocks have one form everywhere: a dict from block name
+(BLOCK_NAMES; "bridge" only when the model has one) to its matrix.
+snapshot_blocks reads it, with_blocks builds a snapshot from it, and a
+gradient, an update's deltas and a fused result are all such dicts. The
+wire and round-log form of an update is protocol.update_message.
 """
 
 from __future__ import annotations
@@ -99,38 +105,45 @@ class ModelSnapshot:
         return self.token_embed.shape[0]
 
 
-@dataclass(frozen=True)
-class GradientSet:
-    """Partials w.r.t. trainable parameters only; frozen blocks are absent."""
+BLOCK_NAMES = ("vision.a", "vision.b", "text.a", "text.b", "bridge")
 
-    d_vision_a: np.ndarray
-    d_vision_b: np.ndarray
-    d_text_a: np.ndarray
-    d_text_b: np.ndarray
-    d_bridge: np.ndarray | None = None
 
-    def add(self, other: "GradientSet") -> "GradientSet":
-        if self.d_vision_a.shape != other.d_vision_a.shape:
-            raise ShapeError("gradient shapes differ")
-        if (self.d_bridge is None) != (other.d_bridge is None):
-            raise ShapeError("one gradient set has a bridge block, the other does not")
-        return GradientSet(
-            d_vision_a=self.d_vision_a + other.d_vision_a,
-            d_vision_b=self.d_vision_b + other.d_vision_b,
-            d_text_a=self.d_text_a + other.d_text_a,
-            d_text_b=self.d_text_b + other.d_text_b,
-            d_bridge=None if self.d_bridge is None else self.d_bridge + other.d_bridge,
-        )
+def _blocks(snapshot: ModelSnapshot) -> dict:
+    """The trainable blocks of a snapshot by name, not copied; the bridge
+    is absent when the model has none."""
+    blocks = {
+        "vision.a": snapshot.vision.adapter.a,
+        "vision.b": snapshot.vision.adapter.b,
+        "text.a": snapshot.text.adapter.a,
+        "text.b": snapshot.text.adapter.b,
+    }
+    if snapshot.bridge is not None:
+        blocks["bridge"] = snapshot.bridge
+    return blocks
 
-    @staticmethod
-    def zeros_like(snapshot: ModelSnapshot) -> "GradientSet":
-        return GradientSet(
-            d_vision_a=np.zeros_like(snapshot.vision.adapter.a),
-            d_vision_b=np.zeros_like(snapshot.vision.adapter.b),
-            d_text_a=np.zeros_like(snapshot.text.adapter.a),
-            d_text_b=np.zeros_like(snapshot.text.adapter.b),
-            d_bridge=None if snapshot.bridge is None else np.zeros_like(snapshot.bridge),
-        )
+
+def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
+    """Trainable blocks of a snapshot, copied."""
+    return {n: m.copy() for n, m in _blocks(snapshot).items()}
+
+
+def with_blocks(snapshot: ModelSnapshot, blocks: dict, version: int) -> ModelSnapshot:
+    """The snapshot at ``version``, with each named trainable block replaced;
+    frozen weights, alpha and temperature are shared with ``snapshot``."""
+    vision, text = snapshot.vision, snapshot.text
+    v_ad, t_ad = vision.adapter, text.adapter
+    return ModelSnapshot(
+        vision=TowerParams(vision.w_base, AdapterPair(
+            blocks.get("vision.a", v_ad.a), blocks.get("vision.b", v_ad.b),
+            v_ad.rank, v_ad.alpha)),
+        text=TowerParams(text.w_base, AdapterPair(
+            blocks.get("text.a", t_ad.a), blocks.get("text.b", t_ad.b),
+            t_ad.rank, t_ad.alpha)),
+        token_embed=snapshot.token_embed,
+        bridge=blocks.get("bridge", snapshot.bridge),
+        temperature=snapshot.temperature,
+        version=version,
+    )
 
 
 def init_snapshot(seed: int, d_v: int = D_V, d_t: int = D_T, d_emb: int = D_EMB,
@@ -286,33 +299,36 @@ def _normalize_backward(dz: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.
     return (dz - dot * z) / norms[:, None]
 
 
-def _vision_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray):
-    """Gradients w.r.t. vision adapter factors and bridge from dL/dz."""
+def _vision_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
+    """Gradients w.r.t. the vision adapter factors, and the bridge when the
+    model has one, from dL/dz."""
     xs, y, z, norms = cache
     du = _normalize_backward(dz, z, norms)
-    if snapshot.bridge is not None:
-        dy = du @ snapshot.bridge
-        d_bridge = du.T @ y
-    else:
-        dy = du
-        d_bridge = None
+    dy = du if snapshot.bridge is None else du @ snapshot.bridge
     d_weff = dy.T @ xs
     ad = snapshot.vision.adapter
-    return ad.scale * (ad.b.T @ d_weff), ad.scale * (d_weff @ ad.a.T), d_bridge
+    grads = {"vision.a": ad.scale * (ad.b.T @ d_weff),
+             "vision.b": ad.scale * (d_weff @ ad.a.T)}
+    if snapshot.bridge is not None:
+        grads["bridge"] = du.T @ y
+    return grads
 
 
-def _text_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray):
+def _text_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
+    """Gradients w.r.t. the text adapter factors from dL/dz."""
     ts, z, norms = cache
     du = _normalize_backward(dz, z, norms)
     d_weff = du.T @ ts
     ad = snapshot.text.adapter
-    return ad.scale * (ad.b.T @ d_weff), ad.scale * (d_weff @ ad.a.T)
+    return {"text.a": ad.scale * (ad.b.T @ d_weff),
+            "text.b": ad.scale * (d_weff @ ad.a.T)}
 
 
 def contrastive_loss_and_grads(snapshot: ModelSnapshot,
                                batch: PairForward | PairBatch | Pairs
-                               ) -> tuple[float, GradientSet]:
-    """Symmetric InfoNCE over the batch and its analytic adapter gradients.
+                               ) -> tuple[float, dict]:
+    """Symmetric InfoNCE over the batch and its analytic gradients, one per
+    trainable block, keyed like snapshot_blocks.
 
     The batch is given as (image, tokens) pairs, a PairBatch, or the
     PairForward that pair_forward computed for it with this snapshot, which
@@ -338,9 +354,9 @@ def contrastive_loss_and_grads(snapshot: ModelSnapshot,
 
     dz_v = (g @ z_t) / tau
     dz_t = (g.T @ z_v) / tau
-    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, dz_v)
-    dta, dtb = _text_backward(snapshot, fwd.cache_t, dz_t)
-    return float(loss), GradientSet(dva, dvb, dta, dtb, dbr)
+    grads = _vision_backward(snapshot, fwd.cache_v, dz_v)
+    grads.update(_text_backward(snapshot, fwd.cache_t, dz_t))
+    return float(loss), grads
 
 
 def _softmax_and_cross_entropy(s: np.ndarray, axis: int,
@@ -354,29 +370,21 @@ def _softmax_and_cross_entropy(s: np.ndarray, axis: int,
     return e / total, float(np.add.reduce(lse - diag) / len(diag))
 
 
-def sgd_step(snapshot: ModelSnapshot, grads: GradientSet, lr: float) -> ModelSnapshot:
-    """One descent step on adapters and bridge; frozen weights untouched."""
-    for block in (grads.d_vision_a, grads.d_vision_b, grads.d_text_a, grads.d_text_b,
-                  grads.d_bridge):
-        if block is not None and not np.isfinite(block).all():
+def sgd_step(snapshot: ModelSnapshot, grads: dict, lr: float) -> ModelSnapshot:
+    """One descent step on adapters and bridge; frozen weights untouched.
+
+    ``grads`` must hold a finite gradient for each trainable block of the
+    snapshot and for no other block.
+    """
+    for g in grads.values():
+        if not np.isfinite(g).all():
             raise NumericError("non-finite gradient entries")
-    vision, text = snapshot.vision, snapshot.text
-    v_ad, t_ad = vision.adapter, text.adapter
-    bridge = snapshot.bridge
-    if bridge is not None and grads.d_bridge is not None:
-        bridge = bridge - lr * grads.d_bridge
-    return ModelSnapshot(
-        vision=TowerParams(vision.w_base, AdapterPair(
-            v_ad.a - lr * grads.d_vision_a, v_ad.b - lr * grads.d_vision_b,
-            v_ad.rank, v_ad.alpha)),
-        text=TowerParams(text.w_base, AdapterPair(
-            t_ad.a - lr * grads.d_text_a, t_ad.b - lr * grads.d_text_b,
-            t_ad.rank, t_ad.alpha)),
-        token_embed=snapshot.token_embed,
-        bridge=bridge,
-        temperature=snapshot.temperature,
-        version=snapshot.version,
-    )
+    blocks = _blocks(snapshot)
+    if grads.keys() != blocks.keys():
+        raise ShapeError(f"gradient blocks {sorted(grads)} != the model's "
+                         f"{sorted(blocks)}")
+    return with_blocks(snapshot, {n: b - lr * grads[n] for n, b in blocks.items()},
+                       snapshot.version)
 
 
 def caption_scores(snapshot: ModelSnapshot, xs: np.ndarray,

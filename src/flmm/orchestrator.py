@@ -22,31 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flmm.aggregation import (
-    ASYNC_MIX,
-    AggregationPlan,
-    ClientUpdate,
-    aggregate,
-    snapshot_blocks,
-)
+from flmm.aggregation import ASYNC_MIX, AggregationPlan, ClientUpdate, aggregate
 from flmm.contribution import LoggedRound, replay_coalition
 from flmm.errors import (
     AuthError,
     DuplicateError,
     HistoryError,
     MaskingError,
-    NumericError,
     PlanError,
     ProtocolError,
-    ShapeError,
     StalenessError,
     ValidationError,
 )
-from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, save_snapshot
-from flmm.protocol import Message, encode_message, decode_payload, pack_blocks, \
-    read_frame, unpack_blocks
-
-PHASES = ("open", "collecting", "aggregating", "closed")
+from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, save_snapshot, \
+    snapshot_blocks
+from flmm.protocol import Message, decode_payload, encode_message, message_update, \
+    pack_blocks, read_frame, update_message
 
 
 @dataclass
@@ -140,11 +131,7 @@ class RoundLog:
             f.write(data)
 
     def load_checkpoint(self, version: int) -> ModelSnapshot:
-        path = self._ckpt_path(version)
-        if not os.path.exists(path):
-            raise HistoryError(f"no checkpoint for version {version}")
-        with open(path, "rb") as f:
-            return load_snapshot(f.read())
+        return load_snapshot(self.checkpoint_bytes(version))
 
     def checkpoint_bytes(self, version: int) -> bytes:
         path = self._ckpt_path(version)
@@ -165,31 +152,30 @@ class RoundLog:
         return os.path.join(self.dir, "checkpoints", f"v{version}.ckpt")
 
     def save_update(self, round_num: int, update: ClientUpdate) -> None:
-        names, body = pack_blocks(update.deltas)
-        msg = Message("SUBMIT", {
-            "party": update.client_id, "token": "",
-            "base_version": update.base_version,
-            "sample_count": update.sample_count,
-            "round": update.submitted_round, "blocks": names,
-        }, body)
+        """Write the update as its SUBMIT frame, with an empty token."""
         path = os.path.join(self.dir, "updates", f"r{round_num}_{update.client_id}.upd")
         with open(path, "wb") as f:
-            f.write(encode_message(msg))
+            f.write(encode_message(update_message(update, "")))
 
     def load_update(self, round_num: int, party: str) -> ClientUpdate:
+        """The logged update; a missing, truncated or malformed file, one
+        with bytes after its frame, or one that names another party, raises
+        HistoryError."""
         path = os.path.join(self.dir, "updates", f"r{round_num}_{party}.upd")
+        where = f"logged update for round {round_num} party {party!r}"
         if not os.path.exists(path):
-            raise HistoryError(f"no logged update for round {round_num} party {party!r}")
-        with open(path, "rb") as f:
-            data = f.read()
-        msg = decode_payload(data[4:])
-        return ClientUpdate(
-            client_id=msg.header("party"),
-            base_version=int(msg.header("base_version")),
-            deltas=unpack_blocks(msg.header("blocks"), msg.body),
-            sample_count=int(msg.header("sample_count")),
-            submitted_round=int(msg.header("round")),
-        )
+            raise HistoryError(f"no {where}")
+        try:
+            with open(path, "rb") as f:
+                update = message_update(read_frame(f))
+                trailing = f.read(1)
+        except (ProtocolError, ValidationError) as e:
+            raise HistoryError(f"{where}: {e}") from e
+        if trailing:
+            raise HistoryError(f"{where} has bytes after its frame")
+        if update.client_id != party:
+            raise HistoryError(f"{where} names party {update.client_id!r}")
+        return update
 
     def logged_rounds(self, plan: AggregationPlan | None = None) -> list:
         """Successful rounds with their updates and the plan each ran with,
@@ -323,20 +309,22 @@ class ServerCore:
     def _reject(self, reason: str, kind: str = "ProtocolError") -> Message:
         return self._respond("REJECT", {"reason": reason, "kind": kind})
 
-    def _auth(self, msg: Message) -> str:
-        """The requesting party, which must hold the token and be registered."""
+    def _token_party(self, msg: Message) -> str:
+        """The requesting party, which must hold the token."""
         party = msg.header("party")
         if msg.header("token") != self.cfg.token:
             raise AuthError(f"bad token for party {party!r}")
+        return party
+
+    def _auth(self, msg: Message) -> str:
+        """The requesting party, which must hold the token and be registered."""
+        party = self._token_party(msg)
         if party not in self.registry:
             raise AuthError(f"party {party!r} is not registered")
         return party
 
     def _register(self, msg: Message) -> Message:
-        party = msg.header("party")
-        token = msg.header("token")
-        if token != self.cfg.token:
-            raise AuthError(f"bad token for party {party!r}")
+        party = self._token_party(msg)
         if not valid_party_id(party):
             raise ValidationError(f"party id {party!r} cannot go in the round log")
         self.registry.add(party)
@@ -371,15 +359,8 @@ class ServerCore:
             raise StalenessError("no round accepting submissions")
         if party in st.received:
             raise DuplicateError(f"duplicate submission from {party!r}")
-        base_version = msg.int_header("base_version")
-        sample_count = msg.int_header("sample_count")
-        try:  # ClientUpdate is the one finiteness and block-name check
-            update = ClientUpdate(
-                client_id=party, base_version=base_version,
-                deltas=unpack_blocks(msg.header("blocks"), msg.body),
-                sample_count=sample_count, submitted_round=st.round)
-        except (ProtocolError, NumericError, PlanError, ShapeError) as e:
-            raise ValidationError(str(e)) from e
+        # a bad header is a ProtocolError, bad blocks a ValidationError
+        update = message_update(msg, st.round)
         for name, m in update.deltas.items():
             if m.shape != self._block_shapes.get(name):
                 raise ValidationError(f"block {name!r} has shape {m.shape}, the "
@@ -387,8 +368,8 @@ class ServerCore:
         mixing = self.cfg.plan.strategy == ASYNC_MIX  # each update closes a round
         oldest = max(0, st.model_version - self.cfg.history_window) if mixing \
             else st.model_version
-        if not oldest <= base_version <= st.model_version:
-            raise StalenessError(f"update base {base_version} outside versions "
+        if not oldest <= update.base_version <= st.model_version:
+            raise StalenessError(f"update base {update.base_version} outside versions "
                                  f"{oldest}..{st.model_version}; refetch")
         st.received[party] = update
         st.phase = "collecting"

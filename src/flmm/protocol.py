@@ -12,9 +12,12 @@ header naming them in order.
 An ASSIGN carries the assigned version's trainable blocks as its body, with
 ``blocks``, ``crc`` (CRC32 of the body, 8 hex digits) and ``base`` (the
 hex ``model.frozen_checksum`` of the frozen weights the blocks belong to).
-A SUBMIT carries the client's deltas the same way. A MODEL, the answer to
-FETCH, is a whole checkpoint; a client fetches one only to get the frozen
-base, at start-up or when ``base`` changes.
+A SUBMIT carries the client's deltas the same way, with ``base_version``,
+``sample_count`` and ``round`` headers: update_message writes it and
+message_update reads it back, for the client, the server and the round log,
+whose ``.upd`` files are SUBMIT frames with an empty token. A MODEL, the
+answer to FETCH, is a whole checkpoint; a client fetches one only to get
+the frozen base, at start-up or when ``base`` changes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flmm.errors import ProtocolError
+from flmm.aggregation import ClientUpdate
+from flmm.errors import NumericError, PlanError, ProtocolError, ShapeError, \
+    ValidationError
 
 PROTO = "FLMM/1"
 MSG_TYPES = ("REGISTER", "POLL", "ASSIGN", "SUBMIT", "ACK", "REJECT",
@@ -140,3 +145,35 @@ def unpack_blocks(names_header: str, body: bytes) -> dict:
     if pos != len(body):
         raise ProtocolError("trailing bytes after blocks")
     return out
+
+
+def update_message(update: ClientUpdate, token: str) -> Message:
+    """The SUBMIT frame that carries ``update``."""
+    names, body = pack_blocks(update.deltas)
+    return Message("SUBMIT", {
+        "party": update.client_id, "token": token,
+        "base_version": update.base_version,
+        "sample_count": update.sample_count,
+        "round": update.submitted_round, "blocks": names,
+    }, body)
+
+
+def message_update(msg: Message, submitted_round: int | None = None) -> ClientUpdate:
+    """The update a SUBMIT carries. A receiver that stamps its own round
+    passes it as ``submitted_round``, and the ``round`` header is not read.
+
+    A missing or non-integer header raises ProtocolError; blocks that do not
+    decode, or an update ClientUpdate refuses, raise ValidationError.
+    """
+    party = msg.header("party")
+    base_version = msg.int_header("base_version")
+    sample_count = msg.int_header("sample_count")
+    if submitted_round is None:
+        submitted_round = msg.int_header("round")
+    try:  # ClientUpdate is the one finiteness and block-name check
+        return ClientUpdate(
+            client_id=party, base_version=base_version,
+            deltas=unpack_blocks(msg.header("blocks"), msg.body),
+            sample_count=sample_count, submitted_round=submitted_round)
+    except (ProtocolError, NumericError, PlanError, ShapeError) as e:
+        raise ValidationError(str(e)) from e

@@ -14,9 +14,8 @@ package. SplitMix64.gaussians is its one-row case. A corpus notes where each
 record's image noise starts while it makes its scalar draws, then draws all
 that noise at once.
 
-Hot bulk kernels live in ``_kernels``; set FLMM_NO_NUMBA=1 to force the pure
-numpy fallback for uniforms and shuffles. Gaussian rows always mix on the
-numpy counter array, which gives the same bits.
+The bulk kernels live in ``_kernels``, in vectorized numpy: uniforms,
+shuffles and Gaussian rows all mix on a counter array.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate, \
-    snapshot_blocks
+from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate
 from flmm.dataquality import SceneRecord
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, check_token_embed, \
-    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step
+    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step, snapshot_blocks
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 

@@ -12,7 +12,6 @@ from flmm.aggregation import (
     async_mix,
     product_mean,
     refactor_matrix,
-    snapshot_blocks,
 )
 from flmm.dataquality import (
     CLASS_TOKEN_BASE,
@@ -28,8 +27,8 @@ from flmm.dataquality import (
 from flmm.errors import SpecError
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import (
+    BLOCK_NAMES,
     AdapterPair,
-    GradientSet,
     ModelSnapshot,
     PairBatch,
     TowerParams,
@@ -40,6 +39,8 @@ from flmm.model import (
     pair_batch,
     pair_forward,
     sgd_step,
+    snapshot_blocks,
+    with_blocks,
 )
 from flmm.rng import SplitMix64
 
@@ -88,38 +89,15 @@ def random_batch(seed: int, n: int = 4, d_v: int = 8, vocab: int = 16,
 
 def perturbed(s: ModelSnapshot, block: str, i: int, j: int, eps: float) -> ModelSnapshot:
     """Snapshot with one trainable entry nudged by eps."""
-    if block == "vision.a":
-        a = s.vision.adapter.a.copy(); a[i, j] += eps
-        return replace(s, vision=replace(s.vision, adapter=replace(s.vision.adapter, a=a)))
-    if block == "vision.b":
-        b = s.vision.adapter.b.copy(); b[i, j] += eps
-        return replace(s, vision=replace(s.vision, adapter=replace(s.vision.adapter, b=b)))
-    if block == "text.a":
-        a = s.text.adapter.a.copy(); a[i, j] += eps
-        return replace(s, text=replace(s.text, adapter=replace(s.text.adapter, a=a)))
-    if block == "text.b":
-        b = s.text.adapter.b.copy(); b[i, j] += eps
-        return replace(s, text=replace(s.text, adapter=replace(s.text.adapter, b=b)))
-    if block == "bridge":
-        br = s.bridge.copy(); br[i, j] += eps
-        return replace(s, bridge=br)
-    raise ValueError(block)
-
-
-def grad_blocks(grads):
-    out = {"vision.a": grads.d_vision_a, "vision.b": grads.d_vision_b,
-           "text.a": grads.d_text_a, "text.b": grads.d_text_b}
-    if grads.d_bridge is not None:
-        out["bridge"] = grads.d_bridge
-    return out
+    m = snapshot_blocks(s)[block]
+    m[i, j] += eps
+    return with_blocks(s, {block: m}, s.version)
 
 
 def grads_bytes(loss, grads) -> tuple:
     """A loss and its gradient blocks as bytes, for exact comparison."""
     return (np.float64(loss).tobytes(),) + tuple(
-        None if b is None else b.tobytes()
-        for b in (grads.d_vision_a, grads.d_vision_b, grads.d_text_a, grads.d_text_b,
-                  grads.d_bridge))
+        (n, grads[n].tobytes()) for n in BLOCK_NAMES if n in grads)
 
 
 def check_grads_fd(snapshot, loss_fn, grads, step: float = 1e-5,
@@ -133,7 +111,7 @@ def check_grads_fd(snapshot, loss_fn, grads, step: float = 1e-5,
     worst relative error seen.
     """
     worst = 0.0
-    for name, g in grad_blocks(grads).items():
+    for name, g in grads.items():
         if blocks is not None and name not in blocks:
             continue
         for i in range(g.shape[0]):
@@ -353,15 +331,16 @@ def oracle_contrastive(snapshot, fwd):
     g = p_row + p_col
     g[d, d] = p_row[d, d] - 1.0 + p_col[d, d] - 1.0
     g /= 2.0 * n
-    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, (g @ fwd.z_t) / tau)
-    dta, dtb = _text_backward(snapshot, fwd.cache_t, (g.T @ fwd.z_v) / tau)
-    return float(0.5 * (ces[0] + ces[1])), GradientSet(dva, dvb, dta, dtb, dbr)
+    grads = _vision_backward(snapshot, fwd.cache_v, (g @ fwd.z_t) / tau)
+    grads.update(_text_backward(snapshot, fwd.cache_t, (g.T @ fwd.z_v) / tau))
+    return float(0.5 * (ces[0] + ces[1])), grads
 
 
 def oracle_anchor(snapshot, fwd, mu):
     """mu * mean ||z_v - z_t||^2 and its vision-side gradients."""
     diff = fwd.z_v - fwd.z_t
     loss = mu * float(np.mean(np.sum(diff * diff, axis=1)))
-    dva, dvb, dbr = _vision_backward(snapshot, fwd.cache_v, (2.0 * mu / len(fwd)) * diff)
-    return loss, GradientSet(dva, dvb, np.zeros_like(snapshot.text.adapter.a),
-                             np.zeros_like(snapshot.text.adapter.b), dbr)
+    grads = _vision_backward(snapshot, fwd.cache_v, (2.0 * mu / len(fwd)) * diff)
+    grads["text.a"] = np.zeros_like(snapshot.text.adapter.a)
+    grads["text.b"] = np.zeros_like(snapshot.text.adapter.b)
+    return loss, grads

@@ -240,6 +240,21 @@ def test_shapley_refuses_an_update_from_another_run(tmp_path, capsys):
         RoundLog(str(log)).logged_rounds()
 
 
+def test_shapley_with_a_malformed_update_file_exits_4(logged_run, tmp_path, capsys):
+    import shutil
+    log, eval_corpus = logged_run
+    copy = tmp_path / "log"
+    shutil.copytree(log, copy)
+    path = copy / "updates" / "r1_p0.upd"
+    data = path.read_bytes()
+    assert b"base_version: 1\n" in data
+    path.write_bytes(data.replace(b"base_version: 1\n", b"base_version: x\n"))
+    capsys.readouterr()
+    assert main(["shapley", "--log", str(copy), "--eval", eval_corpus]) == 4
+    err = capsys.readouterr().err
+    assert "round 1 party 'p0'" in err and "'base_version'" in err
+
+
 def test_simulate_shapley_on_a_masked_run_fails_after_writing_artifacts(tmp_path,
                                                                       capsys):
     path = tmp_path / "scenario.ini"

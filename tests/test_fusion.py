@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flmm.errors import EmptyProbeError, IdentityError
+from flmm.errors import EmptyProbeError, IdentityError, ShapeError
 from flmm.fusion import (
     ConsensusMap,
     ProbeItem,
@@ -10,8 +10,8 @@ from flmm.fusion import (
     distillation_loss_and_grads,
     text_anchor_loss_and_grads,
 )
-from flmm.model import GradientSet, load_snapshot, pair_batch, pair_forward, \
-    save_snapshot, sgd_step
+from flmm.model import BLOCK_NAMES, contrastive_loss_and_grads, load_snapshot, \
+    pair_batch, pair_forward, save_snapshot, sgd_step
 from flmm.rng import SplitMix64
 
 from support import check_grads_fd, grads_bytes, oracle_anchor, random_batch, \
@@ -52,7 +52,8 @@ class TestDistillation:
         cons = own_consensus(s, probe)
         loss, g = distillation_loss_and_grads(s, probe, cons, 0.0)
         assert loss == 0.0
-        assert np.all(g.d_vision_a == 0) and np.all(g.d_text_b == 0)
+        assert set(g) == set(BLOCK_NAMES)
+        assert all(np.all(m == 0) for m in g.values())
 
     def test_zero_loss_at_consensus(self):
         s = small_snapshot(57)
@@ -93,14 +94,15 @@ class TestTextAnchor:
     def test_mu_zero(self):
         s = small_snapshot(63)
         loss, g = text_anchor_loss_and_grads(s, random_batch(63), 0.0)
-        assert loss == 0.0 and np.all(g.d_vision_a == 0)
+        assert loss == 0.0 and set(g) == set(BLOCK_NAMES)
+        assert all(np.all(m == 0) for m in g.values())
 
     def test_text_gradients_structurally_zero(self):
         s = small_snapshot(64)
         loss, g = text_anchor_loss_and_grads(s, random_batch(64), 0.7)
         assert loss > 0
-        assert np.all(g.d_text_a == 0.0)
-        assert np.all(g.d_text_b == 0.0)
+        assert np.all(g["text.a"] == 0.0)
+        assert np.all(g["text.b"] == 0.0)
 
     def test_vision_gradients_match_finite_differences(self):
         s = small_snapshot(65)
@@ -140,16 +142,15 @@ class TestComposeLosses:
         part = text_anchor_loss_and_grads(s, random_batch(66), 0.5)
         loss, g = compose_losses([part])
         assert loss == part[0]
-        np.testing.assert_array_equal(g.d_vision_a, part[1].d_vision_a)
+        assert g is part[1]
 
     def test_opposite_parts_cancel(self):
         s = small_snapshot(67)
         _, g = text_anchor_loss_and_grads(s, random_batch(67), 0.5)
-        neg = GradientSet(-g.d_vision_a, -g.d_vision_b, -g.d_text_a, -g.d_text_b,
-                          -g.d_bridge)
+        neg = {n: -m for n, m in g.items()}
         _, total = compose_losses([(0.0, g), (0.0, neg)])
-        assert np.all(total.d_vision_a == 0.0)
-        assert np.all(total.d_bridge == 0.0)
+        assert total.keys() == g.keys()
+        assert all(np.all(m == 0.0) for m in total.values())
 
     def test_linearity(self):
         s = small_snapshot(68)
@@ -157,4 +158,31 @@ class TestComposeLosses:
         p2 = text_anchor_loss_and_grads(s, random_batch(69), 0.3)
         loss, g = compose_losses([p1, p2])
         assert loss == p1[0] + p2[0]
-        np.testing.assert_array_equal(g.d_vision_b, p1[1].d_vision_b + p2[1].d_vision_b)
+        for n, m in g.items():
+            assert m.tobytes() == (p1[1][n] + p2[1][n]).tobytes()
+
+    def test_adds_anchor_zeros_to_contrastive_text_blocks(self):
+        # x + 0.0 is +0.0 where x is -0.0: the anchor's explicit zero text
+        # blocks take part in the sum
+        s = small_snapshot(70)
+        fwd = pair_forward(s, random_batch(70))
+        c = contrastive_loss_and_grads(s, fwd)
+        c[1]["text.a"][0, 0] = -0.0
+        _, g = compose_losses([c, text_anchor_loss_and_grads(s, fwd, 0.5)])
+        assert np.signbit(c[1]["text.a"][0, 0])
+        assert not np.signbit(g["text.a"][0, 0])
+
+    @pytest.mark.parametrize("drop", BLOCK_NAMES)
+    def test_parts_with_different_blocks_rejected(self, drop):
+        s = small_snapshot(71)
+        fwd = pair_forward(s, random_batch(71))
+        part = contrastive_loss_and_grads(s, fwd)
+        other = (part[0], {n: m for n, m in part[1].items() if n != drop})
+        with pytest.raises(ShapeError):
+            compose_losses([part, other])
+        with pytest.raises(ShapeError):
+            compose_losses([other, part])
+
+    def test_no_parts_rejected(self):
+        with pytest.raises(ShapeError):
+            compose_losses([])

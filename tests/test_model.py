@@ -12,9 +12,9 @@ from flmm.errors import (
     VocabularyError,
 )
 from flmm.model import (
+    BLOCK_NAMES,
     AdapterPair,
     _normalize_rows,
-    GradientSet,
     caption_scores,
     contrastive_loss_and_grads,
     frozen_checksum,
@@ -24,6 +24,7 @@ from flmm.model import (
     pair_forward,
     save_snapshot,
     sgd_step,
+    snapshot_blocks,
     text_features,
 )
 from flmm.rng import SplitMix64
@@ -313,23 +314,50 @@ class TestSgdStep:
 
     def test_nan_gradient_rejected(self):
         s = small_snapshot(17)
-        g = GradientSet.zeros_like(s)
-        bad = g.d_vision_a.copy()
-        bad[0, 0] = np.nan
-        g = GradientSet(bad, g.d_vision_b, g.d_text_a, g.d_text_b, g.d_bridge)
+        g = zero_grads(s)
+        g["vision.a"][0, 0] = np.nan
         with pytest.raises(NumericError):
             sgd_step(s, g, 0.1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("block", ["d_vision_a", "d_vision_b", "d_text_a",
-                                       "d_text_b", "d_bridge"])
+    @pytest.mark.parametrize("block", BLOCK_NAMES)
     def test_non_finite_gradient_rejected_in_every_block(self, block, value):
         s = small_snapshot(22)
-        g = GradientSet.zeros_like(s)
-        bad = getattr(g, block).copy()
-        bad[-1, -1] = value
+        g = zero_grads(s)
+        g[block][-1, -1] = value
         with pytest.raises(NumericError):
-            sgd_step(s, replace(g, **{block: bad}), 0.1)
+            sgd_step(s, g, 0.1)
+
+    def test_bridge_gradient_for_a_bridgeless_model_rejected(self):
+        s = small_snapshot(27, with_bridge=False)
+        g = zero_grads(s)
+        g["bridge"] = np.zeros((4, 4))
+        with pytest.raises(ShapeError):
+            sgd_step(s, g, 0.1)
+
+    @pytest.mark.parametrize("block", BLOCK_NAMES)
+    def test_gradient_missing_a_block_rejected(self, block):
+        s = small_snapshot(28)
+        g = zero_grads(s)
+        del g[block]
+        with pytest.raises(ShapeError):
+            sgd_step(s, g, 0.1)
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_step_is_block_minus_lr_times_gradient(self, bridge):
+        s = small_snapshot(29, with_bridge=bridge)
+        _, g = contrastive_loss_and_grads(s, random_batch(29))
+        stepped = sgd_step(s, g, 0.05)
+        before, after = snapshot_blocks(s), snapshot_blocks(stepped)
+        assert after.keys() == before.keys() == g.keys()
+        for n, b in before.items():
+            assert after[n].tobytes() == (b - 0.05 * g[n]).tobytes()
+        assert stepped.token_embed is s.token_embed
+        assert stepped.vision.w_base is s.vision.w_base
+
+
+def zero_grads(s) -> dict:
+    return {n: np.zeros_like(m) for n, m in snapshot_blocks(s).items()}
 
 
 class TestAlignmentAndRetrieval:

@@ -396,6 +396,37 @@ class TestRoundLog:
         assert u.client_id == "pa" and u.sample_count == 4
         assert set(u.deltas) == set(snapshot_blocks(core.snapshot))
 
+    def test_update_file_golden_bytes(self, tmp_path):
+        from flmm.aggregation import ClientUpdate
+        from flmm.model import init_snapshot
+        log = RoundLog(str(tmp_path))
+        log.save_update(3, ClientUpdate("p1", 2, snapshot_blocks(init_snapshot(5)), 17, 3))
+        data = (tmp_path / "updates" / "r3_p1.upd").read_bytes()
+        assert (len(data), f"{zlib.crc32(data):08x}") == (1446, "8ab182e7")
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda d: d.replace(b"base_version: 1", b"base_version: x"),
+                     id="non_integer"),
+        pytest.param(lambda d: d.replace(b"sample_count: ", b"sample_kount: "),
+                     id="missing_header"),
+        pytest.param(lambda d: d.replace(b"FLMM/1 SUBMIT", b"FLMM/1 SUBMIX"),
+                     id="bad_start_line"),
+        pytest.param(lambda d: d.replace(b"blocks: bridge", b"blocks: w_base"),
+                     id="unknown_block"),
+        pytest.param(lambda d: d.replace(b"party: pa", b"party: pb"), id="other_party"),
+        pytest.param(lambda d: d[:-3], id="truncated"),
+        pytest.param(lambda d: d + b"\x00", id="trailing_bytes"),
+        pytest.param(lambda d: b"", id="empty"),
+    ])
+    def test_malformed_update_file_is_a_history_error(self, tmp_path, corrupt):
+        core = self.run_rounds(tmp_path)
+        path = tmp_path / "updates" / "r1_pa.upd"
+        data = path.read_bytes()
+        assert corrupt(data) != data
+        path.write_bytes(corrupt(data))
+        with pytest.raises(HistoryError, match="round 1 party 'pa'"):
+            core.log.load_update(1, "pa")
+
     def test_logged_rounds_for_replay(self, tmp_path):
         core = self.run_rounds(tmp_path)
         rounds = core.log.logged_rounds(core.cfg.plan)

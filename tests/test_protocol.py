@@ -4,18 +4,24 @@ import struct
 import numpy as np
 import pytest
 
-from flmm.errors import ProtocolError
+from flmm.aggregation import ClientUpdate
+from flmm.errors import ProtocolError, ValidationError
+from flmm.model import snapshot_blocks
 from flmm.protocol import (
     MAX_FRAME,
     MSG_TYPES,
     Message,
     decode_payload,
     encode_message,
+    message_update,
     pack_blocks,
     read_frame,
     unpack_blocks,
+    update_message,
 )
 from flmm.rng import SplitMix64
+
+from support import small_snapshot
 
 
 def roundtrip(msg: Message) -> Message:
@@ -161,3 +167,66 @@ class TestBlocks:
         out = unpack_blocks(msg.header("blocks"), msg.body)
         for n in blocks:
             np.testing.assert_array_equal(out[n], blocks[n])
+
+
+class TestUpdateCodec:
+    def update(self, with_bridge=True) -> ClientUpdate:
+        return ClientUpdate("p1", 2, snapshot_blocks(small_snapshot(5, with_bridge)),
+                            17, 3)
+
+    @pytest.mark.parametrize("with_bridge", [True, False])
+    def test_roundtrip_through_a_frame(self, with_bridge):
+        u = self.update(with_bridge)
+        msg = roundtrip(update_message(u, "tok"))
+        assert msg.msg_type == "SUBMIT"
+        out = message_update(msg)
+        assert (out.client_id, out.base_version, out.sample_count,
+                out.submitted_round) == ("p1", 2, 17, 3)
+        assert out.deltas.keys() == u.deltas.keys()
+        for n, m in u.deltas.items():
+            assert out.deltas[n].tobytes() == m.tobytes()
+
+    def test_header_order(self):
+        msg = update_message(self.update(), "tok")
+        assert list(msg.headers) == ["party", "token", "base_version",
+                                     "sample_count", "round", "blocks"]
+        assert msg.headers["token"] == "tok"
+
+    def test_a_given_round_replaces_the_header(self):
+        msg = roundtrip(update_message(self.update(), "tok"))
+        del msg.headers["round"]
+        assert message_update(msg, 9).submitted_round == 9
+        with pytest.raises(ProtocolError, match="'round'"):
+            message_update(msg)
+
+    @pytest.mark.parametrize("key", ["party", "base_version", "sample_count", "round"])
+    def test_missing_header_is_a_protocol_error(self, key):
+        msg = roundtrip(update_message(self.update(), "tok"))
+        del msg.headers[key]
+        with pytest.raises(ProtocolError, match=repr(key)):
+            message_update(msg)
+
+    @pytest.mark.parametrize("key", ["base_version", "sample_count", "round"])
+    def test_non_integer_header_is_a_protocol_error(self, key):
+        msg = roundtrip(update_message(self.update(), "tok"))
+        msg.headers[key] = "x"
+        with pytest.raises(ProtocolError, match=repr(key)):
+            message_update(msg)
+
+    @pytest.mark.parametrize("case", ["truncated", "no_blocks", "nan", "zero_samples",
+                                      "unknown_block"])
+    def test_bad_update_is_a_validation_error(self, case):
+        u = self.update()
+        if case == "nan":  # after ClientUpdate checked it, as a corrupt sender might
+            u.deltas["text.b"][0, 0] = np.nan
+        msg = update_message(u, "")
+        if case == "truncated":
+            msg.body = msg.body[:-1]
+        elif case == "no_blocks":
+            del msg.headers["blocks"]
+        elif case == "zero_samples":
+            msg.headers["sample_count"] = 0
+        elif case == "unknown_block":
+            msg.headers["blocks"] = msg.headers["blocks"].replace("bridge", "w_base")
+        with pytest.raises(ValidationError):
+            message_update(msg)

@@ -43,12 +43,6 @@ def test_bulk_matches_sequential(seed):
     assert np.array_equal(ref, got)
 
 
-def test_numpy_fallback_bit_identical_to_selected_path():
-    a = _kernels._bulk_mix_numpy(np.uint64(99), 1000)
-    b = _kernels.bulk_mix(np.uint64(99), 1000)
-    assert np.array_equal(a, b)
-
-
 def test_uniforms_advance_state_like_scalar_path():
     a = SplitMix64(5)
     b = SplitMix64(5)
