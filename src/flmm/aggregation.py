@@ -32,7 +32,7 @@ from flmm.errors import (
     ShapeError,
     StalenessError,
 )
-from flmm.model import BLOCK_NAMES, ModelSnapshot, snapshot_blocks, with_blocks
+from flmm.model import BLOCK_NAMES, LORA_SCALE, ModelSnapshot, snapshot_blocks, with_blocks
 from flmm.rng import SplitMix64
 
 SYNC_AVG = "sync_avg"
@@ -196,26 +196,24 @@ def aggregate(plan: AggregationPlan, snapshot: ModelSnapshot, updates,
 
     past = {v: stacked(s) for v, s in history.items()} \
         if plan.strategy == ASYNC_MIX else {}
-    fused = aggregate_stack(plan, snapshot, stacked(snapshot), updates,
+    fused = aggregate_stack(plan, snapshot.version, stacked(snapshot), updates,
                             np.ones((1, len(updates)), dtype=bool), past)
     return apply_block_mask({n: fused[n][0] for n in plan.block_mask if n in fused},
                             snapshot)
 
 
-def aggregate_stack(plan: AggregationPlan, model: ModelSnapshot, blocks: dict,
+def aggregate_stack(plan: AggregationPlan, version: int, blocks: dict,
                     updates, member, history) -> dict:
     """Fuse one round's updates into C models at once; returns their next
     blocks, stacked the same way.
 
     ``blocks`` maps each block name to a (C, r, c) array whose row i is model
     i's block. ``member[i, j]`` is true when ``updates[j]`` joins row i's
-    round. Every row is at ``model.version``, and ``model`` also gives each
-    adapter's rank and alpha; its blocks are not read. sync_avg and
-    product_refactor need every joining update based on that version.
-    async_mix mixes the updates in client order, each against its base
-    blocks ``history[base_version]``, stacked like ``blocks``; no other
-    strategy reads ``history``. A row with nothing to add keeps its blocks
-    bit for bit.
+    round. Every row is at ``version``; sync_avg and product_refactor need
+    every joining update based on it. async_mix mixes the updates in client
+    order, each against its base blocks ``history[base_version]``, stacked
+    like ``blocks``; no other strategy reads ``history``. A row with nothing
+    to add keeps its blocks bit for bit.
     """
     if not updates:
         raise StalenessError("no updates to aggregate")
@@ -227,19 +225,19 @@ def aggregate_stack(plan: AggregationPlan, model: ModelSnapshot, blocks: dict,
         out = dict(blocks)
         for j in sorted(range(len(updates)), key=lambda j: updates[j].client_id):
             u = updates[j]
-            mixed = async_mix(out, u, model.version, plan, history[u.base_version])
+            mixed = async_mix(out, u, version, plan, history[u.base_version])
             out = {n: m if m is out[n] else np.where(member[:, j, None, None], m, out[n])
                    for n, m in mixed.items()}
         return out
-    stale = sorted({u.base_version for u in updates} - {model.version})
+    stale = sorted({u.base_version for u in updates} - {version})
     if stale:
-        raise StalenessError(f"bases {stale} != version {model.version}")
+        raise StalenessError(f"bases {stale} != version {version}")
     if plan.strategy == PRODUCT_REFACTOR:
         out = {n: m.copy() if n in plan.block_mask else m for n, m in blocks.items()}
         for i in np.flatnonzero(member.any(axis=1)):
             subset = [u for u, j in zip(updates, member[i]) if j]
             base = {n: m[i].copy() for n, m in blocks.items()}
-            for n, m in _refactored_blocks(plan, model, base, subset).items():
+            for n, m in _refactored_blocks(plan, base, subset).items():
                 out[n][i] = m
         return out
     weights = np.where(member, _server_weights(updates, plan), 0)
@@ -253,18 +251,15 @@ def aggregate_stack(plan: AggregationPlan, model: ModelSnapshot, blocks: dict,
     return out
 
 
-def _refactored_blocks(plan: AggregationPlan, snapshot: ModelSnapshot,
-                       base: dict, updates) -> dict:
+def _refactored_blocks(plan: AggregationPlan, base: dict, updates) -> dict:
     """New adapter factors approximating the old product plus the averaged
     product-space delta; the bridge (full-rank) still averages elementwise."""
     result = {}
-    for tower, adapter in (("vision", snapshot.vision.adapter),
-                           ("text", snapshot.text.adapter)):
-        scale = adapter.alpha / adapter.rank
-        m = scale * (base[f"{tower}.b"] @ base[f"{tower}.a"]) \
-            + product_mean(updates, tower, scale)
+    for tower in ("vision", "text"):
+        a, b = base[f"{tower}.a"], base[f"{tower}.b"]
+        m = LORA_SCALE * (b @ a) + product_mean(updates, tower, LORA_SCALE)
         result[f"{tower}.a"], result[f"{tower}.b"] = \
-            refactor_matrix(m, adapter.rank, scale)
+            refactor_matrix(m, a.shape[0], LORA_SCALE)
     bridged = [u for u in updates if "bridge" in u.deltas]
     if "bridge" in plan.block_mask and bridged:
         delta = fedavg_adapters(bridged, replace(plan, block_mask=frozenset({"bridge"})))

@@ -16,8 +16,7 @@ import zlib
 from flmm.config import PartyConfig, ScenarioConfig
 from flmm.dataquality import SceneRecord
 from flmm.errors import FlmmError, IdentityError, ProtocolError, TransportError
-from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, snapshot_blocks, \
-    with_blocks
+from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, with_blocks
 from flmm.privacy import apply_pairwise_masks, gaussian_mechanism
 from flmm.protocol import Message, encode_message, read_frame, unpack_blocks, \
     update_message
@@ -191,8 +190,7 @@ class ClientAgent:
             self.base = self._fetch(version)
             self._inputs = None
             self.base_checksum = f"{frozen_checksum(self.base):08x}"
-            self._block_shapes = {n: m.shape
-                                  for n, m in snapshot_blocks(self.base).items()}
+            self._block_shapes = {n: m.shape for n, m in self.base.blocks.items()}
             if assign.header("base") != self.base_checksum:
                 raise IdentityError(
                     f"ASSIGN base {assign.header('base')} != fetched base "

@@ -8,6 +8,7 @@ other section or key raises ConfigError, so no setting is silently ignored.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -121,6 +122,12 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         temperature=float(model_sec.get("temperature", 0.1)),
         bridge=str(model_sec.get("bridge", "true")).lower() in ("1", "true", "yes"),
     )
+    for key in ("d_v", "d_t", "d_emb", "vocab"):
+        if getattr(model, key) < 1:
+            raise ConfigError(f"[model] {key} = {getattr(model, key)}: must be at least 1")
+    if not 1 <= model.rank <= min(model.d_v, model.d_t, model.d_emb):
+        raise ConfigError(f"[model] rank = {model.rank}: must be in "
+                          f"[1, min(d_v, d_t, d_emb)]")
 
     priv = cp["privacy"] if cp.has_section("privacy") else {}
     privacy = PrivacyConfig(
@@ -193,6 +200,10 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         raise ConfigError(f"[run] batch_size = {train.batch_size}: must be at least 2")
     if train.epochs < 1:
         raise ConfigError(f"[run] epochs = {train.epochs}: must be at least 1")
+    for section, key, value in (("run", "lr", train.lr),
+                                ("model", "temperature", model.temperature)):
+        if not 0.0 < value < math.inf:  # false for nan
+            raise ConfigError(f"[{section}] {key} = {value}: must be finite and above 0")
 
     return ScenarioConfig(
         seed=seed,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,20 +164,20 @@ def replay_coalitions(initial: ModelSnapshot, rounds: list[LoggedRound],
     n = len(coalitions)
     blocks = {name: np.repeat(m[None], n, axis=0)
               for name, m in snapshot_blocks(initial).items()}
-    model = initial  # carries the shared version; its blocks are not read
+    version = initial.version
     mixing = any(rec.plan.strategy == ASYNC_MIX for rec in rounds)
-    history = {model.version: blocks} if mixing else {}
+    history = {version: blocks} if mixing else {}
     for rec in rounds:
         member = np.array([[u.client_id in c for u in rec.updates]
                            for c in coalitions], dtype=bool).reshape(n, len(rec.updates))
         if member.any():
-            blocks = aggregate_stack(rec.plan, model, blocks, rec.updates, member,
+            blocks = aggregate_stack(rec.plan, version, blocks, rec.updates, member,
                                      history)
-        model = replace(model, version=model.version + 1)
+        version += 1
         if mixing:
-            history[model.version] = blocks
-    return [with_blocks(initial, {name: m[i] for name, m in blocks.items()},
-                        model.version) for i in range(n)]
+            history[version] = blocks
+    return [with_blocks(initial, {name: m[i] for name, m in blocks.items()}, version)
+            for i in range(n)]
 
 
 def replay_coalition(initial: ModelSnapshot, rounds: list[LoggedRound],

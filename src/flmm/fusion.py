@@ -22,7 +22,6 @@ from flmm.model import (
     PairBatch,
     PairForward,
     Pairs,
-    _blocks,
     _text_backward,
     _text_forward,
     _vision_backward,
@@ -96,7 +95,7 @@ def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
 
 
 def _zero_grads(snapshot: ModelSnapshot) -> dict:
-    return {n: np.zeros_like(m) for n, m in _blocks(snapshot).items()}
+    return {n: np.zeros_like(m) for n, m in snapshot.blocks.items()}
 
 
 def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
@@ -119,8 +118,8 @@ def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
     dz_v = (2.0 * mu / n) * diff
     grads = _vision_backward(snapshot, fwd.cache_v, dz_v)
     # explicit zeros, so compose_losses adds every block of every part
-    grads["text.a"] = np.zeros_like(snapshot.text.adapter.a)
-    grads["text.b"] = np.zeros_like(snapshot.text.adapter.b)
+    grads["text.a"] = np.zeros_like(snapshot.blocks["text.a"])
+    grads["text.b"] = np.zeros_like(snapshot.blocks["text.b"])
     return loss, grads
 
 

@@ -130,7 +130,7 @@ def eval_batch(model: ModelSnapshot, eval_set: EvalBatch | Sequence) -> EvalBatc
     if len(eval_set):
         xs = np.stack([rec.image for rec in eval_set])
     else:
-        xs = np.empty((0, model.vision.w_base.shape[1]))
+        xs = np.empty((0, model.w_v.shape[1]))
     return EvalBatch(bank=bank, xs=xs, ts=text_features(model, bank), true_j=true_j,
                      token_embed=model.token_embed)
 

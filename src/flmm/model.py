@@ -5,17 +5,23 @@ else is frozen at construction. All operations are pure: they return new
 values and never mutate a snapshot.
 
 The trainable blocks have one form everywhere: a dict from block name
-(BLOCK_NAMES; "bridge" only when the model has one) to its matrix.
-snapshot_blocks reads it, with_blocks builds a snapshot from it, and a
-gradient, an update's deltas and a fused result are all such dicts. The
-wire and round-log form of an update is protocol.update_message.
+(BLOCK_NAMES; "bridge" only when the model has one) to its matrix. A
+snapshot keeps its own blocks in that form, read-only, beside its frozen
+weights; snapshot_blocks copies them, with_blocks builds a snapshot from
+them, and a gradient, an update's deltas and a fused result are all such
+dicts. The wire and round-log form of an update is protocol.update_message.
+
+The LoRA scale alpha / rank is the constant LORA_SCALE: checkpoints do not
+store alpha, and every snapshot uses alpha = 2 * rank.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,111 +45,63 @@ RANK = 2
 VOCAB = 64
 TEMPERATURE = 0.1
 
-
-@dataclass(frozen=True)
-class AdapterPair:
-    """Low-rank factors: effective delta is (alpha / rank) * b @ a."""
-
-    a: np.ndarray  # (rank, d_in)
-    b: np.ndarray  # (d_out, rank)
-    rank: int
-    alpha: float
-
-    def __post_init__(self):
-        r, d_in = self.a.shape
-        d_out, r2 = self.b.shape
-        if r != self.rank or r2 != self.rank:
-            raise ShapeError(f"adapter factor shapes {self.a.shape}/{self.b.shape} "
-                             f"inconsistent with rank {self.rank}")
-        if self.rank < 1 or self.rank > min(d_in, d_out):
-            raise ShapeError(f"rank {self.rank} outside [1, min({d_in}, {d_out})]")
-        if self.alpha <= 0:
-            raise ShapeError("alpha must be positive")
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
-
-    def delta(self) -> np.ndarray:
-        return self.scale * (self.b @ self.a)
-
-    @staticmethod
-    def init(d_in: int, d_out: int, rank: int, rng: SplitMix64,
-             alpha: float | None = None) -> "AdapterPair":
-        """Fresh adapter: a ~ N(0, 0.02^2), b = 0, so the delta starts at zero."""
-        a = rng.normal_matrix(rank, d_in, std=0.02)
-        b = np.zeros((d_out, rank))
-        return AdapterPair(a=a, b=b, rank=rank, alpha=alpha if alpha is not None else 2.0 * rank)
-
-
-@dataclass(frozen=True)
-class TowerParams:
-    """Frozen base weight plus its trainable adapter."""
-
-    w_base: np.ndarray  # (d_emb, d_in), never modified
-    adapter: AdapterPair
-
-    def effective(self) -> np.ndarray:
-        return self.w_base + self.adapter.delta()
-
-
-@dataclass(frozen=True)
-class ModelSnapshot:
-    vision: TowerParams
-    text: TowerParams
-    token_embed: np.ndarray  # (vocab, d_t), frozen
-    bridge: np.ndarray | None  # (d_emb, d_emb) or None
-    temperature: float
-    version: int = 0
-
-    @property
-    def d_emb(self) -> int:
-        return self.vision.w_base.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.token_embed.shape[0]
-
+LORA_SCALE = 2.0  # alpha / rank of every adapter; see the module docstring
 
 BLOCK_NAMES = ("vision.a", "vision.b", "text.a", "text.b", "bridge")
 
 
-def _blocks(snapshot: ModelSnapshot) -> dict:
-    """The trainable blocks of a snapshot by name, not copied; the bridge
-    is absent when the model has none."""
-    blocks = {
-        "vision.a": snapshot.vision.adapter.a,
-        "vision.b": snapshot.vision.adapter.b,
-        "text.a": snapshot.text.adapter.a,
-        "text.b": snapshot.text.adapter.b,
-    }
-    if snapshot.bridge is not None:
-        blocks["bridge"] = snapshot.bridge
-    return blocks
+@dataclass(frozen=True)
+class ModelSnapshot:
+    """Frozen tower bases and token embeddings, and the trainable blocks.
+
+    ``blocks`` is a read-only mapping from block name to matrix, in
+    BLOCK_NAMES order, with "bridge" only when the model has one. A tower's
+    adapter delta is LORA_SCALE * b @ a, and its rank is the row count of
+    its a factor. Every block's shape is checked against the frozen weights
+    here.
+    """
+
+    w_v: np.ndarray  # (d_emb, d_v)
+    w_t: np.ndarray  # (d_emb, d_t)
+    token_embed: np.ndarray  # (vocab, d_t)
+    blocks: Mapping[str, np.ndarray]
+    temperature: float
+    version: int = 0
+
+    def __post_init__(self):
+        d_emb, d_t = self.w_t.shape
+        d_v = self.w_v.shape[1]
+        if self.w_v.shape[0] != d_emb or self.token_embed.shape[1] != d_t:
+            raise ShapeError(f"frozen weights {self.w_v.shape}, {self.w_t.shape} and "
+                             f"{self.token_embed.shape} do not fit together")
+        blocks = self.blocks
+        r_v = blocks["vision.a"].shape[0] if "vision.a" in blocks else 0
+        r_t = blocks["text.a"].shape[0] if "text.a" in blocks else 0
+        if not (1 <= r_v <= min(d_v, d_emb) and 1 <= r_t <= min(d_t, d_emb)):
+            raise ShapeError(f"adapter ranks {r_v} (vision), {r_t} (text) outside "
+                             f"[1, min(d_in, {d_emb})] for d_in {d_v}, {d_t}")
+        want = {"vision.a": (r_v, d_v), "vision.b": (d_emb, r_v),
+                "text.a": (r_t, d_t), "text.b": (d_emb, r_t)}
+        if "bridge" in blocks:
+            want["bridge"] = (d_emb, d_emb)
+        got = {n: m.shape for n, m in blocks.items()}
+        if got != want:
+            raise ShapeError(f"trainable blocks {got} do not fit the frozen weights: "
+                             f"want {want}")
+        # want is in BLOCK_NAMES order
+        object.__setattr__(self, "blocks", MappingProxyType({n: blocks[n] for n in want}))
 
 
 def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
     """Trainable blocks of a snapshot, copied."""
-    return {n: m.copy() for n, m in _blocks(snapshot).items()}
+    return {n: m.copy() for n, m in snapshot.blocks.items()}
 
 
 def with_blocks(snapshot: ModelSnapshot, blocks: dict, version: int) -> ModelSnapshot:
     """The snapshot at ``version``, with each named trainable block replaced;
-    frozen weights, alpha and temperature are shared with ``snapshot``."""
-    vision, text = snapshot.vision, snapshot.text
-    v_ad, t_ad = vision.adapter, text.adapter
-    return ModelSnapshot(
-        vision=TowerParams(vision.w_base, AdapterPair(
-            blocks.get("vision.a", v_ad.a), blocks.get("vision.b", v_ad.b),
-            v_ad.rank, v_ad.alpha)),
-        text=TowerParams(text.w_base, AdapterPair(
-            blocks.get("text.a", t_ad.a), blocks.get("text.b", t_ad.b),
-            t_ad.rank, t_ad.alpha)),
-        token_embed=snapshot.token_embed,
-        bridge=blocks.get("bridge", snapshot.bridge),
-        temperature=snapshot.temperature,
-        version=version,
-    )
+    frozen weights and temperature are shared with ``snapshot``."""
+    return ModelSnapshot(snapshot.w_v, snapshot.w_t, snapshot.token_embed,
+                         {**snapshot.blocks, **blocks}, snapshot.temperature, version)
 
 
 def init_snapshot(seed: int, d_v: int = D_V, d_t: int = D_T, d_emb: int = D_EMB,
@@ -154,15 +112,14 @@ def init_snapshot(seed: int, d_v: int = D_V, d_t: int = D_T, d_emb: int = D_EMB,
     w_v = rng.normal_matrix(d_emb, d_v, std=1.0 / np.sqrt(d_v))
     w_t = rng.normal_matrix(d_emb, d_t, std=1.0 / np.sqrt(d_t))
     tok = rng.normal_matrix(vocab, d_t, std=1.0)
-    bridge = np.eye(d_emb) if with_bridge else None
-    return ModelSnapshot(
-        vision=TowerParams(w_base=w_v, adapter=AdapterPair.init(d_v, d_emb, rank, rng)),
-        text=TowerParams(w_base=w_t, adapter=AdapterPair.init(d_t, d_emb, rank, rng)),
-        token_embed=tok,
-        bridge=bridge,
-        temperature=temperature,
-        version=0,
-    )
+    # fresh adapters: a ~ N(0, 0.02^2) and b = 0, so each delta starts at zero
+    blocks = {"vision.a": rng.normal_matrix(rank, d_v, std=0.02),
+              "vision.b": np.zeros((d_emb, rank)),
+              "text.a": rng.normal_matrix(rank, d_t, std=0.02),
+              "text.b": np.zeros((d_emb, rank))}
+    if with_bridge:
+        blocks["bridge"] = np.eye(d_emb)
+    return ModelSnapshot(w_v, w_t, tok, blocks, temperature)
 
 
 def check_token_embed(token_embed: np.ndarray, snapshot: ModelSnapshot,
@@ -182,12 +139,19 @@ def _normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u / norms[:, None], norms
 
 
+def _effective(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A tower's weight: its frozen base plus its adapter delta."""
+    return w + LORA_SCALE * (b @ a)
+
+
 def _vision_forward(snapshot: ModelSnapshot, xs: np.ndarray):
     """Returns (z, cache) for a batch of image vectors, rows of xs."""
-    if xs.shape[1] != snapshot.vision.w_base.shape[1]:
-        raise ShapeError(f"image dim {xs.shape[1]} != tower input {snapshot.vision.w_base.shape[1]}")
-    y = xs @ snapshot.vision.effective().T
-    u = y @ snapshot.bridge.T if snapshot.bridge is not None else y
+    if xs.shape[1] != snapshot.w_v.shape[1]:
+        raise ShapeError(f"image dim {xs.shape[1]} != tower input {snapshot.w_v.shape[1]}")
+    blocks = snapshot.blocks
+    y = xs @ _effective(snapshot.w_v, blocks["vision.a"], blocks["vision.b"]).T
+    bridge = blocks.get("bridge")
+    u = y @ bridge.T if bridge is not None else y
     z, norms = _normalize_rows(u)
     return z, (xs, y, z, norms)
 
@@ -198,7 +162,8 @@ def _text_forward(snapshot: ModelSnapshot, token_lists: list[list[int]]):
 
 def _text_tower(snapshot: ModelSnapshot, ts: np.ndarray):
     """Returns (z, cache) for rows of text_features."""
-    y = ts @ snapshot.text.effective().T
+    blocks = snapshot.blocks
+    y = ts @ _effective(snapshot.w_t, blocks["text.a"], blocks["text.b"]).T
     z, norms = _normalize_rows(y)
     return z, (ts, z, norms)
 
@@ -211,7 +176,7 @@ def text_features(snapshot: ModelSnapshot, token_lists: list[list[int]]) -> np.n
     error. Captions of one length are averaged together, which sums the same
     rows in the same order as a per-caption mean, so the bits are the same.
     """
-    vocab = snapshot.vocab_size
+    vocab = snapshot.token_embed.shape[0]
     by_len: dict[int, list[int]] = {}
     for i, toks in enumerate(token_lists):
         by_len.setdefault(len(toks), []).append(i)
@@ -304,12 +269,10 @@ def _vision_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
     model has one, from dL/dz."""
     xs, y, z, norms = cache
     du = _normalize_backward(dz, z, norms)
-    dy = du if snapshot.bridge is None else du @ snapshot.bridge
-    d_weff = dy.T @ xs
-    ad = snapshot.vision.adapter
-    grads = {"vision.a": ad.scale * (ad.b.T @ d_weff),
-             "vision.b": ad.scale * (d_weff @ ad.a.T)}
-    if snapshot.bridge is not None:
+    bridge = snapshot.blocks.get("bridge")
+    dy = du if bridge is None else du @ bridge
+    grads = _factor_grads(snapshot.blocks, "vision.a", "vision.b", dy.T @ xs)
+    if bridge is not None:
         grads["bridge"] = du.T @ y
     return grads
 
@@ -317,11 +280,14 @@ def _vision_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
 def _text_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
     """Gradients w.r.t. the text adapter factors from dL/dz."""
     ts, z, norms = cache
-    du = _normalize_backward(dz, z, norms)
-    d_weff = du.T @ ts
-    ad = snapshot.text.adapter
-    return {"text.a": ad.scale * (ad.b.T @ d_weff),
-            "text.b": ad.scale * (d_weff @ ad.a.T)}
+    return _factor_grads(snapshot.blocks, "text.a", "text.b",
+                         _normalize_backward(dz, z, norms).T @ ts)
+
+
+def _factor_grads(blocks, a_name: str, b_name: str, d_weff: np.ndarray) -> dict:
+    """Gradients w.r.t. a tower's adapter factors from dL/d(effective weight)."""
+    return {a_name: LORA_SCALE * (blocks[b_name].T @ d_weff),
+            b_name: LORA_SCALE * (d_weff @ blocks[a_name].T)}
 
 
 def contrastive_loss_and_grads(snapshot: ModelSnapshot,
@@ -379,7 +345,7 @@ def sgd_step(snapshot: ModelSnapshot, grads: dict, lr: float) -> ModelSnapshot:
     for g in grads.values():
         if not np.isfinite(g).all():
             raise NumericError("non-finite gradient entries")
-    blocks = _blocks(snapshot)
+    blocks = snapshot.blocks
     if grads.keys() != blocks.keys():
         raise ShapeError(f"gradient blocks {sorted(grads)} != the model's "
                          f"{sorted(blocks)}")
@@ -419,13 +385,13 @@ def _pack_matrix(m: np.ndarray) -> bytes:
 
 def save_snapshot(snapshot: ModelSnapshot) -> bytes:
     out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
-    for m in (snapshot.vision.w_base, snapshot.vision.adapter.a, snapshot.vision.adapter.b,
-              snapshot.text.w_base, snapshot.text.adapter.a, snapshot.text.adapter.b,
-              snapshot.token_embed):
+    blocks = snapshot.blocks
+    for m in (snapshot.w_v, blocks["vision.a"], blocks["vision.b"],
+              snapshot.w_t, blocks["text.a"], blocks["text.b"], snapshot.token_embed):
         out.append(_pack_matrix(m))
-    if snapshot.bridge is not None:
+    if "bridge" in blocks:
         out.append(b"\x01")
-        out.append(_pack_matrix(snapshot.bridge))
+        out.append(_pack_matrix(blocks["bridge"]))
     else:
         out.append(b"\x00")
     out.append(struct.pack("<d", snapshot.temperature))
@@ -465,24 +431,20 @@ def load_snapshot(data: bytes) -> ModelSnapshot:
     if fmt != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {fmt}")
     w_v, a_v, b_v, w_t, a_t, b_t, tok = (r.matrix() for _ in range(7))
+    blocks = {"vision.a": a_v, "vision.b": b_v, "text.a": a_t, "text.b": b_t}
     (bridge_flag,) = r.take(1)
-    bridge = r.matrix() if bridge_flag else None
+    if bridge_flag:
+        blocks["bridge"] = r.matrix()
     (temperature,) = struct.unpack("<d", r.take(8))
     (version,) = struct.unpack("<Q", r.take(8))
-    # alpha is not stored; reconstruct via the default alpha = 2 * rank convention
-    rank_v, rank_t = a_v.shape[0], a_t.shape[0]
-    return ModelSnapshot(
-        vision=TowerParams(w_base=w_v, adapter=AdapterPair(a_v, b_v, rank_v, 2.0 * rank_v)),
-        text=TowerParams(w_base=w_t, adapter=AdapterPair(a_t, b_t, rank_t, 2.0 * rank_t)),
-        token_embed=tok,
-        bridge=bridge,
-        temperature=temperature,
-        version=version,
-    )
+    try:
+        return ModelSnapshot(w_v, w_t, tok, blocks, temperature, version)
+    except ShapeError as e:
+        raise CheckpointError(f"malformed checkpoint: {e}") from e
 
 
 def frozen_checksum(snapshot: ModelSnapshot) -> int:
     """CRC32 over the frozen blocks; must survive any training/aggregation."""
-    acc = zlib.crc32(np.ascontiguousarray(snapshot.vision.w_base, dtype="<f8").tobytes())
-    acc = zlib.crc32(np.ascontiguousarray(snapshot.text.w_base, dtype="<f8").tobytes(), acc)
+    acc = zlib.crc32(np.ascontiguousarray(snapshot.w_v, dtype="<f8").tobytes())
+    acc = zlib.crc32(np.ascontiguousarray(snapshot.w_t, dtype="<f8").tobytes(), acc)
     return zlib.crc32(np.ascontiguousarray(snapshot.token_embed, dtype="<f8").tobytes(), acc)

@@ -13,6 +13,7 @@ contribution measurement.
 from __future__ import annotations
 
 import os
+import re
 import socket
 import socketserver
 import threading
@@ -34,8 +35,7 @@ from flmm.errors import (
     StalenessError,
     ValidationError,
 )
-from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, save_snapshot, \
-    snapshot_blocks
+from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, save_snapshot
 from flmm.protocol import Message, decode_payload, encode_message, message_update, \
     pack_blocks, read_frame, update_message
 
@@ -65,7 +65,7 @@ def blocks_field(snapshot: ModelSnapshot) -> str:
     """A round record's ``blocks=`` field: each trainable block's CRC."""
     return ";".join(
         f"{name}:{zlib.crc32(np.ascontiguousarray(m, dtype='<f8').tobytes()):08x}"
-        for name, m in sorted(snapshot_blocks(snapshot).items()))
+        for name, m in sorted(snapshot.blocks.items()))
 
 
 def valid_party_id(party: str) -> bool:
@@ -142,10 +142,11 @@ class RoundLog:
 
     def prune_checkpoints(self, keep_from: int) -> None:
         """Delete checkpoints older than keep_from, except v0: coalition
-        replay for Shapley starts from it."""
+        replay for Shapley starts from it. A file not named v<digits>.ckpt
+        is no checkpoint and is left alone."""
         for name in os.listdir(os.path.join(self.dir, "checkpoints")):
-            v = int(name[1:].split(".")[0])
-            if 0 < v < keep_from:
+            m = re.fullmatch(r"v([0-9]+)\.ckpt", name)
+            if m and 0 < int(m[1]) < keep_from:
                 os.remove(os.path.join(self.dir, "checkpoints", name))
 
     def _ckpt_path(self, version: int) -> str:
@@ -242,7 +243,7 @@ class ServerCore:
         # every version shares the frozen base and the block shapes, so both
         # are taken once
         self.base_checksum = f"{frozen_checksum(snapshot):08x}"
-        self._block_shapes = {n: m.shape for n, m in snapshot_blocks(snapshot).items()}
+        self._block_shapes = {n: m.shape for n, m in snapshot.blocks.items()}
         self._assign_body = None  # (version, block names, body, body crc)
 
     # -- lifecycle ----------------------------------------------------------
@@ -347,7 +348,7 @@ class ServerCore:
     def _adapter_body(self) -> tuple:
         """The current version's trainable blocks, packed once per version."""
         if self._assign_body is None or self._assign_body[0] != self.snapshot.version:
-            names, body = pack_blocks(snapshot_blocks(self.snapshot))
+            names, body = pack_blocks(self.snapshot.blocks)
             self._assign_body = (self.snapshot.version, names, body,
                                  f"{zlib.crc32(body):08x}")
         return self._assign_body

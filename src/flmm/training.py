@@ -20,7 +20,7 @@ from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate
 from flmm.dataquality import SceneRecord
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, check_token_embed, \
-    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step, snapshot_blocks
+    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 
@@ -111,9 +111,7 @@ def local_train(model: ModelSnapshot, records: TrainingSet | list[SceneRecord],
 def make_update(before: ModelSnapshot, after: ModelSnapshot, client_id: str,
                 sample_count: int, round_num: int) -> ClientUpdate:
     """Adapter deltas between two snapshots; the upload payload."""
-    b0 = snapshot_blocks(before)
-    b1 = snapshot_blocks(after)
-    deltas = {name: b1[name] - b0[name] for name in b0}
+    deltas = {name: after.blocks[name] - m for name, m in before.blocks.items()}
     return ClientUpdate(client_id=client_id, base_version=before.version,
                         deltas=deltas, sample_count=max(1, sample_count),
                         submitted_round=round_num)

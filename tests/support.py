@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -28,10 +30,12 @@ from flmm.errors import SpecError
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import (
     BLOCK_NAMES,
-    AdapterPair,
+    FORMAT_VERSION,
+    LORA_SCALE,
+    MAGIC,
     ModelSnapshot,
     PairBatch,
-    TowerParams,
+    _pack_matrix,
     _text_backward,
     _vision_backward,
     contrastive_loss_and_grads,
@@ -52,15 +56,11 @@ def small_snapshot(seed: int, with_bridge: bool = True,
     """Small random snapshot with nonzero adapters and a perturbed bridge."""
     s = init_snapshot(seed, temperature=temperature, with_bridge=with_bridge, **SMALL)
     rng = SplitMix64(seed + 1)
-    va = replace(s.vision.adapter, a=rng.normal_matrix(2, 8, 0.3),
-                 b=rng.normal_matrix(4, 2, 0.3))
-    ta = replace(s.text.adapter, a=rng.normal_matrix(2, 8, 0.3),
-                 b=rng.normal_matrix(4, 2, 0.3))
-    s = replace(s, vision=replace(s.vision, adapter=va),
-                text=replace(s.text, adapter=ta))
+    blocks = {"vision.a": rng.normal_matrix(2, 8, 0.3), "vision.b": rng.normal_matrix(4, 2, 0.3),
+              "text.a": rng.normal_matrix(2, 8, 0.3), "text.b": rng.normal_matrix(4, 2, 0.3)}
     if with_bridge:
-        s = replace(s, bridge=np.eye(4) + rng.normal_matrix(4, 4, 0.1))
-    return s
+        blocks["bridge"] = np.eye(4) + rng.normal_matrix(4, 4, 0.1)
+    return with_blocks(s, blocks, s.version)
 
 
 def identity_snapshot(d: int = 4, vocab: int = 16, with_bridge: bool = False,
@@ -68,15 +68,40 @@ def identity_snapshot(d: int = 4, vocab: int = 16, with_bridge: bool = False,
     """Identity bases and zero adapters: encoders reduce to normalization."""
     rng = SplitMix64(0)
     tok = rng.normal_matrix(vocab, d)
-    zero = AdapterPair(a=np.zeros((1, d)), b=np.zeros((d, 1)), rank=1, alpha=2.0)
-    return ModelSnapshot(
-        vision=TowerParams(w_base=np.eye(d), adapter=zero),
-        text=TowerParams(w_base=np.eye(d), adapter=zero),
-        token_embed=tok,
-        bridge=np.eye(d) if with_bridge else None,
-        temperature=temperature,
-        version=0,
-    )
+    blocks = {"vision.a": np.zeros((1, d)), "vision.b": np.zeros((d, 1)),
+              "text.a": np.zeros((1, d)), "text.b": np.zeros((d, 1))}
+    if with_bridge:
+        blocks["bridge"] = np.eye(d)
+    return ModelSnapshot(w_v=np.eye(d), w_t=np.eye(d), token_embed=tok, blocks=blocks,
+                         temperature=temperature)
+
+
+def checkpoint_bytes(matrices, bridge=None, temperature: float = 0.1,
+                     version: int = 0) -> bytes:
+    """A CRC-valid checkpoint written field by field, with no shape check:
+    the seven matrices in save_snapshot's order, then the optional bridge."""
+    body = MAGIC + struct.pack("<H", FORMAT_VERSION) \
+        + b"".join(_pack_matrix(m) for m in matrices) \
+        + (b"\x00" if bridge is None else b"\x01" + _pack_matrix(bridge)) \
+        + struct.pack("<dQ", temperature, version)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def checkpoint_fields(s: ModelSnapshot) -> list:
+    """The seven matrices a checkpoint stores before the bridge, in order."""
+    b = s.blocks
+    return [s.w_v, b["vision.a"], b["vision.b"], s.w_t, b["text.a"], b["text.b"],
+            s.token_embed]
+
+
+def malformed_checkpoints() -> dict:
+    """CRC-valid checkpoints of init_snapshot(5) whose blocks do not fit its
+    frozen weights (8-row w_v, rank 2)."""
+    s = init_snapshot(5)
+    short_b = checkpoint_fields(s)
+    short_b[2] = np.zeros((7, 2))
+    return {"bridge_5x5": checkpoint_bytes(checkpoint_fields(s), np.eye(5)),
+            "vision_b_7_rows": checkpoint_bytes(short_b, s.blocks["bridge"])}
 
 
 def random_batch(seed: int, n: int = 4, d_v: int = 8, vocab: int = 16,
@@ -161,13 +186,12 @@ def oracle_aggregate(plan, snapshot: ModelSnapshot, updates, history) -> ModelSn
                                snapshot_blocks(history[u.base_version]))
     elif plan.strategy == "product_refactor":
         result = {}
-        for tower, adapter in (("vision", snapshot.vision.adapter),
-                               ("text", snapshot.text.adapter)):
-            scale = adapter.alpha / adapter.rank
-            m = scale * (base[f"{tower}.b"] @ base[f"{tower}.a"]) \
-                + product_mean(updates, tower, scale)
+        for tower in ("vision", "text"):
+            rank = base[f"{tower}.a"].shape[0]
+            m = LORA_SCALE * (base[f"{tower}.b"] @ base[f"{tower}.a"]) \
+                + product_mean(updates, tower, LORA_SCALE)
             result[f"{tower}.a"], result[f"{tower}.b"] = \
-                refactor_matrix(m, adapter.rank, scale)
+                refactor_matrix(m, rank, LORA_SCALE)
         bridged = [u for u in updates if "bridge" in u.deltas]
         if "bridge" in plan.block_mask and bridged:
             bridge_only = replace(plan, block_mask=frozenset({"bridge"}))
@@ -341,6 +365,6 @@ def oracle_anchor(snapshot, fwd, mu):
     diff = fwd.z_v - fwd.z_t
     loss = mu * float(np.mean(np.sum(diff * diff, axis=1)))
     grads = _vision_backward(snapshot, fwd.cache_v, (2.0 * mu / len(fwd)) * diff)
-    grads["text.a"] = np.zeros_like(snapshot.text.adapter.a)
-    grads["text.b"] = np.zeros_like(snapshot.text.adapter.b)
+    grads["text.a"] = np.zeros_like(snapshot.blocks["text.a"])
+    grads["text.b"] = np.zeros_like(snapshot.blocks["text.b"])
     return loss, grads

@@ -172,7 +172,7 @@ class TestAggregateStack:
         # row 1 has no member; row 2's only member has no bridge
         member = np.array([[True, True], [False, False], [False, True]])
         plan = AggregationPlan(strategy=strategy)
-        out = aggregate_stack(plan, s, stack, updates, member, {0: stack})
+        out = aggregate_stack(plan, s.version, stack, updates, member, {0: stack})
         for n in stack:
             assert out[n][1].tobytes() == stack[n][1].tobytes(), n
             assert not np.array_equal(out[n][0], stack[n][0]), n
@@ -293,16 +293,17 @@ class TestApplyBlockMask:
         s = small_snapshot(91)
         s2 = apply_block_mask({}, s)
         assert s2.version == s.version + 1
-        np.testing.assert_array_equal(s.vision.adapter.a, s2.vision.adapter.a)
+        for n, m in s.blocks.items():
+            np.testing.assert_array_equal(m, s2.blocks[n])
 
     def test_partial_mask_leaves_other_blocks(self):
         s = small_snapshot(92)
         rng = SplitMix64(93)
         result = {"vision.a": rng.normal_matrix(2, 8), "vision.b": rng.normal_matrix(4, 2)}
         s2 = apply_block_mask(result, s)
-        np.testing.assert_array_equal(s.text.adapter.a, s2.text.adapter.a)
-        np.testing.assert_array_equal(s.text.adapter.b, s2.text.adapter.b)
-        np.testing.assert_array_equal(s2.vision.adapter.a, result["vision.a"])
+        np.testing.assert_array_equal(s.blocks["text.a"], s2.blocks["text.a"])
+        np.testing.assert_array_equal(s.blocks["text.b"], s2.blocks["text.b"])
+        np.testing.assert_array_equal(s2.blocks["vision.a"], result["vision.a"])
 
     def test_full_mask_round_trip(self):
         s = small_snapshot(94)
@@ -319,8 +320,7 @@ class TestApplyBlockMask:
     def test_frozen_weights_untouched(self):
         s = small_snapshot(97)
         s2 = apply_block_mask(fedavg_adapters([random_update(98, "c")], PLAN), s)
-        assert s2.vision.w_base is s.vision.w_base or np.array_equal(
-            s2.vision.w_base, s.vision.w_base)
+        assert s2.w_v is s.w_v and s2.w_t is s.w_t
 
 
 class TestAggregate:

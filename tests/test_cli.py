@@ -7,6 +7,8 @@ import pytest
 from flmm.cli import main
 from flmm.errors import HistoryError
 
+from support import malformed_checkpoints
+
 CONFIG = """
 [run]
 seed = 7
@@ -63,10 +65,13 @@ def test_gendata_missing_config(tmp_path, capsys):
     ("batch_size = 16", "batch_size = 0"),
     ("batch_size = 16", "batch_size = 1"),
     ("epochs = 2", "epochs = 0"),
+    ("lr = 0.1", "lr = -0.1"),
+    ("[model]\n", "[model]\nrank = 0\n"),
     ("anchor_mu = 2.0\n\n[party:p1]", "anchor_mu = 2.0\nmismatched = 2.0\n\n[party:p1]"),
     ("classes = 0,1,2,3\nanchor_mu = 2.0\n\n[party:p1]",
      "classes = ,\nanchor_mu = 2.0\n\n[party:p1]"),
-], ids=["batch_size_0", "batch_size_1", "epochs_0", "rates_above_1", "empty_pool"])
+], ids=["batch_size_0", "batch_size_1", "epochs_0", "lr_negative", "rank_0",
+        "rates_above_1", "empty_pool"])
 def test_simulate_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     assert old in CONFIG
     path = tmp_path / "scenario.ini"
@@ -110,6 +115,18 @@ def test_eval_and_clean(config_file, tmp_path, capsys):
                  "--threshold", "-1.0", "--out", kept_path]) == 0
     text = capsys.readouterr().out
     assert "kept=" in text and os.path.exists(kept_path)
+
+
+@pytest.mark.parametrize("case", ["bridge_5x5", "vision_b_7_rows"])
+def test_eval_of_a_malformed_checkpoint_exits_4(config_file, tmp_path, capsys, case):
+    data = str(tmp_path / "data")
+    main(["gendata", "--spec", config_file, "--out", data])
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(malformed_checkpoints()[case])
+    capsys.readouterr()
+    assert main(["eval", "--model", str(ckpt),
+                 "--corpus", os.path.join(data, "eval.corpus")]) == 4
+    assert "malformed checkpoint" in capsys.readouterr().err
 
 
 def test_shapley_from_log(config_file, tmp_path, capsys):

@@ -68,10 +68,32 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("party:p0", "classes", ",", "scene class pool is empty"),
     ("party:p0", "classes", "0,0,1", "repeats a class"),
     ("eval", "classes", ",", "scene class pool is empty"),
+    ("run", "lr", "-0.1", r"\[run\] lr = -0.1: must be finite and above 0"),
+    ("run", "lr", "0", r"\[run\] lr = 0.0: must be finite and above 0"),
+    ("run", "lr", "nan", r"\[run\] lr = nan: must be finite and above 0"),
+    ("run", "lr", "inf", r"\[run\] lr = inf: must be finite and above 0"),
+    ("model", "temperature", "-1", r"\[model\] temperature = -1.0: must be finite"),
+    ("model", "temperature", "0", r"\[model\] temperature = 0.0: must be finite"),
+    ("model", "temperature", "inf", r"\[model\] temperature = inf: must be finite"),
+    ("model", "d_v", "0", r"\[model\] d_v = 0: must be at least 1"),
+    ("model", "d_t", "-2", r"\[model\] d_t = -2: must be at least 1"),
+    ("model", "d_emb", "0", r"\[model\] d_emb = 0: must be at least 1"),
+    ("model", "vocab", "0", r"\[model\] vocab = 0: must be at least 1"),
+    ("model", "rank", "0", r"\[model\] rank = 0: must be in \[1, min"),
+    # d_emb is 8 by default, so rank 9 exceeds min(d_v, d_t, d_emb)
+    ("model", "rank", "9", r"\[model\] rank = 9: must be in \[1, min"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, section, key, value, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write(tmp_path, render({section: {key: value}})))
+
+
+def test_largest_rank_and_smallest_dims_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, render({"model": {"rank": "8"}})))
+    assert cfg.model.rank == 8
+    cfg = load_config(write(tmp_path, render(
+        {"model": {"d_v": "1", "d_t": "1", "d_emb": "1", "rank": "1", "vocab": "1"}})))
+    assert (cfg.model.d_v, cfg.model.vocab) == (1, 1)
 
 
 def test_smallest_batch_and_epochs_accepted(tmp_path):

@@ -134,7 +134,7 @@ class TestWireDiscipline:
             msg = decode_payload(data[4:])
             names = [n for n in msg.header("blocks").split(",") if n]
             assert set(names) <= set(BLOCK_NAMES)
-            for frozen in ("w_base", "token_embed", "embed"):
+            for frozen in ("w_v", "w_t", "token_embed"):
                 assert all(frozen not in n for n in names)
             assert len(data) < 0.15 * ckpt_bytes
 

@@ -1,6 +1,8 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from flmm.errors import (
     BatchError,
@@ -13,7 +15,8 @@ from flmm.errors import (
 )
 from flmm.model import (
     BLOCK_NAMES,
-    AdapterPair,
+    LORA_SCALE,
+    ModelSnapshot,
     _normalize_rows,
     caption_scores,
     contrastive_loss_and_grads,
@@ -26,39 +29,79 @@ from flmm.model import (
     sgd_step,
     snapshot_blocks,
     text_features,
+    with_blocks,
 )
 from flmm.rng import SplitMix64
 
-from support import check_grads_fd, grads_bytes, identity_snapshot, oracle_contrastive, \
-    random_batch, small_snapshot
+from support import check_grads_fd, checkpoint_bytes, checkpoint_fields, grads_bytes, \
+    identity_snapshot, malformed_checkpoints, oracle_contrastive, random_batch, small_snapshot
 
 
-class TestAdapterPair:
-    def test_fresh_adapter_has_zero_delta(self):
-        ad = AdapterPair.init(8, 4, 2, SplitMix64(1))
-        assert np.all(ad.delta() == 0.0)
-        assert ad.alpha == 4.0
+def delta(s, tower):
+    """A tower's adapter delta, as the forward pass adds it to the base."""
+    return LORA_SCALE * (s.blocks[f"{tower}.b"] @ s.blocks[f"{tower}.a"])
 
-    def test_rank_bounds_rejected(self):
+
+class TestAdapters:
+    def test_fresh_adapters_have_zero_delta(self):
+        s = init_snapshot(1, d_v=8, d_t=6, d_emb=4, rank=2, vocab=16)
+        for tower in ("vision", "text"):
+            assert np.all(delta(s, tower) == 0.0)
+            assert np.any(s.blocks[f"{tower}.a"] != 0.0)
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_bounds_rejected(self, rank):
         with pytest.raises(ShapeError):
-            AdapterPair(a=np.zeros((5, 4)), b=np.zeros((4, 5)), rank=5, alpha=1.0)
+            init_snapshot(1, d_v=8, d_t=8, d_emb=4, rank=rank, vocab=16)
 
     def test_delta_shape(self):
-        rng = SplitMix64(2)
-        ad = AdapterPair(a=rng.normal_matrix(2, 8), b=rng.normal_matrix(4, 2),
-                         rank=2, alpha=4.0)
-        assert ad.delta().shape == (4, 8)
+        s = small_snapshot(2)
+        assert delta(s, "vision").shape == s.w_v.shape == (4, 8)
+        assert delta(s, "text").shape == s.w_t.shape == (4, 8)
 
     def test_scaling_convention_rank_doubling(self):
-        # doubling r with alpha -> 2 alpha and factors (a; a), (b, b)/2
-        # must leave the delta unchanged: exercises delta = (alpha/r) b a
-        rng = SplitMix64(3)
-        a = rng.normal_matrix(2, 8)
-        b = rng.normal_matrix(4, 2)
-        ad1 = AdapterPair(a=a, b=b, rank=2, alpha=4.0)
-        ad2 = AdapterPair(a=np.vstack([a, a]), b=np.hstack([b, b]) / 2,
-                          rank=4, alpha=8.0)
-        np.testing.assert_allclose(ad1.delta(), ad2.delta(), atol=1e-14)
+        # the scale is alpha / r with alpha = 2r; doubling r with factors
+        # (a; a), (b, b)/2 must leave the delta unchanged
+        s = small_snapshot(3)
+        b = s.blocks
+        doubled = with_blocks(s, {
+            "vision.a": np.vstack([b["vision.a"]] * 2), "vision.b": np.hstack([b["vision.b"]] * 2) / 2,
+            "text.a": np.vstack([b["text.a"]] * 2), "text.b": np.hstack([b["text.b"]] * 2) / 2,
+        }, s.version)
+        assert doubled.blocks["vision.a"].shape == (4, 8)
+        for tower in ("vision", "text"):
+            np.testing.assert_allclose(delta(s, tower), delta(doubled, tower), atol=1e-14)
+
+    @pytest.mark.parametrize("block, shape", [
+        ("vision.a", (2, 7)), ("vision.b", (3, 2)), ("text.a", (3, 8)),
+        ("text.b", (4, 3)), ("bridge", (5, 5)), ("bridge", (4, 3)),
+    ])
+    def test_block_that_does_not_fit_the_frozen_weights_rejected(self, block, shape):
+        s = small_snapshot(4)
+        with pytest.raises(ShapeError):
+            with_blocks(s, {block: np.zeros(shape)}, s.version)
+
+    def test_missing_or_unknown_block_rejected(self):
+        s = small_snapshot(5)
+        blocks = dict(s.blocks)
+        del blocks["text.b"]
+        with pytest.raises(ShapeError):
+            ModelSnapshot(s.w_v, s.w_t, s.token_embed, blocks, s.temperature)
+        with pytest.raises(ShapeError):
+            with_blocks(s, {"w_v": np.zeros((4, 8))}, s.version)
+
+    def test_frozen_weights_that_do_not_fit_together_rejected(self):
+        s = small_snapshot(7)
+        for w_v, tok in ((s.w_v[:3], s.token_embed), (s.w_v, s.token_embed[:, :5])):
+            with pytest.raises(ShapeError):
+                ModelSnapshot(w_v, s.w_t, tok, s.blocks, s.temperature)
+
+    def test_blocks_are_read_only_and_in_block_order(self):
+        s = small_snapshot(6)
+        with pytest.raises(TypeError):
+            s.blocks["bridge"] = np.eye(4)
+        assert tuple(s.blocks) == BLOCK_NAMES
+        assert tuple(small_snapshot(6, with_bridge=False).blocks) == BLOCK_NAMES[:4]
 
 
 def embed(s, x, tokens=(1,)):
@@ -91,9 +134,8 @@ class TestEncoders:
         # independent naive matrix-multiply-then-normalize reimplementation
         s = small_snapshot(8)
         x = SplitMix64(88).gaussians(8)
-        w = s.vision.w_base + (s.vision.adapter.alpha / s.vision.adapter.rank) * (
-            s.vision.adapter.b @ s.vision.adapter.a)
-        u = s.bridge @ (w @ x)
+        w = s.w_v + 2.0 * (s.blocks["vision.b"] @ s.blocks["vision.a"])
+        u = s.blocks["bridge"] @ (w @ x)
         np.testing.assert_allclose(embed(s, x)[0], u / np.linalg.norm(u), atol=1e-12)
 
     def test_text_single_token_is_normalized_row(self):
@@ -112,8 +154,7 @@ class TestEncoders:
         s = small_snapshot(10)
         tokens = [2, 5, 7]
         t = s.token_embed[tokens].mean(axis=0)
-        w = s.text.w_base + (s.text.adapter.alpha / s.text.adapter.rank) * (
-            s.text.adapter.b @ s.text.adapter.a)
+        w = s.w_t + 2.0 * (s.blocks["text.b"] @ s.blocks["text.a"])
         u = w @ t
         np.testing.assert_allclose(embed(s, np.ones(8), tokens)[1],
                                    u / np.linalg.norm(u), atol=1e-12)
@@ -284,17 +325,16 @@ class TestSgdStep:
         s = small_snapshot(13)
         _, g = contrastive_loss_and_grads(s, random_batch(13))
         s2 = sgd_step(s, g, 0.0)
-        np.testing.assert_array_equal(s.vision.adapter.a, s2.vision.adapter.a)
-        np.testing.assert_array_equal(s.bridge, s2.bridge)
+        for n, m in s.blocks.items():
+            np.testing.assert_array_equal(m, s2.blocks[n])
 
     def test_inverse_steps_cancel_exactly(self):
         s = small_snapshot(14)
         _, g = contrastive_loss_and_grads(s, random_batch(14))
         s2 = sgd_step(sgd_step(s, g, 0.1), g, -0.1)
         # (x - d) + d can differ from x by one ulp; that is the only slack
-        np.testing.assert_allclose(s.vision.adapter.a, s2.vision.adapter.a, atol=1e-15)
-        np.testing.assert_allclose(s.text.adapter.b, s2.text.adapter.b, atol=1e-15)
-        np.testing.assert_allclose(s.bridge, s2.bridge, atol=1e-15)
+        for n, m in s.blocks.items():
+            np.testing.assert_allclose(m, s2.blocks[n], atol=1e-15)
 
     def test_descent_on_fixture(self):
         s = small_snapshot(15)
@@ -353,7 +393,7 @@ class TestSgdStep:
         for n, b in before.items():
             assert after[n].tobytes() == (b - 0.05 * g[n]).tobytes()
         assert stepped.token_embed is s.token_embed
-        assert stepped.vision.w_base is s.vision.w_base
+        assert stepped.w_v is s.w_v and stepped.w_t is s.w_t
 
 
 def zero_grads(s) -> dict:
@@ -380,17 +420,18 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self):
         s = small_snapshot(22)
         s2 = load_snapshot(save_snapshot(s))
-        np.testing.assert_array_equal(s.vision.w_base, s2.vision.w_base)
-        np.testing.assert_array_equal(s.vision.adapter.a, s2.vision.adapter.a)
-        np.testing.assert_array_equal(s.text.adapter.b, s2.text.adapter.b)
+        np.testing.assert_array_equal(s.w_v, s2.w_v)
+        np.testing.assert_array_equal(s.w_t, s2.w_t)
         np.testing.assert_array_equal(s.token_embed, s2.token_embed)
-        np.testing.assert_array_equal(s.bridge, s2.bridge)
+        assert s2.blocks.keys() == s.blocks.keys()
+        for n, m in s.blocks.items():
+            np.testing.assert_array_equal(m, s2.blocks[n])
         assert s.temperature == s2.temperature
         assert s.version == s2.version
 
     def test_roundtrip_without_bridge(self):
         s = small_snapshot(23, with_bridge=False)
-        assert load_snapshot(save_snapshot(s)).bridge is None
+        assert "bridge" not in load_snapshot(save_snapshot(s)).blocks
 
     def test_flipped_byte_detected(self):
         data = bytearray(save_snapshot(small_snapshot(24)))
@@ -405,3 +446,26 @@ class TestCheckpoint:
 
     def test_magic_bytes(self):
         assert save_snapshot(small_snapshot(26))[:4] == b"FLMM"
+
+    # length and trailing CRC field of save_snapshot(init_snapshot(5, **kw)); the
+    # CRC of a whole file is the CRC32 residue, the same for every checkpoint
+    @pytest.mark.parametrize("kw, length, crc", [
+        ({}, 11611, 0xA61E2F2E),
+        ({"with_bridge": False}, 11091, 0xBB16FAF4),
+        ({"rank": 1}, 11227, 0xFB848B21),
+        ({"d_v": 12, "d_t": 10, "d_emb": 6, "rank": 3, "vocab": 32}, 4811, 0x66CD3A44),
+    ], ids=["defaults", "no_bridge", "rank_1", "small"])
+    def test_golden_checkpoint_bytes(self, kw, length, crc):
+        data = save_snapshot(init_snapshot(5, **kw))
+        assert (len(data), struct.unpack("<I", data[-4:])[0]) == (length, crc)
+        assert save_snapshot(load_snapshot(data)) == data
+
+    def test_field_by_field_writer_matches_save_snapshot(self):
+        s = small_snapshot(30)
+        assert checkpoint_bytes(checkpoint_fields(s), s.blocks["bridge"], s.temperature,
+                                s.version) == save_snapshot(s)
+
+    @pytest.mark.parametrize("case", ["bridge_5x5", "vision_b_7_rows"])
+    def test_blocks_that_do_not_fit_the_frozen_weights_rejected(self, case):
+        with pytest.raises((ShapeError, CheckpointError)):
+            load_snapshot(malformed_checkpoints()[case])

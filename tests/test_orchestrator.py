@@ -1,3 +1,4 @@
+import os
 import zlib
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from flmm.aggregation import AggregationPlan, snapshot_blocks
 from flmm.errors import HistoryError
-from flmm.model import frozen_checksum, load_snapshot, save_snapshot
+from flmm.model import frozen_checksum, load_snapshot, save_snapshot, with_blocks
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, pack_blocks, unpack_blocks
 from flmm.rng import SplitMix64
@@ -171,7 +172,7 @@ class TestSyncRound:
         deltas = random_deltas(11, core.snapshot)
         samples = 0 if case == "zero_samples" else 4
         if case == "frozen_block":
-            deltas["w_base"] = deltas.pop("bridge")
+            deltas["w_v"] = deltas.pop("bridge")
         resp = submit(core, "pa", deltas, 0, samples=samples)
         assert resp.msg_type == "REJECT"
         assert resp.header("kind") == "ValidationError"
@@ -355,6 +356,38 @@ class TestMasking:
         assert core.log.logged_rounds() == []
 
 
+STRAY = ("notes.txt", ".v2.ckpt")
+
+
+class TestPruneCheckpoints:
+    @pytest.mark.parametrize("stray", STRAY)
+    def test_prunes_old_checkpoints_and_leaves_a_stray_file(self, tmp_path, stray):
+        log = RoundLog(str(tmp_path))
+        for v in range(5):
+            log.save_checkpoint(with_blocks(small_snapshot(1), {}, v))
+        (tmp_path / "checkpoints" / stray).write_bytes(b"x")
+        log.prune_checkpoints(3)
+        assert sorted(os.listdir(tmp_path / "checkpoints")) == \
+            sorted([stray, "v0.ckpt", "v3.ckpt", "v4.ckpt"])
+
+    def test_server_finishes_every_round_with_stray_files(self, tmp_path):
+        cfg = ServerConfig(token=TOKEN, plan=AggregationPlan(), rounds=3,
+                           history_window=1, expected_parties=("pa", "pb"))
+        core = ServerCore(cfg, small_snapshot(1), str(tmp_path), clock=FakeClock())
+        for stray in STRAY:
+            (tmp_path / "checkpoints" / stray).write_bytes(b"x")
+        for p in ("pa", "pb"):
+            register(core, p)
+        for r in range(3):
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                assert submit(core, p, random_deltas(70 + 2 * r + i, core.snapshot),
+                              v).msg_type == "ACK"
+        assert core.finished and core.snapshot.version == 3
+        assert sorted(os.listdir(tmp_path / "checkpoints")) == \
+            sorted(STRAY + ("v0.ckpt", "v2.ckpt", "v3.ckpt"))
+
+
 class TestRoundLog:
     def run_rounds(self, tmp_path, n=2):
         core = make_core(tmp_path, rounds=n)
@@ -411,7 +444,7 @@ class TestRoundLog:
                      id="missing_header"),
         pytest.param(lambda d: d.replace(b"FLMM/1 SUBMIT", b"FLMM/1 SUBMIX"),
                      id="bad_start_line"),
-        pytest.param(lambda d: d.replace(b"blocks: bridge", b"blocks: w_base"),
+        pytest.param(lambda d: d.replace(b"blocks: bridge", b"blocks: w_v"),
                      id="unknown_block"),
         pytest.param(lambda d: d.replace(b"party: pa", b"party: pb"), id="other_party"),
         pytest.param(lambda d: d[:-3], id="truncated"),

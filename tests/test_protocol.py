@@ -227,6 +227,6 @@ class TestUpdateCodec:
         elif case == "zero_samples":
             msg.headers["sample_count"] = 0
         elif case == "unknown_block":
-            msg.headers["blocks"] = msg.headers["blocks"].replace("bridge", "w_base")
+            msg.headers["blocks"] = msg.headers["blocks"].replace("bridge", "w_v")
         with pytest.raises(ValidationError):
             message_update(msg)
