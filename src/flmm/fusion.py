@@ -7,7 +7,9 @@ consensus map. It is a library function: no run builds a probe set or a
 consensus, so no run applies it.
 
 Each loss returns its gradients as a block dict, keyed like
-``model.snapshot_blocks``; compose_losses sums them by block name.
+``model.snapshot_blocks``; compose_losses sums them by block name. The
+text-anchor loss and compose_losses also take a stacked snapshot (see
+``model``): the losses are then one per row and the gradients are stacked.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from flmm.model import (
     _text_forward,
     _vision_backward,
     _vision_forward,
+    loss_value,
     pair_forward,
 )
 
@@ -114,7 +117,7 @@ def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
     fwd = pair_forward(snapshot, batch)
     n = len(fwd)
     diff = fwd.z_v - fwd.z_t
-    loss = mu * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / n)
+    loss = mu * loss_value(np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1) / n)
     dz_v = (2.0 * mu / n) * diff
     grads = _vision_backward(snapshot, fwd.cache_v, dz_v)
     # explicit zeros, so compose_losses adds every block of every part
@@ -125,7 +128,8 @@ def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
 
 def compose_losses(parts: list[tuple[float, dict]]) -> tuple[float, dict]:
     """Sum of loss/gradient pairs, the gradients added block by block in
-    the order of the parts. Every part must hold the same blocks."""
+    the order of the parts. Every part must hold the same blocks. Losses
+    and gradients of a stack add row by row."""
     total_loss = 0.0
     total_grads: dict | None = None
     for loss, g in parts:

@@ -11,6 +11,15 @@ weights; snapshot_blocks copies them, with_blocks builds a snapshot from
 them, and a gradient, an update's deltas and a fused result are all such
 dicts. The wire and round-log form of an update is protocol.update_message.
 
+A snapshot may also carry every trainable block as a (P, r, c) stack: P
+models that share the frozen weights, one per row. The forward pass, both
+towers' backward passes, contrastive_loss_and_grads and sgd_step take that
+leading row axis as they come: every matmul, transpose and reduction acts on
+the last two axes, so each row gets the bits it would get alone. A single
+model is the case with no leading axis, and its loss is a float; a stack's
+losses are a (P,) array. Only training builds stacks (training.local_train_stack);
+save_snapshot, like the wire and round-log encoders, refuses one (ShapeError).
+
 The LoRA scale alpha / rank is the constant LORA_SCALE: checkpoints do not
 store alpha, and every snapshot uses alpha = 2 * rank.
 """
@@ -58,7 +67,8 @@ class ModelSnapshot:
     BLOCK_NAMES order, with "bridge" only when the model has one. A tower's
     adapter delta is LORA_SCALE * b @ a, and its rank is the row count of
     its a factor. Every block's shape is checked against the frozen weights
-    here.
+    here. In a stack every block is (P, r, c) with the same P; see the
+    module docstring.
     """
 
     w_v: np.ndarray  # (d_emb, d_v)
@@ -75,21 +85,31 @@ class ModelSnapshot:
             raise ShapeError(f"frozen weights {self.w_v.shape}, {self.w_t.shape} and "
                              f"{self.token_embed.shape} do not fit together")
         blocks = self.blocks
-        r_v = blocks["vision.a"].shape[0] if "vision.a" in blocks else 0
-        r_t = blocks["text.a"].shape[0] if "text.a" in blocks else 0
+        a_v, a_t = blocks.get("vision.a"), blocks.get("text.a")
+        r_v = a_v.shape[-2] if a_v is not None else 0
+        r_t = a_t.shape[-2] if a_t is not None else 0
         if not (1 <= r_v <= min(d_v, d_emb) and 1 <= r_t <= min(d_t, d_emb)):
             raise ShapeError(f"adapter ranks {r_v} (vision), {r_t} (text) outside "
                              f"[1, min(d_in, {d_emb})] for d_in {d_v}, {d_t}")
-        want = {"vision.a": (r_v, d_v), "vision.b": (d_emb, r_v),
-                "text.a": (r_t, d_t), "text.b": (d_emb, r_t)}
+        rows = a_v.shape[:-2]  # () for one model, (P,) for a stack
+        want = {"vision.a": rows + (r_v, d_v), "vision.b": rows + (d_emb, r_v),
+                "text.a": rows + (r_t, d_t), "text.b": rows + (d_emb, r_t)}
         if "bridge" in blocks:
-            want["bridge"] = (d_emb, d_emb)
+            want["bridge"] = rows + (d_emb, d_emb)
         got = {n: m.shape for n, m in blocks.items()}
         if got != want:
             raise ShapeError(f"trainable blocks {got} do not fit the frozen weights: "
                              f"want {want}")
         # want is in BLOCK_NAMES order
         object.__setattr__(self, "blocks", MappingProxyType({n: blocks[n] for n in want}))
+
+
+def check_unstacked(blocks: Mapping, what: str) -> None:
+    """Raise ShapeError unless every block is one matrix, not a stack."""
+    for name, m in blocks.items():
+        if m.ndim != 2:
+            raise ShapeError(f"{what}: block {name!r} has shape {m.shape}, "
+                             f"not one matrix")
 
 
 def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
@@ -132,11 +152,11 @@ def check_token_embed(token_embed: np.ndarray, snapshot: ModelSnapshot,
 
 
 def _normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the arithmetic np.linalg.norm(u, axis=1) runs, without its dispatch
-    norms = np.sqrt(np.add.reduce(u * u, axis=1))
+    # the arithmetic np.linalg.norm(u, axis=-1) runs, without its dispatch
+    norms = np.sqrt(np.add.reduce(u * u, axis=-1))
     if (norms == 0.0).any():
         raise DegenerateInputError("zero vector before normalization")
-    return u / norms[:, None], norms
+    return u / norms[..., None], norms
 
 
 def _effective(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,12 +166,12 @@ def _effective(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _vision_forward(snapshot: ModelSnapshot, xs: np.ndarray):
     """Returns (z, cache) for a batch of image vectors, rows of xs."""
-    if xs.shape[1] != snapshot.w_v.shape[1]:
-        raise ShapeError(f"image dim {xs.shape[1]} != tower input {snapshot.w_v.shape[1]}")
+    if xs.shape[-1] != snapshot.w_v.shape[1]:
+        raise ShapeError(f"image dim {xs.shape[-1]} != tower input {snapshot.w_v.shape[1]}")
     blocks = snapshot.blocks
-    y = xs @ _effective(snapshot.w_v, blocks["vision.a"], blocks["vision.b"]).T
+    y = xs @ _effective(snapshot.w_v, blocks["vision.a"], blocks["vision.b"]).swapaxes(-1, -2)
     bridge = blocks.get("bridge")
-    u = y @ bridge.T if bridge is not None else y
+    u = y @ bridge.swapaxes(-1, -2) if bridge is not None else y
     z, norms = _normalize_rows(u)
     return z, (xs, y, z, norms)
 
@@ -163,7 +183,7 @@ def _text_forward(snapshot: ModelSnapshot, token_lists: list[list[int]]):
 def _text_tower(snapshot: ModelSnapshot, ts: np.ndarray):
     """Returns (z, cache) for rows of text_features."""
     blocks = snapshot.blocks
-    y = ts @ _effective(snapshot.w_t, blocks["text.a"], blocks["text.b"]).T
+    y = ts @ _effective(snapshot.w_t, blocks["text.a"], blocks["text.b"]).swapaxes(-1, -2)
     z, norms = _normalize_rows(y)
     return z, (ts, z, norms)
 
@@ -204,13 +224,14 @@ def text_features(snapshot: ModelSnapshot, token_lists: list[list[int]]) -> np.n
 @dataclass(frozen=True)
 class PairBatch:
     """Aligned (image, caption) pairs as tower inputs: image rows and the
-    captions' text features."""
+    captions' text features. A stacked model's batch is (P, n, d): row i's
+    n pairs go to model i. Its length is n, the pairs per model."""
 
     xs: np.ndarray  # (n, d_v)
     ts: np.ndarray  # (n, d_t), rows of text_features
 
     def __len__(self) -> int:
-        return self.xs.shape[0]
+        return self.xs.shape[-2]
 
 
 Pairs = list[tuple[np.ndarray, list[int]]]
@@ -241,7 +262,7 @@ class PairForward:
     cache_t: tuple
 
     def __len__(self) -> int:
-        return self.z_v.shape[0]
+        return self.z_v.shape[-2]
 
 
 def pair_forward(snapshot: ModelSnapshot,
@@ -260,8 +281,8 @@ def pair_forward(snapshot: ModelSnapshot,
 
 def _normalize_backward(dz: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # z = u / |u|  =>  du = (dz - (dz.z) z) / |u|
-    dot = np.add.reduce(dz * z, axis=1, keepdims=True)
-    return (dz - dot * z) / norms[:, None]
+    dot = np.add.reduce(dz * z, axis=-1, keepdims=True)
+    return (dz - dot * z) / norms[..., None]
 
 
 def _vision_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
@@ -271,9 +292,10 @@ def _vision_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
     du = _normalize_backward(dz, z, norms)
     bridge = snapshot.blocks.get("bridge")
     dy = du if bridge is None else du @ bridge
-    grads = _factor_grads(snapshot.blocks, "vision.a", "vision.b", dy.T @ xs)
+    grads = _factor_grads(snapshot.blocks, "vision.a", "vision.b",
+                          dy.swapaxes(-1, -2) @ xs)
     if bridge is not None:
-        grads["bridge"] = du.T @ y
+        grads["bridge"] = du.swapaxes(-1, -2) @ y
     return grads
 
 
@@ -281,13 +303,13 @@ def _text_backward(snapshot: ModelSnapshot, cache, dz: np.ndarray) -> dict:
     """Gradients w.r.t. the text adapter factors from dL/dz."""
     ts, z, norms = cache
     return _factor_grads(snapshot.blocks, "text.a", "text.b",
-                         _normalize_backward(dz, z, norms).T @ ts)
+                         _normalize_backward(dz, z, norms).swapaxes(-1, -2) @ ts)
 
 
 def _factor_grads(blocks, a_name: str, b_name: str, d_weff: np.ndarray) -> dict:
     """Gradients w.r.t. a tower's adapter factors from dL/d(effective weight)."""
-    return {a_name: LORA_SCALE * (blocks[b_name].T @ d_weff),
-            b_name: LORA_SCALE * (d_weff @ blocks[a_name].T)}
+    return {a_name: LORA_SCALE * (blocks[b_name].swapaxes(-1, -2) @ d_weff),
+            b_name: LORA_SCALE * (d_weff @ blocks[a_name].swapaxes(-1, -2))}
 
 
 def contrastive_loss_and_grads(snapshot: ModelSnapshot,
@@ -298,7 +320,8 @@ def contrastive_loss_and_grads(snapshot: ModelSnapshot,
 
     The batch is given as (image, tokens) pairs, a PairBatch, or the
     PairForward that pair_forward computed for it with this snapshot, which
-    a training step shares with its other losses.
+    a training step shares with its other losses. A stacked snapshot's
+    loss is one per row.
     """
     n = len(batch)
     if n < 2:
@@ -307,40 +330,48 @@ def contrastive_loss_and_grads(snapshot: ModelSnapshot,
     z_v, z_t = fwd.z_v, fwd.z_t
 
     tau = snapshot.temperature
-    s = (z_v @ z_t.T) / tau
-    diag = s.diagonal()
+    s = (z_v @ z_t.swapaxes(-1, -2)) / tau
+    diag = s.diagonal(0, -2, -1)
     # rows: image -> text, cols: text -> image
-    p_row, ce_row = _softmax_and_cross_entropy(s, 1, diag)
-    p_col, ce_col = _softmax_and_cross_entropy(s, 0, diag)
+    p_row, ce_row = _softmax_and_cross_entropy(s, -1, diag)
+    p_col, ce_col = _softmax_and_cross_entropy(s, -2, diag)
     loss = 0.5 * (ce_row + ce_col)
-    # (p_row - I + p_col - I) / 2n, with the identity applied to the diagonal only
+    # (p_row - I + p_col - I) / 2n, with the identity applied to the diagonal only;
+    # g is new and contiguous, so each matrix flattened is a view whose every
+    # (n + 1)-th entry is on the diagonal
     g = p_row + p_col
-    np.fill_diagonal(g, p_row.diagonal() - 1.0 + p_col.diagonal() - 1.0)
+    g.reshape(g.shape[:-2] + (n * n,))[..., ::n + 1] = \
+        p_row.diagonal(0, -2, -1) - 1.0 + p_col.diagonal(0, -2, -1) - 1.0
     g /= 2.0 * n
 
     dz_v = (g @ z_t) / tau
-    dz_t = (g.T @ z_v) / tau
+    dz_t = (g.swapaxes(-1, -2) @ z_v) / tau
     grads = _vision_backward(snapshot, fwd.cache_v, dz_v)
     grads.update(_text_backward(snapshot, fwd.cache_t, dz_t))
-    return float(loss), grads
+    return loss_value(loss), grads
+
+
+def loss_value(loss):
+    """A single model's loss as a float; a stack's per-row losses as they are."""
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def _softmax_and_cross_entropy(s: np.ndarray, axis: int,
-                               diag: np.ndarray) -> tuple[np.ndarray, float]:
-    """Softmax of s along axis, and the mean cross-entropy of the diagonal
-    targets, from one max, exp and sum."""
+                               diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of s along axis (-1 or -2), and the mean cross-entropy of the
+    diagonal targets, from one max, exp and sum."""
     m = s.max(axis=axis, keepdims=True)
     e = np.exp(s - m)
     total = e.sum(axis=axis, keepdims=True)
-    lse = m.reshape(-1) + np.log(total.reshape(-1))
-    return e / total, float(np.add.reduce(lse - diag) / len(diag))
+    lse = m.reshape(diag.shape) + np.log(total.reshape(diag.shape))
+    return e / total, np.add.reduce(lse - diag, axis=-1) / diag.shape[-1]
 
 
 def sgd_step(snapshot: ModelSnapshot, grads: dict, lr: float) -> ModelSnapshot:
     """One descent step on adapters and bridge; frozen weights untouched.
 
     ``grads`` must hold a finite gradient for each trainable block of the
-    snapshot and for no other block.
+    snapshot and for no other block; a stack's are stacked like its blocks.
     """
     for g in grads.values():
         if not np.isfinite(g).all():
@@ -384,8 +415,9 @@ def _pack_matrix(m: np.ndarray) -> bytes:
 
 
 def save_snapshot(snapshot: ModelSnapshot) -> bytes:
-    out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
     blocks = snapshot.blocks
+    check_unstacked(blocks, "checkpoint")
+    out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
     for m in (snapshot.w_v, blocks["vision.a"], blocks["vision.b"],
               snapshot.w_t, blocks["text.a"], blocks["text.b"], snapshot.token_embed):
         out.append(_pack_matrix(m))
@@ -437,6 +469,9 @@ def load_snapshot(data: bytes) -> ModelSnapshot:
         blocks["bridge"] = r.matrix()
     (temperature,) = struct.unpack("<d", r.take(8))
     (version,) = struct.unpack("<Q", r.take(8))
+    if r.pos != len(body):
+        raise CheckpointError(f"malformed checkpoint: {len(body) - r.pos} bytes "
+                              f"after the version field")
     try:
         return ModelSnapshot(w_v, w_t, tok, blocks, temperature, version)
     except ShapeError as e:

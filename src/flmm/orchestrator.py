@@ -35,7 +35,8 @@ from flmm.errors import (
     StalenessError,
     ValidationError,
 )
-from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, save_snapshot
+from flmm.model import ModelSnapshot, check_unstacked, frozen_checksum, load_snapshot, \
+    save_snapshot
 from flmm.protocol import Message, decode_payload, encode_message, message_update, \
     pack_blocks, read_frame, update_message
 
@@ -63,6 +64,7 @@ class ServerConfig:
 
 def blocks_field(snapshot: ModelSnapshot) -> str:
     """A round record's ``blocks=`` field: each trainable block's CRC."""
+    check_unstacked(snapshot.blocks, "round record")
     return ";".join(
         f"{name}:{zlib.crc32(np.ascontiguousarray(m, dtype='<f8').tobytes()):08x}"
         for name, m in sorted(snapshot.blocks.items()))
@@ -405,9 +407,9 @@ class ServerCore:
         updates = sorted(st.received.values(), key=lambda u: u.client_id)
         started = self.clock()
         pre = self.snapshot.version
-        for u in updates:
-            self.log.save_update(st.round, u)
-        try:  # only async_mix reads base models, from their checkpoints
+        try:  # a failed write fails the round; only async_mix reads base models
+            for u in updates:
+                self.log.save_update(st.round, u)
             if self.cfg.plan.masking_enabled and st.absentees:
                 raise MaskingError(f"absent {','.join(st.absentees)}: their pair "
                                    f"masks would not cancel")

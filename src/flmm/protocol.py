@@ -30,6 +30,7 @@ import numpy as np
 from flmm.aggregation import ClientUpdate
 from flmm.errors import NumericError, PlanError, ProtocolError, ShapeError, \
     ValidationError
+from flmm.model import check_unstacked
 
 PROTO = "FLMM/1"
 MSG_TYPES = ("REGISTER", "POLL", "ASSIGN", "SUBMIT", "ACK", "REJECT",
@@ -118,6 +119,7 @@ def _read_exact(stream, n: int) -> bytes:
 
 def pack_blocks(blocks: dict) -> tuple[str, bytes]:
     """Serialize named matrices; returns (names header value, body bytes)."""
+    check_unstacked(blocks, "wire blocks")
     names = sorted(blocks)
     parts = []
     for name in names:

@@ -1,7 +1,13 @@
 """Local adapter training and a direct in-memory federated driver.
 
-The protocol-based simulator (client/server over frames) reuses the same
-local_train so both paths produce identical updates for identical seeds.
+``local_train_stack`` is the one trainer. It trains P parties from one
+model at once: every trainable block is carried as a (P, r, c) stack (see
+``model``), and each step runs the forward pass, the losses and the SGD
+update for a whole stack of rows in one call each. ``local_train``, which a
+protocol client runs, is its one-row slice, and ``federated_train`` runs it
+once per round for all of that round's parties, so both paths produce
+identical updates for identical seeds: each row has the bits of training
+that party on its own.
 
 A corpus is trained on in its prepared form, a TrainingSet: its usable
 records with their images and text features stacked. token_embed is frozen,
@@ -20,7 +26,7 @@ from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate
 from flmm.dataquality import SceneRecord
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, check_token_embed, \
-    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step
+    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step, with_blocks
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 
@@ -79,33 +85,93 @@ def local_train(model: ModelSnapshot, records: TrainingSet | list[SceneRecord],
     """Epochs of SGD on shuffled minibatches; deterministic given the seed.
 
     ``records`` is the corpus's TrainingSet, prepared once per corpus, or a
-    record list, which is prepared for this call. Each epoch gathers its
-    shuffled rows once; each step takes a contiguous slice of them, runs
-    both towers once with pair_forward, and hands that PairForward to the
-    contrastive and the anchor loss. Each loss backpropagates its own dz
-    (summing the dz first would round differently), and compose_losses adds
-    the gradients.
+    record list, which is prepared for this call. The one-row slice of
+    local_train_stack.
     """
-    data = training_set(model, records)
-    n = len(data)
-    if n < 2:
-        return model  # no batch of 2 can be drawn
-    rng = SplitMix64(seed)
+    return local_train_stack(model, [records], cfg, [seed])[0]
+
+
+def local_train_stack(model: ModelSnapshot, datasets: list, cfg: TrainConfig,
+                      seeds: list) -> list[ModelSnapshot]:
+    """Train one party per dataset from ``model`` at once; returns the P
+    trained snapshots, in the order of ``datasets``.
+
+    Each dataset is a TrainingSet or a record list, as for local_train, and
+    trains with its own seed's shuffle stream. A party below 2 usable
+    records gets ``model`` back. Each epoch gathers every row's shuffled
+    pairs once. At each step the rows whose next batch has the same size
+    step together as one stack: pair_forward runs both towers once, that
+    PairForward goes to the contrastive and the anchor loss, and each loss
+    backpropagates its own dz (summing the dz first would round
+    differently) before compose_losses adds the gradients. A row whose
+    batch is below 2 pairs, a skipped tail or nothing left, does not step.
+    A lone row trains as the model itself, with no leading axis.
+    """
+    data = [training_set(model, d) for d in datasets]
+    out = [model] * len(data)  # no batch of 2 can be drawn below 2 records
+    live = [k for k, d in enumerate(data) if len(d) >= 2]
+    if not live:
+        return out
+    sizes = [len(data[k]) for k in live]
+    steps = _epoch_steps(sizes, cfg.batch_size)
+    rngs = [SplitMix64(seeds[k]) for k in live]
+    lone = len(live) == 1
+    every = 0 if lone else slice(None)  # the batch index of a step of every row
+    stack = model if lone else with_blocks(
+        model, {n: np.stack([m] * len(live)) for n, m in model.blocks.items()},
+        model.version)
+    # one epoch's shuffled pairs per row; a row shorter than the longest
+    # leaves its tail unset, and no step reads it
+    xs = np.empty((len(live), max(sizes), model.w_v.shape[1]))
+    ts = np.empty((len(live), max(sizes), model.w_t.shape[1]))
     for _ in range(cfg.epochs):
-        order = list(range(n))
-        rng.shuffle(order)
-        xs, ts = data.pairs.xs[order], data.pairs.ts[order]
-        for start in range(0, n, cfg.batch_size):
-            stop = min(start + cfg.batch_size, n)
-            if stop - start < 2:
-                continue  # contrastive loss undefined below 2 pairs
-            fwd = pair_forward(model, PairBatch(xs[start:stop], ts[start:stop]))
-            parts = [contrastive_loss_and_grads(model, fwd)]
-            if cfg.anchor_mu > 0:
-                parts.append(text_anchor_loss_and_grads(model, fwd, cfg.anchor_mu))
-            _, grads = compose_losses(parts)
-            model = sgd_step(model, grads, cfg.lr)
-    return model
+        for row, (k, rng) in enumerate(zip(live, rngs)):
+            order = list(range(sizes[row]))
+            rng.shuffle(order)
+            xs[row, :sizes[row]] = data[k].pairs.xs[order]
+            ts[row, :sizes[row]] = data[k].pairs.ts[order]
+        for start, stop, rows in steps:
+            if rows is None:  # every row steps
+                stack = _step(stack, PairBatch(xs[every, start:stop], ts[every, start:stop]),
+                              cfg)
+                continue
+            part = _step(with_blocks(stack, {n: m[rows] for n, m in stack.blocks.items()},
+                                     stack.version),
+                         PairBatch(xs[rows, start:stop], ts[rows, start:stop]), cfg)
+            merged = {n: m.copy() for n, m in stack.blocks.items()}
+            for n, m in merged.items():
+                m[rows] = part.blocks[n]
+            stack = with_blocks(stack, merged, stack.version)
+    for row, k in enumerate(live):
+        out[k] = stack if lone else with_blocks(
+            model, {n: m[row] for n, m in stack.blocks.items()}, model.version)
+    return out
+
+
+def _epoch_steps(sizes: list, batch_size: int) -> list:
+    """An epoch's steps over rows of these sizes, as (start, stop, rows):
+    the rows whose batch is [start, stop), or None for every row. A batch
+    below 2 pairs is no step."""
+    steps = []
+    for start in range(0, max(sizes), batch_size):
+        groups: dict[int, list] = {}
+        for row, n in enumerate(sizes):
+            size = min(n - start, batch_size)
+            if size >= 2:
+                groups.setdefault(size, []).append(row)
+        steps += [(start, start + size, None if len(rows) == len(sizes) else np.array(rows))
+                  for size, rows in groups.items()]
+    return steps
+
+
+def _step(model: ModelSnapshot, batch: PairBatch, cfg: TrainConfig) -> ModelSnapshot:
+    """One SGD step of a model or stack on its batch."""
+    fwd = pair_forward(model, batch)
+    parts = [contrastive_loss_and_grads(model, fwd)]
+    if cfg.anchor_mu > 0:
+        parts.append(text_anchor_loss_and_grads(model, fwd, cfg.anchor_mu))
+    _, grads = compose_losses(parts)
+    return sgd_step(model, grads, cfg.lr)
 
 
 def make_update(before: ModelSnapshot, after: ModelSnapshot, client_id: str,
@@ -120,17 +186,18 @@ def make_update(before: ModelSnapshot, after: ModelSnapshot, client_id: str,
 def federated_train(model: ModelSnapshot, corpora_by_party: dict, cfg: TrainConfig,
                     rounds: int, plan: AggregationPlan, seed: int) -> ModelSnapshot:
     """Synchronous federated rounds over in-memory parties; each round's
-    updates are fused by ``aggregate`` under ``plan``. Each party's corpus
-    is prepared once, for every round."""
+    parties train in one local_train_stack call, and their updates are
+    fused by ``aggregate`` under ``plan``. Each party's corpus is prepared
+    once, for every round; a party below 2 usable records sits out."""
     prepared = {party: training_set(model, corpora_by_party[party])
                 for party in sorted(corpora_by_party)}
+    parties = [party for party, data in prepared.items() if len(data) >= 2]
+    if not parties:
+        return model
     for r in range(rounds):
-        updates = []
-        for party, data in prepared.items():
-            if len(data) < 2:
-                continue
-            trained = local_train(model, data, cfg, mix_seed(seed, r, hash_text(party)))
-            updates.append(make_update(model, trained, party, len(data), r))
-        if updates:
-            model = aggregate(plan, model, updates, {model.version: model})
+        trained = local_train_stack(model, [prepared[p] for p in parties], cfg,
+                                    [mix_seed(seed, r, hash_text(p)) for p in parties])
+        updates = [make_update(model, t, p, len(prepared[p]), r)
+                   for p, t in zip(parties, trained)]
+        model = aggregate(plan, model, updates, {model.version: model})
     return model

@@ -10,6 +10,7 @@ import numpy as np
 
 import flmm.training
 from flmm.aggregation import (
+    aggregate,
     apply_block_mask,
     async_mix,
     product_mean,
@@ -42,11 +43,13 @@ from flmm.model import (
     init_snapshot,
     pair_batch,
     pair_forward,
+    save_snapshot,
     sgd_step,
     snapshot_blocks,
     with_blocks,
 )
-from flmm.rng import SplitMix64
+from flmm.rng import SplitMix64, hash_text, mix_seed
+from flmm.training import make_update
 
 SMALL = dict(d_v=8, d_t=8, d_emb=4, rank=2, vocab=16)
 
@@ -96,12 +99,15 @@ def checkpoint_fields(s: ModelSnapshot) -> list:
 
 def malformed_checkpoints() -> dict:
     """CRC-valid checkpoints of init_snapshot(5) whose blocks do not fit its
-    frozen weights (8-row w_v, rank 2)."""
+    frozen weights (8-row w_v, rank 2), and one with bytes after its version
+    field."""
     s = init_snapshot(5)
     short_b = checkpoint_fields(s)
     short_b[2] = np.zeros((7, 2))
+    junk = save_snapshot(s)[:-4] + b"junk"
     return {"bridge_5x5": checkpoint_bytes(checkpoint_fields(s), np.eye(5)),
-            "vision_b_7_rows": checkpoint_bytes(short_b, s.blocks["bridge"])}
+            "vision_b_7_rows": checkpoint_bytes(short_b, s.blocks["bridge"]),
+            "trailing_junk": junk + struct.pack("<I", zlib.crc32(junk))}
 
 
 def random_batch(seed: int, n: int = 4, d_v: int = 8, vocab: int = 16,
@@ -217,8 +223,9 @@ def oracle_replay_coalition(initial: ModelSnapshot, rounds, coalition) -> ModelS
 
 # ---------------------------------------------------------------------------
 # Record-by-record corpus and per-call training oracles: each record draws
-# its own image noise in turn, and local_train prepares its corpus and
-# gathers each batch's rows on every call.
+# its own image noise in turn, local_train prepares its corpus and gathers
+# each batch's rows on every call, and federated_train trains one party
+# after another.
 # ---------------------------------------------------------------------------
 
 def oracle_gaussians(rng: SplitMix64, n: int) -> np.ndarray:
@@ -315,6 +322,25 @@ def oracle_local_train(model, records, cfg, seed):
                 parts.append(text_anchor_loss_and_grads(model, fwd, cfg.anchor_mu))
             _, grads = compose_losses(parts)
             model = sgd_step(model, grads, cfg.lr)
+    return model
+
+
+def oracle_federated_train(model, corpora_by_party, cfg, rounds, plan, seed):
+    """Synchronous rounds, each party trained on its own by
+    oracle_local_train in sorted party order; a party below 2 usable records
+    sits out."""
+    for r in range(rounds):
+        updates = []
+        for party in sorted(corpora_by_party):
+            records = corpora_by_party[party]
+            usable = [rec for rec in records if rec.caption]
+            if len(usable) < 2:
+                continue
+            trained = oracle_local_train(model, records, cfg,
+                                         mix_seed(seed, r, hash_text(party)))
+            updates.append(make_update(model, trained, party, len(usable), r))
+        if updates:
+            model = aggregate(plan, model, updates, {model.version: model})
     return model
 
 

@@ -117,7 +117,7 @@ def test_eval_and_clean(config_file, tmp_path, capsys):
     assert "kept=" in text and os.path.exists(kept_path)
 
 
-@pytest.mark.parametrize("case", ["bridge_5x5", "vision_b_7_rows"])
+@pytest.mark.parametrize("case", ["bridge_5x5", "vision_b_7_rows", "trailing_junk"])
 def test_eval_of_a_malformed_checkpoint_exits_4(config_file, tmp_path, capsys, case):
     data = str(tmp_path / "data")
     main(["gendata", "--spec", config_file, "--out", data])

@@ -13,10 +13,12 @@ from flmm.errors import (
     ShapeError,
     VocabularyError,
 )
+from flmm.fusion import text_anchor_loss_and_grads
 from flmm.model import (
     BLOCK_NAMES,
     LORA_SCALE,
     ModelSnapshot,
+    PairBatch,
     _normalize_rows,
     caption_scores,
     contrastive_loss_and_grads,
@@ -31,10 +33,13 @@ from flmm.model import (
     text_features,
     with_blocks,
 )
+from flmm.orchestrator import blocks_field
+from flmm.protocol import pack_blocks
 from flmm.rng import SplitMix64
 
 from support import check_grads_fd, checkpoint_bytes, checkpoint_fields, grads_bytes, \
-    identity_snapshot, malformed_checkpoints, oracle_contrastive, random_batch, small_snapshot
+    identity_snapshot, malformed_checkpoints, oracle_anchor, oracle_contrastive, \
+    random_batch, small_snapshot
 
 
 def delta(s, tower):
@@ -314,6 +319,81 @@ class TestPairForward:
             contrastive_loss_and_grads(other, fwd)
 
 
+def stacked(models: list) -> ModelSnapshot:
+    """One snapshot whose blocks stack those of ``models``, which share the
+    first one's frozen weights."""
+    first = models[0]
+    return with_blocks(first, {n: np.stack([m.blocks[n] for m in models])
+                               for n in first.blocks}, first.version)
+
+
+def three_rows(bridge: bool) -> list:
+    """Three models with different blocks on small_snapshot(80)'s frozen weights."""
+    base = small_snapshot(80, with_bridge=bridge)
+    return [base] + [with_blocks(base, snapshot_blocks(small_snapshot(s, with_bridge=bridge)),
+                                 base.version) for s in (81, 82)]
+
+
+def row(grads: dict, k: int) -> dict:
+    return {n: g[k] for n, g in grads.items()}
+
+
+class TestStackedModel:
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_each_row_has_the_bits_of_its_model_alone(self, bridge, n):
+        models = three_rows(bridge)
+        batches = [pair_batch(models[0], random_batch(90 + k, n=n)) for k in range(3)]
+        stack = stacked(models)
+        fwd = pair_forward(stack, PairBatch(np.stack([b.xs for b in batches]),
+                                            np.stack([b.ts for b in batches])))
+        assert len(fwd) == n and fwd.z_v.shape == (3, n, 4)
+        loss, grads = contrastive_loss_and_grads(stack, fwd)
+        a_loss, a_grads = text_anchor_loss_and_grads(stack, fwd, 2.0)
+        assert loss.shape == a_loss.shape == (3,)
+        for k, (m, b) in enumerate(zip(models, batches)):
+            alone = pair_forward(m, b)
+            assert fwd.z_v[k].tobytes() == alone.z_v.tobytes()
+            assert fwd.z_t[k].tobytes() == alone.z_t.tobytes()
+            assert grads_bytes(loss[k], row(grads, k)) \
+                == grads_bytes(*oracle_contrastive(m, alone))
+            assert grads_bytes(a_loss[k], row(a_grads, k)) \
+                == grads_bytes(*oracle_anchor(m, alone, 2.0))
+
+    def test_a_single_model_loss_is_a_float(self):
+        s = small_snapshot(83)
+        fwd = pair_forward(s, random_batch(83))
+        assert type(contrastive_loss_and_grads(s, fwd)[0]) is float
+        assert type(text_anchor_loss_and_grads(s, fwd, 2.0)[0]) is float
+
+    def test_sgd_step_steps_each_row(self):
+        models = three_rows(True)
+        grads = [contrastive_loss_and_grads(m, random_batch(84 + k))[1]
+                 for k, m in enumerate(models)]
+        got = sgd_step(stacked(models), {n: np.stack([g[n] for g in grads])
+                                         for n in grads[0]}, 0.1)
+        for k, (m, g) in enumerate(zip(models, grads)):
+            assert save_snapshot(with_blocks(m, row(got.blocks, k), m.version)) \
+                == save_snapshot(sgd_step(m, g, 0.1))
+
+    def test_a_stack_is_refused_by_checkpoint_wire_and_round_log(self):
+        stack = stacked(three_rows(True))
+        with pytest.raises(ShapeError, match="not one matrix"):
+            save_snapshot(stack)
+        with pytest.raises(ShapeError, match="not one matrix"):
+            pack_blocks(stack.blocks)
+        with pytest.raises(ShapeError, match="not one matrix"):
+            blocks_field(stack)
+
+    def test_blocks_of_different_row_counts_rejected(self):
+        models = three_rows(False)
+        stack = stacked(models)
+        with pytest.raises(ShapeError):
+            with_blocks(stack, {"text.b": stack.blocks["text.b"][:2]}, 0)
+        with pytest.raises(ShapeError):
+            with_blocks(models[0], {"vision.a": stack.blocks["vision.a"]}, 0)
+
+
 def check_grads_and_return(s, batch):
     loss, grads = contrastive_loss_and_grads(s, batch)
     check_grads_fd(s, lambda snap: contrastive_loss_and_grads(snap, batch)[0], grads)
@@ -469,3 +549,9 @@ class TestCheckpoint:
     def test_blocks_that_do_not_fit_the_frozen_weights_rejected(self, case):
         with pytest.raises((ShapeError, CheckpointError)):
             load_snapshot(malformed_checkpoints()[case])
+
+    def test_bytes_after_the_version_field_rejected(self):
+        data = malformed_checkpoints()["trailing_junk"]
+        assert data[:-8] == save_snapshot(init_snapshot(5))[:-4]
+        with pytest.raises(CheckpointError, match="4 bytes after the version field"):
+            load_snapshot(data)

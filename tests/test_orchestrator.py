@@ -193,6 +193,29 @@ class TestSyncRound:
                       core.snapshot.version)
         assert resp.msg_type == "REJECT"
 
+    def test_failed_update_write_fails_the_round_and_the_next_opens(
+            self, tmp_path, monkeypatch):
+        core = make_core(tmp_path, parties=("pa",))
+        register(core, "pa")
+        before = save_snapshot(core.snapshot)
+
+        def disk_full(round_num, update):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(core.log, "save_update", disk_full)
+        assert submit(core, "pa", random_deltas(21, core.snapshot), 0).msg_type == "ACK"
+        record = core.log.verify()[-1]
+        assert (record["round"], record["status"], record["reason"]) == \
+            ("0", "failed", "OSError")
+        assert record["pre_version"] == record["post_version"] == "0"
+        assert save_snapshot(core.snapshot) == before
+        assert (core.state.round, core.state.phase) == (1, "open")
+        monkeypatch.undo()
+        assert poll(core, "pa").msg_type == "ASSIGN"
+        assert submit(core, "pa", random_deltas(22, core.snapshot), 0).msg_type == "ACK"
+        assert core.snapshot.version == 1
+        assert core.log.verify()[-1]["status"] == "ok"
+
 
 class TestDeadline:
     def test_deadline_closes_with_absentees(self, tmp_path):

@@ -4,19 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flmm.aggregation import AggregationPlan, aggregate, snapshot_blocks
+from flmm.aggregation import AggregationPlan, snapshot_blocks
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
 from flmm.dataquality import CorpusSpec, SceneRecord, generate_corpus
 from flmm.errors import DegenerateInputError, IdentityError, VocabularyError
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
-from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot, sgd_step
+from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot, sgd_step, \
+    with_blocks
 from flmm.privacy import PrivacyConfig
-from flmm.rng import SplitMix64, hash_text, mix_seed
+from flmm.rng import SplitMix64
 from flmm.simulate import run_simulation
-from flmm.training import TrainConfig, federated_train, local_train, make_update, \
+from flmm.training import TrainConfig, federated_train, local_train, local_train_stack, \
     trainable_records, training_set
 
-from support import count_pair_batches, oracle_local_train
+from support import count_pair_batches, oracle_federated_train, oracle_local_train
 
 
 def local_train_oracle(model, records, cfg, seed):
@@ -190,7 +191,7 @@ def test_pairs_with_empty_caption_raise():
         text_anchor_loss_and_grads(init_snapshot(48), pairs, 0.5)
 
 
-@pytest.mark.parametrize("strategy", ["product_refactor", "async_mix"])
+@pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor", "async_mix"])
 def test_federated_train_follows_the_plan_strategy(strategy):
     corpora = {p: generate_corpus(CorpusSpec(party=p, size=24, corruption_rates={},
                                              seed=40 + i, scene_class_pool=(0, 1, 2)))
@@ -199,14 +200,84 @@ def test_federated_train_follows_the_plan_strategy(strategy):
     plan = AggregationPlan(strategy=strategy)
     initial = init_snapshot(41)
     got = federated_train(initial, corpora, cfg, rounds=2, plan=plan, seed=42)
-    model = initial
-    for r in range(2):  # aggregate applied round by round
-        updates = [make_update(model, local_train(model, corpora[p], cfg,
-                                                  mix_seed(42, r, hash_text(p))),
-                               p, len(trainable_records(corpora[p])), r)
-                   for p in sorted(corpora)]
-        model = aggregate(plan, model, updates, {model.version: model})
-    averaged = federated_train(initial, corpora, cfg, rounds=2,
-                               plan=AggregationPlan(), seed=42)
-    assert save_snapshot(got) == save_snapshot(model)
-    assert save_snapshot(got) != save_snapshot(averaged)
+    want = oracle_federated_train(initial, corpora, cfg, 2, plan, 42)
+    assert save_snapshot(got) == save_snapshot(want)
+    if strategy != "sync_avg":
+        averaged = federated_train(initial, corpora, cfg, rounds=2,
+                                   plan=AggregationPlan(), seed=42)
+        assert save_snapshot(got) != save_snapshot(averaged)
+
+
+# Usable records per party, with batches of 8: tails of 1 (skipped), 2, 5 and
+# none; a party that runs out while the others still step; one below 2.
+RAGGED_USABLE = {"pa": 17, "pb": 18, "pc": 21, "pd": 16, "pe": 9, "pf": 1}
+
+
+def ragged_corpora(seed: int) -> dict:
+    """Record lists whose usable counts are RAGGED_USABLE (every fifth
+    record of random_records has no caption)."""
+    corpora = {}
+    for i, (party, usable) in enumerate(RAGGED_USABLE.items()):
+        records = random_records(seed + i, usable + (usable - 1) // 4)
+        corpora[party] = records
+        assert len(trainable_records(records)) == usable
+    return corpora
+
+
+@pytest.mark.parametrize("anchor_mu", [0.0, 2.0])
+@pytest.mark.parametrize("bridge", [True, False])
+def test_local_train_stack_rows_match_training_each_party_alone(bridge, anchor_mu):
+    model = init_snapshot(70, with_bridge=bridge)
+    corpora = ragged_corpora(71)
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8, anchor_mu=anchor_mu)
+    seeds = [72 + i for i in range(len(corpora))]
+    # prepared sets and record lists mix in one call
+    datasets = [training_set(model, c) if i % 2 else c
+                for i, c in enumerate(corpora.values())]
+    got = local_train_stack(model, datasets, cfg, seeds)
+    assert len(got) == len(corpora)
+    for trained, records, seed in zip(got, corpora.values(), seeds):
+        want = oracle_local_train(model, records, cfg, seed)
+        assert save_snapshot(trained) == save_snapshot(want)
+        assert save_snapshot(local_train(model, records, cfg, seed)) == save_snapshot(want)
+    assert got[-1] is model  # "pf": below 2 usable records
+
+
+def test_a_row_that_sits_out_a_step_keeps_its_negative_zeros():
+    """Images with a zero first entry leave vision.a's first column a zero
+    gradient, so its -0.0 entries stay -0.0 through every step; a row that
+    does not step must not have a zero added (-0.0 + 0.0 is +0.0)."""
+    start = init_snapshot(79)
+    blocks = snapshot_blocks(start)
+    blocks["vision.a"][:, 0] = -0.0
+    model = with_blocks(start, blocks, start.version)
+    corpora = [[replace(r, image=np.concatenate([[0.0], r.image[1:]])) for r in records]
+               for records in ragged_corpora(80).values()]
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8)
+    got = local_train_stack(model, corpora, cfg, list(range(len(corpora))))
+    for seed, (trained, records) in enumerate(zip(got, corpora)):
+        assert np.signbit(trained.blocks["vision.a"][:, 0]).all()
+        assert save_snapshot(trained) == \
+            save_snapshot(oracle_local_train(model, records, cfg, seed))
+
+
+@pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor", "async_mix"])
+@pytest.mark.parametrize("anchor_mu", [0.0, 2.0])
+@pytest.mark.parametrize("bridge", [True, False])
+def test_federated_train_matches_training_one_party_after_another(bridge, anchor_mu,
+                                                                  strategy):
+    model = init_snapshot(73, with_bridge=bridge)
+    corpora = ragged_corpora(74)
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8, anchor_mu=anchor_mu)
+    plan = AggregationPlan(strategy=strategy)
+    got = federated_train(model, corpora, cfg, rounds=2, plan=plan, seed=75)
+    want = oracle_federated_train(model, corpora, cfg, 2, plan, 75)
+    assert save_snapshot(got) == save_snapshot(want)
+    assert got.version == 2
+
+
+def test_federated_train_without_a_trainable_party_keeps_the_model():
+    model = init_snapshot(76)
+    corpora = {"pa": random_records(77, 1), "pb": []}
+    assert federated_train(model, corpora, TrainConfig(), rounds=3,
+                           plan=AggregationPlan(), seed=78) is model
