@@ -5,15 +5,16 @@ connections. An ASSIGN carries the current version's trainable blocks and the
 checksum of the frozen base they belong to; FETCH returns a whole checkpoint,
 which a client needs only for its frozen base. All round-state mutations are
 serialized under one lock; reads of the current model touch only immutable
-snapshots. Every round is appended to a CRC-chained log with per-version
-checkpoints, enough to recover after a crash and to replay coalitions for
-contribution measurement.
+snapshots. Every round is appended to a CRC-chained log, beside the updates
+it fused and one checkpoint, ``v0``: that is the whole stored state, enough to
+recover after a crash and to replay coalitions for contribution measurement.
+Every later version is derived from it, and recovery checks each replayed
+round against its logged block CRCs.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import socket
 import socketserver
 import threading
@@ -28,6 +29,7 @@ from flmm.contribution import LoggedRound, replay_coalition
 from flmm.errors import (
     AuthError,
     DuplicateError,
+    FlmmError,
     HistoryError,
     MaskingError,
     PlanError,
@@ -76,13 +78,18 @@ def valid_party_id(party: str) -> bool:
 
 
 class RoundLog:
-    """Append-only CRC-chained round log plus checkpoint/update files."""
+    """Append-only CRC-chained round log, the update files its rounds name,
+    and ``v0``'s checkpoint. ``versions`` holds the last ``history_window`` + 1
+    versions in memory; ``replay`` derives any version from the files.
+    """
 
-    def __init__(self, log_dir: str):
+    def __init__(self, log_dir: str, history_window: int = 16):
         self.dir = log_dir
         os.makedirs(os.path.join(log_dir, "checkpoints"), exist_ok=True)
         os.makedirs(os.path.join(log_dir, "updates"), exist_ok=True)
         self.path = os.path.join(log_dir, "rounds.log")
+        self.history_window = history_window
+        self.versions: dict = {}  # version -> snapshot, the in-memory window
         self._last_crc = 0
         if os.path.exists(self.path):
             for fields in self.verify():
@@ -128,28 +135,61 @@ class RoundLog:
         return records
 
     def save_checkpoint(self, snapshot: ModelSnapshot) -> None:
+        """Write ``v0``, the one checkpoint file, and start the window at it."""
         data = save_snapshot(snapshot)
         with open(self._ckpt_path(snapshot.version), "wb") as f:
             f.write(data)
+        self.versions = {snapshot.version: snapshot}
 
     def load_checkpoint(self, version: int) -> ModelSnapshot:
-        return load_snapshot(self.checkpoint_bytes(version))
+        """The model at ``version``: from the window, or else derived by
+        ``replay`` (``v0`` needs no log)."""
+        if version in self.versions:
+            return self.versions[version]
+        return self.replay(self.verify() if version else [], stop=version)[version]
 
     def checkpoint_bytes(self, version: int) -> bytes:
-        path = self._ckpt_path(version)
-        if not os.path.exists(path):
-            raise HistoryError(f"no checkpoint for version {version}")
-        with open(path, "rb") as f:
-            return f.read()
+        return save_snapshot(self.load_checkpoint(version))
 
-    def prune_checkpoints(self, keep_from: int) -> None:
-        """Delete checkpoints older than keep_from, except v0: coalition
-        replay for Shapley starts from it. A file not named v<digits>.ckpt
-        is no checkpoint and is left alone."""
-        for name in os.listdir(os.path.join(self.dir, "checkpoints")):
-            m = re.fullmatch(r"v([0-9]+)\.ckpt", name)
-            if m and 0 < int(m[1]) < keep_from:
-                os.remove(os.path.join(self.dir, "checkpoints", name))
+    def fuse(self, plan: AggregationPlan, updates, window: dict) -> ModelSnapshot:
+        """The next version: ``updates`` fused with ``aggregate`` into the
+        newest version in ``window``, async_mix updates each against its base
+        there. It joins ``window``; the version it pushes out is dropped."""
+        model = aggregate(plan, window[max(window)], updates, window)
+        window[model.version] = model
+        window.pop(model.version - self.history_window - 1, None)
+        return model
+
+    def replay(self, records: list, stop: int | None = None) -> dict:
+        """The window at version ``stop`` (default: the last), derived from
+        ``v0`` and ``records`` (``verify``'s): each ok round ``fuse``s its
+        logged updates under its logged plan, as ``close_round`` did. A round
+        that cannot be replayed or does not reproduce its logged ``blocks=``
+        and ``post_version`` raises HistoryError naming it."""
+        path = self._ckpt_path(0)
+        if not os.path.exists(path):
+            raise HistoryError("no checkpoint for version 0")
+        with open(path, "rb") as f:
+            window = {0: load_snapshot(f.read())}
+        for fields in records:
+            if stop in window:
+                break
+            if fields.get("status") != "ok":
+                continue
+            r = fields["round"]
+            updates = self._logged_updates(int(r), fields)
+            try:
+                model = self.fuse(_logged_plan(fields), updates, window)
+            except (KeyError, ValueError, FlmmError) as e:
+                raise HistoryError(f"round {r}: its logged updates do not replay: {e!r}") \
+                    from e
+            if (blocks_field(model), str(model.version)) != \
+                    (fields["blocks"], fields["post_version"]):
+                raise HistoryError(f"round {r}: replaying its logged updates does not "
+                                   f"reproduce its logged blocks")
+        if stop is not None and stop not in window:
+            raise HistoryError(f"no checkpoint for version {stop}")
+        return window
 
     def _ckpt_path(self, version: int) -> str:
         return os.path.join(self.dir, "checkpoints", f"v{version}.ckpt")
@@ -197,10 +237,8 @@ class RoundLog:
             logged = _logged_plan(fields)
             if plan is not None and plan != logged:
                 raise HistoryError(f"round {r} ran with {logged}, not {plan}")
-            contributors = [kv.split(":")[0]
-                            for kv in fields["contributors"].split(",") if kv]
-            updates = tuple(self.load_update(r, p) for p in contributors)
-            out.append(LoggedRound(round=r, plan=logged, updates=updates))
+            out.append(LoggedRound(round=r, plan=logged,
+                                   updates=self._logged_updates(r, fields)))
             last = fields
         if out:
             everyone = frozenset(u.client_id for rec in out for u in rec.updates)
@@ -209,6 +247,11 @@ class RoundLog:
                 raise HistoryError(f"replaying the logged updates does not reproduce "
                                    f"the blocks logged in round {last['round']}")
         return out
+
+    def _logged_updates(self, round_num: int, fields: dict) -> tuple:
+        """The updates a round record names, in its contributor order."""
+        return tuple(self.load_update(round_num, kv.split(":")[0])
+                     for kv in fields["contributors"].split(",") if kv)
 
 
 def _logged_plan(fields: dict) -> AggregationPlan:
@@ -229,7 +272,7 @@ class ServerCore:
 
     def __init__(self, cfg: ServerConfig, initial: ModelSnapshot, log_dir: str,
                  clock=time.monotonic):
-        self._attach(cfg, RoundLog(log_dir), initial, clock)
+        self._attach(cfg, RoundLog(log_dir, cfg.history_window), initial, clock)
         self.finished = False
         self.log.save_checkpoint(initial)
         self.state = self._open_round(0)
@@ -258,18 +301,15 @@ class ServerCore:
 
     @classmethod
     def recover(cls, cfg: ServerConfig, log_dir: str, clock=time.monotonic):
-        """Rebuild server state from the round log after a crash."""
-        log = RoundLog(log_dir)
+        """Rebuild server state from the round log after a crash: every ok
+        round is replayed from ``v0`` and checked against its logged blocks
+        (``RoundLog.replay``), which also refills the window."""
+        log = RoundLog(log_dir, cfg.history_window)
         records = log.verify()
-        version = 0
-        next_round = 0
-        for f in records:
-            if f.get("status") == "ok":
-                version = int(f["post_version"])
-            next_round = int(f["round"]) + 1
-        snapshot = log.load_checkpoint(version)
+        log.versions = log.replay(records)
+        next_round = int(records[-1]["round"]) + 1 if records else 0
         core = cls.__new__(cls)
-        core._attach(cfg, log, snapshot, clock)
+        core._attach(cfg, log, log.versions[max(log.versions)], clock)
         core.finished = next_round >= cfg.rounds
         core.state = core._open_round(next_round)
         return core
@@ -384,8 +424,8 @@ class ServerCore:
     def _fetch(self, msg: Message) -> Message:
         self._auth(msg)
         version = msg.int_header("version")
-        if version < max(0, self.snapshot.version - self.cfg.history_window):
-            raise HistoryError(f"version {version} evicted from history")
+        if version not in self.log.versions:
+            raise HistoryError(f"version {version} is not in the history window")
         data = self.log.checkpoint_bytes(version)
         return self._respond("MODEL", body=data)
 
@@ -407,16 +447,13 @@ class ServerCore:
         updates = sorted(st.received.values(), key=lambda u: u.client_id)
         started = self.clock()
         pre = self.snapshot.version
-        try:  # a failed write fails the round; only async_mix reads base models
+        try:  # a failed write fails the round
             for u in updates:
                 self.log.save_update(st.round, u)
             if self.cfg.plan.masking_enabled and st.absentees:
                 raise MaskingError(f"absent {','.join(st.absentees)}: their pair "
                                    f"masks would not cancel")
-            history = {u.base_version: self.log.load_checkpoint(u.base_version)
-                       for u in updates if self.cfg.plan.strategy == ASYNC_MIX}
-            self.snapshot = aggregate(self.cfg.plan, self.snapshot, updates, history)
-            self.log.save_checkpoint(self.snapshot)
+            self.snapshot = self.log.fuse(self.cfg.plan, updates, self.log.versions)
             self._append_round_record(updates, pre, started, status="ok")
         except Exception as e:  # failed rounds leave the model untouched
             self._append_round_record(updates, pre, started, status="failed",
@@ -449,7 +486,6 @@ class ServerCore:
 
     def _advance_round(self) -> None:
         next_round = self.state.round + 1
-        self.log.prune_checkpoints(self.snapshot.version - self.cfg.history_window)
         if next_round >= self.cfg.rounds:
             self.finished = True
         self.state = self._open_round(next_round)

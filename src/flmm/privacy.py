@@ -20,7 +20,7 @@ import numpy as np
 
 from flmm.aggregation import ClientUpdate
 from flmm.errors import MaskingError, NumericError
-from flmm.rng import SplitMix64, hash_text, mix_seed
+from flmm.rng import SplitMix64, hash_text, mix_counters, mix_seed, to_uniform
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ def gaussian_mechanism(update: ClientUpdate, cfg: PrivacyConfig,
                        seed: int) -> ClientUpdate:
     """Clip the flattened deltas to L2 norm clip_norm, add N(0, noise_std^2)."""
     names = sorted(update.deltas)
-    flats = [update.deltas[n].ravel() for n in names]
-    flat = np.concatenate(flats)
+    flat = np.concatenate([update.deltas[n].ravel() for n in names])
     if not np.all(np.isfinite(flat)):
         raise NumericError("non-finite deltas")
     norm = float(np.linalg.norm(flat))
@@ -51,13 +50,15 @@ def gaussian_mechanism(update: ClientUpdate, cfg: PrivacyConfig,
     if cfg.noise_std > 0:
         rng = SplitMix64(seed)
         flat = flat + cfg.noise_std * rng.gaussians(flat.size)
-    out = {}
-    pos = 0
-    for n in names:
-        size = update.deltas[n].size
-        out[n] = flat[pos:pos + size].reshape(update.deltas[n].shape)
-        pos += size
-    return replace(update, deltas=out)
+    return replace(update, deltas=_blocks_of(flat, update.deltas, names))
+
+
+def _blocks_of(flat: np.ndarray, like: dict, names: list) -> dict:
+    """``flat`` cut into ``names``' blocks, one after another, each shaped
+    as in ``like``."""
+    ends = np.cumsum([like[n].size for n in names])[:-1]
+    return {n: part.reshape(like[n].shape)
+            for n, part in zip(names, np.split(flat, ends))}
 
 
 # Fixed-point grid for masking. Deltas and masks are snapped to multiples of
@@ -74,22 +75,13 @@ def quantize_deltas(deltas: dict) -> dict:
     return {n: np.round(m * _GRID) / _GRID for n, m in deltas.items()}
 
 
-def _pair_masks(seed: int, shapes: list) -> dict:
-    """One pair's masks for the ``(name, shape)`` blocks, in the order given.
-
-    The whole mask is one draw of uniforms on [-1, 1), snapped to the
-    fixed-point grid once; block k takes the next slice. The stream is
-    counter-based, so this equals one draw per block in the same order.
-    """
-    sizes = [rows * cols for _, (rows, cols) in shapes]
-    u = SplitMix64(seed).uniforms(sum(sizes))
-    flat = np.round((2.0 * u - 1.0) * _GRID) / _GRID
-    out = {}
-    pos = 0
-    for (name, shape), size in zip(shapes, sizes):
-        out[name] = flat[pos:pos + size].reshape(shape)
-        pos += size
-    return out
+def _pair_masks(seeds: list, size: int) -> np.ndarray:
+    """One pair mask per seed, as rows of one draw: row k is ``size``
+    uniforms on [-1, 1) from SplitMix64(seeds[k]), snapped to the fixed-point
+    grid. A mask over several blocks covers them one after another, in
+    sorted name order."""
+    u = to_uniform(mix_counters(seeds, size))
+    return np.round((2.0 * u - 1.0) * _GRID) / _GRID
 
 
 def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[ClientUpdate]:
@@ -99,13 +91,12 @@ def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[ClientUp
         raise MaskingError("pairwise masking needs at least two clients")
     ordered = sorted(updates, key=lambda u: u.client_id)
     masked = {u.client_id: quantize_deltas(u.deltas) for u in ordered}
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            ui, uj = ordered[i], ordered[j]
-            shared = [(n, ui.deltas[n].shape) for n in sorted(ui.deltas)
-                      if n in uj.deltas]
+    for i, ui in enumerate(ordered):
+        for uj in ordered[i + 1:]:
+            shared = [n for n in sorted(ui.deltas) if n in uj.deltas]
             seed = mix_seed(round_seed, hash_text(ui.client_id), hash_text(uj.client_id))
-            for name, m in _pair_masks(seed, shared).items():
+            mask = _pair_masks([seed], sum(ui.deltas[n].size for n in shared))[0]
+            for name, m in _blocks_of(mask, ui.deltas, shared).items():
                 masked[ui.client_id][name] += m
                 masked[uj.client_id][name] -= m
     return [replace(u, deltas=masked[u.client_id]) for u in ordered]
@@ -118,23 +109,21 @@ def apply_pairwise_masks(update: ClientUpdate, party_ids: list[str],
     Each client derives the shared pair masks from (round_seed, pair ids)
     alone, so no coordination beyond knowing the participant list is needed.
     Applying this to every participant's update is bit-identical to the
-    joint ``pairwise_mask``.
+    joint ``pairwise_mask``. All of a party's pair masks are drawn at once
+    and added, in party order, to its quantized deltas laid flat.
     """
     ordered = sorted(party_ids)
     if len(ordered) < 2:
         raise MaskingError("pairwise masking needs at least two clients")
-    deltas = quantize_deltas(update.deltas)
-    shapes = [(n, deltas[n].shape) for n in sorted(deltas)]
     me = update.client_id
-    for other in ordered:
-        if other == me:
-            continue
-        lo, hi = (me, other) if me < other else (other, me)
-        seed = mix_seed(round_seed, hash_text(lo), hash_text(hi))
-        sign = 1.0 if me == lo else -1.0
-        for name, m in _pair_masks(seed, shapes).items():
-            deltas[name] += sign * m
-    return replace(update, deltas=deltas)
+    names = sorted(update.deltas)
+    flat = np.concatenate([update.deltas[n].ravel() for n in names])
+    flat = np.round(flat * _GRID) / _GRID  # quantize_deltas, laid flat
+    others = [p for p in ordered if p != me]
+    seeds = [mix_seed(round_seed, *map(hash_text, sorted((me, p)))) for p in others]
+    for other, mask in zip(others, _pair_masks(seeds, flat.size)):
+        flat += mask if me < other else -mask
+    return replace(update, deltas=_blocks_of(flat, update.deltas, names))
 
 
 def output_filter(caption: list[int], cfg: PrivacyConfig) -> tuple[list[int], bool]:

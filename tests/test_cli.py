@@ -1,6 +1,9 @@
 import os
+import re
+import shlex
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +101,22 @@ def test_simulate_shapley(config_file, tmp_path, capsys):
     assert "shapley p0=" in text and "shapley p1=" in text
 
 
+def test_readme_quick_start_runs_as_documented(tmp_path, monkeypatch, capsys):
+    """The README's Quick start config and commands, run in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick = readme[readme.index("## Quick start"):]
+    ini = re.search(r"```ini\n(.*?)```", quick, re.S)[1]
+    commands = re.search(r"```sh\n(.*?)```", quick, re.S)[1].splitlines()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.ini").write_text(ini)
+    assert len(commands) == 6
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "flmm"
+        assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
+    assert "value factory=" in capsys.readouterr().out
+
+
 def test_eval_and_clean(config_file, tmp_path, capsys):
     data = str(tmp_path / "data")
     run = str(tmp_path / "run")
@@ -192,9 +211,8 @@ def test_shapley_after_more_rounds_than_history_window(tmp_path, capsys):
     log = os.path.join(run, "log")
     assert main(["gendata", "--spec", str(path), "--out", data]) == 0
     assert main(["simulate", "--config", str(path), "--out", run]) == 0
-    # versions 1 and 2 fell out of the window; v0 is the replay base
-    assert sorted(os.listdir(os.path.join(log, "checkpoints"))) == \
-        ["v0.ckpt", "v3.ckpt", "v4.ckpt", "v5.ckpt"]
+    # v0 is the only checkpoint file and the replay base
+    assert os.listdir(os.path.join(log, "checkpoints")) == ["v0.ckpt"]
     capsys.readouterr()
     assert main(["shapley", "--log", log,
                  "--eval", os.path.join(data, "eval.corpus")]) == 0

@@ -6,7 +6,7 @@ import pytest
 
 from flmm.aggregation import AggregationPlan, snapshot_blocks
 from flmm.errors import HistoryError
-from flmm.model import frozen_checksum, load_snapshot, save_snapshot, with_blocks
+from flmm.model import frozen_checksum, load_snapshot, save_snapshot
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, pack_blocks, unpack_blocks
 from flmm.rng import SplitMix64
@@ -382,16 +382,96 @@ class TestMasking:
 STRAY = ("notes.txt", ".v2.ckpt")
 
 
-class TestPruneCheckpoints:
-    @pytest.mark.parametrize("stray", STRAY)
-    def test_prunes_old_checkpoints_and_leaves_a_stray_file(self, tmp_path, stray):
+def fetch(core, version):
+    return core.handle(Message("FETCH", {"party": "pa", "token": TOKEN,
+                                         "version": str(version)}))
+
+
+def log_files(path):
+    return {str(p.relative_to(path)) for p in path.rglob("*") if p.is_file()}
+
+
+class TestDerivedVersions:
+    """Only v0 is stored: every later version comes from the round log."""
+
+    @staticmethod
+    def assert_recovers(core, tmp_path, made):
+        """A recovered server serves the live one's window and next ASSIGN,
+        and a fresh RoundLog derives every version made so far."""
+        recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+        for p in ("pa", "pb"):
+            register(recovered, p)
+        window = sorted(core.log.versions)
+        assert sorted(recovered.log.versions) == window
+        assert window == list(range(max(0, core.snapshot.version - 2),
+                                    core.snapshot.version + 1))
+        for v in window:
+            live, again = fetch(core, v), fetch(recovered, v)
+            assert live.msg_type == "MODEL" and live.body == made[v]
+            assert (again.headers, again.body) == (live.headers, live.body)
+        if window[0] > 0:
+            assert fetch(recovered, window[0] - 1).header("kind") == "HistoryError"
+        live, again = poll(core, "pa"), poll(recovered, "pa")
+        assert (again.msg_type, again.headers, again.body) == \
+            (live.msg_type, live.headers, live.body)
+        log = RoundLog(str(tmp_path), history_window=2)
+        for v, data in made.items():
+            assert save_snapshot(log.load_checkpoint(v)) == data
+
+    @pytest.mark.parametrize("strategy", ["sync_avg", "async_mix"])
+    def test_recover_at_every_round_boundary(self, tmp_path, strategy):
+        cfg = ServerConfig(token=TOKEN, plan=AggregationPlan(strategy=strategy),
+                           rounds=6, history_window=2, expected_parties=("pa", "pb"))
+        core = ServerCore(cfg, small_snapshot(1), str(tmp_path), clock=FakeClock())
+        for p in ("pa", "pb"):
+            register(core, p)
+        made = {0: save_snapshot(core.snapshot)}
+        for r in range(6):
+            self.assert_recovers(core, tmp_path, made)
+            v = core.snapshot.version
+            if strategy == "async_mix":  # one update per round, some on an older base
+                party = ("pa", "pb")[r % 2]
+                assert submit(core, party, random_deltas(200 + r, core.snapshot),
+                              max(0, v - r % 3)).msg_type == "ACK"
+            else:
+                for i, p in enumerate(("pa", "pb")):
+                    assert submit(core, p, random_deltas(200 + 2 * r + i, core.snapshot),
+                                  v).msg_type == "ACK"
+            made[core.snapshot.version] = save_snapshot(core.snapshot)
+        self.assert_recovers(core, tmp_path, made)
+        assert core.finished and core.snapshot.version == 6
+        assert [r["status"] for r in core.log.verify()] == ["ok"] * 6
+
+    def test_recover_refuses_an_update_that_did_not_train_the_model(self, tmp_path):
+        from flmm.aggregation import ClientUpdate
+        core = TestRoundLog().run_rounds(tmp_path, n=3)
+        logged = core.log.load_update(1, "pa")
+        core.log.save_update(1, ClientUpdate(
+            "pa", logged.base_version, random_deltas(999, core.snapshot),
+            logged.sample_count, logged.submitted_round))
+        with pytest.raises(HistoryError, match="round 1: replaying"):
+            ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
         log = RoundLog(str(tmp_path))
-        for v in range(5):
-            log.save_checkpoint(with_blocks(small_snapshot(1), {}, v))
-        (tmp_path / "checkpoints" / stray).write_bytes(b"x")
-        log.prune_checkpoints(3)
-        assert sorted(os.listdir(tmp_path / "checkpoints")) == \
-            sorted([stray, "v0.ckpt", "v3.ckpt", "v4.ckpt"])
+        assert save_snapshot(log.load_checkpoint(1)) == \
+            save_snapshot(core.log.load_checkpoint(1))
+        with pytest.raises(HistoryError, match="round 1: replaying"):
+            log.load_checkpoint(2)
+
+    def test_a_closed_round_creates_only_its_update_files(self, tmp_path):
+        core = make_core(tmp_path, rounds=3)
+        for p in ("pa", "pb"):
+            register(core, p)
+        for r in range(3):
+            before = log_files(tmp_path)
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                submit(core, p, random_deltas(300 + 2 * r + i, core.snapshot), v)
+            added = log_files(tmp_path) - before
+            if r:  # the first round also creates rounds.log
+                assert before <= log_files(tmp_path)
+                assert added == {f"updates/r{r}_pa.upd", f"updates/r{r}_pb.upd"}
+        assert core.finished
+        assert os.listdir(tmp_path / "checkpoints") == ["v0.ckpt"]
 
     def test_server_finishes_every_round_with_stray_files(self, tmp_path):
         cfg = ServerConfig(token=TOKEN, plan=AggregationPlan(), rounds=3,
@@ -408,7 +488,7 @@ class TestPruneCheckpoints:
                               v).msg_type == "ACK"
         assert core.finished and core.snapshot.version == 3
         assert sorted(os.listdir(tmp_path / "checkpoints")) == \
-            sorted(STRAY + ("v0.ckpt", "v2.ckpt", "v3.ckpt"))
+            sorted(STRAY + ("v0.ckpt",))
 
 
 class TestRoundLog:
