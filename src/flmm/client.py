@@ -1,4 +1,5 @@
-"""Client agent: poll -> train -> package -> submit state machine.
+"""Client agent: each step polls, trains the model an ASSIGN names and
+submits its update.
 
 The agent only ever initiates requests; its transport may be a real socket
 or an in-process shim, both speaking the same frames. The model to train
@@ -15,7 +16,7 @@ import zlib
 
 from flmm.config import PartyConfig, ScenarioConfig
 from flmm.dataquality import SceneRecord
-from flmm.errors import FlmmError, IdentityError, ProtocolError, TransportError
+from flmm.errors import IdentityError, ProtocolError, TransportError
 from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, with_blocks
 from flmm.privacy import apply_pairwise_masks, gaussian_mechanism
 from flmm.protocol import Message, encode_message, read_frame, unpack_blocks, \
@@ -24,21 +25,8 @@ from flmm.rng import hash_text, mix_seed
 from flmm.training import TrainConfig, TrainingSet, local_train, make_update, \
     training_set
 
-PHASES = ("idle", "training", "submitting", "waiting")
-_ALLOWED = {
-    ("idle", "training"),
-    ("training", "submitting"),
-    ("submitting", "waiting"),
-    ("submitting", "idle"),
-    ("waiting", "idle"),
-}
-
 _DP_SALT = 0xD9
 _MASK_SALT = 0x3A5C
-
-
-class StateMachineViolation(FlmmError):
-    pass
 
 
 class InProcessTransport:
@@ -124,18 +112,11 @@ class ClientAgent:
         self.party = party
         self.records = records
         self.transport = transport
-        self.phase = "idle"
         self.base: ModelSnapshot | None = None
         self.base_checksum = ""  # hex frozen_checksum of base
         self._block_shapes: dict = {}
         self._inputs: TrainingSet | None = None  # records prepared for base
-        self.last_round = -1
         self.finished_round: int | None = None  # set by a NOTASK saying finished
-
-    def _transition(self, new: str) -> None:
-        if (self.phase, new) not in _ALLOWED:
-            raise StateMachineViolation(f"{self.phase} -> {new}")
-        self.phase = new
 
     def _request(self, msg_type: str, headers: dict | None = None,
                  body: bytes = b"") -> Message:
@@ -147,35 +128,21 @@ class ClientAgent:
         return self._request("REGISTER")
 
     def step(self) -> str:
-        """One poll cycle; returns the response type observed."""
+        """One poll cycle: POLL, and on an ASSIGN train its model and SUBMIT
+        the update. Returns "NOTASK", "REJECT" (the POLL's or the SUBMIT's)
+        or "ACK"; an agent whose step raised simply steps again."""
         resp = self._request("POLL")
         if resp.msg_type == "NOTASK":
             if resp.headers.get("finished") == "1":
                 self.finished_round = int(resp.header("round"))
-            if self.phase == "waiting" and int(resp.header("round")) != self.last_round:
-                self._transition("idle")
             return "NOTASK"
         if resp.msg_type == "REJECT":
             return "REJECT"
         if resp.msg_type != "ASSIGN":
             raise ProtocolError(f"unexpected poll response {resp.msg_type}")
-        if self.phase == "waiting":
-            self._transition("idle")  # new round observed
-        round_num = int(resp.header("round"))
-        self._transition("training")
-        try:
-            update = self._train(round_num, self._assigned_model(resp))
-            self._transition("submitting")
-            ack = self._submit(update)
-        except FlmmError:
-            self.phase = "idle"
-            raise
-        if ack.msg_type == "ACK":
-            self.last_round = round_num
-            self._transition("waiting")
-            return "ACK"
-        self._transition("idle")  # REJECT: retry with the next ASSIGN
-        return "REJECT"
+        update = self._train(int(resp.header("round")), self._assigned_model(resp))
+        ack = self.transport.send(update_message(update, self.cfg.token))
+        return "ACK" if ack.msg_type == "ACK" else "REJECT"
 
     def _fetch(self, version: int) -> ModelSnapshot:
         resp = self._request("FETCH", {"version": version})
@@ -223,9 +190,6 @@ class ClientAgent:
                 update, list(self.cfg.party_ids()),
                 mix_seed(self.cfg.seed, _MASK_SALT, round_num))
         return update
-
-    def _submit(self, update) -> Message:
-        return self.transport.send(update_message(update, self.cfg.token))
 
 
 def run_client_loop(agent: ClientAgent, poll_interval: float = 0.05,

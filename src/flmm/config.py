@@ -200,6 +200,9 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         raise ConfigError(f"[run] batch_size = {train.batch_size}: must be at least 2")
     if train.epochs < 1:
         raise ConfigError(f"[run] epochs = {train.epochs}: must be at least 1")
+    rounds = int(run.get("rounds", 10))
+    if rounds < 1:
+        raise ConfigError(f"[run] rounds = {rounds}: must be at least 1")
     for section, key, value in (("run", "lr", train.lr),
                                 ("model", "temperature", model.temperature)):
         if not 0.0 < value < math.inf:  # false for nan
@@ -207,7 +210,7 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
 
     return ScenarioConfig(
         seed=seed,
-        rounds=int(run.get("rounds", 10)),
+        rounds=rounds,
         token=run.get("token", "flmm-shared-token"),
         deadline=float(run.get("deadline", 60.0)),
         train=train,

@@ -29,6 +29,7 @@ from flmm.rng import SplitMix64, gaussian_outputs, gaussian_rows, mix_seed
 REFUSAL_TOKEN = 0
 CLASS_TOKEN_BASE = 10
 HAZARD_TOKEN = 40
+CLASS_COUNT = HAZARD_TOKEN - CLASS_TOKEN_BASE  # a class's token sits below HAZARD_TOKEN
 SAFE_TOKEN = 41
 SENSITIVE_TOKENS = frozenset(range(50, 56))
 BLACKLIST_TOKENS = frozenset({58, 59})
@@ -84,6 +85,9 @@ class CorpusSpec:
             raise SpecError("scene class pool is empty")
         if len(set(self.scene_class_pool)) != len(self.scene_class_pool):
             raise SpecError(f"scene class pool {self.scene_class_pool} repeats a class")
+        outside = [c for c in self.scene_class_pool if not 0 <= c < CLASS_COUNT]
+        if outside:
+            raise SpecError(f"scene class {outside[0]} is outside 0..{CLASS_COUNT - 1}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -113,7 +117,7 @@ def caption_template(class_id: int, hazard: bool) -> tuple:
 def default_label_templates() -> dict:
     """Per-label caption fragments used by the repair transforms."""
     out = {}
-    for c in range(0, 30):
+    for c in range(CLASS_COUNT):
         tok = CLASS_TOKEN_BASE + c
         out[tok] = (2, tok, 3)
     out[HAZARD_TOKEN] = (4, HAZARD_TOKEN, 5)

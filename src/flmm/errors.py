@@ -88,7 +88,7 @@ class SamplingError(FlmmError):
 
 class MaskingError(FlmmError):
     """Pairwise masks that cannot cancel: fewer than two clients, or a masked
-    round closed with absentees."""
+    round closed with parties absent."""
 
 
 class AuthError(FlmmError):

@@ -20,7 +20,7 @@ import socketserver
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,12 @@ from flmm.protocol import Message, decode_payload, encode_message, message_updat
 
 @dataclass
 class RoundState:
+    """The open round: what it has received, until ``close_round``."""
+
     round: int
-    model_version: int
-    phase: str
     expected: set
     received: dict  # party -> ClientUpdate
     opened_at: float
-    absentees: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,6 @@ class ServerCore:
     def __init__(self, cfg: ServerConfig, initial: ModelSnapshot, log_dir: str,
                  clock=time.monotonic):
         self._attach(cfg, RoundLog(log_dir, cfg.history_window), initial, clock)
-        self.finished = False
         self.log.save_checkpoint(initial)
         self.state = self._open_round(0)
 
@@ -295,9 +293,12 @@ class ServerCore:
 
     def _open_round(self, round_num: int) -> RoundState:
         expected = set(self.cfg.expected_parties) or set(self.registry)
-        return RoundState(round=round_num, model_version=self.snapshot.version,
-                          phase="open", expected=expected, received={},
+        return RoundState(round=round_num, expected=expected, received={},
                           opened_at=self.clock())
+
+    @property
+    def finished(self) -> bool:
+        return self.state.round >= self.cfg.rounds
 
     @classmethod
     def recover(cls, cfg: ServerConfig, log_dir: str, clock=time.monotonic):
@@ -310,7 +311,6 @@ class ServerCore:
         next_round = int(records[-1]["round"]) + 1 if records else 0
         core = cls.__new__(cls)
         core._attach(cfg, log, log.versions[max(log.versions)], clock)
-        core.finished = next_round >= cfg.rounds
         core.state = core._open_round(next_round)
         return core
 
@@ -378,8 +378,7 @@ class ServerCore:
     def _poll(self, msg: Message) -> Message:
         party = self._auth(msg)
         st = self.state
-        if (self.finished or st.phase not in ("open", "collecting")
-                or party not in st.expected or party in st.received):
+        if self.finished or party not in st.expected or party in st.received:
             return self._respond("NOTASK", {"finished": "1" if self.finished else "0"})
         deadline_left = max(0.0, self.cfg.deadline - (self.clock() - st.opened_at))
         _, names, body, crc = self._adapter_body()
@@ -398,7 +397,7 @@ class ServerCore:
     def _submit(self, msg: Message) -> Message:
         party = self._auth(msg)
         st = self.state
-        if self.finished or st.phase not in ("open", "collecting"):
+        if self.finished:
             raise StalenessError("no round accepting submissions")
         if party in st.received:
             raise DuplicateError(f"duplicate submission from {party!r}")
@@ -409,15 +408,13 @@ class ServerCore:
                 raise ValidationError(f"block {name!r} has shape {m.shape}, the "
                                       f"model's is {self._block_shapes.get(name)}")
         mixing = self.cfg.plan.strategy == ASYNC_MIX  # each update closes a round
-        oldest = max(0, st.model_version - self.cfg.history_window) if mixing \
-            else st.model_version
-        if not oldest <= update.base_version <= st.model_version:
+        current = self.snapshot.version
+        oldest = max(0, current - self.cfg.history_window) if mixing else current
+        if not oldest <= update.base_version <= current:
             raise StalenessError(f"update base {update.base_version} outside versions "
-                                 f"{oldest}..{st.model_version}; refetch")
+                                 f"{oldest}..{current}; refetch")
         st.received[party] = update
-        st.phase = "collecting"
         if mixing or set(st.received) >= st.expected:
-            st.phase = "aggregating"
             self.close_round()
         return self._respond("ACK")
 
@@ -433,36 +430,37 @@ class ServerCore:
 
     def _check_deadline(self) -> None:
         st = self.state
-        if (not self.finished and st.phase in ("open", "collecting") and st.received
-                and self.cfg.plan.strategy != ASYNC_MIX
+        if (st.received and self.cfg.plan.strategy != ASYNC_MIX
                 and self.clock() - st.opened_at > self.cfg.deadline):
-            st.absentees = tuple(sorted(st.expected - set(st.received)))
-            st.phase = "aggregating"
-            self.close_round()
+            self.close_round(absent=tuple(sorted(st.expected - set(st.received))))
 
-    def close_round(self) -> None:
-        """Aggregate the collected updates and install the new snapshot."""
+    def close_round(self, absent: tuple = ()) -> None:
+        """Fuse the received updates, log the round, and only then install
+        the new version; a round that fails at any step changes no model.
+        ``absent`` names the expected parties the deadline closed it without."""
         st = self.state
-        assert st.phase == "aggregating"
         updates = sorted(st.received.values(), key=lambda u: u.client_id)
         started = self.clock()
-        pre = self.snapshot.version
         try:  # a failed write fails the round
             for u in updates:
                 self.log.save_update(st.round, u)
-            if self.cfg.plan.masking_enabled and st.absentees:
-                raise MaskingError(f"absent {','.join(st.absentees)}: their pair "
+            if self.cfg.plan.masking_enabled and absent:
+                raise MaskingError(f"absent {','.join(absent)}: their pair "
                                    f"masks would not cancel")
-            self.snapshot = self.log.fuse(self.cfg.plan, updates, self.log.versions)
-            self._append_round_record(updates, pre, started, status="ok")
+            window = dict(self.log.versions)
+            model = self.log.fuse(self.cfg.plan, updates, window)
+            self._append_round_record(updates, absent, model, started)
         except Exception as e:  # failed rounds leave the model untouched
-            self._append_round_record(updates, pre, started, status="failed",
+            self._append_round_record(updates, absent, self.snapshot, started,
                                       reason=type(e).__name__)
-        st.phase = "closed"
-        self._advance_round()
+        else:
+            self.snapshot, self.log.versions = model, window
+        self.state = self._open_round(st.round + 1)
 
-    def _append_round_record(self, updates, pre_version: int, started: float,
-                             status: str, reason: str = "") -> None:
+    def _append_round_record(self, updates, absent: tuple, model: ModelSnapshot,
+                             started: float, reason: str = "") -> None:
+        """Log the round as ok on ``model``, the fused version, or with a
+        ``reason`` as failed on ``model``, the unchanged current one."""
         plan = self.cfg.plan
         fields = {
             "round": self.state.round,
@@ -472,23 +470,17 @@ class ServerCore:
             "staleness_exponent": repr(plan.staleness_exponent),
             "masked": int(plan.masking_enabled),
             "contributors": ",".join(f"{u.client_id}:{u.sample_count}" for u in updates),
-            "absent": ",".join(self.state.absentees),
-            "blocks": blocks_field(self.snapshot) if status == "ok" else "",
-            "pre_version": pre_version,
-            "post_version": self.snapshot.version,
+            "absent": ",".join(absent),
+            "blocks": "" if reason else blocks_field(model),
+            "pre_version": self.snapshot.version,
+            "post_version": model.version,
             "metric": "NA",
             "duration": f"{self.clock() - started:.6f}",
-            "status": status,
+            "status": "failed" if reason else "ok",
         }
         if reason:
             fields["reason"] = reason
         self.log.append(fields)
-
-    def _advance_round(self) -> None:
-        next_round = self.state.round + 1
-        if next_round >= self.cfg.rounds:
-            self.finished = True
-        self.state = self._open_round(next_round)
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -14,7 +14,7 @@ from flmm.client import ClientAgent, InProcessTransport, SocketTransport, \
 from flmm.config import ScenarioConfig
 from flmm.contribution import ShapleyResult, exact_shapley, fl_value_function
 from flmm.dataquality import generate_corpus, quality_loop, repair_corpus
-from flmm.errors import StarvationError
+from flmm.errors import ConfigError, StarvationError
 from flmm.metrics import eval_batch, evaluate
 from flmm.model import ModelSnapshot, init_snapshot, save_snapshot
 from flmm.orchestrator import FederationServer, ServerConfig, ServerCore
@@ -126,26 +126,24 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
                             log_dir=log_dir, failure=failure)
 
 
-def run_server(cfg: ScenarioConfig, host: str, port: int, log_dir: str,
-               wait: bool = True) -> ServerCore:
+def run_server(cfg: ScenarioConfig, host: str, port: int, log_dir: str) -> ServerCore:
     """Socket server for a distributed run; blocks until rounds finish."""
     import time
     core = ServerCore(server_config(cfg), build_initial_model(cfg), log_dir)
     server = FederationServer(host, port, core)
     server.serve_background()
-    if wait:
-        while not core.finished:
-            time.sleep(0.05)
-        time.sleep(0.5)  # grace period so clients can fetch the final model
-        server.shutdown()
-        server.server_close()
+    while not core.finished:
+        time.sleep(0.05)
+    time.sleep(0.5)  # grace period so clients can fetch the final model
+    server.shutdown()
+    server.server_close()
     return core
 
 
 def run_client(cfg: ScenarioConfig, party_id: str, host: str, port: int) -> int:
     party = next((p for p in cfg.parties if p.party_id == party_id), None)
     if party is None:
-        raise StarvationError(f"unknown party {party_id!r}", party_id)
+        raise ConfigError(f"unknown party {party_id!r}")
     records = repair_corpus(generate_corpus(party.corpus))
     transport = SocketTransport(host, port)
     try:

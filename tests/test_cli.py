@@ -73,8 +73,11 @@ def test_gendata_missing_config(tmp_path, capsys):
     ("anchor_mu = 2.0\n\n[party:p1]", "anchor_mu = 2.0\nmismatched = 2.0\n\n[party:p1]"),
     ("classes = 0,1,2,3\nanchor_mu = 2.0\n\n[party:p1]",
      "classes = ,\nanchor_mu = 2.0\n\n[party:p1]"),
+    ("classes = 0,1,2,3\nanchor_mu = 2.0\n\n[party:p1]",
+     "classes = 0,54\nanchor_mu = 2.0\n\n[party:p1]"),
+    ("rounds = 2", "rounds = 0"),
 ], ids=["batch_size_0", "batch_size_1", "epochs_0", "lr_negative", "rank_0",
-        "rates_above_1", "empty_pool"])
+        "rates_above_1", "empty_pool", "class_54", "rounds_0"])
 def test_simulate_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     assert old in CONFIG
     path = tmp_path / "scenario.ini"
@@ -339,6 +342,13 @@ def test_client_bad_endpoint(config_file, capsys, monkeypatch):
                  "--endpoint", f"127.0.0.1:{port}", "--party", "p0"])
     assert code == 3
     assert "transport error" in capsys.readouterr().err
+
+
+def test_client_unknown_party_is_a_config_error(config_file, capsys):
+    code = main(["client", "run", "--config", config_file,
+                 "--endpoint", "127.0.0.1:9", "--party", "nope"])
+    assert code == 2
+    assert "config error: unknown party 'nope'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

@@ -64,10 +64,13 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("run", "batch_size", "-4", "batch_size = -4: must be at least 2"),
     ("run", "epochs", "0", "epochs = 0: must be at least 1"),
     ("run", "epochs", "-1", "epochs = -1: must be at least 1"),
+    ("run", "rounds", "0", r"\[run\] rounds = 0: must be at least 1"),
+    ("run", "rounds", "-2", r"\[run\] rounds = -2: must be at least 1"),
     ("party:p0", "mismatched", "2.0", "corruption rates sum above 1"),
     ("party:p0", "classes", ",", "scene class pool is empty"),
     ("party:p0", "classes", "0,0,1", "repeats a class"),
     ("eval", "classes", ",", "scene class pool is empty"),
+    ("party:p0", "classes", "0,30", "scene class 30 is outside 0..29"),
     ("run", "lr", "-0.1", r"\[run\] lr = -0.1: must be finite and above 0"),
     ("run", "lr", "0", r"\[run\] lr = 0.0: must be finite and above 0"),
     ("run", "lr", "nan", r"\[run\] lr = nan: must be finite and above 0"),

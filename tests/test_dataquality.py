@@ -5,6 +5,8 @@ from flmm.aggregation import AggregationPlan
 from flmm.dataquality import (
     _PROTO_SALT,
     BLACKLIST_TOKENS,
+    HAZARD_TOKEN,
+    SAFE_TOKEN,
     SENSITIVE_TOKENS,
     CorpusSpec,
     caption_template,
@@ -69,6 +71,18 @@ class TestGeneration:
         # land on its own class
         with pytest.raises(SpecError, match="repeats a class"):
             spec(classes=classes, rates={"mismatched": 0.5})
+
+    @pytest.mark.parametrize("cls", [-1, 30, 40, 45, 54])
+    def test_class_outside_the_token_layout_raises(self, cls):
+        # class 30 would name itself with HAZARD_TOKEN, 40-45 with sensitive
+        # tokens, 54 and above with a token past the default vocab
+        with pytest.raises(SpecError, match=f"scene class {cls} is outside 0..29"):
+            spec(classes=(0, cls))
+
+    def test_every_class_in_the_layout_is_accepted_and_has_a_label_template(self):
+        spec(classes=tuple(range(30)))
+        class_tokens = {caption_template(c, False)[2] for c in range(30)}
+        assert class_tokens | {HAZARD_TOKEN, SAFE_TOKEN} == set(default_label_templates())
 
     @pytest.mark.parametrize("seed", [3, 42, 2**64 - 7])
     @pytest.mark.parametrize("d_v", [15, 16])

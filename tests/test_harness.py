@@ -10,8 +10,7 @@ import pytest
 
 import flmm.client
 from flmm.aggregation import AggregationPlan, BLOCK_NAMES, snapshot_blocks
-from flmm.client import ClientAgent, SocketTransport, StateMachineViolation, \
-    run_client_loop
+from flmm.client import ClientAgent, SocketTransport, run_client_loop
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
 from flmm.dataquality import CorpusSpec
 from flmm.errors import TransportError
@@ -49,38 +48,6 @@ def make_scenario(seed=7, parties=2, rounds=2, size=40, masking=False,
                              seed=seed + 99, scene_class_pool=classes),
         quality=QualityConfig(iters=quality_iters, target=2.0),
     )
-
-
-class TestStateMachine:
-    def test_illegal_transitions_rejected(self):
-        cfg = make_scenario()
-        agent = ClientAgent(cfg, cfg.parties[0], [], transport=None)
-        assert agent.phase == "idle"
-        for bad in ("submitting", "waiting"):
-            with pytest.raises(StateMachineViolation):
-                agent._transition(bad)
-
-    def test_full_legal_cycle(self):
-        cfg = make_scenario()
-        agent = ClientAgent(cfg, cfg.parties[0], [], transport=None)
-        for phase in ("training", "submitting", "waiting", "idle"):
-            agent._transition(phase)
-        assert agent.phase == "idle"
-
-    def test_exhaustive_small_traces(self):
-        # every declared edge is reachable and nothing else is allowed
-        from flmm.client import PHASES, _ALLOWED
-        cfg = make_scenario()
-        for a in PHASES:
-            for b in PHASES:
-                agent = ClientAgent(cfg, cfg.parties[0], [], transport=None)
-                agent.phase = a
-                if (a, b) in _ALLOWED:
-                    agent._transition(b)
-                    assert agent.phase == b
-                else:
-                    with pytest.raises(StateMachineViolation):
-                        agent._transition(b)
 
 
 class TestSimulationDeterminism:

@@ -85,7 +85,7 @@ class TestSyncRound:
         assert poll.msg_type == "ASSIGN"
         v0 = core.snapshot.version
         assert submit(core, "pa", random_deltas(1, core.snapshot), v0).msg_type == "ACK"
-        assert core.state.phase == "collecting"
+        assert set(core.state.received) == {"pa"} and core.state.round == 0
         # pa already submitted: no task until the round turns
         assert core.handle(Message("POLL", {"party": "pa", "token": TOKEN})
                            ).msg_type == "NOTASK"
@@ -209,12 +209,49 @@ class TestSyncRound:
             ("0", "failed", "OSError")
         assert record["pre_version"] == record["post_version"] == "0"
         assert save_snapshot(core.snapshot) == before
-        assert (core.state.round, core.state.phase) == (1, "open")
+        assert (core.state.round, core.state.received) == (1, {})
         monkeypatch.undo()
         assert poll(core, "pa").msg_type == "ASSIGN"
         assert submit(core, "pa", random_deltas(22, core.snapshot), 0).msg_type == "ACK"
         assert core.snapshot.version == 1
         assert core.log.verify()[-1]["status"] == "ok"
+
+    def test_failed_record_append_fails_the_round_and_installs_nothing(
+            self, tmp_path, monkeypatch):
+        core = make_core(tmp_path, parties=("pa",))
+        register(core, "pa")
+        assert submit(core, "pa", random_deltas(23, core.snapshot), 0).msg_type == "ACK"
+        before = save_snapshot(core.snapshot)
+        window = dict(core.log.versions)
+        assigned = poll(core, "pa")
+        append, statuses = core.log.append, []
+
+        def first_append_fails(fields):
+            statuses.append(fields["status"])
+            if len(statuses) == 1:
+                raise OSError(5, "Input/output error")
+            append(fields)
+
+        monkeypatch.setattr(core.log, "append", first_append_fails)
+        assert submit(core, "pa", random_deltas(24, core.snapshot), 1).msg_type == "ACK"
+        assert statuses == ["ok", "failed"]
+        record = core.log.verify()[-1]
+        assert (record["round"], record["status"], record["reason"]) == \
+            ("1", "failed", "OSError")
+        assert record["pre_version"] == record["post_version"] == "1"
+        assert save_snapshot(core.snapshot) == before
+        assert core.log.versions.keys() == window.keys()
+        assert all(core.log.versions[v] is window[v] for v in window)
+        again = poll(core, "pa")
+        assert (again.header("round"), again.header("version")) == (2, 1)
+        assert again.body == assigned.body and again.header("crc") == assigned.header("crc")
+
+        recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+        assert save_snapshot(recovered.snapshot) == before
+        assert recovered.log.versions.keys() == window.keys()
+        register(recovered, "pa")
+        replayed = poll(recovered, "pa")
+        assert (replayed.headers, replayed.body) == (again.headers, again.body)
 
 
 class TestDeadline:
