@@ -1,6 +1,12 @@
 """Client agent: each step polls, trains the model an ASSIGN names and
 submits its update.
 
+A step has two halves around its training: ``take`` polls and turns an
+ASSIGN into a TrainingJob, and ``finish`` turns the trained model into an
+update and submits it. ``step`` trains the job's one row with local_train
+in between; the in-process driver takes a whole round's jobs first and
+trains them in one stacked local_train call.
+
 The agent only ever initiates requests; its transport may be a real socket
 or an in-process shim, both speaking the same frames. The model to train
 arrives with each ASSIGN as trainable blocks only; the frozen base is fetched
@@ -13,14 +19,15 @@ import socket
 import threading
 import time
 import zlib
+from dataclasses import dataclass
 
 from flmm.config import PartyConfig, ScenarioConfig
 from flmm.dataquality import SceneRecord
 from flmm.errors import IdentityError, ProtocolError, TransportError
 from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, with_blocks
 from flmm.privacy import apply_pairwise_masks, gaussian_mechanism
-from flmm.protocol import Message, encode_message, read_frame, unpack_blocks, \
-    update_message
+from flmm.protocol import Message, decode_payload, encode_message, read_frame, \
+    unpack_blocks, update_message
 from flmm.rng import hash_text, mix_seed
 from flmm.training import TrainConfig, TrainingSet, local_train, make_update, \
     training_set
@@ -36,7 +43,6 @@ class InProcessTransport:
         self.core = core
 
     def send(self, msg: Message) -> Message:
-        from flmm.protocol import decode_payload
         payload = encode_message(msg)[4:]
         return decode_payload(self.core.handle_bytes(payload))
 
@@ -93,6 +99,20 @@ class SocketTransport:
             self._sock = self._rfile = None
 
 
+@dataclass(frozen=True, eq=False)
+class TrainingJob:
+    """What one ASSIGN asks of an agent: train ``model``, the round's
+    assigned snapshot on the frozen base whose checksum is ``base``, on
+    ``data`` under ``cfg`` with ``seed``."""
+
+    round: int
+    model: ModelSnapshot
+    base: str
+    data: TrainingSet
+    cfg: TrainConfig
+    seed: int
+
+
 class ClientAgent:
     """One party: polls, trains the model an ASSIGN names, submits its update.
 
@@ -103,7 +123,7 @@ class ClientAgent:
     the ASSIGN's blocks. It FETCHes again only when ``base`` changes; a base
     that still differs after that raises IdentityError, and a body that fails
     its CRC raises before anything is submitted. Its records are prepared as
-    a TrainingSet at the first training after each FETCH.
+    a TrainingSet at the first ASSIGN it takes after each FETCH.
     """
 
     def __init__(self, cfg: ScenarioConfig, party: PartyConfig,
@@ -128,9 +148,17 @@ class ClientAgent:
         return self._request("REGISTER")
 
     def step(self) -> str:
-        """One poll cycle: POLL, and on an ASSIGN train its model and SUBMIT
-        the update. Returns "NOTASK", "REJECT" (the POLL's or the SUBMIT's)
-        or "ACK"; an agent whose step raised simply steps again."""
+        """One poll cycle: ``take``, train the job's one row, ``finish``.
+        Returns "NOTASK", "REJECT" (the POLL's or the SUBMIT's) or "ACK"; an
+        agent whose step raised simply steps again."""
+        job = self.take()
+        if isinstance(job, str):
+            return job
+        return self.finish(job, local_train(job.model, job.data, job.cfg, job.seed))
+
+    def take(self) -> TrainingJob | str:
+        """POLL; an ASSIGN becomes the TrainingJob it asks for, and anything
+        else "NOTASK" or "REJECT"."""
         resp = self._request("POLL")
         if resp.msg_type == "NOTASK":
             if resp.headers.get("finished") == "1":
@@ -140,7 +168,33 @@ class ClientAgent:
             return "REJECT"
         if resp.msg_type != "ASSIGN":
             raise ProtocolError(f"unexpected poll response {resp.msg_type}")
-        update = self._train(int(resp.header("round")), self._assigned_model(resp))
+        round_num = int(resp.header("round"))
+        model = self._assigned_model(resp)
+        if self._inputs is None:
+            self._inputs = training_set(model, self.records)
+        train_cfg = TrainConfig(
+            epochs=self.cfg.train.epochs, lr=self.cfg.train.lr,
+            batch_size=self.cfg.train.batch_size,
+            anchor_mu=self.party.anchor_mu)
+        return TrainingJob(round=round_num, model=model, base=self.base_checksum,
+                           data=self._inputs, cfg=train_cfg,
+                           seed=mix_seed(self.cfg.seed, round_num,
+                                         hash_text(self.party.party_id)))
+
+    def finish(self, job: TrainingJob, trained: ModelSnapshot) -> str:
+        """Submit ``trained``, the job's model after training, as this
+        party's update, with DP noise and pairwise masks when the run has
+        them. Returns "ACK" or "REJECT"."""
+        party = self.party.party_id
+        update = make_update(job.model, trained, party, len(job.data), job.round)
+        if self.cfg.privacy.dp_enabled:
+            update = gaussian_mechanism(
+                update, self.cfg.privacy,
+                mix_seed(self.cfg.seed, _DP_SALT, job.round, hash_text(party)))
+        if self.cfg.privacy.masking_enabled:
+            update = apply_pairwise_masks(
+                update, list(self.cfg.party_ids()),
+                mix_seed(self.cfg.seed, _MASK_SALT, job.round))
         ack = self.transport.send(update_message(update, self.cfg.token))
         return "ACK" if ack.msg_type == "ACK" else "REJECT"
 
@@ -168,28 +222,6 @@ class ClientAgent:
         if {n: m.shape for n, m in blocks.items()} != self._block_shapes:
             raise ProtocolError("ASSIGN blocks do not match the base's trainable blocks")
         return with_blocks(self.base, blocks, version)
-
-    def _train(self, round_num: int, model: ModelSnapshot):
-        if self._inputs is None:
-            self._inputs = training_set(model, self.records)
-        train_cfg = TrainConfig(
-            epochs=self.cfg.train.epochs, lr=self.cfg.train.lr,
-            batch_size=self.cfg.train.batch_size,
-            anchor_mu=self.party.anchor_mu)
-        seed = mix_seed(self.cfg.seed, round_num, hash_text(self.party.party_id))
-        trained = local_train(model, self._inputs, train_cfg, seed)
-        update = make_update(model, trained, self.party.party_id,
-                             len(self._inputs), round_num)
-        if self.cfg.privacy.dp_enabled:
-            update = gaussian_mechanism(
-                update, self.cfg.privacy,
-                mix_seed(self.cfg.seed, _DP_SALT, round_num,
-                         hash_text(self.party.party_id)))
-        if self.cfg.privacy.masking_enabled:
-            update = apply_pairwise_masks(
-                update, list(self.cfg.party_ids()),
-                mix_seed(self.cfg.seed, _MASK_SALT, round_num))
-        return update
 
 
 def run_client_loop(agent: ClientAgent, poll_interval: float = 0.05,

@@ -1,7 +1,9 @@
 """Fusion losses that local training composes with the contrastive loss.
 
 The text-anchor loss pulls the vision tower toward (stop-gradient) text
-embeddings; local_train adds it for a party whose anchor_mu is positive.
+embeddings; local_train adds it when its TrainConfig's anchor_mu is
+positive. One anchor_mu serves a whole stack, so parties with different
+anchor_mu train in separate local_train calls.
 The distillation loss pulls embeddings of a public probe set toward a
 consensus map. It is a library function: no run builds a probe set or a
 consensus, so no run applies it.

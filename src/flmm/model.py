@@ -17,8 +17,9 @@ towers' backward passes, contrastive_loss_and_grads and sgd_step take that
 leading row axis as they come: every matmul, transpose and reduction acts on
 the last two axes, so each row gets the bits it would get alone. A single
 model is the case with no leading axis, and its loss is a float; a stack's
-losses are a (P,) array. Only training builds stacks (training.local_train_stack);
-save_snapshot, like the wire and round-log encoders, refuses one (ShapeError).
+losses are a (P,) array. Only training builds stacks (training.local_train
+given a list of corpora); save_snapshot, like the wire and round-log
+encoders, refuses one (ShapeError).
 
 The LoRA scale alpha / rank is the constant LORA_SCALE: checkpoints do not
 store alpha, and every snapshot uses alpha = 2 * rank.

@@ -95,14 +95,20 @@ class RoundLog:
                 self._last_crc = int(fields["crc"], 16)
 
     def append(self, fields: dict) -> None:
+        """Append one record chained to the last. It counts once fsynced: a
+        write or fsync that raises cuts the file back to where it was."""
         body = " ".join(f"{k}={v}" for k, v in fields.items())
         body += f" prev_crc={self._last_crc:08x}"
         crc = zlib.crc32(body.encode())
-        line = f"{body} crc={crc:08x}\n"
-        with open(self.path, "a") as f:
-            f.write(line)
-            f.flush()
-            os.fsync(f.fileno())
+        line = f"{body} crc={crc:08x}\n".encode()
+        with open(self.path, "ab", buffering=0) as f:
+            size = f.seek(0, os.SEEK_END)
+            try:
+                f.write(line)
+                os.fsync(f.fileno())
+            except BaseException:
+                f.truncate(size)  # a line that is not durable is not logged
+                raise
         self._last_crc = crc
 
     def verify(self) -> list:

@@ -1,7 +1,13 @@
 """Multi-party simulation driver: in-process and socket-distributed runs.
 
-Both modes share the client agents, the server core, and the wire protocol;
-with identical seeds they produce identical round logs and checkpoints.
+Both modes share the client agents, the server core, and the wire protocol.
+With identical seeds and ``[quality] iters = 0`` they produce identical
+round logs and checkpoints; only the in-process run has a quality loop.
+
+In process, a round's agents train together: each ``take``s its job, the
+jobs train in stacked local_train calls, and each agent ``finish``es its
+own in party order. A socket client ``step``s alone, one row at a time;
+every row has the bits it would have alone, so the modes agree.
 """
 
 from __future__ import annotations
@@ -9,8 +15,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from flmm.aggregation import ASYNC_MIX
 from flmm.client import ClientAgent, InProcessTransport, SocketTransport, \
-    run_client_loop
+    TrainingJob, run_client_loop
 from flmm.config import ScenarioConfig
 from flmm.contribution import ShapleyResult, exact_shapley, fl_value_function
 from flmm.dataquality import generate_corpus, quality_loop, repair_corpus
@@ -19,7 +26,7 @@ from flmm.metrics import eval_batch, evaluate
 from flmm.model import ModelSnapshot, init_snapshot, save_snapshot
 from flmm.orchestrator import FederationServer, ServerConfig, ServerCore
 from flmm.rng import mix_seed
-from flmm.training import federated_train
+from flmm.training import federated_train, local_train
 
 _MODEL_SALT = 0x30DE1
 
@@ -61,6 +68,25 @@ def server_config(cfg: ScenarioConfig) -> ServerConfig:
                         expected_parties=cfg.party_ids())
 
 
+def train_batch(agents: list) -> bool:
+    """One pass over ``agents``: each takes its job, the jobs that share a
+    round, an assigned version, a base and a TrainConfig train in one
+    local_train call, and each agent finishes its job in party order. True
+    when a SUBMIT was ACKed."""
+    taken = [(agent, agent.take()) for agent in agents]
+    jobs = [(agent, job) for agent, job in taken if isinstance(job, TrainingJob)]
+    groups: dict = {}
+    for _, job in jobs:
+        groups.setdefault((job.round, job.model.version, job.base, job.cfg),
+                          []).append(job)
+    trained = {}
+    for group in groups.values():
+        models = local_train(group[0].model, [job.data for job in group],
+                             group[0].cfg, [job.seed for job in group])
+        trained.update(zip(group, models))
+    return any([agent.finish(job, trained[job]) == "ACK" for agent, job in jobs])
+
+
 def run_simulation(cfg: ScenarioConfig, out_dir: str,
                    with_shapley: bool = False) -> SimulationResult:
     """Full in-process run: protocol-mediated rounds, optional quality loop,
@@ -77,24 +103,19 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
               for p in cfg.parties]
     for agent in agents:
         agent.register()
+    # an async_mix SUBMIT closes its round, so there each agent is a batch of
+    # its own: the next one takes the version that SUBMIT made
+    batches = [agents] if cfg.plan.strategy != ASYNC_MIX else [[a] for a in agents]
+    while not core.finished:
+        if not any([train_batch(batch) for batch in batches]):
+            break  # nothing accepted this sweep; avoid spinning
 
-    failure = None
-    try:
-        while not core.finished:
-            progressed = False
-            for agent in agents:
-                if agent.step() == "ACK":
-                    progressed = True
-            if not progressed:
-                break  # nothing accepted this sweep; avoid spinning
-    except StarvationError as e:
-        failure = str(e)
-
-    del agents  # each holds its prepared corpus; the quality loop prepares its own
+    del agents, batches  # each agent holds its prepared corpus; the loop prepares its own
     model = core.snapshot
     reports = [evaluate(model, eval_set, "union-eval")]
 
-    if cfg.quality.iters > 0 and failure is None:
+    failure = None
+    if cfg.quality.iters > 0:
         def train_fn(m, corpora_by_party):
             return federated_train(m, corpora_by_party, cfg.train,
                                    rounds=cfg.rounds, plan=cfg.plan, seed=cfg.seed)

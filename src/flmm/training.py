@@ -1,13 +1,13 @@
 """Local adapter training and a direct in-memory federated driver.
 
-``local_train_stack`` is the one trainer. It trains P parties from one
-model at once: every trainable block is carried as a (P, r, c) stack (see
-``model``), and each step runs the forward pass, the losses and the SGD
-update for a whole stack of rows in one call each. ``local_train``, which a
-protocol client runs, is its one-row slice, and ``federated_train`` runs it
-once per round for all of that round's parties, so both paths produce
-identical updates for identical seeds: each row has the bits of training
-that party on its own.
+``local_train`` is the one trainer. It trains one party, or P parties from
+one model at once: then every trainable block is carried as a (P, r, c)
+stack (see ``model``), and each step runs the forward pass, the losses and
+the SGD update for a whole stack of rows in one call each. Each row has the
+bits of training that party on its own, so every caller may stack: a
+protocol client trains its one row, ``simulate.run_simulation`` trains each
+round's in-process agents in one call, and ``federated_train`` each round's
+parties.
 
 A corpus is trained on in its prepared form, a TrainingSet: its usable
 records with their images and text features stacked. token_embed is frozen,
@@ -55,11 +55,14 @@ class TrainingSet:
         return len(self.records)
 
 
-def trainable_records(records: TrainingSet | list[SceneRecord]) -> list[SceneRecord]:
+def trainable_records(records) -> list[SceneRecord]:
     """Records usable for contrastive pairs (caption present); a TrainingSet
-    holds only those."""
+    holds only those. A list of corpora, local_train's stacked form, gives
+    every row's usable records in row order."""
     if isinstance(records, TrainingSet):
         return records.records
+    if records and not isinstance(records[0], SceneRecord):
+        return [r for rows in records for r in trainable_records(rows)]
     return [r for r in records if r.caption]
 
 
@@ -80,38 +83,32 @@ def training_set(model: ModelSnapshot,
     return TrainingSet(usable, pairs, model.token_embed)
 
 
-def local_train(model: ModelSnapshot, records: TrainingSet | list[SceneRecord],
-                cfg: TrainConfig, seed: int) -> ModelSnapshot:
+def local_train(model: ModelSnapshot, records, cfg: TrainConfig, seed):
     """Epochs of SGD on shuffled minibatches; deterministic given the seed.
 
-    ``records`` is the corpus's TrainingSet, prepared once per corpus, or a
-    record list, which is prepared for this call. The one-row slice of
-    local_train_stack.
+    ``records`` is a corpus's TrainingSet, prepared once per corpus, or a
+    record list, which is prepared for this call; ``seed`` is an int, and the
+    trained snapshot is returned. Stacked, ``records`` is a list of such
+    corpora and ``seed`` a list with one seed per corpus: one party per
+    corpus trains from ``model`` at once, each with its own seed's shuffle
+    stream, and the P trained snapshots are returned in corpus order.
+
+    A party below 2 usable records gets ``model`` back. Each epoch gathers
+    every row's shuffled pairs once. At each step the rows whose next batch
+    has the same size step together as one stack: pair_forward runs both
+    towers once, that PairForward goes to the contrastive and the anchor
+    loss, and each loss backpropagates its own dz (summing the dz first
+    would round differently) before compose_losses adds the gradients. A
+    row whose batch is below 2 pairs, a skipped tail or nothing left, does
+    not step. A lone row trains as the model itself, with no leading axis.
     """
-    return local_train_stack(model, [records], cfg, [seed])[0]
-
-
-def local_train_stack(model: ModelSnapshot, datasets: list, cfg: TrainConfig,
-                      seeds: list) -> list[ModelSnapshot]:
-    """Train one party per dataset from ``model`` at once; returns the P
-    trained snapshots, in the order of ``datasets``.
-
-    Each dataset is a TrainingSet or a record list, as for local_train, and
-    trains with its own seed's shuffle stream. A party below 2 usable
-    records gets ``model`` back. Each epoch gathers every row's shuffled
-    pairs once. At each step the rows whose next batch has the same size
-    step together as one stack: pair_forward runs both towers once, that
-    PairForward goes to the contrastive and the anchor loss, and each loss
-    backpropagates its own dz (summing the dz first would round
-    differently) before compose_losses adds the gradients. A row whose
-    batch is below 2 pairs, a skipped tail or nothing left, does not step.
-    A lone row trains as the model itself, with no leading axis.
-    """
-    data = [training_set(model, d) for d in datasets]
+    stacked = isinstance(seed, (list, tuple))
+    seeds = seed if stacked else [seed]
+    data = [training_set(model, d) for d in (records if stacked else [records])]
     out = [model] * len(data)  # no batch of 2 can be drawn below 2 records
     live = [k for k, d in enumerate(data) if len(d) >= 2]
     if not live:
-        return out
+        return out if stacked else out[0]
     sizes = [len(data[k]) for k in live]
     steps = _epoch_steps(sizes, cfg.batch_size)
     rngs = [SplitMix64(seeds[k]) for k in live]
@@ -145,7 +142,7 @@ def local_train_stack(model: ModelSnapshot, datasets: list, cfg: TrainConfig,
     for row, k in enumerate(live):
         out[k] = stack if lone else with_blocks(
             model, {n: m[row] for n, m in stack.blocks.items()}, model.version)
-    return out
+    return out if stacked else out[0]
 
 
 def _epoch_steps(sizes: list, batch_size: int) -> list:
@@ -186,7 +183,7 @@ def make_update(before: ModelSnapshot, after: ModelSnapshot, client_id: str,
 def federated_train(model: ModelSnapshot, corpora_by_party: dict, cfg: TrainConfig,
                     rounds: int, plan: AggregationPlan, seed: int) -> ModelSnapshot:
     """Synchronous federated rounds over in-memory parties; each round's
-    parties train in one local_train_stack call, and their updates are
+    parties train in one stacked local_train call, and their updates are
     fused by ``aggregate`` under ``plan``. Each party's corpus is prepared
     once, for every round; a party below 2 usable records sits out."""
     prepared = {party: training_set(model, corpora_by_party[party])
@@ -195,8 +192,8 @@ def federated_train(model: ModelSnapshot, corpora_by_party: dict, cfg: TrainConf
     if not parties:
         return model
     for r in range(rounds):
-        trained = local_train_stack(model, [prepared[p] for p in parties], cfg,
-                                    [mix_seed(seed, r, hash_text(p)) for p in parties])
+        trained = local_train(model, [prepared[p] for p in parties], cfg,
+                              [mix_seed(seed, r, hash_text(p)) for p in parties])
         updates = [make_update(model, t, p, len(prepared[p]), r)
                    for p, t in zip(parties, trained)]
         model = aggregate(plan, model, updates, {model.version: model})

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import glob
+import os
 import struct
+import sys
 import zlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
+import flmm.orchestrator
+import flmm.simulate
 import flmm.training
 from flmm.aggregation import (
     aggregate,
@@ -355,6 +361,54 @@ def count_pair_batches(monkeypatch) -> list:
 
     monkeypatch.setattr(flmm.training, "pair_batch", counted)
     return calls
+
+
+def spy_local_train(monkeypatch) -> list:
+    """Records (records, cfg, seed) for every local_train call, through every
+    flmm module that imported the name."""
+    calls = []
+    original = flmm.training.local_train
+
+    def spy(model, records, cfg, seed):
+        calls.append((records, cfg, seed))
+        return original(model, records, cfg, seed)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "flmm" and getattr(module, "local_train", None) is original:
+            monkeypatch.setattr(module, "local_train", spy)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Sequential-agent driver oracle: each agent steps on its own (POLL, one-row
+# local_train, SUBMIT) in party order, as run_simulation swept its agents
+# before it stacked them.
+# ---------------------------------------------------------------------------
+
+def oracle_train_batch(agents) -> bool:
+    """Every agent steps alone, in party order."""
+    return any([agent.step() == "ACK" for agent in agents])
+
+
+def run_sequential(cfg, out_dir: str, **kwargs):
+    """run_simulation with every agent stepping on its own."""
+    with mock.patch.object(flmm.simulate, "train_batch", oracle_train_batch):
+        return flmm.simulate.run_simulation(cfg, out_dir, **kwargs)
+
+
+def run_artifacts(out_dir: str) -> dict:
+    """What a run wrote: final.ckpt and every .upd file as bytes, and each
+    round record without its timing and the CRC chain it moves."""
+    log_dir = os.path.join(out_dir, "log")
+    with open(os.path.join(out_dir, "final.ckpt"), "rb") as f:
+        final = f.read()
+    updates = {}
+    for path in sorted(glob.glob(os.path.join(log_dir, "updates", "*.upd"))):
+        with open(path, "rb") as f:
+            updates[os.path.basename(path)] = f.read()
+    records = [{k: v for k, v in rec.items() if k not in ("duration", "crc", "prev_crc")}
+               for rec in flmm.orchestrator.RoundLog(log_dir).verify()]
+    return {"final.ckpt": final, "updates": updates, "records": records}
 
 
 # ---------------------------------------------------------------------------

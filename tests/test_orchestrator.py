@@ -254,6 +254,35 @@ class TestSyncRound:
         assert (replayed.headers, replayed.body) == (again.headers, again.body)
 
 
+    def test_failed_fsync_leaves_no_line_and_the_log_verifies(self, tmp_path, monkeypatch):
+        core = make_core(tmp_path, parties=("pa",))
+        register(core, "pa")
+        before = save_snapshot(core.snapshot)
+        fsync, calls = os.fsync, []
+
+        def first_fsync_fails(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(5, "Input/output error")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", first_fsync_fails)
+        assert submit(core, "pa", random_deltas(25, core.snapshot), 0).msg_type == "ACK"
+        monkeypatch.undo()
+        assert len(calls) == 2  # the ok record's, which failed, then the failed one's
+        records = core.log.verify()
+        assert [(r["round"], r["status"], r.get("reason")) for r in records] == \
+            [("0", "failed", "OSError")]
+        assert records[0]["prev_crc"] == "00000000"
+        assert save_snapshot(core.snapshot) == before
+        assert submit(core, "pa", random_deltas(26, core.snapshot), 0).msg_type == "ACK"
+        assert [r["status"] for r in core.log.verify()] == ["failed", "ok"]
+
+        recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+        assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
+        assert recovered.state.round == core.state.round == 2
+
+
 class TestDeadline:
     def test_deadline_closes_with_absentees(self, tmp_path):
         clock = FakeClock()

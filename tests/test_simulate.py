@@ -1,0 +1,153 @@
+"""The in-process driver: each round's agents train in stacked local_train
+calls and must write exactly what agents stepping one at a time write."""
+
+from dataclasses import replace
+
+import pytest
+
+import flmm.simulate
+from flmm.aggregation import AggregationPlan
+from flmm.client import InProcessTransport
+from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
+from flmm.dataquality import CorpusSpec
+from flmm.privacy import PrivacyConfig
+from flmm.simulate import build_corpora, run_simulation
+from flmm.training import TrainConfig, trainable_records
+
+from support import run_artifacts, run_sequential, spy_local_train
+
+
+def scenario(strategy="sync_avg", masking=False, dp=False, anchor_mus=(0.0, 0.0, 0.0),
+             sizes=None, rounds=3, quality_iters=0) -> ScenarioConfig:
+    sizes = sizes or (40,) * len(anchor_mus)
+    parties = tuple(
+        PartyConfig(party_id=f"p{i}",
+                    corpus=CorpusSpec(party=f"p{i}", size=size, corruption_rates={},
+                                      seed=90 + i, scene_class_pool=(0, 1, 2, 3)),
+                    anchor_mu=mu)
+        for i, (mu, size) in enumerate(zip(anchor_mus, sizes)))
+    return ScenarioConfig(
+        seed=91, rounds=rounds, token="tok", deadline=60.0,
+        train=TrainConfig(epochs=2, lr=0.1, batch_size=16), model=ModelConfig(),
+        plan=AggregationPlan(strategy=strategy), history_window=16,
+        privacy=PrivacyConfig(masking_enabled=masking, dp_enabled=dp,
+                              noise_std=0.001 if dp else 0.0),
+        parties=parties,
+        eval_spec=CorpusSpec(party="eval", size=40, corruption_rates={}, seed=190,
+                             scene_class_pool=(0, 1, 2, 3)),
+        quality=QualityConfig(iters=quality_iters, target=2.0, threshold=0.0))
+
+
+def rows_per_call(calls) -> list:
+    """Each local_train call's party count: a stack's length, or 1."""
+    return [len(seed) if isinstance(seed, list) else 1 for _, _, seed in calls]
+
+
+# scenario, and the rows of each of its local_train calls: an async_mix
+# SUBMIT closes its round, so there every party trains alone
+CASES = {
+    "sync_avg": (scenario(), [3] * 3),
+    "product_refactor": (scenario(strategy="product_refactor"), [3] * 3),
+    "masking_dp": (scenario(masking=True, dp=True), [3] * 3),
+    "mixed_anchor_mu": (scenario(anchor_mus=(0.0, 2.0, 2.0, 0.0)), [2, 2] * 3),
+    "async_mix": (scenario(strategy="async_mix", rounds=5), [1] * 5),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stacked_rounds_write_what_sequential_agents_write(case, tmp_path, monkeypatch):
+    cfg, rows = CASES[case]
+    sequential = run_sequential(cfg, str(tmp_path / "sequential"))
+    calls = spy_local_train(monkeypatch)
+    stacked = run_simulation(cfg, str(tmp_path / "stacked"))
+    assert rows_per_call(calls) == rows
+    assert stacked.failure is sequential.failure is None
+    want = run_artifacts(str(tmp_path / "sequential"))
+    assert run_artifacts(str(tmp_path / "stacked")) == want
+    assert len(want["records"]) == cfg.rounds
+    assert all(r["status"] == "ok" for r in want["records"])
+    assert len(want["updates"]) == sum(rows)
+
+
+def test_mixed_anchor_mu_stacks_group_parties_by_their_train_config(tmp_path, monkeypatch):
+    cfg = CASES["mixed_anchor_mu"][0]
+    calls = spy_local_train(monkeypatch)
+    run_simulation(cfg, str(tmp_path))
+    stacks = [(cfg_.anchor_mu, [d.records[0].party for d in data])
+              for data, cfg_, _ in calls[:2]]
+    assert stacks == [(0.0, ["p0", "p3"]), (2.0, ["p1", "p2"])]
+
+
+def test_a_party_below_two_usable_records_trains_in_the_stack(tmp_path, monkeypatch):
+    cfg = scenario(sizes=(40, 1, 40))
+    assert len(trainable_records(build_corpora(cfg)["p1"])) == 1
+    run_sequential(cfg, str(tmp_path / "sequential"))
+    calls = spy_local_train(monkeypatch)
+    run_simulation(cfg, str(tmp_path / "stacked"))
+    assert rows_per_call(calls) == [3] * cfg.rounds
+    want = run_artifacts(str(tmp_path / "sequential"))
+    assert run_artifacts(str(tmp_path / "stacked")) == want
+    assert [r["contributors"] for r in want["records"]] == ["p0:40,p1:1,p2:40"] * 3
+
+
+class RejectFirstSubmitOfP1(InProcessTransport):
+    """Sends p1's first SUBMIT with a wrong token, so the server REJECTs it."""
+
+    def __init__(self, core):
+        super().__init__(core)
+        self.rejected = []
+
+    def send(self, msg):
+        if msg.msg_type == "SUBMIT" and msg.headers["party"] == "p1" and not self.rejected:
+            msg = replace(msg, headers={**msg.headers, "token": "wrong"})
+            self.rejected.append(super().send(msg))
+            return self.rejected[-1]
+        return super().send(msg)
+
+
+def test_a_submit_reject_in_the_middle_of_a_batch(tmp_path, monkeypatch):
+    cfg = scenario()
+    transports = []
+
+    def transport(core):
+        transports.append(RejectFirstSubmitOfP1(core))
+        return transports[-1]
+
+    monkeypatch.setattr(flmm.simulate, "InProcessTransport", transport)
+    run_sequential(cfg, str(tmp_path / "sequential"))
+    calls = spy_local_train(monkeypatch)
+    run_simulation(cfg, str(tmp_path / "stacked"))
+    for t in transports:
+        assert [(r.msg_type, r.headers["kind"]) for r in t.rejected] == \
+            [("REJECT", "AuthError")]
+    # p0 and p2 are in; p1 retrains round 0 alone and closes it
+    assert rows_per_call(calls) == [3, 1, 3, 3]
+    want = run_artifacts(str(tmp_path / "sequential"))
+    assert run_artifacts(str(tmp_path / "stacked")) == want
+    assert [r["status"] for r in want["records"]] == ["ok"] * cfg.rounds
+
+
+def test_every_training_goes_through_local_train(tmp_path, monkeypatch):
+    """Usable records x epochs over local_train's calls is the run's work:
+    every party-round of the protocol rounds and of the quality loop's
+    retraining."""
+    cfg = scenario(anchor_mus=(0.0, 2.0, 2.0), quality_iters=1)
+    retrained = []
+    federated_train = flmm.simulate.federated_train
+
+    def spy_federated_train(model, corpora_by_party, *args, **kwargs):
+        retrained.append(corpora_by_party)
+        return federated_train(model, corpora_by_party, *args, **kwargs)
+
+    monkeypatch.setattr(flmm.simulate, "federated_train", spy_federated_train)
+    calls = spy_local_train(monkeypatch)
+    result = run_simulation(cfg, str(tmp_path))
+    assert result.failure is None and len(retrained) == 2
+    assert calls
+
+    def party_rounds(corpora: dict) -> int:
+        return cfg.rounds * sum(len(trainable_records(c)) for c in corpora.values())
+
+    total = party_rounds(build_corpora(cfg)) + sum(map(party_rounds, retrained))
+    assert sum(len(trainable_records(records)) * c.epochs for records, c, _ in calls) \
+        == total * cfg.train.epochs

@@ -14,8 +14,8 @@ from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot,
 from flmm.privacy import PrivacyConfig
 from flmm.rng import SplitMix64
 from flmm.simulate import run_simulation
-from flmm.training import TrainConfig, federated_train, local_train, local_train_stack, \
-    trainable_records, training_set
+from flmm.training import TrainConfig, federated_train, local_train, trainable_records, \
+    training_set
 
 from support import count_pair_batches, oracle_federated_train, oracle_local_train
 
@@ -226,7 +226,7 @@ def ragged_corpora(seed: int) -> dict:
 
 @pytest.mark.parametrize("anchor_mu", [0.0, 2.0])
 @pytest.mark.parametrize("bridge", [True, False])
-def test_local_train_stack_rows_match_training_each_party_alone(bridge, anchor_mu):
+def test_stacked_local_train_rows_match_training_each_party_alone(bridge, anchor_mu):
     model = init_snapshot(70, with_bridge=bridge)
     corpora = ragged_corpora(71)
     cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8, anchor_mu=anchor_mu)
@@ -234,8 +234,8 @@ def test_local_train_stack_rows_match_training_each_party_alone(bridge, anchor_m
     # prepared sets and record lists mix in one call
     datasets = [training_set(model, c) if i % 2 else c
                 for i, c in enumerate(corpora.values())]
-    got = local_train_stack(model, datasets, cfg, seeds)
-    assert len(got) == len(corpora)
+    got = local_train(model, datasets, cfg, seeds)
+    assert isinstance(got, list) and len(got) == len(corpora)
     for trained, records, seed in zip(got, corpora.values(), seeds):
         want = oracle_local_train(model, records, cfg, seed)
         assert save_snapshot(trained) == save_snapshot(want)
@@ -254,11 +254,36 @@ def test_a_row_that_sits_out_a_step_keeps_its_negative_zeros():
     corpora = [[replace(r, image=np.concatenate([[0.0], r.image[1:]])) for r in records]
                for records in ragged_corpora(80).values()]
     cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8)
-    got = local_train_stack(model, corpora, cfg, list(range(len(corpora))))
+    got = local_train(model, corpora, cfg, list(range(len(corpora))))
     for seed, (trained, records) in enumerate(zip(got, corpora)):
         assert np.signbit(trained.blocks["vision.a"][:, 0]).all()
         assert save_snapshot(trained) == \
             save_snapshot(oracle_local_train(model, records, cfg, seed))
+
+
+def test_a_stack_of_one_row_or_none_below_two_records():
+    model = init_snapshot(81)
+    records = random_records(82, 30)
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8)
+    one = local_train(model, [records], cfg, [83])
+    assert len(one) == 1
+    assert save_snapshot(one[0]) == save_snapshot(local_train(model, records, cfg, 83))
+    short = random_records(84, 1)
+    got = local_train(model, [short, []], cfg, (1, 2))
+    assert len(got) == 2 and all(m is model for m in got)
+    assert local_train(model, [], cfg, []) == []
+
+
+def test_trainable_records_of_a_stack_are_every_rows_in_row_order():
+    model = init_snapshot(85)
+    corpora = list(ragged_corpora(86).values())
+    stack = [training_set(model, c) if i % 2 else c for i, c in enumerate(corpora)]
+    want = [id(r) for c in corpora for r in c if r.caption]
+    assert len(want) == sum(RAGGED_USABLE.values())
+    assert [id(r) for r in trainable_records(stack)] == want
+    assert [id(r) for r in trainable_records([[], corpora[0]])] == \
+        [id(r) for r in trainable_records(corpora[0])]
+    assert trainable_records([]) == []
 
 
 @pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor", "async_mix"])
