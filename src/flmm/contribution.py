@@ -9,10 +9,13 @@ set prepared once per value function.
 
 Replay stacks coalitions: each round is one ``aggregate_stack`` call over
 every coalition still to be valued, with a membership matrix picking each
-row's updates, and gives the same bits as replaying the coalitions one by
-one. ``exact_shapley`` hands all its coalitions to the value function's
-``prepare`` first, so they are replayed in one batch and then scored one by
-one. Masked logs are not valued: pair masks do not cancel within a coalition.
+row's updates, and the result is one stacked snapshot, row i coalition i's
+model, with the bits of replaying that coalition alone. Both samplers hand
+the coalitions they will value to the value function's ``prepare`` first:
+``exact_shapley`` all of them, ``wtdp_shapley`` every prefix of its seeded
+permutations. ``prepare`` replays them as one stack and scores the stack in
+row slices, one ``recall_at_k`` call per slice. Masked logs are not valued:
+pair masks do not cancel within a coalition.
 """
 
 from __future__ import annotations
@@ -31,8 +34,14 @@ from flmm.aggregation import (
 )
 from flmm.errors import HistoryError, SamplingError, SizeError
 from flmm.metrics import EvalBatch, eval_batch, recall_at_k
-from flmm.model import ModelSnapshot, snapshot_blocks, with_blocks
+from flmm.model import ModelSnapshot, snapshot_blocks, stack_rows, with_blocks
 from flmm.rng import SplitMix64
+
+# A scored slice's (rows, records, bank) float64 score array stays near this.
+# Each slice makes a few temporaries of that size: on a 2-vCPU x86-64 host,
+# 1 MiB slices (27 rows on shapley_replay) raised the benchmark's peak RSS
+# by 2.6 MB, 128 KiB slices (3 rows) not at all, and scored no faster.
+_SLICE_BYTES = 1 << 17
 
 
 @dataclass
@@ -103,7 +112,9 @@ def wtdp_shapley(fn: CoalitionValueFn, weights: dict, budget: int,
     early once the prefix value is within ``tolerance`` of the grand value
     (remaining marginals credited zero). Per-party means are scaled by the
     given weights, then renormalized so the values sum to
-    v(grand) - v(empty).
+    v(grand) - v(empty). The permutations are drawn before any value, and
+    every prefix of them goes to ``fn.prepare``; the walk then evaluates
+    only the prefixes it reaches, as without ``prepare``.
     """
     if budget < 1:
         raise SamplingError("budget must be >= 1")
@@ -111,14 +122,21 @@ def wtdp_shapley(fn: CoalitionValueFn, weights: dict, budget: int,
         if w <= 0:
             raise SamplingError(f"weight for {p!r} must be positive")
     parties = list(fn.parties)
-    v_grand = fn(frozenset(parties))
-    v_empty = fn(frozenset())
     rng = SplitMix64(seed)
-    sums = {p: 0.0 for p in parties}
-    completed = 0
+    perms = []
     for _ in range(budget):
         perm = list(parties)
         rng.shuffle(perm)
+        perms.append(perm)
+    if fn.prepare is not None:
+        prefixes = {frozenset(perm[:k]): None
+                    for perm in perms for k in range(len(perm) + 1)}
+        fn.prepare([s for s in prefixes if s not in fn.cache])
+    v_grand = fn(frozenset(parties))
+    v_empty = fn(frozenset())
+    sums = {p: 0.0 for p in parties}
+    completed = 0
+    for perm in perms:
         prefix: set = set()
         v_prev = v_empty
         for p in perm:
@@ -153,13 +171,14 @@ class LoggedRound:
 
 
 def replay_coalitions(initial: ModelSnapshot, rounds: list[LoggedRound],
-                      coalitions: list) -> list[ModelSnapshot]:
+                      coalitions: list) -> ModelSnapshot:
     """Re-aggregate each coalition's logged updates, round by round, all
-    coalitions at once; returns one snapshot per coalition.
+    coalitions at once; returns one stack (see ``model``) whose row i is
+    coalition i's model.
 
-    Row i of every stacked block is coalition i's model. A round a coalition
-    sat out still advances the version, so all rows share it, and async_mix
-    staleness and base models follow each coalition's own history.
+    A round a coalition sat out still advances the version, so all rows
+    share it, and async_mix staleness and base models follow each
+    coalition's own history.
     """
     n = len(coalitions)
     blocks = {name: np.repeat(m[None], n, axis=0)
@@ -176,14 +195,19 @@ def replay_coalitions(initial: ModelSnapshot, rounds: list[LoggedRound],
         version += 1
         if mixing:
             history[version] = blocks
-    return [with_blocks(initial, {name: m[i] for name, m in blocks.items()}, version)
-            for i in range(n)]
+    return with_blocks(initial, blocks, version)
 
 
 def replay_coalition(initial: ModelSnapshot, rounds: list[LoggedRound],
                      coalition: frozenset) -> ModelSnapshot:
-    """One coalition's replay: a slice of ``replay_coalitions``."""
-    return replay_coalitions(initial, rounds, [coalition])[0]
+    """One coalition's replay: the one row of ``replay_coalitions``."""
+    return stack_rows(replay_coalitions(initial, rounds, [coalition]), 0)
+
+
+def slice_rows(batch: EvalBatch) -> int:
+    """Coalitions scored per recall_at_k call: the slice's (rows, records,
+    bank) float64 score array stays near _SLICE_BYTES."""
+    return max(1, _SLICE_BYTES // max(1, 8 * len(batch.xs) * len(batch.bank)))
 
 
 def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
@@ -193,24 +217,29 @@ def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
 
     The eval set is prepared once, from ``initial``; every coalition's model
     shares its frozen token_embed and is scored against that one batch.
-    ``prepare`` replays the given coalitions in one batch; ``evaluate`` scores
-    a prepared model and drops it, or replays a coalition that was not
-    prepared on its own.
+    ``prepare`` replays the given coalitions as one stack and scores it in
+    row slices of ``slice_rows(batch)`` coalitions; ``evaluate`` takes a
+    prepared value and drops it, or replays and scores a coalition that was
+    not prepared on its own.
     """
     if any(not rec.updates for rec in rounds):
         raise HistoryError("round log has a round with no recorded updates")
     if any(rec.plan.masking_enabled for rec in rounds):
         raise HistoryError("round log has a masked round; it cannot be valued")
     batch = eval_batch(initial, eval_set)
-    prepared: dict = {}  # coalition -> replayed model, until it is scored
+    rows = slice_rows(batch)
+    prepared: dict = {}  # coalition -> value, until evaluate takes it
 
     def prepare(coalitions: list) -> None:
-        prepared.update(zip(coalitions, replay_coalitions(initial, rounds, coalitions)))
+        stack = replay_coalitions(initial, rounds, coalitions)
+        for lo in range(0, len(coalitions), rows):
+            values = recall_at_k(stack_rows(stack, slice(lo, lo + rows)), batch, 1)
+            prepared.update(zip(coalitions[lo:lo + rows], values.tolist()))
 
     def evaluate(coalition: frozenset) -> float:
-        model = prepared.pop(coalition, None)
-        if model is None:
-            model = replay_coalition(initial, rounds, coalition)
-        return recall_at_k(model, batch, 1)
+        value = prepared.pop(coalition, None)
+        if value is None:
+            value = recall_at_k(replay_coalition(initial, rounds, coalition), batch, 1)
+        return value
 
     return CoalitionValueFn(parties=list(parties), evaluate=evaluate, prepare=prepare)

@@ -3,7 +3,9 @@
 Retrieval scores an eval set in its prepared form, an EvalBatch. Only the
 adapters differ between the models one eval set scores, so a caller that
 scores many models (one value function, one simulation run) prepares the
-eval set once with eval_batch and passes the batch.
+eval set once with eval_batch and passes the batch. recall_at_k also takes
+a stack of models (see ``model``) and gives one recall per row, each with
+the bits that row's model gets alone.
 """
 
 from __future__ import annotations
@@ -137,28 +139,35 @@ def eval_batch(model: ModelSnapshot, eval_set: EvalBatch | Sequence) -> EvalBatc
 
 def _true_caption_ranks(scores: np.ndarray, true_j: np.ndarray) -> np.ndarray:
     """Rank of each record's true caption in its row of caption_scores; ties
-    rank by lowest bank index."""
-    target = scores[np.arange(len(true_j)), true_j][:, None]
-    lower = np.arange(scores.shape[1]) < true_j[:, None]
-    return (scores > target).sum(axis=1) + ((scores == target) & lower).sum(axis=1)
+    rank by lowest bank index. A stack's (P, n, bank) scores give (P, n)."""
+    target = scores[..., np.arange(len(true_j)), true_j][..., None]
+    lower = np.arange(scores.shape[-1]) < true_j[:, None]
+    return (scores > target).sum(axis=-1) + ((scores == target) & lower).sum(axis=-1)
 
 
-def _recall(ranks: np.ndarray, k: int) -> float:
-    return int(np.count_nonzero(ranks < k)) / len(ranks)
+def _hit_rate(hits: np.ndarray):
+    """Fraction of records hit: a float for one model, (P,) for a stack."""
+    rate = np.count_nonzero(hits, axis=-1) / hits.shape[-1]
+    return float(rate) if rate.ndim == 0 else rate
 
 
-def recall_at_k(model: ModelSnapshot, eval_set: EvalBatch | Sequence, k: int) -> float:
-    """Fraction of records whose true caption ranks in the retrieval top-k.
+def recall_at_k(model: ModelSnapshot, eval_set: EvalBatch | Sequence, k: int):
+    """Fraction of records whose true caption ranks in the retrieval top-k:
+    a float, or for a stack of models a (P,) array, one recall per row.
 
     The bank holds the eval set's distinct captions; ties rank by lowest
-    bank index. A record list is prepared with eval_batch on every call;
-    pass an EvalBatch to score many models against one eval set.
+    bank index, so rank 0 is the first highest score, and recall@1 counts
+    the records whose argmax is their true caption. A record list is
+    prepared with eval_batch on every call; pass an EvalBatch to score many
+    models against one eval set.
     """
     batch = eval_batch(model, eval_set)
     if k < 1 or k > len(batch.bank):
         raise RangeError(f"k={k} outside [1, {len(batch.bank)}]")
     scores = caption_scores(model, batch.xs, batch.ts)
-    return _recall(_true_caption_ranks(scores, batch.true_j), k)
+    if k == 1:
+        return _hit_rate(np.argmax(scores, axis=-1) == batch.true_j)
+    return _hit_rate(_true_caption_ranks(scores, batch.true_j) < k)
 
 
 def evaluate(model: ModelSnapshot, eval_set: EvalBatch | Sequence,
@@ -167,12 +176,12 @@ def evaluate(model: ModelSnapshot, eval_set: EvalBatch | Sequence,
     (a record list, or an EvalBatch prepared once)."""
     batch = eval_batch(model, eval_set)
     scores = caption_scores(model, batch.xs, batch.ts)
-    ranks = _true_caption_ranks(scores, batch.true_j)
+    top = np.argmax(scores, axis=1)  # each record's retrieved caption
     # Records share few (retrieved, truth) pairs: score each pair once, and
     # list the per-record values in record order for the means.
     overlap: dict[tuple[int, int], tuple[float, float]] = {}
     bleus, rouges = [], []
-    for pair in zip(np.argmax(scores, axis=1).tolist(), batch.true_j.tolist()):
+    for pair in zip(top.tolist(), batch.true_j.tolist()):
         if pair not in overlap:
             retrieved, truth = batch.bank[pair[0]], batch.bank[pair[1]]
             overlap[pair] = (bleu(retrieved, [truth]), rouge_l(retrieved, truth))
@@ -180,8 +189,9 @@ def evaluate(model: ModelSnapshot, eval_set: EvalBatch | Sequence,
         bleus.append(b)
         rouges.append(r)
     return EvalReport(
-        recall_at_1=_recall(ranks, 1),
-        recall_at_5=_recall(ranks, min(5, len(batch.bank))),
+        recall_at_1=_hit_rate(top == batch.true_j),
+        recall_at_5=_hit_rate(_true_caption_ranks(scores, batch.true_j)
+                              < min(5, len(batch.bank))),
         mean_bleu=float(np.mean(bleus)),
         mean_rouge_l=float(np.mean(rouges)),
         eval_set_id=eval_set_id,

@@ -17,9 +17,11 @@ towers' backward passes, contrastive_loss_and_grads and sgd_step take that
 leading row axis as they come: every matmul, transpose and reduction acts on
 the last two axes, so each row gets the bits it would get alone. A single
 model is the case with no leading axis, and its loss is a float; a stack's
-losses are a (P,) array. Only training builds stacks (training.local_train
-given a list of corpora); save_snapshot, like the wire and round-log
-encoders, refuses one (ShapeError).
+losses are a (P,) array. Training builds stacks (training.local_train given
+a list of corpora), and so does coalition replay
+(contribution.replay_coalitions), whose stack caption_scores scores in one
+call; stack_rows takes rows out of a stack. save_snapshot, like the wire
+and round-log encoders, refuses a stack (ShapeError).
 
 The LoRA scale alpha / rank is the constant LORA_SCALE: checkpoints do not
 store alpha, and every snapshot uses alpha = 2 * rank.
@@ -123,6 +125,13 @@ def with_blocks(snapshot: ModelSnapshot, blocks: dict, version: int) -> ModelSna
     frozen weights and temperature are shared with ``snapshot``."""
     return ModelSnapshot(snapshot.w_v, snapshot.w_t, snapshot.token_embed,
                          {**snapshot.blocks, **blocks}, snapshot.temperature, version)
+
+
+def stack_rows(stack: ModelSnapshot, rows) -> ModelSnapshot:
+    """Rows of a stack: an int index gives that row's model, with no leading
+    axis; a slice or an index array gives a stack of those rows."""
+    return with_blocks(stack, {n: m[rows] for n, m in stack.blocks.items()},
+                       stack.version)
 
 
 def init_snapshot(seed: int, d_v: int = D_V, d_t: int = D_T, d_emb: int = D_EMB,
@@ -387,7 +396,8 @@ def sgd_step(snapshot: ModelSnapshot, grads: dict, lr: float) -> ModelSnapshot:
 
 def caption_scores(snapshot: ModelSnapshot, xs: np.ndarray,
                    bank: list[list[int]] | np.ndarray) -> np.ndarray:
-    """Score matrix (len(xs), len(bank)) of image-caption alignments.
+    """Score matrix (len(xs), len(bank)) of image-caption alignments; a
+    stack of P models gives (P, len(xs), len(bank)), row i scored by model i.
 
     The bank is given as token lists, or as their text_features rows.
     """
@@ -397,7 +407,7 @@ def caption_scores(snapshot: ModelSnapshot, xs: np.ndarray,
     if not isinstance(bank, np.ndarray):
         bank = text_features(snapshot, [list(c) for c in bank])
     z_bank, _ = _text_tower(snapshot, bank)
-    return z_v @ z_bank.T
+    return z_v @ z_bank.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -106,16 +106,19 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
     # an async_mix SUBMIT closes its round, so there each agent is a batch of
     # its own: the next one takes the version that SUBMIT made
     batches = [agents] if cfg.plan.strategy != ASYNC_MIX else [[a] for a in agents]
+    failure = None
     while not core.finished:
         if not any([train_batch(batch) for batch in batches]):
-            break  # nothing accepted this sweep; avoid spinning
+            # no SUBMIT accepted this sweep: stop rather than spin, and say so
+            failure = (f"protocol stopped at round {core.state.round} of {cfg.rounds}: "
+                       f"no update accepted")
+            break
 
     del agents, batches  # each agent holds its prepared corpus; the loop prepares its own
     model = core.snapshot
     reports = [evaluate(model, eval_set, "union-eval")]
 
-    failure = None
-    if cfg.quality.iters > 0:
+    if cfg.quality.iters > 0 and failure is None:
         def train_fn(m, corpora_by_party):
             return federated_train(m, corpora_by_party, cfg.train,
                                    rounds=cfg.rounds, plan=cfg.plan, seed=cfg.seed)

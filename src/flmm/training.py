@@ -26,7 +26,8 @@ from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate
 from flmm.dataquality import SceneRecord
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, check_token_embed, \
-    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step, with_blocks
+    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step, stack_rows, \
+    with_blocks
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 
@@ -132,16 +133,14 @@ def local_train(model: ModelSnapshot, records, cfg: TrainConfig, seed):
                 stack = _step(stack, PairBatch(xs[every, start:stop], ts[every, start:stop]),
                               cfg)
                 continue
-            part = _step(with_blocks(stack, {n: m[rows] for n, m in stack.blocks.items()},
-                                     stack.version),
+            part = _step(stack_rows(stack, rows),
                          PairBatch(xs[rows, start:stop], ts[rows, start:stop]), cfg)
             merged = {n: m.copy() for n, m in stack.blocks.items()}
             for n, m in merged.items():
                 m[rows] = part.blocks[n]
             stack = with_blocks(stack, merged, stack.version)
     for row, k in enumerate(live):
-        out[k] = stack if lone else with_blocks(
-            model, {n: m[row] for n, m in stack.blocks.items()}, model.version)
+        out[k] = stack if lone else stack_rows(stack, row)
     return out if stacked else out[0]
 
 

@@ -13,12 +13,13 @@ from flmm.contribution import (
     fl_value_function,
     replay_coalition,
     replay_coalitions,
+    slice_rows,
     wtdp_shapley,
 )
 from flmm.dataquality import CorpusSpec, generate_corpus
 from flmm.errors import HistoryError, SamplingError, SizeError
-from flmm.metrics import recall_at_k
-from flmm.model import init_snapshot
+from flmm.metrics import eval_batch, recall_at_k
+from flmm.model import init_snapshot, stack_rows
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, pack_blocks
 from flmm.rng import SplitMix64
@@ -340,6 +341,54 @@ class TestPreparedValueFunction:
         assert fn.evaluate(grand) == expected[grand]
         assert replayed == [grand]
 
+    @pytest.mark.parametrize("rows", [1, 3, 8, 9])
+    def test_any_slice_size_gives_the_one_by_one_values(self, rows, monkeypatch):
+        import flmm.contribution as contribution
+        initial, log, _, eval_set, parties = make_fl_fixture(parties=("pa", "pb", "pc"))
+        batch = eval_batch(initial, eval_set)
+        monkeypatch.setattr(contribution, "_SLICE_BYTES",
+                            rows * 8 * len(batch.xs) * len(batch.bank))
+        assert slice_rows(batch) == rows
+        scored = []
+        stacked = contribution.recall_at_k
+        monkeypatch.setattr(contribution, "recall_at_k",
+                            lambda m, *a: scored.append(m) or stacked(m, *a))
+        fn = fl_value_function(initial, log, batch, parties)
+        exact_shapley(fn)
+        assert [m.blocks["vision.a"].shape[0] for m in scored] == \
+               [min(rows, 8 - lo) for lo in range(0, 8, rows)]
+        assert fn.cache == {s: recall_at_k(oracle_replay_coalition(initial, log, s),
+                                           eval_set, 1) for s in fn.cache}
+
+    @pytest.mark.parametrize("tolerance", [0.0, 0.05])
+    def test_wtdp_prepares_every_prefix_and_walks_as_unprepared(self, tolerance,
+                                                                monkeypatch):
+        import flmm.contribution as contribution
+        initial, log, _, eval_set, parties = make_fl_fixture(
+            parties=("pa", "pb", "pc", "pd"))
+        weights = {"pa": 1.0, "pb": 2.0, "pc": 0.5, "pd": 1.0}
+        plain = fl_value_function(initial, log, eval_set, parties)
+        plain.prepare = None
+        want = wtdp_shapley(plain, weights, budget=6, tolerance=tolerance, seed=5)
+        fn = fl_value_function(initial, log, eval_set, parties)
+        asked, replayed = [], []
+        prepare = fn.prepare
+        fn.prepare = lambda coalitions: asked.append(coalitions) or prepare(coalitions)
+        one_by_one = contribution.replay_coalition
+        monkeypatch.setattr(contribution, "replay_coalition",
+                            lambda *args: replayed.append(args[2]) or one_by_one(*args))
+        got = wtdp_shapley(fn, weights, budget=6, tolerance=tolerance, seed=5)
+        assert got == want
+        assert {p: v.hex() for p, v in got.values.items()} == \
+               {p: v.hex() for p, v in want.values.items()}
+        assert fn.evaluations == plain.evaluations
+        assert fn.cache == plain.cache
+        assert replayed == []
+        [coalitions] = asked
+        assert len(set(coalitions)) == len(coalitions)
+        assert frozenset() in coalitions and frozenset(parties) in coalitions
+        assert set(fn.cache) <= set(coalitions)
+
 
 # ---------------------------------------------------------------------------
 # Replay of a ServerCore round log follows each round's logged plan.
@@ -444,7 +493,9 @@ class TestReplayFollowsTheLoggedPlan:
         initial = log.load_checkpoint(0)
         coalitions = [frozenset(s) for k in range(n + 1)
                       for s in itertools.combinations(parties, k)]
-        for c, model in zip(coalitions, replay_coalitions(initial, rounds, coalitions)):
+        stack = replay_coalitions(initial, rounds, coalitions)
+        for i, c in enumerate(coalitions):
+            model = stack_rows(stack, i)
             oracle = oracle_replay_coalition(initial, rounds, c)
             assert model.version == oracle.version == len(rounds)
             assert blocks_bytes(model) == blocks_bytes(oracle), sorted(c)
@@ -452,7 +503,11 @@ class TestReplayFollowsTheLoggedPlan:
     def test_replaying_no_coalitions_gives_no_models(self, tmp_path):
         logged_server_run(str(tmp_path), AggregationPlan())
         log = RoundLog(str(tmp_path))
-        assert replay_coalitions(log.load_checkpoint(0), log.logged_rounds(), []) == []
+        initial = log.load_checkpoint(0)
+        stack = replay_coalitions(initial, log.logged_rounds(), [])
+        assert stack.version == len(log.logged_rounds())
+        assert {n: m.shape for n, m in stack.blocks.items()} == \
+               {n: (0,) + m.shape for n, m in initial.blocks.items()}
 
     def test_async_coalition_uses_its_own_history(self, tmp_path):
         plan = AggregationPlan(strategy="async_mix", mixing_rate=0.5,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from flmm.aggregation import apply_block_mask, snapshot_blocks
+from flmm.contribution import slice_rows
 from flmm.dataquality import CorpusSpec, generate_corpus
 from flmm.errors import EmptyBankError, IdentityError, RangeError
 from flmm.metrics import bleu, caption_bank, eval_batch, evaluate, recall_at_k, \
     rouge_l
 from flmm.model import caption_scores, init_snapshot, load_snapshot, save_snapshot, \
-    text_features
+    stack_rows, text_features, with_blocks
 from flmm.rng import SplitMix64
 
 
@@ -236,6 +237,30 @@ class TestEvalBatch:
                 [rouge_l(c, list(r.caption)) for c, r in zip(retrieved, recs)]))
             assert rep.recall_at_1 == recall_at_k_oracle(model, recs, 1)
             assert rep.recall_at_5 == recall_at_k_oracle(model, recs, 5)
+
+    def test_stacked_recall_equals_each_row_alone_for_every_k(self):
+        recs = with_permuted_captions(balanced_eval_set(seed=47, size=60), 7)
+        base = init_snapshot(57)
+        batch = eval_batch(base, recs)
+        rows = slice_rows(batch)
+        assert 2 <= rows < 200
+        models = [with_random_adapters(base, 80 + i) for i in range(rows + 1)]
+        every = with_blocks(base, {n: np.stack([m.blocks[n] for m in models])
+                                   for n in base.blocks}, base.version)
+        for c in (0, 1, rows, rows + 1):
+            stack = stack_rows(every, slice(0, c))
+            scores = caption_scores(stack, batch.xs, batch.ts)
+            assert scores.shape == (c, len(recs), len(batch.bank))
+            if c:  # planted exact ties: reversed captions score alike
+                assert any(np.sum(row == row[j]) > 1 for row in scores[-1]
+                           for j in range(len(row)))
+            for k in range(1, len(batch.bank) + 1):
+                got = recall_at_k(stack, batch, k)
+                assert got.shape == (c,)
+                alone = [recall_at_k(stack_rows(stack, i), batch, k) for i in range(c)]
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in alone]
+                for i in range(min(c, 2)):
+                    assert alone[i] == recall_at_k_oracle(models[i], recs, k)
 
     def test_caption_scores_takes_tokens_or_features(self):
         recs = balanced_eval_set(seed=47)

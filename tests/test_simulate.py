@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import flmm.simulate
+from flmm.cli import main
 from flmm.aggregation import AggregationPlan
 from flmm.client import InProcessTransport
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
@@ -125,6 +126,43 @@ def test_a_submit_reject_in_the_middle_of_a_batch(tmp_path, monkeypatch):
     want = run_artifacts(str(tmp_path / "sequential"))
     assert run_artifacts(str(tmp_path / "stacked")) == want
     assert [r["status"] for r in want["records"]] == ["ok"] * cfg.rounds
+
+
+class RejectEverySubmitOfP1(InProcessTransport):
+    """Sends every SUBMIT of p1 with a wrong token: round 0 never closes."""
+
+    def send(self, msg):
+        if msg.msg_type == "SUBMIT" and msg.headers["party"] == "p1":
+            msg = replace(msg, headers={**msg.headers, "token": "wrong"})
+        return super().send(msg)
+
+
+def test_a_run_whose_rounds_cannot_close_fails_and_still_writes(tmp_path, monkeypatch):
+    monkeypatch.setattr(flmm.simulate, "InProcessTransport", RejectEverySubmitOfP1)
+    retrained = []
+    monkeypatch.setattr(flmm.simulate, "federated_train",
+                        lambda *args, **kwargs: retrained.append(args))
+    result = run_simulation(scenario(quality_iters=1), str(tmp_path), with_shapley=True)
+    assert result.failure == "protocol stopped at round 0 of 3: no update accepted"
+    assert result.round_records == [] and result.final_model.version == 0
+    assert result.shapley is None and retrained == []
+    assert len(result.reports) == 1  # the quality loop did not run
+    assert (tmp_path / "final.ckpt").exists() and (tmp_path / "eval.txt").exists()
+
+
+def test_flmm_simulate_exits_4_when_its_rounds_cannot_close(tmp_path, monkeypatch,
+                                                             capsys):
+    parties = "".join(f"\n[party:p{i}]\nsize = 40\nseed = {90 + i}\nclasses = 0,1,2,3\n"
+                      for i in range(3))
+    path = tmp_path / "scenario.ini"
+    path.write_text("[run]\nseed = 91\nrounds = 3\nepochs = 2\nlr = 0.1\n"
+                    "batch_size = 16\n" + parties
+                    + "\n[eval]\nsize = 40\nseed = 190\nclasses = 0,1,2,3\n")
+    monkeypatch.setattr(flmm.simulate, "InProcessTransport", RejectEverySubmitOfP1)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(run)]) == 4
+    assert "protocol stopped at round 0 of 3" in capsys.readouterr().err
+    assert (run / "final.ckpt").exists() and (run / "eval.txt").exists()
 
 
 def test_every_training_goes_through_local_train(tmp_path, monkeypatch):
