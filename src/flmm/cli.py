@@ -80,21 +80,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "gendata":
-        return _gendata(args)
-    if args.command == "simulate":
-        return _simulate(args)
-    if args.command == "server":
-        return _server(args)
-    if args.command == "client":
-        return _client(args)
-    if args.command == "eval":
-        return _eval(args)
-    if args.command == "shapley":
-        return _shapley(args)
-    if args.command == "clean":
-        return _clean(args)
-    raise ConfigError(f"unknown command {args.command!r}")
+    return {"gendata": _gendata, "simulate": _simulate, "server": _server,
+            "client": _client, "eval": _eval, "shapley": _shapley,
+            "clean": _clean}[args.command](args)
 
 
 def _gendata(args) -> int:
@@ -102,17 +90,12 @@ def _gendata(args) -> int:
     from flmm.dataquality import generate_corpus, save_corpus
     cfg = load_config(args.spec)
     os.makedirs(args.out, exist_ok=True)
-    for party in cfg.parties:
-        records = generate_corpus(party.corpus)
-        path = os.path.join(args.out, f"{party.party_id}.corpus")
+    for name, spec in [(p.party_id, p.corpus) for p in cfg.parties] + [("eval", cfg.eval_spec)]:
+        records = generate_corpus(spec)
+        path = os.path.join(args.out, f"{name}.corpus")
         with open(path, "w") as f:
             f.write(save_corpus(records))
         print(f"wrote {len(records)} records to {path}")
-    eval_records = generate_corpus(cfg.eval_spec)
-    path = os.path.join(args.out, "eval.corpus")
-    with open(path, "w") as f:
-        f.write(save_corpus(eval_records))
-    print(f"wrote {len(eval_records)} records to {path}")
     return 0
 
 

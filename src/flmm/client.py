@@ -19,7 +19,7 @@ import socket
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from flmm.config import PartyConfig, ScenarioConfig
 from flmm.dataquality import SceneRecord
@@ -172,12 +172,9 @@ class ClientAgent:
         model = self._assigned_model(resp)
         if self._inputs is None:
             self._inputs = training_set(model, self.records)
-        train_cfg = TrainConfig(
-            epochs=self.cfg.train.epochs, lr=self.cfg.train.lr,
-            batch_size=self.cfg.train.batch_size,
-            anchor_mu=self.party.anchor_mu)
         return TrainingJob(round=round_num, model=model, base=self.base_checksum,
-                           data=self._inputs, cfg=train_cfg,
+                           data=self._inputs,
+                           cfg=replace(self.cfg.train, anchor_mu=self.party.anchor_mu),
                            seed=mix_seed(self.cfg.seed, round_num,
                                          hash_text(self.party.party_id)))
 

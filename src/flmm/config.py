@@ -167,8 +167,10 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
             scene_class_pool=_ints(p.get("classes", "0,1,2,3,4,5,6,7")),
             d_v=model.d_v,
         )
-        parties.append(PartyConfig(party_id=pid, corpus=corpus,
-                                   anchor_mu=float(p.get("anchor_mu", 0.0))))
+        mu = float(p.get("anchor_mu", 0.0))
+        if not 0.0 <= mu < math.inf:  # false for nan
+            raise ConfigError(f"[{section}] anchor_mu = {mu}: must be finite and at least 0")
+        parties.append(PartyConfig(party_id=pid, corpus=corpus, anchor_mu=mu))
     if not parties:
         raise ConfigError("at least one [party:<id>] section is required")
     parties.sort(key=lambda p: p.party_id)

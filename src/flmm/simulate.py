@@ -70,19 +70,21 @@ def server_config(cfg: ScenarioConfig) -> ServerConfig:
 
 def train_batch(agents: list) -> bool:
     """One pass over ``agents``: each takes its job, the jobs that share a
-    round, an assigned version, a base and a TrainConfig train in one
-    local_train call, and each agent finishes its job in party order. True
-    when a SUBMIT was ACKed."""
+    round, an assigned version, a base and a TrainConfig but for anchor_mu
+    train in one local_train call, each row with its own anchor_mu, and
+    each agent finishes its job in party order. True when a SUBMIT was
+    ACKed."""
     taken = [(agent, agent.take()) for agent in agents]
     jobs = [(agent, job) for agent, job in taken if isinstance(job, TrainingJob)]
     groups: dict = {}
     for _, job in jobs:
-        groups.setdefault((job.round, job.model.version, job.base, job.cfg),
-                          []).append(job)
+        groups.setdefault((job.round, job.model.version, job.base,
+                           replace(job.cfg, anchor_mu=0.0)), []).append(job)
     trained = {}
-    for group in groups.values():
-        models = local_train(group[0].model, [job.data for job in group],
-                             group[0].cfg, [job.seed for job in group])
+    for key, group in groups.items():
+        cfg = replace(key[-1], anchor_mu=tuple(job.cfg.anchor_mu for job in group))
+        models = local_train(group[0].model, [job.data for job in group], cfg,
+                             [job.seed for job in group])
         trained.update(zip(group, models))
     return any([agent.finish(job, trained[job]) == "ACK" for agent, job in jobs])
 

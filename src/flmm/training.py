@@ -26,8 +26,8 @@ from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate
 from flmm.dataquality import SceneRecord
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, check_token_embed, \
-    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step, stack_rows, \
-    with_blocks
+    contrastive_loss_and_grads, forward_rows, pair_batch, pair_forward, sgd_step, \
+    stack_rows, with_blocks
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 
@@ -36,7 +36,7 @@ class TrainConfig:
     epochs: int = 2
     lr: float = 1e-2
     batch_size: int = 16
-    anchor_mu: float = 0.0
+    anchor_mu: float = 0.0  # stacked, a tuple may give one per corpus
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,19 @@ def local_train(model: ModelSnapshot, records, cfg: TrainConfig, seed):
     trained snapshot is returned. Stacked, ``records`` is a list of such
     corpora and ``seed`` a list with one seed per corpus: one party per
     corpus trains from ``model`` at once, each with its own seed's shuffle
-    stream, and the P trained snapshots are returned in corpus order.
+    stream, and the P trained snapshots are returned in corpus order. The
+    text-anchor weight ``cfg.anchor_mu`` is then one float for every row, or
+    a tuple with one per corpus, indexed like ``seed``.
 
     A party below 2 usable records gets ``model`` back. Each epoch gathers
     every row's shuffled pairs once. At each step the rows whose next batch
     has the same size step together as one stack: pair_forward runs both
-    towers once, that PairForward goes to the contrastive and the anchor
-    loss, and each loss backpropagates its own dz (summing the dz first
-    would round differently) before compose_losses adds the gradients. A
-    row whose batch is below 2 pairs, a skipped tail or nothing left, does
-    not step. A lone row trains as the model itself, with no leading axis.
+    towers once, and that PairForward goes to the contrastive loss, and its
+    rows whose anchor_mu is positive to the anchor loss. Each loss
+    backpropagates its own dz (summing the dz first would round
+    differently) before compose_losses adds the gradients. A row whose
+    batch is below 2 pairs, a skipped tail or nothing left, does not step.
+    A lone row trains as the model itself, with no leading axis.
     """
     stacked = isinstance(seed, (list, tuple))
     seeds = seed if stacked else [seed]
@@ -113,6 +116,7 @@ def local_train(model: ModelSnapshot, records, cfg: TrainConfig, seed):
     sizes = [len(data[k]) for k in live]
     steps = _epoch_steps(sizes, cfg.batch_size)
     rngs = [SplitMix64(seeds[k]) for k in live]
+    mu = np.broadcast_to(cfg.anchor_mu, len(data))[live]  # each live row's anchor_mu
     lone = len(live) == 1
     every = 0 if lone else slice(None)  # the batch index of a step of every row
     stack = model if lone else with_blocks(
@@ -131,10 +135,11 @@ def local_train(model: ModelSnapshot, records, cfg: TrainConfig, seed):
         for start, stop, rows in steps:
             if rows is None:  # every row steps
                 stack = _step(stack, PairBatch(xs[every, start:stop], ts[every, start:stop]),
-                              cfg)
+                              cfg.lr, mu[every])
                 continue
             part = _step(stack_rows(stack, rows),
-                         PairBatch(xs[rows, start:stop], ts[rows, start:stop]), cfg)
+                         PairBatch(xs[rows, start:stop], ts[rows, start:stop]), cfg.lr,
+                         mu[rows])
             merged = {n: m.copy() for n, m in stack.blocks.items()}
             for n, m in merged.items():
                 m[rows] = part.blocks[n]
@@ -160,14 +165,22 @@ def _epoch_steps(sizes: list, batch_size: int) -> list:
     return steps
 
 
-def _step(model: ModelSnapshot, batch: PairBatch, cfg: TrainConfig) -> ModelSnapshot:
-    """One SGD step of a model or stack on its batch."""
+def _step(model: ModelSnapshot, batch: PairBatch, lr: float, mu) -> ModelSnapshot:
+    """One SGD step of a model or stack on its batch. The anchor loss, with
+    ``mu`` its weight per row, adds only to the rows whose mu is positive."""
     fwd = pair_forward(model, batch)
-    parts = [contrastive_loss_and_grads(model, fwd)]
-    if cfg.anchor_mu > 0:
-        parts.append(text_anchor_loss_and_grads(model, fwd, cfg.anchor_mu))
-    _, grads = compose_losses(parts)
-    return sgd_step(model, grads, cfg.lr)
+    loss, grads = contrastive_loss_and_grads(model, fwd)
+    anchored = mu > 0
+    if anchored.all():
+        _, grads = compose_losses([(loss, grads), text_anchor_loss_and_grads(model, fwd, mu)])
+    elif anchored.any():  # a stack: compose its anchored rows, and write them back
+        rows = np.flatnonzero(anchored)
+        part = forward_rows(fwd, rows)
+        _, sub = compose_losses([(loss[rows], {n: g[rows] for n, g in grads.items()}),
+                                 text_anchor_loss_and_grads(part.snapshot, part, mu[rows])])
+        for n, g in grads.items():
+            g[rows] = sub[n]
+    return sgd_step(model, grads, lr)
 
 
 def make_update(before: ModelSnapshot, after: ModelSnapshot, client_id: str,

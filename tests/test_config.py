@@ -71,6 +71,10 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("party:p0", "classes", "0,0,1", "repeats a class"),
     ("eval", "classes", ",", "scene class pool is empty"),
     ("party:p0", "classes", "0,30", "scene class 30 is outside 0..29"),
+    ("party:p0", "anchor_mu", "-3", r"\[party:p0\] anchor_mu = -3.0: must be finite"),
+    ("party:p0", "anchor_mu", "nan", r"\[party:p0\] anchor_mu = nan: must be finite"),
+    ("party:p0", "anchor_mu", "inf", r"\[party:p0\] anchor_mu = inf: must be finite"),
+    ("party:p0", "anchor_mu", "-inf", r"\[party:p0\] anchor_mu = -inf: must be finite"),
     ("run", "lr", "-0.1", r"\[run\] lr = -0.1: must be finite and above 0"),
     ("run", "lr", "0", r"\[run\] lr = 0.0: must be finite and above 0"),
     ("run", "lr", "nan", r"\[run\] lr = nan: must be finite and above 0"),

@@ -22,7 +22,7 @@ from flmm.metrics import eval_batch, recall_at_k
 from flmm.model import init_snapshot, stack_rows
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, pack_blocks
-from flmm.rng import SplitMix64
+from flmm.rng import SplitMix64, hash_text
 from flmm.training import TrainConfig, local_train, make_update
 
 from support import oracle_replay_coalition, small_snapshot
@@ -227,7 +227,7 @@ def make_fl_fixture(seed=90, parties=("pa", "pb"), rounds=2):
     for r in range(rounds):
         updates = []
         for p in sorted(corpora):
-            trained = local_train(model, corpora[p], cfg, seed + 7 * r + hash(p) % 97)
+            trained = local_train(model, corpora[p], cfg, seed + 7 * r + hash_text(p) % 97)
             updates.append(make_update(model, trained, p, len(corpora[p]), r))
         log.append(LoggedRound(round=r, plan=plan, updates=tuple(updates)))
         delta = fedavg_adapters(updates, plan)

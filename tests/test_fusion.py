@@ -136,6 +136,37 @@ class TestTextAnchor:
             == grads_bytes(*oracle_anchor(s, fwd, 1.3))
 
 
+class TestAnchorIsImageDistillation:
+    """The text anchor is the image half of the distillation loss, with the
+    batch's stop-gradient text embeddings as the consensus and mu as lam."""
+
+    @staticmethod
+    def distilled(s, pairs, lam):
+        fwd = pair_forward(s, pairs)
+        probe = ProbeSet("anchor", tuple(ProbeItem("image", f"img{i}", image=x)
+                                         for i, (x, _) in enumerate(pairs)))
+        cons = ConsensusMap("anchor", 0, {f"img{i}": z for i, z in enumerate(fwd.z_t)})
+        return distillation_loss_and_grads(s, probe, cons, lam)
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_same_loss_and_gradient_bytes(self, bridge):
+        s = small_snapshot(61, with_bridge=bridge)
+        pairs = random_batch(70)
+        assert grads_bytes(*self.distilled(s, pairs, 1.3)) \
+            == grads_bytes(*text_anchor_loss_and_grads(s, pairs, 1.3))
+
+    @pytest.mark.parametrize("seed, n, mu", [(74, 5, 0.7), (75, 32, 2.0)])
+    def test_same_gradient_bytes_and_the_loss_up_to_its_reduction_order(self, seed, n, mu):
+        # each loss sums its squares in its own order (np.sum against a
+        # nested np.add.reduce), so the loss may differ in its last bits
+        s = small_snapshot(seed, with_bridge=False)
+        pairs = random_batch(seed, n=n)
+        want_loss, want = text_anchor_loss_and_grads(s, pairs, mu)
+        loss, got = self.distilled(s, pairs, mu)
+        assert grads_bytes(0.0, got) == grads_bytes(0.0, want)
+        assert loss == pytest.approx(want_loss, rel=1e-14)
+
+
 class TestComposeLosses:
     def test_single_part_identity(self):
         s = small_snapshot(66)

@@ -50,7 +50,7 @@ CASES = {
     "sync_avg": (scenario(), [3] * 3),
     "product_refactor": (scenario(strategy="product_refactor"), [3] * 3),
     "masking_dp": (scenario(masking=True, dp=True), [3] * 3),
-    "mixed_anchor_mu": (scenario(anchor_mus=(0.0, 2.0, 2.0, 0.0)), [2, 2] * 3),
+    "mixed_anchor_mu": (scenario(anchor_mus=(0.0, 2.0, 2.0, 0.0)), [4] * 3),
     "async_mix": (scenario(strategy="async_mix", rounds=5), [1] * 5),
 }
 
@@ -70,13 +70,15 @@ def test_stacked_rounds_write_what_sequential_agents_write(case, tmp_path, monke
     assert len(want["updates"]) == sum(rows)
 
 
-def test_mixed_anchor_mu_stacks_group_parties_by_their_train_config(tmp_path, monkeypatch):
+def test_mixed_anchor_mu_trains_one_stack_with_a_mu_per_row(tmp_path, monkeypatch):
     cfg = CASES["mixed_anchor_mu"][0]
     calls = spy_local_train(monkeypatch)
     run_simulation(cfg, str(tmp_path))
-    stacks = [(cfg_.anchor_mu, [d.records[0].party for d in data])
-              for data, cfg_, _ in calls[:2]]
-    assert stacks == [(0.0, ["p0", "p3"]), (2.0, ["p1", "p2"])]
+    assert len(calls) == cfg.rounds
+    for data, cfg_, seed in calls:
+        assert [d.records[0].party for d in data] == ["p0", "p1", "p2", "p3"]
+        assert cfg_ == replace(cfg.train, anchor_mu=(0.0, 2.0, 2.0, 0.0))
+        assert len(seed) == 4
 
 
 def test_a_party_below_two_usable_records_trains_in_the_stack(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import flmm.training
+
 from flmm.aggregation import AggregationPlan, snapshot_blocks
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
 from flmm.dataquality import CorpusSpec, SceneRecord, generate_corpus
@@ -243,22 +245,72 @@ def test_stacked_local_train_rows_match_training_each_party_alone(bridge, anchor
     assert got[-1] is model  # "pf": below 2 usable records
 
 
-def test_a_row_that_sits_out_a_step_keeps_its_negative_zeros():
+def spy_anchor(monkeypatch) -> list:
+    """Records the mu of every anchor call a training step makes."""
+    mus = []
+
+    def spy(model, batch, mu):
+        mus.append(np.asarray(mu))
+        return text_anchor_loss_and_grads(model, batch, mu)
+
+    monkeypatch.setattr(flmm.training, "text_anchor_loss_and_grads", spy)
+    return mus
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+def test_rows_with_their_own_anchor_mu_match_training_each_party_alone(bridge,
+                                                                       monkeypatch):
+    """One stack whose rows take the anchor with different weights, or not
+    at all: ragged tails of 1 (skipped), 2, 5 and none make steps of every
+    row, of one anchored row and of one unanchored row. The anchor sees only
+    the anchored rows, never a weight of zero."""
+    anchor_mus = spy_anchor(monkeypatch)
+    model = init_snapshot(87, with_bridge=bridge)
+    corpora = list(ragged_corpora(88).values())[:4]
+    mus = (0.0, 1.5, 0.0, 2.0)
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8, anchor_mu=mus)
+    seeds = [89 + i for i in range(len(corpora))]
+    datasets = [training_set(model, c) if i % 2 else c for i, c in enumerate(corpora)]
+    got = local_train(model, datasets, cfg, seeds)
+    assert len(got) == len(corpora)
+    for trained, records, seed, mu in zip(got, corpora, seeds, mus):
+        want = oracle_local_train(model, records, replace(cfg, anchor_mu=mu), seed)
+        assert save_snapshot(trained) == save_snapshot(want)
+    assert anchor_mus and all((mu > 0).all() for mu in anchor_mus)
+    assert {mu.shape for mu in anchor_mus} == {(2,), (1,)}
+
+
+def test_a_stack_without_an_anchored_row_never_calls_the_anchor(monkeypatch):
+    anchor_mus = spy_anchor(monkeypatch)
+    model = init_snapshot(90)
+    corpora = list(ragged_corpora(91).values())
+    cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, anchor_mu=(0.0,) * len(corpora))
+    local_train(model, corpora, cfg, list(range(len(corpora))))
+    local_train(model, corpora[0], replace(cfg, anchor_mu=0.0), 5)
+    assert anchor_mus == []
+
+
+@pytest.mark.parametrize("mus", [None, (0.0, 1.5, 0.0, 2.0, 1.5, 0.0)],
+                         ids=["unanchored", "mixed_mu"])
+def test_a_row_that_sits_out_a_step_keeps_its_negative_zeros(mus):
     """Images with a zero first entry leave vision.a's first column a zero
     gradient, so its -0.0 entries stay -0.0 through every step; a row that
-    does not step must not have a zero added (-0.0 + 0.0 is +0.0)."""
+    does not step, or steps without the anchor inside an anchored stack,
+    must not have a zero added (-0.0 + 0.0 is +0.0)."""
     start = init_snapshot(79)
     blocks = snapshot_blocks(start)
     blocks["vision.a"][:, 0] = -0.0
     model = with_blocks(start, blocks, start.version)
     corpora = [[replace(r, image=np.concatenate([[0.0], r.image[1:]])) for r in records]
                for records in ragged_corpora(80).values()]
-    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8)
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8, anchor_mu=mus or 0.0)
     got = local_train(model, corpora, cfg, list(range(len(corpora))))
     for seed, (trained, records) in enumerate(zip(got, corpora)):
-        assert np.signbit(trained.blocks["vision.a"][:, 0]).all()
-        assert save_snapshot(trained) == \
-            save_snapshot(oracle_local_train(model, records, cfg, seed))
+        mu = mus[seed] if mus else 0.0
+        if mu == 0.0:
+            assert np.signbit(trained.blocks["vision.a"][:, 0]).all()
+        assert save_snapshot(trained) == save_snapshot(
+            oracle_local_train(model, records, replace(cfg, anchor_mu=mu), seed))
 
 
 def test_a_stack_of_one_row_or_none_below_two_records():
