@@ -6,11 +6,12 @@ name for scene class c, 40/41 hazard/safe, 50-55 sensitive (addresses, IDs),
 58-59 blacklisted. Truth fields on records are test-only oracles and never
 enter training or the wire.
 
-A corpus is drawn from one splitmix64 stream. Its scalar draws (class, tag,
-mismatch class, noise tokens and their position) are made record by record;
-the Gaussian image noise of every record is drawn afterwards in one bulk
-pass, from the stream states the scalar pass noted. The records are the same
-bits as drawing each record's noise in turn.
+A corpus is drawn from one splitmix64 stream. Its per-record draws (class,
+tag, mismatch class, noise tokens and their position) are read from
+bulk-mixed windows of the stream, one window per chunk of records; the
+Gaussian image noise of every record is drawn afterwards in one bulk pass,
+from the stream states the walk noted. The records are the same bits as
+drawing each record's values, noise included, in turn.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from flmm.errors import SpecError, StarvationError, TemplateGapError
 from flmm.metrics import EvalBatch, recall_at_k
 from flmm.model import ModelSnapshot, _text_forward, _vision_forward
-from flmm.rng import SplitMix64, gaussian_outputs, gaussian_rows, mix_seed
+from flmm.rng import (GOLDEN, MASK64, SplitMix64, bulk_mix, gaussian_outputs,
+                      gaussian_rows, mix_seed)
 
 REFUSAL_TOKEN = 0
 CLASS_TOKEN_BASE = 10
@@ -39,6 +41,10 @@ TAGS = ("mismatched", "sensitive_noise", "labels_only", "too_short")
 _NOISE_TOKENS = tuple(sorted(SENSITIVE_TOKENS))
 
 _PROTO_SALT = 0x5CE7E
+
+# Records per stream window. A window is converted to Python ints, so its
+# size bounds the memory the walk holds beside the records.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,15 @@ class CorpusSpec:
     d_v: int = 16
 
     def __post_init__(self):
+        if self.size < 0:
+            raise SpecError(f"corpus size {self.size}: must be at least 0")
         if sum(self.corruption_rates.values()) > 1.0 + 1e-12:
             raise SpecError("corruption rates sum above 1")
-        for tag in self.corruption_rates:
+        for tag, rate in self.corruption_rates.items():
             if tag not in TAGS:
                 raise SpecError(f"unknown corruption tag {tag!r}")
+            if not 0.0 <= rate <= 1.0:  # false for nan
+                raise SpecError(f"corruption rate {tag} = {rate}: must be in [0, 1]")
         if not self.scene_class_pool:
             raise SpecError("scene class pool is empty")
         if len(set(self.scene_class_pool)) != len(self.scene_class_pool):
@@ -129,67 +139,71 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
     """Deterministic synthetic corpus; same spec gives a bit-identical list.
 
     Each record draws from the spec's stream, in order: its class, its image
-    noise (gaussian_outputs(d_v) outputs), its tag, then whatever the tag
-    needs. One pass makes the scalar draws and notes the state each record's
-    noise starts from; one gaussian_rows call then draws every record's noise.
+    noise (gaussian_outputs(d_v) outputs), its tag's uniform, then whatever
+    the tag needs (mismatched 1 output, sensitive_noise 3). The stream is
+    walked _CHUNK records at a time: one bulk_mix mixes a window long enough
+    for the chunk if every record took the longest stride, each record's
+    draws are read from it, and the next chunk starts where the walk stopped.
+    One gaussian_rows call then draws every record's noise from the states
+    the walk noted. A pool class's captions, labels and Truth, and each tag
+    set, are built once and shared by every record that has them.
     """
-    rng = SplitMix64(spec.seed)
     pool = spec.scene_class_pool
-    tags_in_play = [t for t, r in sorted(spec.corruption_rates.items()) if r > 0]
-    if "mismatched" in tags_in_play and len(pool) < 2:
+    n = len(pool)
+    bounds, acc = [], 0.0  # (cumulative rate, tag) over the tags in play
+    for t, r in sorted(spec.corruption_rates.items()):
+        if r > 0:
+            acc += r
+            bounds.append((acc, t))
+    if spec.corruption_rates.get("mismatched", 0) > 0 and n < 2:
         raise SpecError("mismatched corruption needs at least two scene classes")
-    noise_outputs = gaussian_outputs(spec.d_v)
-    drawn = []  # (pool index, pristine caption, caption, tag) per record
-    noise_starts = []
-    for _ in range(spec.size):
-        k = rng.next_u64() % len(pool)
-        noise_starts.append(rng.state)
-        rng.skip(noise_outputs)
-        cls = pool[k]
-        pristine = caption_template(cls, class_hazard(cls))
-
-        u = rng.next_uniform()
-        tag = None
-        acc = 0.0
-        for t in tags_in_play:
-            acc += spec.corruption_rates[t]
-            if u < acc:
-                tag = t
-                break
-
-        caption = pristine
-        if tag == "mismatched":
-            # caption content of a different scene class
-            other = pool[(k + 1 + rng.next_u64() % (len(pool) - 1)) % len(pool)]
-            caption = caption_template(other, class_hazard(other))
-        elif tag == "sensitive_noise":
-            ins = (_NOISE_TOKENS[rng.next_u64() % len(_NOISE_TOKENS)],
-                   _NOISE_TOKENS[rng.next_u64() % len(_NOISE_TOKENS)])
-            pos = rng.next_u64() % (len(pristine) + 1)
-            caption = pristine[:pos] + ins + pristine[pos:]
-        elif tag == "labels_only":
-            caption = ()
-        elif tag == "too_short":
-            caption = pristine[:2]
-        drawn.append((k, pristine, caption, tag))
+    g = gaussian_outputs(spec.d_v)
+    pristine = [caption_template(c, class_hazard(c)) for c in pool]
+    labels = [(CLASS_TOKEN_BASE + c, HAZARD_TOKEN if class_hazard(c) else SAFE_TOKEN)
+              for c in pool]
+    truths = [Truth(c, class_hazard(c), p) for c, p in zip(pool, pristine)]
+    tag_sets = {None: frozenset(), **{t: frozenset({t}) for t in TAGS}}
+    ks, captions, tags, noise_starts = [], [], [], []
+    state = spec.seed & MASK64
+    for lo in range(0, spec.size, _CHUNK):
+        m = min(_CHUNK, spec.size - lo)
+        w = bulk_mix(state, m * (g + 5)).tolist()
+        pos = 0
+        for _ in range(m):
+            k = w[pos] % n
+            noise_starts.append((state + (pos + 1) * GOLDEN) & MASK64)
+            u = (w[pos + 1 + g] >> 11) * 2.0**-53
+            pos += 2 + g
+            tag = None
+            for a, t in bounds:
+                if u < a:
+                    tag = t
+                    break
+            caption = pristine[k]
+            if tag == "mismatched":
+                # caption content of a different scene class
+                caption = pristine[(k + 1 + w[pos] % (n - 1)) % n]
+                pos += 1
+            elif tag == "sensitive_noise":
+                ins = (_NOISE_TOKENS[w[pos] % len(_NOISE_TOKENS)],
+                       _NOISE_TOKENS[w[pos + 1] % len(_NOISE_TOKENS)])
+                cut = w[pos + 2] % (len(caption) + 1)
+                caption = caption[:cut] + ins + caption[cut:]
+                pos += 3
+            elif tag == "labels_only":
+                caption = ()
+            elif tag == "too_short":
+                caption = caption[:2]
+            ks.append(k)
+            captions.append(caption)
+            tags.append(tag_sets[tag])
+        state = (state + pos * GOLDEN) & MASK64
 
     prototypes = np.stack([class_prototype(c, spec.d_v) for c in pool])
-    noise = gaussian_rows(noise_starts, spec.d_v)
-    images = prototypes[[k for k, _, _, _ in drawn]] + 0.1 * noise
-    records = []
-    for i, ((k, pristine, caption, tag), image) in enumerate(zip(drawn, images)):
-        cls = pool[k]
-        hazard = class_hazard(cls)
-        records.append(SceneRecord(
-            id=f"{spec.party}-{i:05d}",
-            party=spec.party,
-            image=image,
-            caption=caption,
-            object_labels=(CLASS_TOKEN_BASE + cls, HAZARD_TOKEN if hazard else SAFE_TOKEN),
-            corruption=frozenset() if tag is None else frozenset({tag}),
-            truth=Truth(scene_class=cls, hazard=hazard, pristine_caption=pristine),
-        ))
-    return records
+    images = prototypes[ks] + 0.1 * gaussian_rows(noise_starts, spec.d_v)
+    return [SceneRecord(f"{spec.party}-{i:05d}", spec.party, image, caption, labels[k],
+                        tag_set, truths[k])
+            for i, (k, caption, tag_set, image) in enumerate(zip(ks, captions, tags, images))]
 
 
 # --- repair transforms (Cases A, B, C); each is idempotent ------------------
@@ -197,12 +211,12 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
 def rule_clean(record: SceneRecord, sensitive_vocab: frozenset = SENSITIVE_TOKENS
                ) -> SceneRecord:
     """Strip sensitive tokens from the caption."""
-    cleaned = tuple(t for t in record.caption if t not in sensitive_vocab)
-    tags = record.corruption
-    if cleaned == record.caption and "sensitive_noise" not in tags:
+    if "sensitive_noise" not in record.corruption \
+            and sensitive_vocab.isdisjoint(record.caption):
         return record
-    tags = frozenset(tags - {"sensitive_noise"})
-    return replace(record, caption=cleaned, corruption=tags)
+    cleaned = tuple(t for t in record.caption if t not in sensitive_vocab)
+    return replace(record, caption=cleaned,
+                   corruption=frozenset(record.corruption - {"sensitive_noise"}))
 
 
 def label_to_caption(record: SceneRecord, templates: dict | None = None) -> SceneRecord:

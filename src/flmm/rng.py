@@ -5,14 +5,16 @@ machines, so we do not use numpy's Generator. The stream is counter-based:
 state_i = seed + i * GOLDEN (mod 2^64), output = mix(state_i), which lets the
 bulk paths vectorize. Uniforms, Gaussians and the swap indices of a shuffle
 are drawn in one bulk call each; every one of them advances the state by
-exactly the number of outputs it consumed, as the scalar next_u64 would.
+exactly the number of outputs it consumed, as drawing them one at a time
+would. There is no scalar draw: callers that need a few outputs mix them
+with bulk_mix.
 
 Because a state fixes every output after it, Gaussians for many places in
 one stream are drawn together: gaussian_rows takes the state each row starts
 from and returns all the rows from one Box-Muller pass, the only one in the
-package. SplitMix64.gaussians is its one-row case. A corpus notes where each
-record's image noise starts while it makes its scalar draws, then draws all
-that noise at once.
+package. SplitMix64.gaussians is its one-row case. A corpus reads its
+per-record draws from bulk_mix windows of its stream, notes where each
+record's image noise starts, then draws all that noise at once.
 
 The bulk kernels live in ``_kernels``, in vectorized numpy: uniforms,
 shuffles and Gaussian rows all mix on a counter array.
@@ -38,18 +40,10 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """Sequential splitmix64 stream with Box-Muller Gaussians."""
+    """splitmix64 stream with bulk uniforms, Box-Muller Gaussians and shuffles."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN) & MASK64
-        return _mix(self.state)
-
-    def next_uniform(self) -> float:
-        # 53-bit mantissa in [0, 1)
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
         """Vectorized draw of n uniforms; advances the stream by n."""

@@ -54,7 +54,7 @@ from flmm.model import (
     snapshot_blocks,
     with_blocks,
 )
-from flmm.rng import SplitMix64, hash_text, mix_seed
+from flmm.rng import GOLDEN, MASK64, SplitMix64, _mix, hash_text, mix_seed
 from flmm.training import make_update
 
 SMALL = dict(d_v=8, d_t=8, d_emb=4, rank=2, vocab=16)
@@ -118,7 +118,7 @@ def malformed_checkpoints() -> dict:
 
 def random_batch(seed: int, n: int = 4, d_v: int = 8, vocab: int = 16,
                  caption_len: int = 3):
-    rng = SplitMix64(seed)
+    rng = ScalarStream(seed)
     return [(rng.gaussians(d_v),
              [int(rng.next_u64() % vocab) for _ in range(caption_len)])
             for _ in range(n)]
@@ -234,7 +234,20 @@ def oracle_replay_coalition(initial: ModelSnapshot, rounds, coalition) -> ModelS
 # after another.
 # ---------------------------------------------------------------------------
 
-def oracle_gaussians(rng: SplitMix64, n: int) -> np.ndarray:
+class ScalarStream(SplitMix64):
+    """The stream drawn one output at a time, as the splitmix64 reference
+    does: the oracle for every bulk draw, and a source of test data."""
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GOLDEN) & MASK64
+        return _mix(self.state)
+
+    def next_uniform(self) -> float:
+        # 53-bit mantissa in [0, 1)
+        return (self.next_u64() >> 11) * 2.0**-53
+
+
+def oracle_gaussians(rng: ScalarStream, n: int) -> np.ndarray:
     """n Gaussians by Box-Muller on consecutive pairs of scalar uniforms."""
     m = (n + 1) // 2
     u = np.array([rng.next_uniform() for _ in range(2 * m)])
@@ -251,7 +264,7 @@ def oracle_gaussians(rng: SplitMix64, n: int) -> np.ndarray:
 
 def oracle_generate_corpus(spec) -> list:
     """The corpus drawn record by record, each record's noise in its turn."""
-    rng = SplitMix64(spec.seed)
+    rng = ScalarStream(spec.seed)
     pool = spec.scene_class_pool
     tags_in_play = [t for t, r in sorted(spec.corruption_rates.items()) if r > 0]
     if "mismatched" in tags_in_play and len(pool) < 2:

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from support import check_grads_fd, random_batch, small_snapshot
+from support import ScalarStream, check_grads_fd, random_batch, small_snapshot
 
 from flmm.aggregation import (
     AggregationPlan,
@@ -89,7 +89,7 @@ class TestCriterion1Gradients:
     RTOL = 1e-4
 
     def _probe_and_consensus(self, seed):
-        rng = SplitMix64(seed)
+        rng = ScalarStream(seed)
         items = tuple(
             [ProbeItem("image", f"i{k}", image=rng.gaussians(8))
              for k in range(2)] +
@@ -138,7 +138,7 @@ SHAPES = {"vision.a": (2, 16), "vision.b": (8, 2),
 
 
 def random_update(seed, client_id, scale=1.0):
-    rng = SplitMix64(seed)
+    rng = ScalarStream(seed)
     deltas = {n: scale * rng.normal_matrix(*SHAPES[n]) for n in SHAPES}
     return ClientUpdate(client_id=client_id, base_version=0, deltas=deltas,
                         sample_count=1 + int(rng.next_u64() % 9),
@@ -149,7 +149,7 @@ class TestCriterion2Aggregation:
     def test_fedavg_matches_naive_oracle_1000_cases(self):
         plan = AggregationPlan()
         for case in range(1000):
-            rng = SplitMix64(mix_seed(0xACC, case))
+            rng = ScalarStream(mix_seed(0xACC, case))
             k = 2 + int(rng.next_u64() % 3)
             updates = [random_update(mix_seed(case, i), f"c{i}")
                        for i in range(k)]

@@ -77,8 +77,13 @@ def test_gendata_missing_config(tmp_path, capsys):
      "classes = 0,54\nanchor_mu = 2.0\n\n[party:p1]"),
     ("rounds = 2", "rounds = 0"),
     ("anchor_mu = 2.0\n\n[party:p1]", "anchor_mu = nan\n\n[party:p1]"),
+    ("size = 40\nseed = 8", "size = -3\nseed = 8"),
+    ("anchor_mu = 2.0\n\n[party:p1]", "anchor_mu = 2.0\nmismatched = nan\n\n[party:p1]"),
+    ("anchor_mu = 2.0\n\n[party:p1]",
+     "anchor_mu = 2.0\nmismatched = 1.5\ntoo_short = -0.6\n\n[party:p1]"),
 ], ids=["batch_size_0", "batch_size_1", "epochs_0", "lr_negative", "rank_0",
-        "rates_above_1", "empty_pool", "class_54", "rounds_0", "anchor_mu_nan"])
+        "rates_above_1", "empty_pool", "class_54", "rounds_0", "anchor_mu_nan",
+        "size_negative", "rate_nan", "rate_above_1_sum_below_1"])
 def test_simulate_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     assert old in CONFIG
     path = tmp_path / "scenario.ini"

@@ -50,9 +50,10 @@ def test_masking_moves_into_the_plan(tmp_path):
     "[party:a:b]\nsize = 20\n",
     "[party:a=b]\nsize = 20\n",
     "[party:]\nsize = 20\n",
+    "[party:p2]\nsize = 20\nmismatched = 1.5\ntoo_short = -0.6\n",
 ], ids=["nan_exponent", "inf_exponent", "negative_exponent", "chained",
         "masked_product_refactor", "masked_async_mix", "id_space", "id_comma",
-        "id_colon", "id_equals", "id_empty"])
+        "id_colon", "id_equals", "id_empty", "rates_out_of_range_sum_below_1"])
 def test_rejected_with_config_error(tmp_path, extra):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, BASE + "\n" + extra))
@@ -67,6 +68,10 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("run", "rounds", "0", r"\[run\] rounds = 0: must be at least 1"),
     ("run", "rounds", "-2", r"\[run\] rounds = -2: must be at least 1"),
     ("party:p0", "mismatched", "2.0", "corruption rates sum above 1"),
+    ("party:p0", "mismatched", "nan", r"corruption rate mismatched = nan: must be in"),
+    ("party:p0", "too_short", "-0.1", r"corruption rate too_short = -0.1: must be in"),
+    ("party:p0", "size", "-3", r"corpus size -3: must be at least 0"),
+    ("eval", "size", "-1", r"corpus size -1: must be at least 0"),
     ("party:p0", "classes", ",", "scene class pool is empty"),
     ("party:p0", "classes", "0,0,1", "repeats a class"),
     ("eval", "classes", ",", "scene class pool is empty"),

@@ -25,7 +25,7 @@ from flmm.protocol import Message, pack_blocks
 from flmm.rng import SplitMix64, hash_text
 from flmm.training import TrainConfig, local_train, make_update
 
-from support import oracle_replay_coalition, small_snapshot
+from support import ScalarStream, oracle_replay_coalition, small_snapshot
 
 
 def additive_game(costs: dict) -> CoalitionValueFn:
@@ -51,7 +51,7 @@ def permutation_oracle(fn: CoalitionValueFn) -> dict:
 
 def random_game(seed: int, n: int) -> CoalitionValueFn:
     parties = [f"p{i}" for i in range(n)]
-    rng = SplitMix64(seed)
+    rng = ScalarStream(seed)
     table = {frozenset(): 0.0}
     for k in range(1, n + 1):
         for subset in itertools.combinations(parties, k):

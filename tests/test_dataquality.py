@@ -1,8 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flmm.aggregation import AggregationPlan
 from flmm.dataquality import (
+    _CHUNK,
     _PROTO_SALT,
     BLACKLIST_TOKENS,
     HAZARD_TOKEN,
@@ -65,6 +69,22 @@ class TestGeneration:
         with pytest.raises(SpecError):
             spec(rates={"mismatched": 0.6, "too_short": 0.5})
 
+    @pytest.mark.parametrize("rates", [
+        {"mismatched": float("nan")}, {"sensitive_noise": -0.1},
+        {"mismatched": 1.5, "too_short": -0.6}, {"too_short": float("-inf")}])
+    def test_rate_outside_0_1_raises(self, rates):
+        with pytest.raises(SpecError, match="must be in \\[0, 1\\]"):
+            spec(rates=rates)
+
+    @pytest.mark.parametrize("size", [-1, -3])
+    def test_negative_size_raises(self, size):
+        with pytest.raises(SpecError, match=f"corpus size {size}: must be at least 0"):
+            spec(size=size, rates={"mismatched": float("nan")})
+
+    def test_rates_of_0_and_1_accepted(self):
+        recs = generate_corpus(spec(size=20, rates={"mismatched": 1.0, "too_short": 0.0}))
+        assert all(r.corruption == {"mismatched"} for r in recs)
+
     @pytest.mark.parametrize("classes", [(0, 0, 1), (3, 1, 3), (2, 2)])
     def test_repeated_class_in_pool_raises(self, classes):
         # a repeat would skew the class draw and let a mismatched caption
@@ -84,11 +104,14 @@ class TestGeneration:
         class_tokens = {caption_template(c, False)[2] for c in range(30)}
         assert class_tokens | {HAZARD_TOKEN, SAFE_TOKEN} == set(default_label_templates())
 
-    @pytest.mark.parametrize("seed", [3, 42, 2**64 - 7])
+    @pytest.mark.parametrize("seed", [3, 42, 2**64 - 7, -1, 2**64 + 5])
     @pytest.mark.parametrize("d_v", [15, 16])
     def test_bit_identical_to_record_by_record_draws(self, seed, d_v):
         """Every field of every record, for sizes 0, 1 and 23, each tag alone,
-        all tags at once and none, and pools of 1 to 8 classes."""
+        all tags at once and none, and pools of 1 to 8 classes; then sizes
+        around one stream window (_CHUNK records) with no tag, with every
+        record on the longest stride, and with all tags mixed, so the walk
+        crosses a window boundary at an uneven point."""
         rate_sets = [{}, {"mismatched": 0.5}, {"sensitive_noise": 0.5},
                      {"labels_only": 0.5}, {"too_short": 0.5},
                      {t: 0.2 for t in ("mismatched", "sensitive_noise",
@@ -103,6 +126,37 @@ class TestGeneration:
                                    seed=seed, scene_class_pool=pool, d_v=d_v)
                     assert corpus_bytes(generate_corpus(s)) \
                         == corpus_bytes(oracle_generate_corpus(s))
+        for rates in [{}, {"sensitive_noise": 1.0},
+                      {"mismatched": 0.3, "sensitive_noise": 0.3, "labels_only": 0.1,
+                       "too_short": 0.1}]:
+            for size in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+                s = CorpusSpec(party="w", size=size, corruption_rates=rates, seed=seed,
+                               scene_class_pool=(2, 9, 4), d_v=d_v)
+                assert corpus_bytes(generate_corpus(s)) \
+                    == corpus_bytes(oracle_generate_corpus(s))
+
+    def test_stream_window_memory_stays_below_the_record_by_record_draws(self):
+        """The tracemalloc peak of a corpus eight windows long with every tag
+        in play is no higher than that of the record-by-record oracle: the
+        stream is held as Python ints one window at a time."""
+        rates = {t: 0.2 for t in ("mismatched", "sensitive_noise", "labels_only",
+                                  "too_short")}
+        s = CorpusSpec(party="m", size=8 * _CHUNK, corruption_rates=rates, seed=11,
+                       scene_class_pool=(0, 3, 5, 8, 9))
+        generate_corpus(replace(s, size=1))  # warm the prototype cache
+
+        def peak(draw):
+            tracemalloc.start()
+            try:
+                records = draw(s)
+                return tracemalloc.get_traced_memory()[1], records
+            finally:
+                tracemalloc.stop()
+
+        peak_bulk, bulk = peak(generate_corpus)
+        del bulk
+        peak_oracle, _ = peak(oracle_generate_corpus)
+        assert peak_bulk <= peak_oracle
 
     def test_every_tag_drawn_in_the_oracle_comparison(self):
         rates = {t: 0.2 for t in ("mismatched", "sensitive_noise", "labels_only",
@@ -164,7 +218,6 @@ class TestRepairs:
             assert "sensitive_noise" not in fixed.corruption
 
     def test_rule_clean_fully_sensitive_caption_goes_empty(self):
-        from dataclasses import replace
         rec = generate_corpus(spec(size=1))[0]
         rec = replace(rec, caption=(50, 51))
         out = rule_clean(rec)
@@ -174,14 +227,12 @@ class TestRepairs:
         assert rebuilt.caption != ()
 
     def test_label_to_caption_single_label(self):
-        from dataclasses import replace
         rec = generate_corpus(spec(size=1))[0]
         rec = replace(rec, caption=(), object_labels=(12,))
         out = label_to_caption(rec)
         assert out.caption == default_label_templates()[12]
 
     def test_label_to_caption_order_preserving(self):
-        from dataclasses import replace
         rec = generate_corpus(spec(size=1))[0]
         ab = label_to_caption(replace(rec, caption=(), object_labels=(12, 40)))
         ba = label_to_caption(replace(rec, caption=(), object_labels=(40, 12)))
@@ -203,7 +254,6 @@ class TestRepairs:
                            for i in range(len(cap) - len(frag) + 1))
 
     def test_template_gap(self):
-        from dataclasses import replace
         rec = generate_corpus(spec(size=1))[0]
         rec = replace(rec, caption=(), object_labels=(999,))
         with pytest.raises(TemplateGapError):

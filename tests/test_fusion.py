@@ -12,14 +12,13 @@ from flmm.fusion import (
 )
 from flmm.model import BLOCK_NAMES, contrastive_loss_and_grads, load_snapshot, \
     pair_batch, pair_forward, save_snapshot, sgd_step
-from flmm.rng import SplitMix64
 
-from support import check_grads_fd, grads_bytes, oracle_anchor, random_batch, \
-    small_snapshot
+from support import ScalarStream, check_grads_fd, grads_bytes, oracle_anchor, \
+    random_batch, small_snapshot
 
 
 def mixed_probe(seed=50, n_img=3, n_txt=3):
-    rng = SplitMix64(seed)
+    rng = ScalarStream(seed)
     items = [ProbeItem("image", f"img{i}", image=rng.gaussians(8))
              for i in range(n_img)]
     items += [ProbeItem("text", f"txt{i}",

@@ -13,6 +13,8 @@ from flmm.model import caption_scores, init_snapshot, load_snapshot, save_snapsh
     stack_rows, text_features, with_blocks
 from flmm.rng import SplitMix64
 
+from support import ScalarStream
+
 
 class TestBleu:
     def test_identical_is_one(self):
@@ -113,7 +115,7 @@ def recall_at_k_oracle(model, eval_set, k):
 def with_permuted_captions(recs, seed):
     """Every third record gets a reversed caption: a distinct bank entry with
     the same token multiset, so its mean embedding, and score, tie exactly."""
-    rng = SplitMix64(seed)
+    rng = ScalarStream(seed)
     out = []
     for i, rec in enumerate(recs):
         cap = tuple(rec.caption)

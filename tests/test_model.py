@@ -38,9 +38,9 @@ from flmm.orchestrator import blocks_field
 from flmm.protocol import pack_blocks
 from flmm.rng import SplitMix64
 
-from support import check_grads_fd, checkpoint_bytes, checkpoint_fields, grads_bytes, \
-    identity_snapshot, malformed_checkpoints, oracle_anchor, oracle_contrastive, \
-    random_batch, small_snapshot
+from support import ScalarStream, check_grads_fd, checkpoint_bytes, checkpoint_fields, \
+    grads_bytes, identity_snapshot, malformed_checkpoints, oracle_anchor, \
+    oracle_contrastive, random_batch, small_snapshot
 
 
 def delta(s, tower):
@@ -178,7 +178,7 @@ class TestEncoders:
 
 
 def random_captions(seed: int, n: int, vocab: int, max_len: int = 12) -> list:
-    rng = SplitMix64(seed)
+    rng = ScalarStream(seed)
     return [[int(rng.next_u64() % vocab) for _ in range(1 + rng.next_u64() % max_len)]
             for _ in range(n)]
 

@@ -19,7 +19,8 @@ from flmm.simulate import run_simulation
 from flmm.training import TrainConfig, federated_train, local_train, trainable_records, \
     training_set
 
-from support import count_pair_batches, oracle_federated_train, oracle_local_train
+from support import ScalarStream, count_pair_batches, oracle_federated_train, \
+    oracle_local_train
 
 
 def local_train_oracle(model, records, cfg, seed):
@@ -45,7 +46,7 @@ def local_train_oracle(model, records, cfg, seed):
 
 def random_records(seed: int, n: int, d_v: int = 16, vocab: int = 64) -> list:
     """Variable-length captions (1-10 tokens); every fifth record has none."""
-    rng = SplitMix64(seed)
+    rng = ScalarStream(seed)
     out = []
     for i in range(n):
         length = 0 if i % 5 == 4 else 1 + rng.next_u64() % 10
