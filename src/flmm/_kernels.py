@@ -38,7 +38,3 @@ def to_uniform(u: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1): high 53 bits of each output scaled by 2^-53."""
     return (u >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-
-def bulk_uniform(state: np.uint64, n: int) -> np.ndarray:
-    """n uniforms in [0, 1) from the outputs that follow ``state``."""
-    return to_uniform(bulk_mix(state, n))

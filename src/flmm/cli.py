@@ -197,13 +197,14 @@ def _party_weights(spec: str, parties: list) -> dict:
 
 
 def _clean(args) -> int:
+    from flmm.config import quality_threshold
     from flmm.dataquality import load_corpus, repair_corpus, save_corpus, \
         score_and_filter
+    thr = quality_threshold(args.threshold, "--threshold")
     model = _load_model(args.model)
     with open(args.corpus) as f:
         records = load_corpus(f.read())
     records = repair_corpus(records)
-    thr = "auto" if args.threshold == "auto" else float(args.threshold)
     kept, dropped = score_and_filter(model, records, thr)
     print(f"kept={len(kept)} dropped={len(dropped)}")
     if args.out:

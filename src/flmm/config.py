@@ -95,6 +95,19 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"bad config {path!r}: {e}") from e
 
 
+def quality_threshold(text: str, what: str) -> float | str:
+    """A score threshold: "auto" (Otsu's, per corpus) or a finite number."""
+    if text == "auto":
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} = {text!r}: must be auto or a finite number")
+    return value
+
+
 def _check_keys(cp: configparser.ConfigParser) -> None:
     if cp.defaults():
         raise ConfigError("unknown section [DEFAULT]")
@@ -184,11 +197,10 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
     )
 
     q = cp["quality"] if cp.has_section("quality") else {}
-    thr = q.get("threshold", "auto")
     quality = QualityConfig(
         iters=int(q.get("iters", 0)),
         target=float(q.get("target", 0.9)),
-        threshold="auto" if thr == "auto" else float(thr),
+        threshold=quality_threshold(q.get("threshold", "auto"), "[quality] threshold"),
         floor=int(q.get("floor", 10)),
     )
 

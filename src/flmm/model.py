@@ -20,9 +20,8 @@ model is the case with no leading axis, and its loss is a float; a stack's
 losses are a (P,) array. Training builds stacks (training.local_train given
 a list of corpora), and so does coalition replay
 (contribution.replay_coalitions), whose stack caption_scores scores in one
-call; stack_rows takes rows out of a stack, and forward_rows out of its
-forward pass. save_snapshot, like the wire and round-log encoders, refuses
-a stack (ShapeError).
+call; stack_rows takes rows out of a stack. save_snapshot, like the wire and
+round-log encoders, refuses a stack (ShapeError).
 
 The LoRA scale alpha / rank is the constant LORA_SCALE: checkpoints do not
 store alpha, and every snapshot uses alpha = 2 * rank.
@@ -288,13 +287,6 @@ def pair_forward(snapshot: ModelSnapshot,
     z_v, cache_v = _vision_forward(snapshot, batch.xs)
     z_t, cache_t = _text_tower(snapshot, batch.ts)
     return PairForward(snapshot, z_v, cache_v, z_t, cache_t)
-
-
-def forward_rows(fwd: PairForward, rows) -> PairForward:
-    """Rows of a stack's forward pass, as stack_rows takes rows of the stack."""
-    return PairForward(stack_rows(fwd.snapshot, rows), fwd.z_v[rows],
-                       tuple(a[rows] for a in fwd.cache_v), fwd.z_t[rows],
-                       tuple(a[rows] for a in fwd.cache_t))
 
 
 def _normalize_backward(dz: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:

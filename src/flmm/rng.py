@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flmm._kernels import bulk_mix, bulk_uniform, mix_counters, to_uniform
+from flmm._kernels import bulk_mix, mix_counters, to_uniform
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -47,7 +47,7 @@ class SplitMix64:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Vectorized draw of n uniforms; advances the stream by n."""
-        out = bulk_uniform(np.uint64(self.state), n)
+        out = to_uniform(bulk_mix(np.uint64(self.state), n))
         self.skip(n)
         return out
 

@@ -5,7 +5,7 @@ With identical seeds and ``[quality] iters = 0`` they produce identical
 round logs and checkpoints; only the in-process run has a quality loop.
 
 In process, a round's agents train together: each ``take``s its job, the
-jobs train in stacked local_train calls, and each agent ``finish``es its
+jobs train in one stacked local_train call, and each agent ``finish``es its
 own in party order. A socket client ``step``s alone, one row at a time;
 every row has the bits it would have alone, so the modes agree.
 """
@@ -69,24 +69,20 @@ def server_config(cfg: ScenarioConfig) -> ServerConfig:
 
 
 def train_batch(agents: list) -> bool:
-    """One pass over ``agents``: each takes its job, the jobs that share a
-    round, an assigned version, a base and a TrainConfig but for anchor_mu
-    train in one local_train call, each row with its own anchor_mu, and
-    each agent finishes its job in party order. True when a SUBMIT was
-    ACKed."""
+    """One pass over ``agents``: each takes its job, the jobs train in one
+    local_train call, each row with its own anchor_mu, and each agent
+    finishes its job in party order. Every take runs before any finish, so
+    the jobs share a round, an assigned model and a TrainConfig but for
+    anchor_mu. True when a SUBMIT was ACKed."""
     taken = [(agent, agent.take()) for agent in agents]
     jobs = [(agent, job) for agent, job in taken if isinstance(job, TrainingJob)]
-    groups: dict = {}
-    for _, job in jobs:
-        groups.setdefault((job.round, job.model.version, job.base,
-                           replace(job.cfg, anchor_mu=0.0)), []).append(job)
-    trained = {}
-    for key, group in groups.items():
-        cfg = replace(key[-1], anchor_mu=tuple(job.cfg.anchor_mu for job in group))
-        models = local_train(group[0].model, [job.data for job in group], cfg,
-                             [job.seed for job in group])
-        trained.update(zip(group, models))
-    return any([agent.finish(job, trained[job]) == "ACK" for agent, job in jobs])
+    if not jobs:
+        return False
+    first = jobs[0][1]
+    cfg = replace(first.cfg, anchor_mu=tuple(job.cfg.anchor_mu for _, job in jobs))
+    trained = local_train(first.model, [job.data for _, job in jobs], cfg,
+                          [job.seed for _, job in jobs])
+    return any([agent.finish(job, t) == "ACK" for (agent, job), t in zip(jobs, trained)])
 
 
 def run_simulation(cfg: ScenarioConfig, out_dir: str,

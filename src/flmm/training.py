@@ -26,8 +26,7 @@ from flmm.aggregation import AggregationPlan, ClientUpdate, aggregate
 from flmm.dataquality import SceneRecord
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import ModelSnapshot, PairBatch, check_token_embed, \
-    contrastive_loss_and_grads, forward_rows, pair_batch, pair_forward, sgd_step, \
-    stack_rows, with_blocks
+    contrastive_loss_and_grads, pair_batch, pair_forward, sgd_step, stack_rows, with_blocks
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
 
@@ -99,12 +98,13 @@ def local_train(model: ModelSnapshot, records, cfg: TrainConfig, seed):
     A party below 2 usable records gets ``model`` back. Each epoch gathers
     every row's shuffled pairs once. At each step the rows whose next batch
     has the same size step together as one stack: pair_forward runs both
-    towers once, and that PairForward goes to the contrastive loss, and its
-    rows whose anchor_mu is positive to the anchor loss. Each loss
-    backpropagates its own dz (summing the dz first would round
-    differently) before compose_losses adds the gradients. A row whose
-    batch is below 2 pairs, a skipped tail or nothing left, does not step.
-    A lone row trains as the model itself, with no leading axis.
+    towers once, and that PairForward goes to the contrastive loss and, when
+    any of those rows has a positive anchor_mu, to one anchor loss over them
+    all (see ``_step``). Each loss backpropagates its own dz (summing the dz
+    first would round differently) before compose_losses adds the
+    gradients. A row whose batch is below 2 pairs, a skipped tail or nothing
+    left, does not step. A lone row trains as the model itself, with no
+    leading axis.
     """
     stacked = isinstance(seed, (list, tuple))
     seeds = seed if stacked else [seed]
@@ -166,20 +166,17 @@ def _epoch_steps(sizes: list, batch_size: int) -> list:
 
 
 def _step(model: ModelSnapshot, batch: PairBatch, lr: float, mu) -> ModelSnapshot:
-    """One SGD step of a model or stack on its batch. The anchor loss, with
-    ``mu`` its weight per row, adds only to the rows whose mu is positive."""
+    """One SGD step of a model or stack on its batch. When a row's ``mu`` is
+    positive, the anchor loss runs once on the whole stack, with ``mu`` its
+    weight per row, and compose_losses adds it to the contrastive gradients;
+    only the anchored rows take the sum, and every other row keeps its
+    contrastive gradient as it is (adding a zero would turn -0.0 into +0.0)."""
     fwd = pair_forward(model, batch)
     loss, grads = contrastive_loss_and_grads(model, fwd)
     anchored = mu > 0
-    if anchored.all():
-        _, grads = compose_losses([(loss, grads), text_anchor_loss_and_grads(model, fwd, mu)])
-    elif anchored.any():  # a stack: compose its anchored rows, and write them back
-        rows = np.flatnonzero(anchored)
-        part = forward_rows(fwd, rows)
-        _, sub = compose_losses([(loss[rows], {n: g[rows] for n, g in grads.items()}),
-                                 text_anchor_loss_and_grads(part.snapshot, part, mu[rows])])
-        for n, g in grads.items():
-            g[rows] = sub[n]
+    if anchored.any():
+        _, both = compose_losses([(loss, grads), text_anchor_loss_and_grads(model, fwd, mu)])
+        grads = {n: np.where(anchored[..., None, None], both[n], g) for n, g in grads.items()}
     return sgd_step(model, grads, lr)
 
 

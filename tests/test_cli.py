@@ -9,6 +9,7 @@ import pytest
 
 from flmm.cli import main
 from flmm.errors import HistoryError
+from flmm.model import init_snapshot, save_snapshot
 
 from support import malformed_checkpoints
 
@@ -143,6 +144,21 @@ def test_eval_and_clean(config_file, tmp_path, capsys):
                  "--threshold", "-1.0", "--out", kept_path]) == 0
     text = capsys.readouterr().out
     assert "kept=" in text and os.path.exists(kept_path)
+
+
+@pytest.mark.parametrize("threshold", ["abc", "nan", "inf", "-inf", ""])
+def test_clean_threshold_other_than_auto_or_a_finite_number_exits_2(
+        config_file, tmp_path, capsys, threshold):
+    data = str(tmp_path / "data")
+    main(["gendata", "--spec", config_file, "--out", data])
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(save_snapshot(init_snapshot(7)))
+    kept_path = tmp_path / "kept.corpus"
+    capsys.readouterr()
+    assert main(["clean", "--model", str(ckpt), "--corpus", os.path.join(data, "eval.corpus"),
+                 f"--threshold={threshold}", "--out", str(kept_path)]) == 2
+    assert "config error: --threshold" in capsys.readouterr().err
+    assert not kept_path.exists()
 
 
 @pytest.mark.parametrize("case", ["bridge_5x5", "vision_b_7_rows", "trailing_junk"])

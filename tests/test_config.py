@@ -80,6 +80,9 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("party:p0", "anchor_mu", "nan", r"\[party:p0\] anchor_mu = nan: must be finite"),
     ("party:p0", "anchor_mu", "inf", r"\[party:p0\] anchor_mu = inf: must be finite"),
     ("party:p0", "anchor_mu", "-inf", r"\[party:p0\] anchor_mu = -inf: must be finite"),
+    ("quality", "threshold", "abc", r"\[quality\] threshold = 'abc': must be auto or a"),
+    ("quality", "threshold", "nan", r"\[quality\] threshold = 'nan': must be auto or a"),
+    ("quality", "threshold", "-inf", r"\[quality\] threshold = '-inf': must be auto or a"),
     ("run", "lr", "-0.1", r"\[run\] lr = -0.1: must be finite and above 0"),
     ("run", "lr", "0", r"\[run\] lr = 0.0: must be finite and above 0"),
     ("run", "lr", "nan", r"\[run\] lr = nan: must be finite and above 0"),

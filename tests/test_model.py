@@ -22,7 +22,6 @@ from flmm.model import (
     _normalize_rows,
     caption_scores,
     contrastive_loss_and_grads,
-    forward_rows,
     frozen_checksum,
     init_snapshot,
     load_snapshot,
@@ -362,25 +361,19 @@ class TestStackedModel:
                 == grads_bytes(*oracle_anchor(m, alone, 2.0))
 
     @pytest.mark.parametrize("bridge", [True, False])
-    def test_rows_of_a_forward_with_a_mu_per_row(self, bridge):
+    def test_an_anchor_with_a_mu_per_row_gives_each_row_its_bytes_alone(self, bridge):
+        """One anchor pass over the whole stack, one row's mu zero: every
+        row, the zero one too, gets the loss and gradient bytes of its
+        model alone with its own mu."""
         models = three_rows(bridge)
         batches = [pair_batch(models[0], random_batch(95 + k, n=6)) for k in range(3)]
         fwd = pair_forward(stacked(models), PairBatch(np.stack([b.xs for b in batches]),
                                                       np.stack([b.ts for b in batches])))
-        rows = np.array([0, 2])
-        part = forward_rows(fwd, rows)
-        want = pair_forward(stacked([models[0], models[2]]),
-                            PairBatch(np.stack([batches[0].xs, batches[2].xs]),
-                                      np.stack([batches[0].ts, batches[2].ts])))
-        for got, expected in ((part.z_v, want.z_v), (part.z_t, want.z_t),
-                              *zip(part.cache_v + part.cache_t, want.cache_v + want.cache_t)):
-            assert got.tobytes() == expected.tobytes()
-        mus = np.array([0.7, 2.0])
-        loss, grads = text_anchor_loss_and_grads(part.snapshot, part, mus)
-        for i, k in enumerate(rows):
-            alone = pair_forward(models[k], batches[k])
-            assert grads_bytes(loss[i], row(grads, i)) \
-                == grads_bytes(*oracle_anchor(models[k], alone, float(mus[i])))
+        mus = np.array([0.7, 0.0, 2.0])
+        loss, grads = text_anchor_loss_and_grads(fwd.snapshot, fwd, mus)
+        for k, (m, b) in enumerate(zip(models, batches)):
+            assert grads_bytes(loss[k], row(grads, k)) \
+                == grads_bytes(*oracle_anchor(m, pair_forward(m, b), float(mus[k])))
 
     def test_a_single_model_loss_is_a_float(self):
         s = small_snapshot(83)
