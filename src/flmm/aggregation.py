@@ -189,12 +189,12 @@ def aggregate(plan: AggregationPlan, snapshot: ModelSnapshot, updates,
     """Fuse one round's updates into ``snapshot``; returns the next version.
 
     The one-row slice of ``aggregate_stack``: ``history`` maps each version
-    to its snapshot.
+    to its snapshot; only the bases the updates name are read.
     """
     def stacked(s: ModelSnapshot) -> dict:
         return {n: m[None] for n, m in snapshot_blocks(s).items()}
 
-    past = {v: stacked(s) for v, s in history.items()} \
+    past = {u.base_version: stacked(history[u.base_version]) for u in updates} \
         if plan.strategy == ASYNC_MIX else {}
     fused = aggregate_stack(plan, snapshot.version, stacked(snapshot), updates,
                             np.ones((1, len(updates)), dtype=bool), past)

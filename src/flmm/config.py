@@ -209,15 +209,18 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         lr=float(run.get("lr", 0.01)),
         batch_size=int(run.get("batch_size", 16)),
     )
-    # a contrastive step needs a batch of 2; below that no step would run
-    if train.batch_size < 2:
-        raise ConfigError(f"[run] batch_size = {train.batch_size}: must be at least 2")
-    if train.epochs < 1:
-        raise ConfigError(f"[run] epochs = {train.epochs}: must be at least 1")
     rounds = int(run.get("rounds", 10))
-    if rounds < 1:
-        raise ConfigError(f"[run] rounds = {rounds}: must be at least 1")
-    for section, key, value in (("run", "lr", train.lr),
+    history_window = int(agg.get("history_window", 16))
+    for section, key, value, least in (
+            # a contrastive step needs a batch of 2; below that no step would run
+            ("run", "batch_size", train.batch_size, 2),
+            ("run", "epochs", train.epochs, 1),
+            ("run", "rounds", rounds, 1),
+            ("aggregation", "history_window", history_window, 0)):
+        if value < least:
+            raise ConfigError(f"[{section}] {key} = {value}: must be at least {least}")
+    deadline = float(run.get("deadline", 60.0))
+    for section, key, value in (("run", "lr", train.lr), ("run", "deadline", deadline),
                                 ("model", "temperature", model.temperature)):
         if not 0.0 < value < math.inf:  # false for nan
             raise ConfigError(f"[{section}] {key} = {value}: must be finite and above 0")
@@ -226,11 +229,11 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         seed=seed,
         rounds=rounds,
         token=run.get("token", "flmm-shared-token"),
-        deadline=float(run.get("deadline", 60.0)),
+        deadline=deadline,
         train=train,
         model=model,
         plan=plan,
-        history_window=int(agg.get("history_window", 16)),
+        history_window=history_window,
         privacy=privacy,
         parties=tuple(parties),
         eval_spec=eval_spec,

@@ -34,7 +34,8 @@ from flmm.aggregation import (
 )
 from flmm.errors import HistoryError, SamplingError, SizeError
 from flmm.metrics import EvalBatch, eval_batch, recall_at_k
-from flmm.model import ModelSnapshot, snapshot_blocks, stack_rows, with_blocks
+from flmm.model import ModelSnapshot, blocks_field, snapshot_blocks, stack_rows, \
+    with_blocks
 from flmm.rng import SplitMix64
 
 # A scored slice's (rows, records, bank) float64 score array stays near this.
@@ -163,11 +164,13 @@ def wtdp_shapley(fn: CoalitionValueFn, weights: dict, budget: int,
 
 @dataclass(frozen=True)
 class LoggedRound:
-    """One round's recorded inputs, sufficient for coalition replay."""
+    """One round's recorded inputs, sufficient for coalition replay, and
+    the ``blocks=`` its record logged ("" for a round not read from a log)."""
 
     round: int
     plan: AggregationPlan
     updates: tuple  # ClientUpdate per contributing party
+    blocks: str = ""
 
 
 def replay_coalitions(initial: ModelSnapshot, rounds: list[LoggedRound],
@@ -220,12 +223,18 @@ def fl_value_function(initial: ModelSnapshot, rounds: list[LoggedRound],
     ``prepare`` replays the given coalitions as one stack and scores it in
     row slices of ``slice_rows(batch)`` coalitions; ``evaluate`` takes a
     prepared value and drops it, or replays and scores a coalition that was
-    not prepared on its own.
+    not prepared on its own. The grand coalition's replay must reproduce the
+    last round's logged blocks, or no value describes the trained model.
     """
     if any(not rec.updates for rec in rounds):
         raise HistoryError("round log has a round with no recorded updates")
     if any(rec.plan.masking_enabled for rec in rounds):
         raise HistoryError("round log has a masked round; it cannot be valued")
+    everyone = frozenset(u.client_id for rec in rounds for u in rec.updates)
+    if rounds and rounds[-1].blocks and rounds[-1].blocks != \
+            blocks_field(replay_coalition(initial, rounds, everyone)):
+        raise HistoryError(f"replaying every logged update does not reproduce the "
+                           f"blocks logged in round {rounds[-1].round}")
     batch = eval_batch(initial, eval_set)
     rows = slice_rows(batch)
     prepared: dict = {}  # coalition -> value, until evaluate takes it

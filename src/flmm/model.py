@@ -115,6 +115,14 @@ def check_unstacked(blocks: Mapping, what: str) -> None:
                              f"not one matrix")
 
 
+def blocks_field(snapshot: ModelSnapshot) -> str:
+    """A round record's ``blocks=`` field: each trainable block's CRC."""
+    check_unstacked(snapshot.blocks, "round record")
+    return ";".join(
+        f"{name}:{zlib.crc32(np.ascontiguousarray(m, dtype='<f8').tobytes()):08x}"
+        for name, m in sorted(snapshot.blocks.items()))
+
+
 def snapshot_blocks(snapshot: ModelSnapshot) -> dict:
     """Trainable blocks of a snapshot, copied."""
     return {n: m.copy() for n, m in snapshot.blocks.items()}

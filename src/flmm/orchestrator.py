@@ -8,8 +8,9 @@ serialized under one lock; reads of the current model touch only immutable
 snapshots. Every round is appended to a CRC-chained log, beside the updates
 it fused and one checkpoint, ``v0``: that is the whole stored state, enough to
 recover after a crash and to replay coalitions for contribution measurement.
-Every later version is derived from it, and recovery checks each replayed
-round against its logged block CRCs.
+Every later version is derived from it by one walk over the log
+(``RoundLog.replay``), which checks each replayed round against its logged
+block CRCs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import time
 import zlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from flmm.aggregation import ASYNC_MIX, AggregationPlan, ClientUpdate, aggregate
-from flmm.contribution import LoggedRound, replay_coalition
+from flmm.contribution import LoggedRound
 from flmm.errors import (
     AuthError,
     DuplicateError,
@@ -37,7 +36,7 @@ from flmm.errors import (
     StalenessError,
     ValidationError,
 )
-from flmm.model import ModelSnapshot, check_unstacked, frozen_checksum, load_snapshot, \
+from flmm.model import ModelSnapshot, blocks_field, frozen_checksum, load_snapshot, \
     save_snapshot
 from flmm.protocol import Message, decode_payload, encode_message, message_update, \
     pack_blocks, read_frame, update_message
@@ -63,14 +62,6 @@ class ServerConfig:
     expected_parties: tuple = ()
 
 
-def blocks_field(snapshot: ModelSnapshot) -> str:
-    """A round record's ``blocks=`` field: each trainable block's CRC."""
-    check_unstacked(snapshot.blocks, "round record")
-    return ";".join(
-        f"{name}:{zlib.crc32(np.ascontiguousarray(m, dtype='<f8').tobytes()):08x}"
-        for name, m in sorted(snapshot.blocks.items()))
-
-
 def valid_party_id(party: str) -> bool:
     """Non-empty, without whitespace or the round log's separators ,:="""
     return bool(party) and not any(c.isspace() or c in ",:=" for c in party)
@@ -89,10 +80,8 @@ class RoundLog:
         self.path = os.path.join(log_dir, "rounds.log")
         self.history_window = history_window
         self.versions: dict = {}  # version -> snapshot, the in-memory window
-        self._last_crc = 0
-        if os.path.exists(self.path):
-            for fields in self.verify():
-                self._last_crc = int(fields["crc"], 16)
+        records = self.verify() if os.path.exists(self.path) else []
+        self._last_crc = int(records[-1]["crc"], 16) if records else 0
 
     def append(self, fields: dict) -> None:
         """Append one record chained to the last. It counts once fsynced: a
@@ -151,7 +140,10 @@ class RoundLog:
         ``replay`` (``v0`` needs no log)."""
         if version in self.versions:
             return self.versions[version]
-        return self.replay(self.verify() if version else [], stop=version)[version]
+        for _, window in self.replay(self.verify() if version else []):
+            if version in window:
+                return window[version]
+        raise HistoryError(f"no checkpoint for version {version}")
 
     def checkpoint_bytes(self, version: int) -> bytes:
         return save_snapshot(self.load_checkpoint(version))
@@ -159,42 +151,52 @@ class RoundLog:
     def fuse(self, plan: AggregationPlan, updates, window: dict) -> ModelSnapshot:
         """The next version: ``updates`` fused with ``aggregate`` into the
         newest version in ``window``, async_mix updates each against its base
-        there. It joins ``window``; the version it pushes out is dropped."""
+        there. It joins ``window``."""
         model = aggregate(plan, window[max(window)], updates, window)
         window[model.version] = model
-        window.pop(model.version - self.history_window - 1, None)
         return model
 
-    def replay(self, records: list, stop: int | None = None) -> dict:
-        """The window at version ``stop`` (default: the last), derived from
-        ``v0`` and ``records`` (``verify``'s): each ok round ``fuse``s its
-        logged updates under its logged plan, as ``close_round`` did. A round
-        that cannot be replayed or does not reproduce its logged ``blocks=``
-        and ``post_version`` raises HistoryError naming it."""
+    def recent(self, window: dict) -> dict:
+        """The last ``history_window`` + 1 versions of ``window``."""
+        oldest = max(window) - self.history_window
+        return {v: m for v, m in window.items() if v >= oldest}
+
+    def replay(self, records: list):
+        """The one walk over the round log, from ``v0`` and ``records``
+        (``verify``'s): yields ``(None, window)`` at ``v0``, then
+        ``(LoggedRound, window)`` after each ok round. Each such round loads
+        its updates once and ``fuse``s them under its logged plan, as
+        ``close_round`` did; one that does not reproduce its logged
+        ``blocks=`` and ``post_version`` raises HistoryError naming it.
+        ``window`` keeps the ``recent`` versions, or all if some round is
+        async_mix: an accepted base may be older than this reader's window."""
         path = self._ckpt_path(0)
         if not os.path.exists(path):
             raise HistoryError("no checkpoint for version 0")
         with open(path, "rb") as f:
             window = {0: load_snapshot(f.read())}
+        yield None, window
+        mixing = any(fields.get("strategy") == ASYNC_MIX for fields in records)
         for fields in records:
-            if stop in window:
-                break
             if fields.get("status") != "ok":
                 continue
-            r = fields["round"]
-            updates = self._logged_updates(int(r), fields)
+            r = int(fields["round"])
+            parties = [kv.split(":")[0] for kv in fields["contributors"].split(",") if kv]
+            rec = LoggedRound(round=r, plan=_logged_plan(fields),
+                              updates=tuple(self.load_update(r, p) for p in parties),
+                              blocks=fields["blocks"])
+            wrong = (f"round {r}: replaying its logged updates does not reproduce "
+                     f"the blocks logged in round {r}")
             try:
-                model = self.fuse(_logged_plan(fields), updates, window)
+                model = self.fuse(rec.plan, rec.updates, window)
             except (KeyError, ValueError, FlmmError) as e:
-                raise HistoryError(f"round {r}: its logged updates do not replay: {e!r}") \
-                    from e
+                raise HistoryError(f"{wrong}: {e!r}") from e
             if (blocks_field(model), str(model.version)) != \
-                    (fields["blocks"], fields["post_version"]):
-                raise HistoryError(f"round {r}: replaying its logged updates does not "
-                                   f"reproduce its logged blocks")
-        if stop is not None and stop not in window:
-            raise HistoryError(f"no checkpoint for version {stop}")
-        return window
+                    (rec.blocks, fields["post_version"]):
+                raise HistoryError(wrong)
+            if not mixing:
+                window = self.recent(window)
+            yield rec, window
 
     def _ckpt_path(self, version: int) -> str:
         return os.path.join(self.dir, "checkpoints", f"v{version}.ckpt")
@@ -227,36 +229,14 @@ class RoundLog:
 
     def logged_rounds(self, plan: AggregationPlan | None = None) -> list:
         """Successful rounds with their updates and the plan each ran with,
-        for coalition replay. A ``plan``, if given, must be the logged one.
-
-        Replaying every contributor from v0 must reproduce the last round's
-        logged blocks; otherwise the updates on disk did not train the
-        logged model, and a HistoryError says so.
-        """
-        out = []
-        last = None
-        for fields in self.verify():
-            if fields.get("status") != "ok":
-                continue
-            r = int(fields["round"])
-            logged = _logged_plan(fields)
-            if plan is not None and plan != logged:
-                raise HistoryError(f"round {r} ran with {logged}, not {plan}")
-            out.append(LoggedRound(round=r, plan=logged,
-                                   updates=self._logged_updates(r, fields)))
-            last = fields
-        if out:
-            everyone = frozenset(u.client_id for rec in out for u in rec.updates)
-            replayed = replay_coalition(self.load_checkpoint(0), out, everyone)
-            if blocks_field(replayed) != last["blocks"]:
-                raise HistoryError(f"replaying the logged updates does not reproduce "
-                                   f"the blocks logged in round {last['round']}")
-        return out
-
-    def _logged_updates(self, round_num: int, fields: dict) -> tuple:
-        """The updates a round record names, in its contributor order."""
-        return tuple(self.load_update(round_num, kv.split(":")[0])
-                     for kv in fields["contributors"].split(",") if kv)
+        for coalition replay. ``replay`` reads them, so each round has
+        reproduced the blocks it logged: the updates on disk trained the
+        logged model. A ``plan``, if given, must be the logged one."""
+        rounds = [rec for rec, _ in self.replay(self.verify()) if rec is not None]
+        for rec in rounds:
+            if plan is not None and rec.plan != plan:
+                raise HistoryError(f"round {rec.round} ran with {rec.plan}, not {plan}")
+        return rounds
 
 
 def _logged_plan(fields: dict) -> AggregationPlan:
@@ -313,7 +293,9 @@ class ServerCore:
         (``RoundLog.replay``), which also refills the window."""
         log = RoundLog(log_dir, cfg.history_window)
         records = log.verify()
-        log.versions = log.replay(records)
+        for _, window in log.replay(records):
+            pass  # each round is checked; only the last window is kept
+        log.versions = log.recent(window)
         next_round = int(records[-1]["round"]) + 1 if records else 0
         core = cls.__new__(cls)
         core._attach(cfg, log, log.versions[max(log.versions)], clock)
@@ -460,7 +442,7 @@ class ServerCore:
             self._append_round_record(updates, absent, self.snapshot, started,
                                       reason=type(e).__name__)
         else:
-            self.snapshot, self.log.versions = model, window
+            self.snapshot, self.log.versions = model, self.log.recent(window)
         self.state = self._open_round(st.round + 1)
 
     def _append_round_record(self, updates, absent: tuple, model: ModelSnapshot,

@@ -48,12 +48,8 @@ def build_initial_model(cfg: ScenarioConfig) -> ModelSnapshot:
                          temperature=m.temperature, with_bridge=m.bridge)
 
 
-def build_corpora(cfg: ScenarioConfig, repaired: bool = True) -> dict:
-    out = {}
-    for p in cfg.parties:
-        records = generate_corpus(p.corpus)
-        out[p.party_id] = repair_corpus(records) if repaired else records
-    return out
+def build_corpora(cfg: ScenarioConfig) -> dict:
+    return {p.party_id: repair_corpus(generate_corpus(p.corpus)) for p in cfg.parties}
 
 
 def build_eval_set(cfg: ScenarioConfig):

@@ -424,6 +424,20 @@ def run_artifacts(out_dir: str) -> dict:
     return {"final.ckpt": final, "updates": updates, "records": records}
 
 
+def relog_with_wrong_blocks(log_dir: str, round_num: int) -> None:
+    """Rewrite the round log through ``RoundLog.append``, so every CRC and
+    the chain stay valid, with round ``round_num`` logging the ``blocks=``
+    of the record after it."""
+    records = flmm.orchestrator.RoundLog(log_dir).verify()
+    os.remove(os.path.join(log_dir, "rounds.log"))
+    log = flmm.orchestrator.RoundLog(log_dir)
+    for i, rec in enumerate(records):
+        fields = {k: v for k, v in rec.items() if k not in ("crc", "prev_crc")}
+        if int(fields["round"]) == round_num:
+            fields["blocks"] = records[i + 1]["blocks"]
+        log.append(fields)
+
+
 # ---------------------------------------------------------------------------
 # Loss oracles in numpy's high-level spelling: np.linalg.norm, np.mean,
 # np.squeeze and fancy-indexed diagonals.

@@ -11,7 +11,7 @@ from flmm.cli import main
 from flmm.errors import HistoryError
 from flmm.model import init_snapshot, save_snapshot
 
-from support import malformed_checkpoints
+from support import malformed_checkpoints, relog_with_wrong_blocks
 
 CONFIG = """
 [run]
@@ -82,9 +82,14 @@ def test_gendata_missing_config(tmp_path, capsys):
     ("anchor_mu = 2.0\n\n[party:p1]", "anchor_mu = 2.0\nmismatched = nan\n\n[party:p1]"),
     ("anchor_mu = 2.0\n\n[party:p1]",
      "anchor_mu = 2.0\nmismatched = 1.5\ntoo_short = -0.6\n\n[party:p1]"),
+    ("deadline = 60", "deadline = 0"),
+    ("deadline = 60", "deadline = -1"),
+    ("deadline = 60", "deadline = nan"),
+    ("[model]\n", "[aggregation]\nhistory_window = -1\n\n[model]\n"),
 ], ids=["batch_size_0", "batch_size_1", "epochs_0", "lr_negative", "rank_0",
         "rates_above_1", "empty_pool", "class_54", "rounds_0", "anchor_mu_nan",
-        "size_negative", "rate_nan", "rate_above_1_sum_below_1"])
+        "size_negative", "rate_nan", "rate_above_1_sum_below_1", "deadline_0",
+        "deadline_negative", "deadline_nan", "history_window_negative"])
 def test_simulate_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     assert old in CONFIG
     path = tmp_path / "scenario.ini"
@@ -298,6 +303,20 @@ def test_shapley_refuses_an_update_from_another_run(tmp_path, capsys):
     assert "does not reproduce the blocks logged in round 1" in capsys.readouterr().err
     with pytest.raises(HistoryError):
         RoundLog(str(log)).logged_rounds()
+
+
+def test_shapley_refuses_a_wrong_middle_record(tmp_path, capsys):
+    """Every round's logged blocks are checked, not only the last one's."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(CONFIG.replace("rounds = 2", "rounds = 3"))
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    assert main(["gendata", "--spec", str(path), "--out", data]) == 0
+    assert main(["simulate", "--config", str(path), "--out", run]) == 0
+    relog_with_wrong_blocks(os.path.join(run, "log"), 1)
+    capsys.readouterr()
+    assert main(["shapley", "--log", os.path.join(run, "log"),
+                 "--eval", os.path.join(data, "eval.corpus")]) == 4
+    assert "round 1: replaying" in capsys.readouterr().err
 
 
 def test_shapley_with_a_malformed_update_file_exits_4(logged_run, tmp_path, capsys):

@@ -87,6 +87,12 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("run", "lr", "0", r"\[run\] lr = 0.0: must be finite and above 0"),
     ("run", "lr", "nan", r"\[run\] lr = nan: must be finite and above 0"),
     ("run", "lr", "inf", r"\[run\] lr = inf: must be finite and above 0"),
+    ("run", "deadline", "-1", r"\[run\] deadline = -1.0: must be finite and above 0"),
+    ("run", "deadline", "0", r"\[run\] deadline = 0.0: must be finite and above 0"),
+    ("run", "deadline", "nan", r"\[run\] deadline = nan: must be finite and above 0"),
+    ("run", "deadline", "inf", r"\[run\] deadline = inf: must be finite and above 0"),
+    ("aggregation", "history_window", "-1",
+     r"\[aggregation\] history_window = -1: must be at least 0"),
     ("model", "temperature", "-1", r"\[model\] temperature = -1.0: must be finite"),
     ("model", "temperature", "0", r"\[model\] temperature = 0.0: must be finite"),
     ("model", "temperature", "inf", r"\[model\] temperature = inf: must be finite"),

@@ -532,6 +532,17 @@ class TestReplayFollowsTheLoggedPlan:
         with pytest.raises(HistoryError):
             log.logged_rounds(AggregationPlan())
 
+    def test_a_grand_replay_off_the_logged_blocks_is_not_valued(self, tmp_path):
+        from dataclasses import replace
+        logged_server_run(str(tmp_path), AggregationPlan())
+        log = RoundLog(str(tmp_path))
+        rounds = log.logged_rounds()
+        assert [rec.blocks for rec in rounds] == [r["blocks"] for r in log.verify()]
+        wrong = rounds[:-1] + [replace(rounds[-1], blocks=rounds[0].blocks)]
+        with pytest.raises(HistoryError, match="does not reproduce the blocks logged "
+                                               f"in round {rounds[-1].round}"):
+            fl_value_function(log.load_checkpoint(0), wrong, [], list(PARTIES))
+
     def test_masked_log_is_not_valued(self, tmp_path):
         logged_server_run(str(tmp_path), AggregationPlan(masking_enabled=True))
         log = RoundLog(str(tmp_path))

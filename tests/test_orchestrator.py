@@ -11,7 +11,7 @@ from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, pack_blocks, unpack_blocks
 from flmm.rng import SplitMix64
 
-from support import small_snapshot
+from support import relog_with_wrong_blocks, small_snapshot
 
 TOKEN = "secret"
 
@@ -522,6 +522,44 @@ class TestDerivedVersions:
             save_snapshot(core.log.load_checkpoint(1))
         with pytest.raises(HistoryError, match="round 1: replaying"):
             log.load_checkpoint(2)
+
+    def test_every_reader_refuses_a_wrong_middle_record(self, tmp_path):
+        core = TestRoundLog().run_rounds(tmp_path, n=3)
+        relog_with_wrong_blocks(str(tmp_path), 1)
+        log = RoundLog(str(tmp_path))
+        assert [r["status"] for r in log.verify()] == ["ok"] * 3
+        wrong = "round 1: replaying .* the blocks logged in round 1$"
+        with pytest.raises(HistoryError, match=wrong):
+            log.logged_rounds()
+        with pytest.raises(HistoryError, match=wrong):
+            ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+        assert save_snapshot(log.load_checkpoint(1)) == \
+            save_snapshot(core.log.load_checkpoint(1))
+        with pytest.raises(HistoryError, match=wrong):
+            log.load_checkpoint(2)
+
+    def test_a_base_older_than_the_readers_window_replays(self, tmp_path):
+        """The server's window is 20, a reader's 16: an update 18 versions
+        stale still replays, and recovery keeps the reader's window."""
+        from dataclasses import replace
+        cfg = ServerConfig(token=TOKEN, plan=AggregationPlan(strategy="async_mix"),
+                           rounds=19, history_window=20, expected_parties=("pa", "pb"))
+        core = ServerCore(cfg, small_snapshot(1), str(tmp_path), clock=FakeClock())
+        for p in ("pa", "pb"):
+            register(core, p)
+        for r in range(19):
+            base = 0 if r == 18 else core.snapshot.version
+            assert submit(core, ("pa", "pb")[r % 2], random_deltas(400 + r, core.snapshot),
+                          base).msg_type == "ACK"
+        assert core.finished and core.snapshot.version == 19
+        assert core.log.load_update(18, "pa").base_version == 0
+        log = RoundLog(str(tmp_path))
+        assert [rec.round for rec in log.logged_rounds()] == list(range(19))
+        assert save_snapshot(log.load_checkpoint(19)) == save_snapshot(core.snapshot)
+        recovered = ServerCore.recover(replace(cfg, history_window=16), str(tmp_path),
+                                       clock=FakeClock())
+        assert sorted(recovered.log.versions) == list(range(3, 20))
+        assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
 
     def test_a_closed_round_creates_only_its_update_files(self, tmp_path):
         core = make_core(tmp_path, rounds=3)
