@@ -5,17 +5,23 @@ connections. An ASSIGN carries the current version's trainable blocks and the
 checksum of the frozen base they belong to; FETCH returns a whole checkpoint,
 which a client needs only for its frozen base. All round-state mutations are
 serialized under one lock; reads of the current model touch only immutable
-snapshots. Every round is appended to a CRC-chained log, beside the updates
-it fused and one checkpoint, ``v0``: that is the whole stored state, enough to
-recover after a crash and to replay coalitions for contribution measurement.
-Every later version is derived from it by one walk over the log
+snapshots. The stored state is three files: ``rounds.log``, a CRC-chained
+record per round; ``updates.seg``, the append-only stream of the updates the
+rounds fused; and one checkpoint, ``v0``. That is enough to recover after a
+crash and to replay coalitions for contribution measurement. A round commits
+in two durable appends: its frames go to ``updates.seg`` in one write and one
+fsync, and only then its record, whose ``updates=`` field names each frame by
+offset, length and CRC32, goes to ``rounds.log`` with a second fsync. Every
+later version is derived from ``v0`` by one walk over the log
 (``RoundLog.replay``), which checks each replayed round against its logged
 block CRCs.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import re
 import socket
 import socketserver
 import threading
@@ -67,38 +73,73 @@ def valid_party_id(party: str) -> bool:
     return bool(party) and not any(c.isspace() or c in ",:=" for c in party)
 
 
+def _durable_append(path: str, data: bytes) -> int:
+    """Append ``data`` to ``path`` and fsync it; returns the offset it starts
+    at. It counts once fsynced: a write or fsync that raises cuts the file
+    back to its old size."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+    try:
+        size = os.lseek(fd, 0, os.SEEK_END)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        except BaseException:
+            os.ftruncate(fd, size)  # bytes that are not durable are not logged
+            raise
+    finally:
+        os.close(fd)
+    return size
+
+
+_SPAN = re.compile(r"(\d+):(\d+):([0-9a-f]{8})")  # offset:length:crc of a frame
+
+
+def _contributors(fields: dict) -> list:
+    """The parties a round record names, in its ``contributors=`` order."""
+    return [kv.split(":")[0] for kv in fields["contributors"].split(",") if kv]
+
+
 class RoundLog:
-    """Append-only CRC-chained round log, the update files its rounds name,
-    and ``v0``'s checkpoint. ``versions`` holds the last ``history_window`` + 1
-    versions in memory; ``replay`` derives any version from the files.
+    """The stored state of a run in ``log_dir``: ``rounds.log``, the
+    append-only CRC-chained round records; ``updates.seg``, the append-only
+    stream of the update frames those records name; and ``v0``'s checkpoint.
+    A record's ``updates=`` field holds ``offset:length:crc`` per contributor,
+    in ``contributors=`` order, for that party's SUBMIT frame (empty token) in
+    ``updates.seg``. ``versions`` holds the last ``history_window`` + 1
+    versions in memory; ``replay`` derives any version from the files. Only
+    the writer (``ServerCore``) creates files; a reader creates nothing.
     """
 
     def __init__(self, log_dir: str, history_window: int = 16):
         self.dir = log_dir
-        os.makedirs(os.path.join(log_dir, "checkpoints"), exist_ok=True)
-        os.makedirs(os.path.join(log_dir, "updates"), exist_ok=True)
         self.path = os.path.join(log_dir, "rounds.log")
+        self.seg_path = os.path.join(log_dir, "updates.seg")
         self.history_window = history_window
         self.versions: dict = {}  # version -> snapshot, the in-memory window
         records = self.verify() if os.path.exists(self.path) else []
         self._last_crc = int(records[-1]["crc"], 16) if records else 0
 
     def append(self, fields: dict) -> None:
-        """Append one record chained to the last. It counts once fsynced: a
-        write or fsync that raises cuts the file back to where it was."""
+        """Append one record chained to the last, durably (``_durable_append``)."""
         body = " ".join(f"{k}={v}" for k, v in fields.items())
         body += f" prev_crc={self._last_crc:08x}"
         crc = zlib.crc32(body.encode())
-        line = f"{body} crc={crc:08x}\n".encode()
-        with open(self.path, "ab", buffering=0) as f:
-            size = f.seek(0, os.SEEK_END)
-            try:
-                f.write(line)
-                os.fsync(f.fileno())
-            except BaseException:
-                f.truncate(size)  # a line that is not durable is not logged
-                raise
+        _durable_append(self.path, f"{body} crc={crc:08x}\n".encode())
         self._last_crc = crc
+
+    def append_updates(self, updates) -> str:
+        """Append ``updates`` to ``updates.seg`` as their SUBMIT frames, with
+        an empty token, in one durable write (``_durable_append``); returns
+        the ``updates=`` field a record names them by."""
+        frames = [encode_message(update_message(u, "")) for u in updates]
+        offset = _durable_append(self.seg_path, b"".join(frames))
+        ranges = []
+        for frame in frames:
+            ranges.append(f"{offset}:{len(frame)}:{zlib.crc32(frame):08x}")
+            offset += len(frame)
+        return ",".join(ranges)
 
     def verify(self) -> list:
         """Parse all records, checking per-line CRCs and the chain."""
@@ -131,7 +172,9 @@ class RoundLog:
     def save_checkpoint(self, snapshot: ModelSnapshot) -> None:
         """Write ``v0``, the one checkpoint file, and start the window at it."""
         data = save_snapshot(snapshot)
-        with open(self._ckpt_path(snapshot.version), "wb") as f:
+        path = self._ckpt_path(snapshot.version)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as f:
             f.write(data)
         self.versions = {snapshot.version: snapshot}
 
@@ -181,9 +224,9 @@ class RoundLog:
             if fields.get("status") != "ok":
                 continue
             r = int(fields["round"])
-            parties = [kv.split(":")[0] for kv in fields["contributors"].split(",") if kv]
             rec = LoggedRound(round=r, plan=_logged_plan(fields),
-                              updates=tuple(self.load_update(r, p) for p in parties),
+                              updates=tuple(self.load_update(r, p, fields)
+                                            for p in _contributors(fields)),
                               blocks=fields["blocks"])
             wrong = (f"round {r}: replaying its logged updates does not reproduce "
                      f"the blocks logged in round {r}")
@@ -201,27 +244,41 @@ class RoundLog:
     def _ckpt_path(self, version: int) -> str:
         return os.path.join(self.dir, "checkpoints", f"v{version}.ckpt")
 
-    def save_update(self, round_num: int, update: ClientUpdate) -> None:
-        """Write the update as its SUBMIT frame, with an empty token."""
-        path = os.path.join(self.dir, "updates", f"r{round_num}_{update.client_id}.upd")
-        with open(path, "wb") as f:
-            f.write(encode_message(update_message(update, "")))
-
-    def load_update(self, round_num: int, party: str) -> ClientUpdate:
-        """The logged update; a missing, truncated or malformed file, one
-        with bytes after its frame, or one that names another party, raises
-        HistoryError."""
-        path = os.path.join(self.dir, "updates", f"r{round_num}_{party}.upd")
+    def load_update(self, round_num: int, party: str,
+                    record: dict | None = None) -> ClientUpdate:
+        """The update ``party`` gave in round ``round_num``, read from
+        ``updates.seg`` through the round's record: ``record``, if the caller
+        holds it, or else the one ``verify`` finds. A range that the record
+        does not name, that runs past the end of the stream or fails its CRC,
+        a frame that is malformed, does not fill its range, or names another
+        party, raises HistoryError naming the round and the party."""
         where = f"logged update for round {round_num} party {party!r}"
-        if not os.path.exists(path):
+        if record is None:
+            record = next((r for r in self.verify() if r["round"] == str(round_num)), {})
+        parties = _contributors(record) if "contributors" in record else []
+        spans = record.get("updates", "").split(",")
+        span = None
+        if party in parties and len(spans) == len(parties):
+            span = _SPAN.fullmatch(spans[parties.index(party)])
+        if span is None:
             raise HistoryError(f"no {where}")
+        offset, length, crc = int(span[1]), int(span[2]), span[3]
         try:
-            with open(path, "rb") as f:
-                update = message_update(read_frame(f))
-                trailing = f.read(1)
+            with open(self.seg_path, "rb") as f:
+                f.seek(offset)
+                data = f.read(length)
+        except OSError as e:
+            raise HistoryError(f"{where}: {e}") from e
+        if len(data) != length:
+            raise HistoryError(f"{where} runs past the end of updates.seg")
+        if f"{zlib.crc32(data):08x}" != crc:
+            raise HistoryError(f"{where} fails its CRC")
+        frame = io.BytesIO(data)
+        try:
+            update = message_update(read_frame(frame))
         except (ProtocolError, ValidationError) as e:
             raise HistoryError(f"{where}: {e}") from e
-        if trailing:
+        if frame.tell() != length:
             raise HistoryError(f"{where} has bytes after its frame")
         if update.client_id != party:
             raise HistoryError(f"{where} names party {update.client_id!r}")
@@ -423,32 +480,35 @@ class ServerCore:
             self.close_round(absent=tuple(sorted(st.expected - set(st.received))))
 
     def close_round(self, absent: tuple = ()) -> None:
-        """Fuse the received updates, log the round, and only then install
-        the new version; a round that fails at any step changes no model.
-        ``absent`` names the expected parties the deadline closed it without."""
+        """Append the received updates to ``updates.seg``, fuse them, log the
+        round's record, and only then install the new version; a round that
+        fails at any step changes no model. ``absent`` names the expected
+        parties the deadline closed it without."""
         st = self.state
         updates = sorted(st.received.values(), key=lambda u: u.client_id)
         started = self.clock()
+        logged = ""  # the updates= field, once the frames are durable
         try:  # a failed write fails the round
-            for u in updates:
-                self.log.save_update(st.round, u)
+            logged = self.log.append_updates(updates)
             if self.cfg.plan.masking_enabled and absent:
                 raise MaskingError(f"absent {','.join(absent)}: their pair "
                                    f"masks would not cancel")
             window = dict(self.log.versions)
             model = self.log.fuse(self.cfg.plan, updates, window)
-            self._append_round_record(updates, absent, model, started)
+            self._append_round_record(updates, logged, absent, model, started)
         except Exception as e:  # failed rounds leave the model untouched
-            self._append_round_record(updates, absent, self.snapshot, started,
+            self._append_round_record(updates, logged, absent, self.snapshot, started,
                                       reason=type(e).__name__)
         else:
             self.snapshot, self.log.versions = model, self.log.recent(window)
         self.state = self._open_round(st.round + 1)
 
-    def _append_round_record(self, updates, absent: tuple, model: ModelSnapshot,
-                             started: float, reason: str = "") -> None:
+    def _append_round_record(self, updates, logged: str, absent: tuple,
+                             model: ModelSnapshot, started: float,
+                             reason: str = "") -> None:
         """Log the round as ok on ``model``, the fused version, or with a
-        ``reason`` as failed on ``model``, the unchanged current one."""
+        ``reason`` as failed on ``model``, the unchanged current one.
+        ``logged`` is ``append_updates``'s field for ``updates``."""
         plan = self.cfg.plan
         fields = {
             "round": self.state.round,
@@ -458,6 +518,7 @@ class ServerCore:
             "staleness_exponent": repr(plan.staleness_exponent),
             "masked": int(plan.masking_enabled),
             "contributors": ",".join(f"{u.client_id}:{u.sample_count}" for u in updates),
+            "updates": logged,
             "absent": ",".join(absent),
             "blocks": "" if reason else blocks_field(model),
             "pre_version": self.snapshot.version,

@@ -15,9 +15,9 @@ hex ``model.frozen_checksum`` of the frozen weights the blocks belong to).
 A SUBMIT carries the client's deltas the same way, with ``base_version``,
 ``sample_count`` and ``round`` headers: update_message writes it and
 message_update reads it back, for the client, the server and the round log,
-whose ``.upd`` files are SUBMIT frames with an empty token. A MODEL, the
-answer to FETCH, is a whole checkpoint; a client fetches one only to get
-the frozen base, at start-up or when ``base`` changes.
+whose ``updates.seg`` stream holds SUBMIT frames with an empty token. A
+MODEL, the answer to FETCH, is a whole checkpoint; a client fetches one only
+to get the frozen base, at start-up or when ``base`` changes.
 """
 
 from __future__ import annotations

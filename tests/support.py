@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import glob
 import os
 import struct
 import sys
@@ -410,32 +409,74 @@ def run_sequential(cfg, out_dir: str, **kwargs):
 
 
 def run_artifacts(out_dir: str) -> dict:
-    """What a run wrote: final.ckpt and every .upd file as bytes, and each
-    round record without its timing and the CRC chain it moves."""
+    """What a run wrote: final.ckpt and updates.seg as bytes, and each round
+    record without its timing and the CRC chain it moves."""
     log_dir = os.path.join(out_dir, "log")
     with open(os.path.join(out_dir, "final.ckpt"), "rb") as f:
         final = f.read()
-    updates = {}
-    for path in sorted(glob.glob(os.path.join(log_dir, "updates", "*.upd"))):
-        with open(path, "rb") as f:
-            updates[os.path.basename(path)] = f.read()
+    with open(os.path.join(log_dir, "updates.seg"), "rb") as f:
+        updates = f.read()
     records = [{k: v for k, v in rec.items() if k not in ("duration", "crc", "prev_crc")}
                for rec in flmm.orchestrator.RoundLog(log_dir).verify()]
-    return {"final.ckpt": final, "updates": updates, "records": records}
+    return {"final.ckpt": final, "updates.seg": updates, "records": records}
 
 
-def relog_with_wrong_blocks(log_dir: str, round_num: int) -> None:
+def logged_spans(log_dir: str) -> dict:
+    """(round, party) -> (offset, length) of each update frame a round record
+    names in updates.seg, read off its ``updates=`` field."""
+    spans = {}
+    for rec in flmm.orchestrator.RoundLog(log_dir).verify():
+        parties = [kv.split(":")[0] for kv in rec["contributors"].split(",") if kv]
+        ranges = [s for s in rec["updates"].split(",") if s]
+        assert len(ranges) in (0, len(parties)), rec
+        for party, span in zip(parties, ranges):
+            offset, length, _ = span.split(":")
+            spans[int(rec["round"]), party] = (int(offset), int(length))
+    return spans
+
+
+def logged_frames(log_dir: str) -> dict:
+    """(round, party) -> the bytes of each update frame a round record names."""
+    with open(os.path.join(log_dir, "updates.seg"), "rb") as f:
+        seg = f.read()
+    return {key: seg[offset:offset + length]
+            for key, (offset, length) in logged_spans(log_dir).items()}
+
+
+def relog(log_dir: str, round_num: int, **changes) -> None:
     """Rewrite the round log through ``RoundLog.append``, so every CRC and
-    the chain stay valid, with round ``round_num`` logging the ``blocks=``
-    of the record after it."""
+    the chain stay valid, with round ``round_num``'s record taking
+    ``changes``."""
     records = flmm.orchestrator.RoundLog(log_dir).verify()
     os.remove(os.path.join(log_dir, "rounds.log"))
     log = flmm.orchestrator.RoundLog(log_dir)
-    for i, rec in enumerate(records):
+    for rec in records:
         fields = {k: v for k, v in rec.items() if k not in ("crc", "prev_crc")}
         if int(fields["round"]) == round_num:
-            fields["blocks"] = records[i + 1]["blocks"]
+            fields.update(changes)
         log.append(fields)
+
+
+def relog_with_wrong_blocks(log_dir: str, round_num: int) -> None:
+    """``relog`` round ``round_num`` with the ``blocks=`` of the record after it."""
+    records = flmm.orchestrator.RoundLog(log_dir).verify()
+    rounds = [int(rec["round"]) for rec in records]
+    relog(log_dir, round_num, blocks=records[rounds.index(round_num) + 1]["blocks"])
+
+
+def relog_update(log_dir: str, round_num: int, party: str, frame: bytes) -> None:
+    """Append ``frame`` to updates.seg and ``relog`` round ``round_num`` so
+    that ``party``'s range names it, with its length and a matching CRC."""
+    path = os.path.join(log_dir, "updates.seg")
+    offset = os.path.getsize(path)
+    with open(path, "ab") as f:
+        f.write(frame)
+    record = next(rec for rec in flmm.orchestrator.RoundLog(log_dir).verify()
+                  if int(rec["round"]) == round_num)
+    parties = [kv.split(":")[0] for kv in record["contributors"].split(",") if kv]
+    spans = record["updates"].split(",")
+    spans[parties.index(party)] = f"{offset}:{len(frame)}:{zlib.crc32(frame):08x}"
+    relog(log_dir, round_num, updates=",".join(spans))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,15 @@ test checks that the upload does not grow with the frozen base.
 """
 
 import dataclasses
-import glob
 import io
-import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from support import ScalarStream, check_grads_fd, random_batch, small_snapshot
+from support import ScalarStream, check_grads_fd, logged_spans, random_batch, \
+    small_snapshot
 
 from flmm.aggregation import (
     AggregationPlan,
@@ -350,10 +349,10 @@ class TestCriterion5Collaboration:
 class TestCriterion6Communication:
     def test_per_round_upload_below_5_percent_of_checkpoint(self, tmp_path):
         def upload_sizes(cfg, run_dir):
+            """Each logged frame's length, as its round record names it."""
             result = run_simulation(cfg, str(run_dir))
-            files = glob.glob(os.path.join(result.log_dir, "updates", "*.upd"))
-            return result, {os.path.basename(p): os.path.getsize(p)
-                            for p in files}
+            return result, {f"r{r}_{party}": length for (r, party), (_, length)
+                            in logged_spans(result.log_dir).items()}
 
         cfg = dataclasses.replace(scenario(), model=ModelConfig(vocab=512))
         result, sizes = upload_sizes(cfg, tmp_path / "vocab512")
@@ -437,12 +436,13 @@ class TestCriterion8ProtocolPersistence:
         server = FederationServer("127.0.0.1", 0, core)
         port = server.server_address[1]
         server.serve_background()
+        transports = []
         try:
             corpora = build_corpora(cfg)
             threads = []
             for p in cfg.parties:
-                agent = ClientAgent(cfg, p, corpora[p.party_id],
-                                    SocketTransport("127.0.0.1", port))
+                transports.append(SocketTransport("127.0.0.1", port))
+                agent = ClientAgent(cfg, p, corpora[p.party_id], transports[-1])
                 t = threading.Thread(target=run_client_loop, args=(agent,),
                                      daemon=True)
                 t.start()
@@ -451,7 +451,10 @@ class TestCriterion8ProtocolPersistence:
                 t.join(timeout=120)
                 assert not t.is_alive()
         finally:
+            for transport in transports:
+                transport.close()
             server.shutdown()
+            server.server_close()
         a = snapshot_blocks(in_proc.final_model)
         b = snapshot_blocks(core.snapshot)
         for name in a:

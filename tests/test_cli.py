@@ -11,7 +11,8 @@ from flmm.cli import main
 from flmm.errors import HistoryError
 from flmm.model import init_snapshot, save_snapshot
 
-from support import malformed_checkpoints, relog_with_wrong_blocks
+from support import logged_frames, malformed_checkpoints, relog_update, \
+    relog_with_wrong_blocks
 
 CONFIG = """
 [run]
@@ -283,9 +284,8 @@ def test_shapley_replays_with_the_runs_block_mask(tmp_path, capsys):
 
 
 def test_shapley_refuses_an_update_from_another_run(tmp_path, capsys):
-    """Replaying the log must reproduce its logged blocks; an update file
+    """Replaying the log must reproduce its logged blocks; an update frame
     taken from a run at another seed does not."""
-    import shutil
     from flmm.orchestrator import RoundLog
     for seed in (7, 8):
         path = tmp_path / f"seed{seed}.ini"
@@ -295,8 +295,9 @@ def test_shapley_refuses_an_update_from_another_run(tmp_path, capsys):
     assert main(["gendata", "--spec", str(tmp_path / "seed7.ini"),
                  "--out", str(tmp_path / "data")]) == 0
     log = tmp_path / "run7" / "log"
-    shutil.copy(tmp_path / "run8" / "log" / "updates" / "r1_p0.upd",
-                log / "updates" / "r1_p0.upd")
+    frame = logged_frames(str(tmp_path / "run8" / "log"))[1, "p0"]
+    assert frame != logged_frames(str(log))[1, "p0"]
+    relog_update(str(log), 1, "p0", frame)
     capsys.readouterr()
     assert main(["shapley", "--log", str(log),
                  "--eval", str(tmp_path / "data" / "eval.corpus")]) == 4
@@ -324,14 +325,25 @@ def test_shapley_with_a_malformed_update_file_exits_4(logged_run, tmp_path, caps
     log, eval_corpus = logged_run
     copy = tmp_path / "log"
     shutil.copytree(log, copy)
-    path = copy / "updates" / "r1_p0.upd"
-    data = path.read_bytes()
+    data = logged_frames(str(copy))[1, "p0"]
     assert b"base_version: 1\n" in data
-    path.write_bytes(data.replace(b"base_version: 1\n", b"base_version: x\n"))
+    relog_update(str(copy), 1, "p0", data.replace(b"base_version: 1\n",
+                                                  b"base_version: x\n"))
     capsys.readouterr()
     assert main(["shapley", "--log", str(copy), "--eval", eval_corpus]) == 4
     err = capsys.readouterr().err
     assert "round 1 party 'p0'" in err and "'base_version'" in err
+
+
+def test_shapley_on_an_empty_log_dir_exits_4_and_creates_nothing(logged_run, tmp_path,
+                                                                 capsys):
+    _, eval_corpus = logged_run
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    capsys.readouterr()
+    assert main(["shapley", "--log", str(empty), "--eval", eval_corpus]) == 4
+    assert "no checkpoint for version 0" in capsys.readouterr().err
+    assert os.listdir(empty) == []
 
 
 def test_simulate_shapley_on_a_masked_run_fails_after_writing_artifacts(tmp_path,

@@ -1,4 +1,3 @@
-import glob
 import os
 import socket
 import sys
@@ -7,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+
+from support import logged_frames
 
 import flmm.client
 from flmm.aggregation import AggregationPlan, BLOCK_NAMES, snapshot_blocks
@@ -94,10 +95,9 @@ class TestWireDiscipline:
         cfg = make_scenario()
         result = run_simulation(cfg, str(tmp_path))
         ckpt_bytes = len(save_snapshot(result.final_model))
-        update_files = glob.glob(os.path.join(result.log_dir, "updates", "*.upd"))
-        assert update_files
-        for path in update_files:
-            data = open(path, "rb").read()
+        frames = logged_frames(result.log_dir)
+        assert frames
+        for data in frames.values():
             msg = decode_payload(data[4:])
             names = [n for n in msg.header("blocks").split(",") if n]
             assert set(names) <= set(BLOCK_NAMES)

@@ -8,10 +8,12 @@ from flmm.aggregation import AggregationPlan, snapshot_blocks
 from flmm.errors import HistoryError
 from flmm.model import frozen_checksum, load_snapshot, save_snapshot
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
-from flmm.protocol import Message, pack_blocks, unpack_blocks
+from flmm.protocol import Message, encode_message, pack_blocks, unpack_blocks, \
+    update_message
 from flmm.rng import SplitMix64
 
-from support import relog_with_wrong_blocks, small_snapshot
+from support import logged_frames, logged_spans, relog, relog_update, \
+    relog_with_wrong_blocks, small_snapshot
 
 TOKEN = "secret"
 
@@ -199,15 +201,16 @@ class TestSyncRound:
         register(core, "pa")
         before = save_snapshot(core.snapshot)
 
-        def disk_full(round_num, update):
+        def disk_full(updates):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(core.log, "save_update", disk_full)
+        monkeypatch.setattr(core.log, "append_updates", disk_full)
         assert submit(core, "pa", random_deltas(21, core.snapshot), 0).msg_type == "ACK"
         record = core.log.verify()[-1]
         assert (record["round"], record["status"], record["reason"]) == \
             ("0", "failed", "OSError")
         assert record["pre_version"] == record["post_version"] == "0"
+        assert record["updates"] == ""  # no frame of the round is durable
         assert save_snapshot(core.snapshot) == before
         assert (core.state.round, core.state.received) == (1, {})
         monkeypatch.undo()
@@ -260,16 +263,17 @@ class TestSyncRound:
         before = save_snapshot(core.snapshot)
         fsync, calls = os.fsync, []
 
-        def first_fsync_fails(fd):
+        def record_fsync_fails(fd):
             calls.append(fd)
-            if len(calls) == 1:
+            if len(calls) == 2:  # the ok record's, after the stream's
                 raise OSError(5, "Input/output error")
             fsync(fd)
 
-        monkeypatch.setattr(os, "fsync", first_fsync_fails)
+        monkeypatch.setattr(os, "fsync", record_fsync_fails)
         assert submit(core, "pa", random_deltas(25, core.snapshot), 0).msg_type == "ACK"
         monkeypatch.undo()
-        assert len(calls) == 2  # the ok record's, which failed, then the failed one's
+        assert len(calls) == 3  # the stream's, the ok record's, which failed,
+        # then the failed one's
         records = core.log.verify()
         assert [(r["round"], r["status"], r.get("reason")) for r in records] == \
             [("0", "failed", "OSError")]
@@ -512,9 +516,9 @@ class TestDerivedVersions:
         from flmm.aggregation import ClientUpdate
         core = TestRoundLog().run_rounds(tmp_path, n=3)
         logged = core.log.load_update(1, "pa")
-        core.log.save_update(1, ClientUpdate(
+        relog_update(str(tmp_path), 1, "pa", encode_message(update_message(ClientUpdate(
             "pa", logged.base_version, random_deltas(999, core.snapshot),
-            logged.sample_count, logged.submitted_round))
+            logged.sample_count, logged.submitted_round), "")))
         with pytest.raises(HistoryError, match="round 1: replaying"):
             ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
         log = RoundLog(str(tmp_path))
@@ -561,19 +565,25 @@ class TestDerivedVersions:
         assert sorted(recovered.log.versions) == list(range(3, 20))
         assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
 
-    def test_a_closed_round_creates_only_its_update_files(self, tmp_path):
+    def test_a_closed_round_creates_no_file_and_grows_the_stream_by_its_frames(
+            self, tmp_path):
         core = make_core(tmp_path, rounds=3)
         for p in ("pa", "pb"):
             register(core, p)
+        seg = tmp_path / "updates.seg"
         for r in range(3):
             before = log_files(tmp_path)
+            size = seg.stat().st_size if r else 0
             v = core.snapshot.version
             for i, p in enumerate(("pa", "pb")):
                 submit(core, p, random_deltas(300 + 2 * r + i, core.snapshot), v)
             added = log_files(tmp_path) - before
-            if r:  # the first round also creates rounds.log
-                assert before <= log_files(tmp_path)
-                assert added == {f"updates/r{r}_pa.upd", f"updates/r{r}_pb.upd"}
+            # the first round creates the stream and the round log, no later one
+            assert added == ({"updates.seg", "rounds.log"} if r == 0 else set())
+            assert before <= log_files(tmp_path)
+            spans = [logged_spans(str(tmp_path))[r, p] for p in ("pa", "pb")]
+            assert spans[0][0] == size and spans[1][0] == size + spans[0][1]
+            assert seg.stat().st_size == size + spans[0][1] + spans[1][1]
         assert core.finished
         assert os.listdir(tmp_path / "checkpoints") == ["v0.ckpt"]
 
@@ -640,9 +650,11 @@ class TestRoundLog:
         from flmm.aggregation import ClientUpdate
         from flmm.model import init_snapshot
         log = RoundLog(str(tmp_path))
-        log.save_update(3, ClientUpdate("p1", 2, snapshot_blocks(init_snapshot(5)), 17, 3))
-        data = (tmp_path / "updates" / "r3_p1.upd").read_bytes()
+        field = log.append_updates(
+            [ClientUpdate("p1", 2, snapshot_blocks(init_snapshot(5)), 17, 3)])
+        data = (tmp_path / "updates.seg").read_bytes()
         assert (len(data), f"{zlib.crc32(data):08x}") == (1446, "8ab182e7")
+        assert field == "0:1446:8ab182e7"
 
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda d: d.replace(b"base_version: 1", b"base_version: x"),
@@ -660,12 +672,93 @@ class TestRoundLog:
     ])
     def test_malformed_update_file_is_a_history_error(self, tmp_path, corrupt):
         core = self.run_rounds(tmp_path)
-        path = tmp_path / "updates" / "r1_pa.upd"
-        data = path.read_bytes()
+        data = logged_frames(str(tmp_path))[1, "pa"]
         assert corrupt(data) != data
-        path.write_bytes(corrupt(data))
-        with pytest.raises(HistoryError, match="round 1 party 'pa'"):
+        relog_update(str(tmp_path), 1, "pa", corrupt(data))
+        # the range and its CRC hold, so the frame's own fault is reported
+        with pytest.raises(HistoryError, match="round 1 party 'pa'"
+                           "(: | has bytes after its frame| names party 'pb')"):
             core.log.load_update(1, "pa")
+
+    @pytest.mark.parametrize("damage, error", [
+        ("flip", "round 1 party 'pa' fails its CRC"),
+        ("cut", "round 1 party 'pb' runs past the end of updates.seg"),
+        ("swap", "round 1 party 'pa' names party 'pb'"),
+    ])
+    def test_a_bad_range_is_a_history_error_naming_its_round(self, tmp_path, damage,
+                                                             error):
+        core = self.run_rounds(tmp_path)
+        seg = tmp_path / "updates.seg"
+        if damage == "flip":  # one byte of pa's round-1 frame; its record holds
+            data = bytearray(seg.read_bytes())
+            data[logged_spans(str(tmp_path))[1, "pa"][0] + 10] ^= 0x01
+            seg.write_bytes(bytes(data))
+        elif damage == "cut":  # the stream loses the tail of its last frame
+            os.truncate(seg, seg.stat().st_size - 3)
+        else:  # pa's range names pb's frame, with pb's length and CRC
+            _, pb = core.log.verify()[1]["updates"].split(",")
+            relog(str(tmp_path), 1, updates=f"{pb},{pb}")
+        party = "pb" if damage == "cut" else "pa"
+        with pytest.raises(HistoryError, match=error):
+            core.log.load_update(1, party)
+        with pytest.raises(HistoryError, match=error):
+            RoundLog(str(tmp_path)).logged_rounds()
+        with pytest.raises(HistoryError, match=error):
+            ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+
+    @pytest.mark.parametrize("fails", ["write", "fsync"])
+    def test_a_failed_stream_write_leaves_the_stream_and_fails_the_round(
+            self, tmp_path, monkeypatch, fails):
+        core = make_core(tmp_path, parties=("pa",))
+        register(core, "pa")
+        assert submit(core, "pa", random_deltas(27, core.snapshot), 0).msg_type == "ACK"
+        seg = tmp_path / "updates.seg"
+        size = seg.stat().st_size
+        before = save_snapshot(core.snapshot)
+        real, calls = getattr(os, fails), []
+
+        def first_fails(fd, *args):
+            calls.append(fd)
+            if len(calls) > 1:
+                return real(fd, *args)
+            if fails == "write":  # half the round's frames land, then the disk is full
+                real(fd, args[0][:len(args[0]) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, fails, first_fails)
+        assert submit(core, "pa", random_deltas(28, core.snapshot), 1).msg_type == "ACK"
+        monkeypatch.undo()
+        assert seg.stat().st_size == size
+        record = core.log.verify()[-1]
+        assert (record["round"], record["status"], record["reason"], record["updates"]) \
+            == ("1", "failed", "OSError", "")
+        assert save_snapshot(core.snapshot) == before
+        assert core.state.round == 2 and poll(core, "pa").msg_type == "ASSIGN"
+        assert submit(core, "pa", random_deltas(29, core.snapshot), 1).msg_type == "ACK"
+        assert [r["status"] for r in core.log.verify()] == ["ok", "failed", "ok"]
+        assert logged_spans(str(tmp_path))[2, "pa"][0] == size
+        recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+        assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
+
+    def test_an_ok_round_fsyncs_the_stream_then_the_record(self, tmp_path, monkeypatch):
+        core = make_core(tmp_path, rounds=2)
+        for p in ("pa", "pb"):
+            register(core, p)
+        fsync, synced = os.fsync, []
+
+        def spy(fd):
+            synced.append(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        for r in range(2):
+            synced.clear()
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                submit(core, p, random_deltas(80 + 2 * r + i, core.snapshot), v)
+            assert core.log.verify()[-1]["status"] == "ok"
+            assert synced == [(tmp_path / "updates.seg").stat().st_ino,
+                              (tmp_path / "rounds.log").stat().st_ino]
 
     def test_logged_rounds_for_replay(self, tmp_path):
         core = self.run_rounds(tmp_path)
@@ -677,9 +770,9 @@ class TestRoundLog:
         from flmm.aggregation import ClientUpdate
         core = self.run_rounds(tmp_path)
         logged = core.log.load_update(1, "pa")
-        core.log.save_update(1, ClientUpdate(
+        relog_update(str(tmp_path), 1, "pa", encode_message(update_message(ClientUpdate(
             "pa", logged.base_version, random_deltas(999, core.snapshot),
-            logged.sample_count, logged.submitted_round))
+            logged.sample_count, logged.submitted_round), "")))
         with pytest.raises(HistoryError, match="does not reproduce"):
             core.log.logged_rounds()
 
