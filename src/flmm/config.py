@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from flmm.aggregation import AggregationPlan
 from flmm.dataquality import CorpusSpec
-from flmm.errors import ConfigError, PlanError, SpecError
+from flmm.errors import ConfigError, PlanError, RangeError, SpecError
 from flmm.model import BLOCK_NAMES
 from flmm.orchestrator import valid_party_id
 from flmm.privacy import PrivacyConfig
@@ -91,7 +91,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     try:
         return _build(cp)
-    except (configparser.Error, KeyError, ValueError, PlanError, SpecError) as e:
+    except (configparser.Error, KeyError, ValueError, PlanError, RangeError,
+            SpecError) as e:
         raise ConfigError(f"bad config {path!r}: {e}") from e
 
 

@@ -1,10 +1,12 @@
 """Synthetic multimodal corpus with planted corruptions, deterministic repair
 transforms, and the model-in-the-loop filtering procedure.
 
-Token-id layout (vocab >= 64): 0 refusal, 1-5 structural filler, 10+c class
-name for scene class c, 40/41 hazard/safe, 50-55 sensitive (addresses, IDs),
-58-59 blacklisted. Truth fields on records are test-only oracles and never
-enter training or the wire.
+Token-id layout (vocab >= 64): 1-5 structural filler, 10+c class name for
+scene class c, 40/41 hazard/safe, 50-55 sensitive (addresses, IDs). No
+corpus holds token 0 or 58-59; the output-filter oracle in
+``tests/support.py`` uses them as the refusal and the blacklisted tokens.
+Truth fields on records are test-only oracles and never enter training or
+the wire.
 
 A corpus is drawn from one splitmix64 stream. Its per-record draws (class,
 tag, mismatch class, noise tokens and their position) are read from
@@ -28,13 +30,11 @@ from flmm.model import ModelSnapshot, _text_forward, _vision_forward
 from flmm.rng import (GOLDEN, MASK64, SplitMix64, bulk_mix, gaussian_outputs,
                       gaussian_rows, mix_seed)
 
-REFUSAL_TOKEN = 0
 CLASS_TOKEN_BASE = 10
 HAZARD_TOKEN = 40
 CLASS_COUNT = HAZARD_TOKEN - CLASS_TOKEN_BASE  # a class's token sits below HAZARD_TOKEN
 SAFE_TOKEN = 41
 SENSITIVE_TOKENS = frozenset(range(50, 56))
-BLACKLIST_TOKENS = frozenset({58, 59})
 
 TAGS = ("mismatched", "sensitive_noise", "labels_only", "too_short")
 
@@ -161,7 +161,8 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
     pristine = [caption_template(c, class_hazard(c)) for c in pool]
     labels = [(CLASS_TOKEN_BASE + c, HAZARD_TOKEN if class_hazard(c) else SAFE_TOKEN)
               for c in pool]
-    truths = [Truth(c, class_hazard(c), p) for c, p in zip(pool, pristine)]
+    truths = [Truth(scene_class=c, hazard=class_hazard(c), pristine_caption=p)
+              for c, p in zip(pool, pristine)]
     tag_sets = {None: frozenset(), **{t: frozenset({t}) for t in TAGS}}
     ks, captions, tags, noise_starts = [], [], [], []
     state = spec.seed & MASK64

@@ -29,13 +29,9 @@ class EmptyBankError(FlmmError):
     """Retrieval attempted over an empty caption bank."""
 
 
-class EmptyProbeError(FlmmError):
-    """Probe set with no items."""
-
-
 class IdentityError(FlmmError):
-    """Mismatched identities (probe vs consensus, a forward pass or eval batch
-    vs the model scoring it, an ASSIGN's frozen base vs the fetched one)."""
+    """Mismatched identities (a forward pass or eval batch vs the model
+    scoring it, an ASSIGN's frozen base vs the fetched one)."""
 
 
 class StalenessError(FlmmError):

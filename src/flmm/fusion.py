@@ -1,13 +1,11 @@
 """Fusion losses that local training composes with the contrastive loss.
 
-Every loss here is a pull: mean squared distance between a tower's
-embeddings and a stop-gradient target, whose gradients come from one
-kernel. The distillation loss pulls embeddings of a public probe set toward
-a consensus map. It is a library function: no run builds a probe set or a
-consensus, so no run applies it. The text-anchor loss is the image half of
-it with the batch's own text embeddings as the consensus: it pulls the
-vision tower toward them, and local_train adds it for the rows whose
-anchor_mu is positive.
+The text-anchor loss is a pull: the mean squared distance between the
+batch's image embeddings and its own text embeddings, taken as a
+stop-gradient target, so only the vision tower moves. local_train adds it
+for the rows whose anchor_mu is positive. (Distillation toward a consensus
+over a public probe set, the same pull over both towers, is no run's loss;
+``tests/support.py`` keeps it as an oracle.)
 
 Each loss returns its gradients as a block dict, keyed like
 ``model.snapshot_blocks``; compose_losses sums them by block name. The
@@ -18,86 +16,18 @@ and the anchor's mu may be one per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from flmm.errors import EmptyProbeError, IdentityError, ShapeError
+from flmm.errors import ShapeError
 from flmm.model import (
     ModelSnapshot,
     PairBatch,
     PairForward,
     Pairs,
-    _text_backward,
-    _text_forward,
     _vision_backward,
-    _vision_forward,
     loss_value,
     pair_forward,
 )
-
-
-@dataclass(frozen=True)
-class ProbeItem:
-    modality: str  # "image" | "text"
-    item_id: str
-    image: np.ndarray | None = None
-    tokens: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class ProbeSet:
-    probe_id: str
-    items: tuple[ProbeItem, ...]
-
-    def __post_init__(self):
-        if not self.items:
-            raise EmptyProbeError(f"probe set {self.probe_id!r} has no items")
-
-
-@dataclass(frozen=True)
-class ConsensusMap:
-    probe_id: str
-    round: int
-    embeddings: dict  # item_id -> unit-norm target; items absent add no loss
-
-
-def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
-                                consensus: ConsensusMap, lam: float
-                                ) -> tuple[float, dict]:
-    """lam * mean ||z_item - c_item||^2 over the items the consensus holds."""
-    if consensus.probe_id != probe.probe_id:
-        raise IdentityError(f"consensus for {consensus.probe_id!r}, probe is {probe.probe_id!r}")
-    grads = _zero_grads(snapshot)
-    if lam == 0.0:
-        return 0.0, grads
-    halves = [[it for it in probe.items
-               if it.modality == modality and it.item_id in consensus.embeddings]
-              for modality in ("image", "text")]
-    m = len(halves[0]) + len(halves[1])
-    loss = 0.0
-    for items, forward, backward in zip(halves, (_vision_forward, _text_forward),
-                                        (_vision_backward, _text_backward)):
-        if not items:
-            continue
-        z, cache = forward(snapshot, np.stack([it.image for it in items])
-                           if items[0].modality == "image"
-                           else [list(it.tokens) for it in items])
-        diff = z - np.stack([consensus.embeddings[it.item_id] for it in items])
-        loss += float(np.sum(diff * diff))
-        for n, g in _pull(snapshot, backward, cache, diff, 2.0 * lam / m).items():
-            grads[n] = grads[n] + g
-    return (lam * loss / m if m else 0.0), grads
-
-
-def _pull(snapshot: ModelSnapshot, backward, cache, diff: np.ndarray, scale) -> dict:
-    """The pull kernel: a tower's gradients, through its ``backward`` pass,
-    of scale / 2 * ||diff||^2, diff being its embeddings minus a target."""
-    return backward(snapshot, cache, scale * diff)
-
-
-def _zero_grads(snapshot: ModelSnapshot) -> dict:
-    return {n: np.zeros_like(m) for n, m in snapshot.blocks.items()}
 
 
 def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
@@ -117,8 +47,8 @@ def text_anchor_loss_and_grads(snapshot: ModelSnapshot,
     n = len(fwd)
     diff = fwd.z_v - fwd.z_t
     loss = mu * loss_value(np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1) / n)
-    grads = _pull(snapshot, _vision_backward, fwd.cache_v, diff,
-                  2.0 * np.asarray(mu)[..., None, None] / n)
+    grads = _vision_backward(snapshot, fwd.cache_v,
+                             (2.0 * np.asarray(mu)[..., None, None] / n) * diff)
     # explicit zeros, so compose_losses adds every block of every part
     grads.update((name, np.zeros_like(snapshot.blocks[name])) for name in ("text.a", "text.b"))
     return loss, grads

@@ -1,11 +1,13 @@
 """Caption and retrieval metrics: BLEU, ROUGE-L, recall@k.
 
-Retrieval scores an eval set in its prepared form, an EvalBatch. Only the
-adapters differ between the models one eval set scores, so a caller that
-scores many models (one value function, one simulation run) prepares the
-eval set once with eval_batch and passes the batch. recall_at_k also takes
-a stack of models (see ``model``) and gives one recall per row, each with
-the bits that row's model gets alone.
+Retrieval scores an eval set in its prepared form, an EvalBatch. Its
+caption bank holds the set's distinct captions in first-occurrence order,
+and each image is scored against the whole bank. Only the adapters differ
+between the models one eval set scores, so a caller that scores many models
+(one value function, one simulation run) prepares the eval set once with
+eval_batch and passes the batch. recall_at_k also takes a stack of models
+(see ``model``) and gives one recall per row, each with the bits that row's
+model gets alone.
 """
 
 from __future__ import annotations
@@ -93,13 +95,9 @@ def rouge_l(candidate: list[int], reference: list[int]) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def caption_bank(eval_set) -> list[list[int]]:
-    """Distinct captions of an eval set, in first-occurrence order."""
-    return _bank_and_index(eval_set)[0]
-
-
 def _bank_and_index(eval_set) -> tuple[list[list[int]], np.ndarray]:
-    """The caption bank, and each record's true-caption index into it."""
+    """The caption bank, the eval set's distinct captions in first-occurrence
+    order, and each record's true-caption index into it."""
     bank_idx: dict[tuple, int] = {}
     true_j = [bank_idx.setdefault(tuple(rec.caption), len(bank_idx)) for rec in eval_set]
     return [list(cap) for cap in bank_idx], np.array(true_j, dtype=np.intp)

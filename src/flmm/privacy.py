@@ -1,11 +1,11 @@
-"""Privacy mechanisms: DP noise on uploads, pairwise-mask secure-aggregation
-simulation, and output blacklist filtering.
+"""Privacy mechanisms: DP noise on uploads and a pairwise-mask
+secure-aggregation simulation.
 
 A run applies gaussian_mechanism when [privacy] dp_enabled is set, and each
 client masks its own update with apply_pairwise_masks when masking_enabled
-is set. pairwise_mask, the joint form of that masking, and output_filter
-are library functions that no run calls; blacklist and refusal_sequence are
-PrivacyConfig fields for output_filter, not config keys.
+is set. The joint form of that masking, which masks every party's update in
+one call, and an output blacklist filter are no run's code;
+``tests/support.py`` keeps them as oracles.
 
 The masking simulation preserves the functional contract (the server learns
 only the sum of client deltas); real key agreement and crypto are out of
@@ -14,12 +14,13 @@ scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from flmm.aggregation import ClientUpdate
-from flmm.errors import MaskingError, NumericError
+from flmm.errors import MaskingError, NumericError, RangeError
 from flmm.rng import SplitMix64, hash_text, mix_counters, mix_seed, to_uniform
 
 
@@ -29,12 +30,13 @@ class PrivacyConfig:
     clip_norm: float = 1.0
     noise_std: float = 0.0
     masking_enabled: bool = False
-    blacklist: frozenset = frozenset()
-    refusal_sequence: tuple = (0,)
 
     def __post_init__(self):
-        if self.dp_enabled and self.clip_norm <= 0:
-            raise NumericError("clip_norm must be positive when DP is enabled")
+        # both comparisons are false for nan
+        if not 0.0 < self.clip_norm < math.inf:
+            raise RangeError(f"clip_norm = {self.clip_norm}: must be finite and above 0")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise RangeError(f"noise_std = {self.noise_std}: must be finite and at least 0")
 
 
 def gaussian_mechanism(update: ClientUpdate, cfg: PrivacyConfig,
@@ -70,11 +72,6 @@ GRID_BITS = 40
 _GRID = float(2 ** GRID_BITS)
 
 
-def quantize_deltas(deltas: dict) -> dict:
-    """Snap each delta matrix onto the masking fixed-point grid."""
-    return {n: np.round(m * _GRID) / _GRID for n, m in deltas.items()}
-
-
 def _pair_masks(seeds: list, size: int) -> np.ndarray:
     """One pair mask per seed, as rows of one draw: row k is ``size``
     uniforms on [-1, 1) from SplitMix64(seeds[k]), snapped to the fixed-point
@@ -84,51 +81,31 @@ def _pair_masks(seeds: list, size: int) -> np.ndarray:
     return np.round((2.0 * u - 1.0) * _GRID) / _GRID
 
 
-def pairwise_mask(updates: list[ClientUpdate], round_seed: int) -> list[ClientUpdate]:
-    """Additive masking: each ordered pair (i < j) shares a mask added to i
-    and subtracted from j, so the element-wise sum is bit-exactly preserved."""
-    if len(updates) < 2:
-        raise MaskingError("pairwise masking needs at least two clients")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    masked = {u.client_id: quantize_deltas(u.deltas) for u in ordered}
-    for i, ui in enumerate(ordered):
-        for uj in ordered[i + 1:]:
-            shared = [n for n in sorted(ui.deltas) if n in uj.deltas]
-            seed = mix_seed(round_seed, hash_text(ui.client_id), hash_text(uj.client_id))
-            mask = _pair_masks([seed], sum(ui.deltas[n].size for n in shared))[0]
-            for name, m in _blocks_of(mask, ui.deltas, shared).items():
-                masked[ui.client_id][name] += m
-                masked[uj.client_id][name] -= m
-    return [replace(u, deltas=masked[u.client_id]) for u in ordered]
-
-
 def apply_pairwise_masks(update: ClientUpdate, party_ids: list[str],
                          round_seed: int) -> ClientUpdate:
     """Client-side view of pairwise masking.
 
     Each client derives the shared pair masks from (round_seed, pair ids)
     alone, so no coordination beyond knowing the participant list is needed.
-    Applying this to every participant's update is bit-identical to the
-    joint ``pairwise_mask``. All of a party's pair masks are drawn at once
-    and added, in party order, to its quantized deltas laid flat.
+    The quantized deltas are laid flat, and all of a party's pair masks are
+    drawn at once and added to them in party order; each pair's mask is
+    added to one party and subtracted from the other, so over all of
+    ``party_ids`` the masks cancel. An update from a party outside
+    ``party_ids`` raises MaskingError: no listed party would cancel its
+    masks.
     """
     ordered = sorted(party_ids)
     if len(ordered) < 2:
         raise MaskingError("pairwise masking needs at least two clients")
     me = update.client_id
+    if me not in ordered:
+        raise MaskingError(f"party {me!r} is not among the masked parties")
     names = sorted(update.deltas)
     flat = np.concatenate([update.deltas[n].ravel() for n in names])
-    flat = np.round(flat * _GRID) / _GRID  # quantize_deltas, laid flat
+    flat = np.round(flat * _GRID) / _GRID  # snapped onto the grid
     others = [p for p in ordered if p != me]
     seeds = [mix_seed(round_seed, *map(hash_text, sorted((me, p)))) for p in others]
     for other, mask in zip(others, _pair_masks(seeds, flat.size)):
         flat += mask if me < other else -mask
     return replace(update, deltas=_blocks_of(flat, update.deltas, names))
 
-
-def output_filter(caption: list[int], cfg: PrivacyConfig) -> tuple[list[int], bool]:
-    """Replace any caption containing a blacklisted token by the refusal
-    sequence; returns (caption, blocked)."""
-    if any(t in cfg.blacklist for t in caption):
-        return list(cfg.refusal_sequence), True
-    return list(caption), False

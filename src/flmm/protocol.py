@@ -130,10 +130,14 @@ def pack_blocks(blocks: dict) -> tuple[str, bytes]:
 
 
 def unpack_blocks(names_header: str, body: bytes) -> dict:
+    """The named matrices ``pack_blocks`` serialized. A body that is cut
+    short or runs on, or a block named twice, raises ProtocolError."""
     names = [n for n in names_header.split(",") if n]
     out = {}
     pos = 0
     for name in names:
+        if name in out:
+            raise ProtocolError(f"block {name!r} named twice")
         if pos + 8 > len(body):
             raise ProtocolError("truncated block body")
         rows, cols = struct.unpack_from("<II", body, pos)

@@ -3,11 +3,12 @@
 Corpora, masks, and DP noise must be bit-reproducible across runs and across
 machines, so we do not use numpy's Generator. The stream is counter-based:
 state_i = seed + i * GOLDEN (mod 2^64), output = mix(state_i), which lets the
-bulk paths vectorize. Uniforms, Gaussians and the swap indices of a shuffle
-are drawn in one bulk call each; every one of them advances the state by
-exactly the number of outputs it consumed, as drawing them one at a time
-would. There is no scalar draw: callers that need a few outputs mix them
-with bulk_mix.
+bulk paths vectorize. Gaussians and the swap indices of a shuffle are drawn
+in one bulk call each; each advances the state by exactly the number of
+outputs it consumed, as drawing them one at a time would. There is no scalar
+draw: callers that need a few outputs mix them with bulk_mix, and callers
+that need uniforms convert outputs with to_uniform (the pair masks of
+``privacy``).
 
 Because a state fixes every output after it, Gaussians for many places in
 one stream are drawn together: gaussian_rows takes the state each row starts
@@ -16,8 +17,8 @@ package. SplitMix64.gaussians is its one-row case. A corpus reads its
 per-record draws from bulk_mix windows of its stream, notes where each
 record's image noise starts, then draws all that noise at once.
 
-The bulk kernels live in ``_kernels``, in vectorized numpy: uniforms,
-shuffles and Gaussian rows all mix on a counter array.
+The bulk kernels live in ``_kernels``, in vectorized numpy: shuffles,
+Gaussian rows and pair masks all mix on a counter array.
 """
 
 from __future__ import annotations
@@ -40,16 +41,10 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """splitmix64 stream with bulk uniforms, Box-Muller Gaussians and shuffles."""
+    """splitmix64 stream with bulk Box-Muller Gaussians and shuffles."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Vectorized draw of n uniforms; advances the stream by n."""
-        out = to_uniform(bulk_mix(np.uint64(self.state), n))
-        self.skip(n)
-        return out
 
     def gaussians(self, n: int) -> np.ndarray:
         """n Gaussians; advances the stream by gaussian_outputs(n)."""

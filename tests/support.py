@@ -6,7 +6,7 @@ import os
 import struct
 import sys
 import zlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -32,7 +32,7 @@ from flmm.dataquality import (
     class_hazard,
     class_prototype,
 )
-from flmm.errors import SpecError
+from flmm.errors import FlmmError, IdentityError, MaskingError, SpecError
 from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import (
     BLOCK_NAMES,
@@ -43,7 +43,9 @@ from flmm.model import (
     PairBatch,
     _pack_matrix,
     _text_backward,
+    _text_forward,
     _vision_backward,
+    _vision_forward,
     contrastive_loss_and_grads,
     init_snapshot,
     pair_batch,
@@ -53,7 +55,9 @@ from flmm.model import (
     snapshot_blocks,
     with_blocks,
 )
-from flmm.rng import GOLDEN, MASK64, SplitMix64, _mix, hash_text, mix_seed
+from flmm.privacy import _GRID, _blocks_of, _pair_masks
+from flmm.rng import GOLDEN, MASK64, SplitMix64, _mix, bulk_mix, hash_text, mix_seed, \
+    to_uniform
 from flmm.training import make_update
 
 SMALL = dict(d_v=8, d_t=8, d_emb=4, rank=2, vocab=16)
@@ -516,3 +520,117 @@ def oracle_anchor(snapshot, fwd, mu):
     grads["text.a"] = np.zeros_like(snapshot.blocks["text.a"])
     grads["text.b"] = np.zeros_like(snapshot.blocks["text.b"])
     return loss, grads
+
+
+# ---------------------------------------------------------------------------
+# Library oracles that no run calls: distillation toward a consensus over a
+# public probe set, the joint form of pairwise masking, an output blacklist
+# filter, bulk uniforms and the caption bank of an eval set.
+# ---------------------------------------------------------------------------
+
+# Token ids no corpus holds (see ``flmm.dataquality``), used by the filter.
+REFUSAL_TOKEN = 0
+BLACKLIST_TOKENS = frozenset({58, 59})
+
+
+class EmptyProbeError(FlmmError):
+    """Probe set with no items."""
+
+
+@dataclass(frozen=True)
+class ProbeItem:
+    modality: str  # "image" | "text"
+    item_id: str
+    image: np.ndarray | None = None
+    tokens: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True)
+class ProbeSet:
+    probe_id: str
+    items: tuple[ProbeItem, ...]
+
+    def __post_init__(self):
+        if not self.items:
+            raise EmptyProbeError(f"probe set {self.probe_id!r} has no items")
+
+
+@dataclass(frozen=True)
+class ConsensusMap:
+    probe_id: str
+    round: int
+    embeddings: dict  # item_id -> unit-norm target; items absent add no loss
+
+
+def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
+                                consensus: ConsensusMap, lam: float
+                                ) -> tuple[float, dict]:
+    """lam * mean ||z_item - c_item||^2 over the items the consensus holds:
+    the text anchor's pull, over both towers, toward a consensus map."""
+    if consensus.probe_id != probe.probe_id:
+        raise IdentityError(f"consensus for {consensus.probe_id!r}, probe is {probe.probe_id!r}")
+    grads = {n: np.zeros_like(m) for n, m in snapshot.blocks.items()}
+    if lam == 0.0:
+        return 0.0, grads
+    halves = [[it for it in probe.items
+               if it.modality == modality and it.item_id in consensus.embeddings]
+              for modality in ("image", "text")]
+    m = len(halves[0]) + len(halves[1])
+    loss = 0.0
+    for items, forward, backward in zip(halves, (_vision_forward, _text_forward),
+                                        (_vision_backward, _text_backward)):
+        if not items:
+            continue
+        z, cache = forward(snapshot, np.stack([it.image for it in items])
+                           if items[0].modality == "image"
+                           else [list(it.tokens) for it in items])
+        diff = z - np.stack([consensus.embeddings[it.item_id] for it in items])
+        loss += float(np.sum(diff * diff))
+        for n, g in backward(snapshot, cache, (2.0 * lam / m) * diff).items():
+            grads[n] = grads[n] + g
+    return (lam * loss / m if m else 0.0), grads
+
+
+def quantize_deltas(deltas: dict) -> dict:
+    """Snap each delta matrix onto the masking fixed-point grid."""
+    return {n: np.round(m * _GRID) / _GRID for n, m in deltas.items()}
+
+
+def pairwise_mask(updates, round_seed: int) -> list:
+    """Additive masking of every update at once: each ordered pair (i < j)
+    shares a mask added to i and subtracted from j, so the element-wise sum
+    is bit-exactly preserved. ``privacy.apply_pairwise_masks`` applied to
+    each update gives the same bits."""
+    if len(updates) < 2:
+        raise MaskingError("pairwise masking needs at least two clients")
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    masked = {u.client_id: quantize_deltas(u.deltas) for u in ordered}
+    for i, ui in enumerate(ordered):
+        for uj in ordered[i + 1:]:
+            shared = [n for n in sorted(ui.deltas) if n in uj.deltas]
+            seed = mix_seed(round_seed, hash_text(ui.client_id), hash_text(uj.client_id))
+            mask = _pair_masks([seed], sum(ui.deltas[n].size for n in shared))[0]
+            for name, m in _blocks_of(mask, ui.deltas, shared).items():
+                masked[ui.client_id][name] += m
+                masked[uj.client_id][name] -= m
+    return [replace(u, deltas=masked[u.client_id]) for u in ordered]
+
+
+def output_filter(caption, blacklist, refusal_sequence) -> tuple[list[int], bool]:
+    """Replace any caption containing a blacklisted token by the refusal
+    sequence; returns (caption, blocked)."""
+    if any(t in blacklist for t in caption):
+        return list(refusal_sequence), True
+    return list(caption), False
+
+
+def uniforms(rng: SplitMix64, n: int) -> np.ndarray:
+    """n uniforms on [0, 1) in one bulk draw; advances ``rng`` by n."""
+    out = to_uniform(bulk_mix(np.uint64(rng.state), n))
+    rng.skip(n)
+    return out
+
+
+def caption_bank(eval_set) -> list[list[int]]:
+    """Distinct captions of an eval set, in first-occurrence order."""
+    return [list(cap) for cap in dict.fromkeys(tuple(rec.caption) for rec in eval_set)]

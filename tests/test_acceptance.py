@@ -17,8 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from support import ScalarStream, check_grads_fd, logged_spans, random_batch, \
-    small_snapshot
+from support import BLACKLIST_TOKENS, REFUSAL_TOKEN, ConsensusMap, ProbeItem, ProbeSet, \
+    ScalarStream, caption_bank, check_grads_fd, distillation_loss_and_grads, \
+    logged_spans, output_filter, pairwise_mask, quantize_deltas, random_batch, \
+    small_snapshot, uniforms
 
 from flmm.aggregation import (
     AggregationPlan,
@@ -34,8 +36,6 @@ from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
 from flmm.contribution import CoalitionValueFn, exact_shapley, \
     fl_value_function, wtdp_shapley
 from flmm.dataquality import (
-    BLACKLIST_TOKENS,
-    REFUSAL_TOKEN,
     CorpusSpec,
     generate_corpus,
     quality_loop,
@@ -43,13 +43,11 @@ from flmm.dataquality import (
     score_and_filter,
 )
 from flmm.errors import ProtocolError
-from flmm.fusion import ConsensusMap, ProbeItem, ProbeSet, \
-    distillation_loss_and_grads, text_anchor_loss_and_grads
-from flmm.metrics import bleu, caption_bank, recall_at_k, rouge_l
+from flmm.fusion import text_anchor_loss_and_grads
+from flmm.metrics import bleu, recall_at_k, rouge_l
 from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot
 from flmm.orchestrator import RoundLog, ServerCore, FederationServer
-from flmm.privacy import PrivacyConfig, gaussian_mechanism, output_filter, \
-    pairwise_mask, quantize_deltas
+from flmm.privacy import PrivacyConfig, gaussian_mechanism
 from flmm.protocol import MSG_TYPES, Message, encode_message, read_frame
 from flmm.rng import SplitMix64, hash_text, mix_seed
 from flmm.simulate import build_corpora, build_initial_model, run_simulation, \
@@ -207,7 +205,7 @@ def constructed_game(seed):
         k = key(coalition - {"z"})
         if k not in table:
             salt = mix_seed(seed, k[0], *(hash_text(o) for o in sorted(k[1])))
-            table[k] = SplitMix64(salt).uniforms(1)[0]
+            table[k] = uniforms(SplitMix64(salt), 1)[0]
         return table[k]
 
     # pre-populate so the table is deterministic regardless of call order
@@ -393,8 +391,6 @@ class TestCriterion7Privacy:
         assert abs(noise.std() / 0.37 - 1.0) < 0.01
 
     def test_no_blacklisted_token_in_any_emitted_caption(self):
-        cfg = PrivacyConfig(blacklist=frozenset(BLACKLIST_TOKENS),
-                            refusal_sequence=(REFUSAL_TOKEN,))
         records = []
         for party_seed in range(4):
             records += generate_corpus(CorpusSpec(
@@ -406,7 +402,7 @@ class TestCriterion7Privacy:
         bank.append([1, min(BLACKLIST_TOKENS), 3])  # planted violation
         assert bank
         for caption in bank:
-            emitted, _ = output_filter(list(caption), cfg)
+            emitted, _ = output_filter(list(caption), BLACKLIST_TOKENS, (REFUSAL_TOKEN,))
             assert not set(emitted) & BLACKLIST_TOKENS
 
 

@@ -87,10 +87,17 @@ def test_gendata_missing_config(tmp_path, capsys):
     ("deadline = 60", "deadline = -1"),
     ("deadline = 60", "deadline = nan"),
     ("[model]\n", "[aggregation]\nhistory_window = -1\n\n[model]\n"),
+    ("[model]\n", "[privacy]\ndp_enabled = true\nclip_norm = nan\n\n[model]\n"),
+    ("[model]\n", "[privacy]\ndp_enabled = true\nclip_norm = inf\n\n[model]\n"),
+    ("[model]\n", "[privacy]\ndp_enabled = true\nclip_norm = 0\n\n[model]\n"),
+    ("[model]\n", "[privacy]\ndp_enabled = true\nnoise_std = -0.5\n\n[model]\n"),
+    ("[model]\n", "[privacy]\ndp_enabled = true\nnoise_std = nan\n\n[model]\n"),
 ], ids=["batch_size_0", "batch_size_1", "epochs_0", "lr_negative", "rank_0",
         "rates_above_1", "empty_pool", "class_54", "rounds_0", "anchor_mu_nan",
         "size_negative", "rate_nan", "rate_above_1_sum_below_1", "deadline_0",
-        "deadline_negative", "deadline_nan", "history_window_negative"])
+        "deadline_negative", "deadline_nan", "history_window_negative",
+        "dp_clip_norm_nan", "dp_clip_norm_inf", "dp_clip_norm_0",
+        "dp_noise_std_negative", "dp_noise_std_nan"])
 def test_simulate_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     assert old in CONFIG
     path = tmp_path / "scenario.ini"

@@ -241,6 +241,24 @@ class TestIdentity:
             agent.step()
         assert transport.sent("SUBMIT") == []
 
+    def test_assign_naming_a_block_twice_raises_before_submit(self, tmp_path):
+        cfg = make_scenario(parties=1)
+        core = ServerCore(server_config(cfg), build_initial_model(cfg), str(tmp_path))
+
+        def bridge_twice(resp):
+            bridge = unpack_blocks(resp.header("blocks"), resp.body)["bridge"]
+            _, spurious = pack_blocks({"bridge": np.zeros_like(bridge)})
+            body = spurious + resp.body
+            return {"headers": {**resp.headers, "blocks": "bridge," + resp.header("blocks"),
+                                "crc": f"{zlib.crc32(body):08x}"}, "body": body}
+
+        transport = Recording(core, rewrite_assign(bridge_twice))
+        [agent] = agents_for(cfg, transport)
+        agent.register()
+        with pytest.raises(ProtocolError, match="block 'bridge' named twice"):
+            agent.step()
+        assert transport.sent("SUBMIT") == []
+
 
 class TestRecovery:
     def test_clients_keep_their_base_across_server_recovery(self, tmp_path):

@@ -103,10 +103,23 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("model", "rank", "0", r"\[model\] rank = 0: must be in \[1, min"),
     # d_emb is 8 by default, so rank 9 exceeds min(d_v, d_t, d_emb)
     ("model", "rank", "9", r"\[model\] rank = 9: must be in \[1, min"),
+    ("privacy", "clip_norm", "nan", r"clip_norm = nan: must be finite and above 0"),
+    ("privacy", "clip_norm", "inf", r"clip_norm = inf: must be finite and above 0"),
+    ("privacy", "clip_norm", "0", r"clip_norm = 0.0: must be finite and above 0"),
+    ("privacy", "clip_norm", "-1", r"clip_norm = -1.0: must be finite and above 0"),
+    ("privacy", "noise_std", "-0.5", r"noise_std = -0.5: must be finite and at least 0"),
+    ("privacy", "noise_std", "nan", r"noise_std = nan: must be finite and at least 0"),
+    ("privacy", "noise_std", "inf", r"noise_std = inf: must be finite and at least 0"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, section, key, value, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write(tmp_path, render({section: {key: value}})))
+
+
+def test_zero_noise_under_dp_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "\n[privacy]\ndp_enabled = true\n"
+                                             "noise_std = 0\n"))
+    assert cfg.privacy.dp_enabled and cfg.privacy.noise_std == 0.0
 
 
 def test_largest_rank_and_smallest_dims_accepted(tmp_path):

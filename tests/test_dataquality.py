@@ -8,7 +8,6 @@ from flmm.aggregation import AggregationPlan
 from flmm.dataquality import (
     _CHUNK,
     _PROTO_SALT,
-    BLACKLIST_TOKENS,
     HAZARD_TOKEN,
     SAFE_TOKEN,
     SENSITIVE_TOKENS,

@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 
-from flmm.errors import EmptyProbeError, IdentityError, ShapeError
-from flmm.fusion import (
-    ConsensusMap,
-    ProbeItem,
-    ProbeSet,
-    compose_losses,
-    distillation_loss_and_grads,
-    text_anchor_loss_and_grads,
-)
+from flmm.errors import IdentityError, ShapeError
+from flmm.fusion import compose_losses, text_anchor_loss_and_grads
 from flmm.model import BLOCK_NAMES, contrastive_loss_and_grads, load_snapshot, \
     pair_batch, pair_forward, save_snapshot, sgd_step
 
-from support import ScalarStream, check_grads_fd, grads_bytes, oracle_anchor, \
+from support import ConsensusMap, EmptyProbeError, ProbeItem, ProbeSet, ScalarStream, \
+    check_grads_fd, distillation_loss_and_grads, grads_bytes, oracle_anchor, \
     random_batch, small_snapshot
 
 

@@ -308,12 +308,14 @@ class TestArtifacts:
         result = run_simulation(cfg, str(tmp_path))
         ckpt = os.path.join(str(tmp_path), "final.ckpt")
         assert os.path.exists(ckpt)
-        loaded = load_snapshot(open(ckpt, "rb").read())
+        with open(ckpt, "rb") as f:
+            loaded = load_snapshot(f.read())
         a = snapshot_blocks(loaded)
         b = snapshot_blocks(result.final_model)
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
-        eval_txt = open(os.path.join(str(tmp_path), "eval.txt")).read()
+        with open(os.path.join(str(tmp_path), "eval.txt")) as f:
+            eval_txt = f.read()
         assert "recall_at_1=" in eval_txt
 
     def test_shapley_option(self, tmp_path):

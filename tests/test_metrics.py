@@ -7,13 +7,12 @@ from flmm.aggregation import apply_block_mask, snapshot_blocks
 from flmm.contribution import slice_rows
 from flmm.dataquality import CorpusSpec, generate_corpus
 from flmm.errors import EmptyBankError, IdentityError, RangeError
-from flmm.metrics import bleu, caption_bank, eval_batch, evaluate, recall_at_k, \
-    rouge_l
+from flmm.metrics import bleu, eval_batch, evaluate, recall_at_k, rouge_l
 from flmm.model import caption_scores, init_snapshot, load_snapshot, save_snapshot, \
     stack_rows, text_features, with_blocks
 from flmm.rng import SplitMix64
 
-from support import ScalarStream
+from support import ScalarStream, caption_bank
 
 
 class TestBleu:

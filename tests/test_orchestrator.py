@@ -167,6 +167,20 @@ class TestSyncRound:
             ("0", "ok", "1")
         assert core.snapshot.version == 1
 
+    def test_block_named_twice_rejected(self, tmp_path):
+        core = make_core(tmp_path)
+        register(core, "pa")
+        deltas = random_deltas(13, core.snapshot)
+        names, body = pack_blocks(deltas)
+        _, spurious = pack_blocks({"vision.a": deltas["vision.a"] + 1.0})
+        resp = core.handle(Message("SUBMIT", {
+            "party": "pa", "token": TOKEN, "base_version": "0", "sample_count": "4",
+            "blocks": "vision.a," + names}, spurious + body))
+        assert resp.msg_type == "REJECT"
+        assert resp.header("kind") == "ValidationError"
+        assert resp.header("reason") == "block 'vision.a' named twice"
+        assert core.state.received == {}
+
     @pytest.mark.parametrize("case", ["zero_samples", "frozen_block"])
     def test_malformed_update_rejected_not_raised(self, tmp_path, case):
         core = make_core(tmp_path)
@@ -408,7 +422,7 @@ class TestAsync:
 class TestMasking:
     def test_masked_round_recovers_unweighted_mean(self, tmp_path):
         from flmm.aggregation import ClientUpdate
-        from flmm.privacy import pairwise_mask, quantize_deltas
+        from support import pairwise_mask, quantize_deltas
         core = make_core(tmp_path, masking=True)
         for p in ("pa", "pb"):
             register(core, p)
@@ -634,9 +648,11 @@ class TestRoundLog:
     def test_single_byte_flip_detected(self, tmp_path):
         core = self.run_rounds(tmp_path)
         path = core.log.path
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
         data[len(data) // 2] ^= 0x01
-        open(path, "wb").write(bytes(data))
+        with open(path, "wb") as f:
+            f.write(bytes(data))
         with pytest.raises(HistoryError):
             RoundLog(str(tmp_path))
 
@@ -678,6 +694,17 @@ class TestRoundLog:
         # the range and its CRC hold, so the frame's own fault is reported
         with pytest.raises(HistoryError, match="round 1 party 'pa'"
                            "(: | has bytes after its frame| names party 'pb')"):
+            core.log.load_update(1, "pa")
+
+    def test_a_logged_frame_naming_a_block_twice_is_a_history_error(self, tmp_path):
+        core = self.run_rounds(tmp_path)
+        msg = update_message(core.log.load_update(1, "pa"), "")
+        _, bridge = pack_blocks({"bridge": np.zeros((4, 4))})
+        relog_update(str(tmp_path), 1, "pa", encode_message(Message(
+            "SUBMIT", {**msg.headers, "blocks": "bridge," + msg.header("blocks")},
+            bridge + msg.body)))
+        with pytest.raises(HistoryError,
+                           match="round 1 party 'pa': block 'bridge' named twice"):
             core.log.load_update(1, "pa")
 
     @pytest.mark.parametrize("damage, error", [

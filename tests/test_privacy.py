@@ -3,17 +3,11 @@ import pytest
 
 from flmm.aggregation import AggregationPlan, BLOCK_NAMES, ClientUpdate, \
     fedavg_adapters
-from flmm.errors import MaskingError, NumericError
-from flmm.privacy import (
-    PrivacyConfig,
-    apply_pairwise_masks,
-    gaussian_mechanism,
-    output_filter,
-    pairwise_mask,
-    quantize_deltas,
-)
+from flmm.errors import MaskingError, NumericError, RangeError
+from flmm.privacy import PrivacyConfig, apply_pairwise_masks, gaussian_mechanism
 from flmm.rng import SplitMix64, hash_text, mix_seed
 
+from support import output_filter, pairwise_mask, quantize_deltas, uniforms
 from test_aggregation import random_update
 
 
@@ -71,6 +65,17 @@ class TestGaussianMechanism:
         assert abs(np.mean(samples) - target) < 3 * se
 
 
+class TestPrivacyConfig:
+    @pytest.mark.parametrize("dp", [True, False])
+    @pytest.mark.parametrize("field, value", [
+        ("clip_norm", float("nan")), ("clip_norm", float("inf")), ("clip_norm", 0.0),
+        ("clip_norm", -1.0), ("noise_std", -0.5), ("noise_std", float("nan")),
+        ("noise_std", float("inf"))])
+    def test_out_of_range_value_rejected(self, dp, field, value):
+        with pytest.raises(RangeError, match=f"{field} = {value}: must be finite"):
+            PrivacyConfig(dp_enabled=dp, **{field: value})
+
+
 class TestPairwiseMask:
     def test_quantization_error_below_grid_step(self):
         d = random_update(9, "a").deltas
@@ -109,6 +114,12 @@ class TestPairwiseMask:
             for name in a.deltas:
                 np.testing.assert_array_equal(a.deltas[name], b.deltas[name])
 
+    def test_party_outside_the_list_rejected(self):
+        # masked against c0 and c1 alike, its masks would cancel against nothing
+        u = random_update(45, "stranger")
+        with pytest.raises(MaskingError, match="'stranger'"):
+            apply_pairwise_masks(u, ["c0", "c1"], round_seed=3)
+
     def test_single_client_rejected(self):
         with pytest.raises(MaskingError):
             pairwise_mask([random_update(40, "solo")], 1)
@@ -130,7 +141,7 @@ _GRID = 2.0 ** 40
 
 def grid_mask_oracle(rng, shape):
     """One block's mask, drawn on its own: the per-block reference."""
-    u = rng.uniforms(shape[0] * shape[1]).reshape(shape)
+    u = uniforms(rng, shape[0] * shape[1]).reshape(shape)
     return np.round((2.0 * u - 1.0) * _GRID) / _GRID
 
 
@@ -203,17 +214,17 @@ class TestMaskOracle:
 
 
 class TestTextFilters:
-    CFG = PrivacyConfig(blacklist=frozenset({58, 59}), refusal_sequence=(0,))
+    BLACKLIST, REFUSAL = frozenset({58, 59}), (0,)
 
     def test_filter_passthrough(self):
-        cap, blocked = output_filter([1, 2, 3], self.CFG)
+        cap, blocked = output_filter([1, 2, 3], self.BLACKLIST, self.REFUSAL)
         assert cap == [1, 2, 3] and not blocked
 
     def test_filter_blocks_blacklisted(self):
-        cap, blocked = output_filter([1, 58, 3], self.CFG)
+        cap, blocked = output_filter([1, 58, 3], self.BLACKLIST, self.REFUSAL)
         assert cap == [0] and blocked
 
     def test_filter_idempotent(self):
-        cap, _ = output_filter([58], self.CFG)
-        again, blocked = output_filter(cap, self.CFG)
+        cap, _ = output_filter([58], self.BLACKLIST, self.REFUSAL)
+        again, blocked = output_filter(cap, self.BLACKLIST, self.REFUSAL)
         assert again == cap and not blocked

@@ -160,6 +160,12 @@ class TestBlocks:
         with pytest.raises(ProtocolError):
             unpack_blocks(names, body + b"\x00")
 
+    def test_block_named_twice_rejected(self):
+        _, first = pack_blocks({"vision.a": np.zeros((2, 8))})
+        _, second = pack_blocks({"vision.a": np.ones((2, 8))})
+        with pytest.raises(ProtocolError, match="block 'vision.a' named twice"):
+            unpack_blocks("vision.a,vision.a", first + second)
+
     def test_through_message_body(self):
         blocks = self.random_blocks(2)
         names, body = pack_blocks(blocks)

@@ -7,7 +7,7 @@ from flmm import _kernels
 from flmm.rng import GOLDEN, MASK64, SplitMix64, gaussian_outputs, gaussian_rows, \
     hash_text, mix_seed
 
-from support import ScalarStream, oracle_gaussians
+from support import ScalarStream, oracle_gaussians, uniforms
 
 
 def reference_splitmix64(seed, n):
@@ -46,14 +46,14 @@ def test_bulk_matches_sequential(seed):
 def test_uniforms_advance_state_like_scalar_path():
     a = ScalarStream(5)
     b = ScalarStream(5)
-    vec = a.uniforms(17)
+    vec = uniforms(a, 17)
     scalars = [b.next_uniform() for _ in range(17)]
     assert np.allclose(vec, scalars, rtol=0, atol=0)
     assert a.next_u64() == b.next_u64()
 
 
 def test_uniform_range_and_mean():
-    u = SplitMix64(3).uniforms(100_000)
+    u = uniforms(SplitMix64(3), 100_000)
     assert np.all((0.0 <= u) & (u < 1.0))
     assert abs(u.mean() - 0.5) < 0.01
 
