@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 import functools
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -124,15 +125,15 @@ def caption_template(class_id: int, hazard: bool) -> tuple:
     return (1, 2, c, 3, h, 4, c, 5)
 
 
-def default_label_templates() -> dict:
-    """Per-label caption fragments used by the repair transforms."""
-    out = {}
-    for c in range(CLASS_COUNT):
-        tok = CLASS_TOKEN_BASE + c
-        out[tok] = (2, tok, 3)
-    out[HAZARD_TOKEN] = (4, HAZARD_TOKEN, 5)
-    out[SAFE_TOKEN] = (4, SAFE_TOKEN, 5)
-    return out
+# Per-label caption fragments used by the repair transforms: read-only
+LABEL_TEMPLATES = MappingProxyType({
+    **{tok: (2, tok, 3) for tok in range(CLASS_TOKEN_BASE, HAZARD_TOKEN)},
+    HAZARD_TOKEN: (4, HAZARD_TOKEN, 5),
+    SAFE_TOKEN: (4, SAFE_TOKEN, 5),
+})
+
+# The caption length expand_caption repairs a too-short caption up to
+MIN_CAPTION_LEN = 6
 
 
 def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
@@ -209,65 +210,54 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
 
 # --- repair transforms (Cases A, B, C); each is idempotent ------------------
 
-def rule_clean(record: SceneRecord, sensitive_vocab: frozenset = SENSITIVE_TOKENS
-               ) -> SceneRecord:
+def rule_clean(record: SceneRecord) -> SceneRecord:
     """Strip sensitive tokens from the caption."""
     if "sensitive_noise" not in record.corruption \
-            and sensitive_vocab.isdisjoint(record.caption):
+            and SENSITIVE_TOKENS.isdisjoint(record.caption):
         return record
-    cleaned = tuple(t for t in record.caption if t not in sensitive_vocab)
+    cleaned = tuple(t for t in record.caption if t not in SENSITIVE_TOKENS)
     return replace(record, caption=cleaned,
                    corruption=frozenset(record.corruption - {"sensitive_noise"}))
 
 
-def label_to_caption(record: SceneRecord, templates: dict | None = None) -> SceneRecord:
+def label_to_caption(record: SceneRecord) -> SceneRecord:
     """Build a caption from object labels when none exists (label order kept)."""
     if record.caption:
         return record
-    templates = templates if templates is not None else default_label_templates()
     parts: list[int] = []
     for label in record.object_labels:
-        if label not in templates:
+        if label not in LABEL_TEMPLATES:
             raise TemplateGapError(f"no template for label {label}")
-        parts.extend(templates[label])
+        parts.extend(LABEL_TEMPLATES[label])
     return replace(record, caption=tuple(parts),
                    corruption=frozenset(record.corruption - {"labels_only"}))
 
 
-def expand_caption(record: SceneRecord, min_len: int = 6,
-                   templates: dict | None = None) -> SceneRecord:
-    """Append label templates for unmentioned labels until min_len is reached."""
-    if len(record.caption) >= min_len:
+def expand_caption(record: SceneRecord) -> SceneRecord:
+    """Append label templates for unmentioned labels until the caption holds
+    MIN_CAPTION_LEN tokens."""
+    if len(record.caption) >= MIN_CAPTION_LEN:
         if "too_short" in record.corruption:
             return replace(record, corruption=frozenset(record.corruption - {"too_short"}))
         return record
-    templates = templates if templates is not None else default_label_templates()
     caption = list(record.caption)
     mentioned = set(caption)
     for label in record.object_labels:
-        if len(caption) >= min_len:
+        if len(caption) >= MIN_CAPTION_LEN:
             break
-        if label in mentioned or label not in templates:
+        if label in mentioned or label not in LABEL_TEMPLATES:
             continue
-        caption.extend(templates[label])
+        caption.extend(LABEL_TEMPLATES[label])
         mentioned.add(label)
     tags = record.corruption
-    if len(caption) >= min_len:
+    if len(caption) >= MIN_CAPTION_LEN:
         tags = frozenset(tags - {"too_short"})
     return replace(record, caption=tuple(caption), corruption=tags)
 
 
-def repair_corpus(records: list[SceneRecord],
-                  sensitive_vocab: frozenset = SENSITIVE_TOKENS,
-                  templates: dict | None = None, min_len: int = 6) -> list[SceneRecord]:
+def repair_corpus(records: list[SceneRecord]) -> list[SceneRecord]:
     """Run the three repairs in order: clean, caption-from-labels, expand."""
-    out = []
-    for rec in records:
-        rec = rule_clean(rec, sensitive_vocab)
-        rec = label_to_caption(rec, templates)
-        rec = expand_caption(rec, min_len, templates)
-        out.append(rec)
-    return out
+    return [expand_caption(label_to_caption(rule_clean(rec))) for rec in records]
 
 
 # --- model-scored filtering -------------------------------------------------

@@ -14,7 +14,9 @@ fsync, and only then its record, whose ``updates=`` field names each frame by
 offset, length and CRC32, goes to ``rounds.log`` with a second fsync. Every
 later version is derived from ``v0`` by one walk over the log
 (``RoundLog.replay``), which checks each replayed round against its logged
-block CRCs.
+block CRCs and keeps the versions the round's logged ``history_window=``
+kept. A ``RoundLog`` reads ``rounds.log`` once, when it opens; the writer's
+own appends keep its records equal to the file.
 """
 
 from __future__ import annotations
@@ -101,33 +103,67 @@ def _contributors(fields: dict) -> list:
     return [kv.split(":")[0] for kv in fields["contributors"].split(",") if kv]
 
 
+# the fields of an ok record that ``replay`` reads beside its plan
+_REPLAYED = ("blocks", "post_version", "history_window", "contributors", "updates")
+
+
+def _checked(i: int, fields: dict) -> dict:
+    """``fields``, parsed from line ``i``, if they hold what every reader
+    reads: an integer ``round`` and a ``status``, and for an ok round the
+    ``_REPLAYED`` fields, its window a count; else HistoryError."""
+    where = f"round log line {i}"
+    if not fields.get("round", "").isdecimal():
+        raise HistoryError(f"{where}: no integer round")
+    if "status" not in fields:
+        raise HistoryError(f"{where}: no status")
+    if fields["status"] == "ok":
+        missing = [k for k in _REPLAYED if k not in fields]
+        if missing:
+            raise HistoryError(f"{where}: ok round with no {missing[0]}")
+        if not fields["history_window"].isdecimal():
+            raise HistoryError(f"{where}: history_window is not a count")
+    return fields
+
+
+def recent(window: dict, history_window: int) -> dict:
+    """The last ``history_window`` + 1 versions of ``window``."""
+    oldest = max(window) - history_window
+    return {v: m for v, m in window.items() if v >= oldest}
+
+
 class RoundLog:
     """The stored state of a run in ``log_dir``: ``rounds.log``, the
     append-only CRC-chained round records; ``updates.seg``, the append-only
     stream of the update frames those records name; and ``v0``'s checkpoint.
     A record's ``updates=`` field holds ``offset:length:crc`` per contributor,
     in ``contributors=`` order, for that party's SUBMIT frame (empty token) in
-    ``updates.seg``. ``versions`` holds the last ``history_window`` + 1
-    versions in memory; ``replay`` derives any version from the files. Only
-    the writer (``ServerCore``) creates files; a reader creates nothing.
+    ``updates.seg``, and its ``history_window=`` the server's window.
+
+    A RoundLog is one view of the log: it parses and checks ``rounds.log``
+    once, when it opens, into ``records``, and ``append`` adds each record it
+    makes durable. A reader that must see later writes opens a new RoundLog.
+    ``versions`` is the server's in-memory window; ``replay`` derives any
+    version from the files. Only the writer (``ServerCore``) creates files; a
+    reader creates nothing.
     """
 
-    def __init__(self, log_dir: str, history_window: int = 16):
+    def __init__(self, log_dir: str):
         self.dir = log_dir
         self.path = os.path.join(log_dir, "rounds.log")
         self.seg_path = os.path.join(log_dir, "updates.seg")
-        self.history_window = history_window
-        self.versions: dict = {}  # version -> snapshot, the in-memory window
-        records = self.verify() if os.path.exists(self.path) else []
-        self._last_crc = int(records[-1]["crc"], 16) if records else 0
+        self.versions: dict = {}  # version -> snapshot, the server's window
+        self.records = self.verify()
 
     def append(self, fields: dict) -> None:
-        """Append one record chained to the last, durably (``_durable_append``)."""
-        body = " ".join(f"{k}={v}" for k, v in fields.items())
-        body += f" prev_crc={self._last_crc:08x}"
-        crc = zlib.crc32(body.encode())
-        _durable_append(self.path, f"{body} crc={crc:08x}\n".encode())
-        self._last_crc = crc
+        """Append one record chained to the last, durably (``_durable_append``);
+        only then does it join ``records``."""
+        prev = self.records[-1]["crc"] if self.records else "00000000"
+        record = {k: str(v) for k, v in fields.items()}
+        record["prev_crc"] = prev
+        body = " ".join(f"{k}={v}" for k, v in record.items())
+        record["crc"] = f"{zlib.crc32(body.encode()):08x}"
+        _durable_append(self.path, f"{body} crc={record['crc']}\n".encode())
+        self.records.append(record)
 
     def append_updates(self, updates) -> str:
         """Append ``updates`` to ``updates.seg`` as their SUBMIT frames, with
@@ -142,7 +178,8 @@ class RoundLog:
         return ",".join(ranges)
 
     def verify(self) -> list:
-        """Parse all records, checking per-line CRCs and the chain."""
+        """Parse all records, checking per-line CRCs, the chain, and the
+        fields every reader reads (``_checked``)."""
         records = []
         prev = 0
         if not os.path.exists(self.path):
@@ -166,7 +203,7 @@ class RoundLog:
                     raise HistoryError(f"round log line {i}: broken chain")
                 fields["crc"] = crc_field
                 prev = int(crc_field, 16)
-                records.append(fields)
+                records.append(_checked(i, fields))
         return records
 
     def save_checkpoint(self, snapshot: ModelSnapshot) -> None:
@@ -183,7 +220,7 @@ class RoundLog:
         ``replay`` (``v0`` needs no log)."""
         if version in self.versions:
             return self.versions[version]
-        for _, window in self.replay(self.verify() if version else []):
+        for _, window in self.replay():
             if version in window:
                 return window[version]
         raise HistoryError(f"no checkpoint for version {version}")
@@ -199,33 +236,26 @@ class RoundLog:
         window[model.version] = model
         return model
 
-    def recent(self, window: dict) -> dict:
-        """The last ``history_window`` + 1 versions of ``window``."""
-        oldest = max(window) - self.history_window
-        return {v: m for v, m in window.items() if v >= oldest}
-
-    def replay(self, records: list):
-        """The one walk over the round log, from ``v0`` and ``records``
-        (``verify``'s): yields ``(None, window)`` at ``v0``, then
-        ``(LoggedRound, window)`` after each ok round. Each such round loads
-        its updates once and ``fuse``s them under its logged plan, as
-        ``close_round`` did; one that does not reproduce its logged
-        ``blocks=`` and ``post_version`` raises HistoryError naming it.
-        ``window`` keeps the ``recent`` versions, or all if some round is
-        async_mix: an accepted base may be older than this reader's window."""
+    def replay(self):
+        """The one walk over ``records``, from ``v0``: yields ``(None,
+        window)`` at ``v0``, then ``(LoggedRound, window)`` after each ok
+        round. Each such round loads its updates once and ``fuse``s them
+        under its logged plan, as ``close_round`` did; one that does not
+        reproduce its logged ``blocks=`` and ``post_version`` raises
+        HistoryError naming it. ``window`` then keeps the ``recent`` versions
+        of the round's logged ``history_window``, as the server's did."""
         path = self._ckpt_path(0)
         if not os.path.exists(path):
             raise HistoryError("no checkpoint for version 0")
         with open(path, "rb") as f:
             window = {0: load_snapshot(f.read())}
         yield None, window
-        mixing = any(fields.get("strategy") == ASYNC_MIX for fields in records)
-        for fields in records:
-            if fields.get("status") != "ok":
+        for fields in self.records:
+            if fields["status"] != "ok":
                 continue
             r = int(fields["round"])
             rec = LoggedRound(round=r, plan=_logged_plan(fields),
-                              updates=tuple(self.load_update(r, p, fields)
+                              updates=tuple(self.load_update(fields, p)
                                             for p in _contributors(fields)),
                               blocks=fields["blocks"])
             wrong = (f"round {r}: replaying its logged updates does not reproduce "
@@ -237,26 +267,21 @@ class RoundLog:
             if (blocks_field(model), str(model.version)) != \
                     (rec.blocks, fields["post_version"]):
                 raise HistoryError(wrong)
-            if not mixing:
-                window = self.recent(window)
+            window = recent(window, int(fields["history_window"]))
             yield rec, window
 
     def _ckpt_path(self, version: int) -> str:
         return os.path.join(self.dir, "checkpoints", f"v{version}.ckpt")
 
-    def load_update(self, round_num: int, party: str,
-                    record: dict | None = None) -> ClientUpdate:
-        """The update ``party`` gave in round ``round_num``, read from
-        ``updates.seg`` through the round's record: ``record``, if the caller
-        holds it, or else the one ``verify`` finds. A range that the record
-        does not name, that runs past the end of the stream or fails its CRC,
-        a frame that is malformed, does not fill its range, or names another
+    def load_update(self, record: dict, party: str) -> ClientUpdate:
+        """The update ``party`` gave in the round of ``record`` (a record of
+        ``records``), read from ``updates.seg``. A range that the record does
+        not name, that runs past the end of the stream or fails its CRC, a
+        frame that is malformed, does not fill its range, or names another
         party, raises HistoryError naming the round and the party."""
-        where = f"logged update for round {round_num} party {party!r}"
-        if record is None:
-            record = next((r for r in self.verify() if r["round"] == str(round_num)), {})
-        parties = _contributors(record) if "contributors" in record else []
-        spans = record.get("updates", "").split(",")
+        where = f"logged update for round {record['round']} party {party!r}"
+        parties = _contributors(record)
+        spans = record["updates"].split(",")
         span = None
         if party in parties and len(spans) == len(parties):
             span = _SPAN.fullmatch(spans[parties.index(party)])
@@ -289,7 +314,7 @@ class RoundLog:
         for coalition replay. ``replay`` reads them, so each round has
         reproduced the blocks it logged: the updates on disk trained the
         logged model. A ``plan``, if given, must be the logged one."""
-        rounds = [rec for rec, _ in self.replay(self.verify()) if rec is not None]
+        rounds = [rec for rec, _ in self.replay() if rec is not None]
         for rec in rounds:
             if plan is not None and rec.plan != plan:
                 raise HistoryError(f"round {rec.round} ran with {rec.plan}, not {plan}")
@@ -314,7 +339,7 @@ class ServerCore:
 
     def __init__(self, cfg: ServerConfig, initial: ModelSnapshot, log_dir: str,
                  clock=time.monotonic):
-        self._attach(cfg, RoundLog(log_dir, cfg.history_window), initial, clock)
+        self._attach(cfg, RoundLog(log_dir), initial, clock)
         self.log.save_checkpoint(initial)
         self.state = self._open_round(0)
 
@@ -348,12 +373,11 @@ class ServerCore:
         """Rebuild server state from the round log after a crash: every ok
         round is replayed from ``v0`` and checked against its logged blocks
         (``RoundLog.replay``), which also refills the window."""
-        log = RoundLog(log_dir, cfg.history_window)
-        records = log.verify()
-        for _, window in log.replay(records):
+        log = RoundLog(log_dir)
+        for _, window in log.replay():
             pass  # each round is checked; only the last window is kept
-        log.versions = log.recent(window)
-        next_round = int(records[-1]["round"]) + 1 if records else 0
+        log.versions = recent(window, cfg.history_window)
+        next_round = int(log.records[-1]["round"]) + 1 if log.records else 0
         core = cls.__new__(cls)
         core._attach(cfg, log, log.versions[max(log.versions)], clock)
         core.state = core._open_round(next_round)
@@ -500,7 +524,8 @@ class ServerCore:
             self._append_round_record(updates, logged, absent, self.snapshot, started,
                                       reason=type(e).__name__)
         else:
-            self.snapshot, self.log.versions = model, self.log.recent(window)
+            self.snapshot = model
+            self.log.versions = recent(window, self.cfg.history_window)
         self.state = self._open_round(st.round + 1)
 
     def _append_round_record(self, updates, logged: str, absent: tuple,
@@ -517,6 +542,7 @@ class ServerCore:
             "mixing_rate": repr(plan.mixing_rate),
             "staleness_exponent": repr(plan.staleness_exponent),
             "masked": int(plan.masking_enabled),
+            "history_window": self.cfg.history_window,
             "contributors": ",".join(f"{u.client_id}:{u.sample_count}" for u in updates),
             "updates": logged,
             "absent": ",".join(absent),

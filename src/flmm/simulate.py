@@ -139,7 +139,7 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
         shapley = exact_shapley(fn)
 
     return SimulationResult(final_model=model,
-                            round_records=core.log.verify(),
+                            round_records=core.log.records,
                             reports=reports, shapley=shapley,
                             log_dir=log_dir, failure=failure)
 

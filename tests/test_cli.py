@@ -11,7 +11,7 @@ from flmm.cli import main
 from flmm.errors import HistoryError
 from flmm.model import init_snapshot, save_snapshot
 
-from support import logged_frames, malformed_checkpoints, relog_update, \
+from support import logged_frames, malformed_checkpoints, relog, relog_update, \
     relog_with_wrong_blocks
 
 CONFIG = """
@@ -340,6 +340,32 @@ def test_shapley_with_a_malformed_update_file_exits_4(logged_run, tmp_path, caps
     assert main(["shapley", "--log", str(copy), "--eval", eval_corpus]) == 4
     err = capsys.readouterr().err
     assert "round 1 party 'p0'" in err and "'base_version'" in err
+
+
+@pytest.mark.parametrize("field", ["round", "status", "blocks", "post_version",
+                                   "history_window", "contributors", "updates"])
+def test_a_record_without_a_field_every_reader_reads_is_refused_by_line(
+        logged_run, tmp_path, capsys, field):
+    """A CRC-valid record that lacks a field its readers read is a
+    HistoryError naming its line, not a KeyError, in every reader. A log
+    from before ``history_window=`` was logged is refused the same way."""
+    import shutil
+    from flmm.config import load_config
+    from flmm.orchestrator import RoundLog, ServerCore
+    from flmm.simulate import server_config
+    log, eval_corpus = logged_run
+    copy = str(tmp_path / "log")
+    shutil.copytree(log, copy)
+    relog(copy, 1, drop=(field,))
+    line = "round log line 1: "
+    with pytest.raises(HistoryError, match=line):
+        RoundLog(copy).logged_rounds()
+    cfg = server_config(load_config(str(Path(log).parents[1] / "scenario.ini")))
+    with pytest.raises(HistoryError, match=line):
+        ServerCore.recover(cfg, copy)
+    capsys.readouterr()
+    assert main(["shapley", "--log", copy, "--eval", eval_corpus]) == 4
+    assert f"error: {line}" in capsys.readouterr().err
 
 
 def test_shapley_on_an_empty_log_dir_exits_4_and_creates_nothing(logged_run, tmp_path,

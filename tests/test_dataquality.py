@@ -9,13 +9,14 @@ from flmm.dataquality import (
     _CHUNK,
     _PROTO_SALT,
     HAZARD_TOKEN,
+    LABEL_TEMPLATES,
+    MIN_CAPTION_LEN,
     SAFE_TOKEN,
     SENSITIVE_TOKENS,
     CorpusSpec,
     caption_template,
     class_hazard,
     class_prototype,
-    default_label_templates,
     expand_caption,
     generate_corpus,
     label_to_caption,
@@ -101,7 +102,7 @@ class TestGeneration:
     def test_every_class_in_the_layout_is_accepted_and_has_a_label_template(self):
         spec(classes=tuple(range(30)))
         class_tokens = {caption_template(c, False)[2] for c in range(30)}
-        assert class_tokens | {HAZARD_TOKEN, SAFE_TOKEN} == set(default_label_templates())
+        assert class_tokens | {HAZARD_TOKEN, SAFE_TOKEN} == set(LABEL_TEMPLATES)
 
     @pytest.mark.parametrize("seed", [3, 42, 2**64 - 7, -1, 2**64 + 5])
     @pytest.mark.parametrize("d_v", [15, 16])
@@ -229,7 +230,7 @@ class TestRepairs:
         rec = generate_corpus(spec(size=1))[0]
         rec = replace(rec, caption=(), object_labels=(12,))
         out = label_to_caption(rec)
-        assert out.caption == default_label_templates()[12]
+        assert out.caption == LABEL_TEMPLATES[12]
 
     def test_label_to_caption_order_preserving(self):
         rec = generate_corpus(spec(size=1))[0]
@@ -242,12 +243,11 @@ class TestRepairs:
         recs = generate_corpus(spec(size=200, rates={"labels_only": 0.5}, seed=12))
         cases = [r for r in recs if "labels_only" in r.corruption]
         assert cases
-        templates = default_label_templates()
         for r in cases:
             fixed = label_to_caption(r)
             cap = list(fixed.caption)
             for label in r.object_labels:
-                frag = list(templates[label])
+                frag = list(LABEL_TEMPLATES[label])
                 # contiguous subsequence check
                 assert any(cap[i:i + len(frag)] == frag
                            for i in range(len(cap) - len(frag) + 1))
@@ -260,21 +260,22 @@ class TestRepairs:
 
     def test_expand_noop_when_long_enough(self):
         rec = generate_corpus(spec(size=1))[0]
-        assert expand_caption(rec, min_len=3) is rec
+        assert len(rec.caption) >= MIN_CAPTION_LEN
+        assert expand_caption(rec) is rec
 
     def test_expand_appends_only(self):
         recs = generate_corpus(spec(size=200, rates={"too_short": 0.5}, seed=13))
         cases = [r for r in recs if "too_short" in r.corruption]
         assert cases
         for r in cases:
-            fixed = expand_caption(r, min_len=6)
-            assert len(fixed.caption) >= 6 or fixed.caption == r.caption
+            fixed = expand_caption(r)
+            assert len(fixed.caption) >= MIN_CAPTION_LEN or fixed.caption == r.caption
             assert fixed.caption[:2] == r.caption[:2]
 
     @pytest.mark.parametrize("repair", [
         rule_clean,
         label_to_caption,
-        lambda r: expand_caption(r, min_len=6),
+        expand_caption,
     ])
     def test_repairs_idempotent(self, repair):
         rates = {"mismatched": 0.1, "sensitive_noise": 0.2,

@@ -35,6 +35,18 @@ def make_core(tmp_path, parties=("pa", "pb"), rounds=3, strategy="sync_avg",
                       clock=clock or FakeClock())
 
 
+def logged_update(log_dir, round_num, party):
+    """``party``'s update in round ``round_num``, read through a new view of
+    the log, which sees every record written so far."""
+    log = RoundLog(str(log_dir))
+    return log.load_update(log.records[round_num], party)
+
+
+def assert_writer_is_the_file(core, log_dir):
+    """The writer's records are the ones a new view parses from the file."""
+    assert core.log.records == RoundLog(str(log_dir)).records
+
+
 def random_deltas(seed, model):
     rng = SplitMix64(seed)
     return {n: 0.01 * rng.normal_matrix(*m.shape)
@@ -225,6 +237,7 @@ class TestSyncRound:
             ("0", "failed", "OSError")
         assert record["pre_version"] == record["post_version"] == "0"
         assert record["updates"] == ""  # no frame of the round is durable
+        assert_writer_is_the_file(core, tmp_path)
         assert save_snapshot(core.snapshot) == before
         assert (core.state.round, core.state.received) == (1, {})
         monkeypatch.undo()
@@ -256,6 +269,7 @@ class TestSyncRound:
         assert (record["round"], record["status"], record["reason"]) == \
             ("1", "failed", "OSError")
         assert record["pre_version"] == record["post_version"] == "1"
+        assert_writer_is_the_file(core, tmp_path)
         assert save_snapshot(core.snapshot) == before
         assert core.log.versions.keys() == window.keys()
         assert all(core.log.versions[v] is window[v] for v in window)
@@ -292,9 +306,11 @@ class TestSyncRound:
         assert [(r["round"], r["status"], r.get("reason")) for r in records] == \
             [("0", "failed", "OSError")]
         assert records[0]["prev_crc"] == "00000000"
+        assert_writer_is_the_file(core, tmp_path)
         assert save_snapshot(core.snapshot) == before
         assert submit(core, "pa", random_deltas(26, core.snapshot), 0).msg_type == "ACK"
         assert [r["status"] for r in core.log.verify()] == ["failed", "ok"]
+        assert_writer_is_the_file(core, tmp_path)
 
         recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
         assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
@@ -481,7 +497,8 @@ class TestDerivedVersions:
     @staticmethod
     def assert_recovers(core, tmp_path, made):
         """A recovered server serves the live one's window and next ASSIGN,
-        and a fresh RoundLog derives every version made so far."""
+        and a fresh RoundLog derives every version made so far, holding no
+        more than the logged window of W = 2 while it replays."""
         recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
         for p in ("pa", "pb"):
             register(recovered, p)
@@ -498,7 +515,9 @@ class TestDerivedVersions:
         live, again = poll(core, "pa"), poll(recovered, "pa")
         assert (again.msg_type, again.headers, again.body) == \
             (live.msg_type, live.headers, live.body)
-        log = RoundLog(str(tmp_path), history_window=2)
+        assert_writer_is_the_file(core, tmp_path)
+        log = RoundLog(str(tmp_path))
+        assert all(len(window) <= 3 for _, window in log.replay())
         for v, data in made.items():
             assert save_snapshot(log.load_checkpoint(v)) == data
 
@@ -529,7 +548,7 @@ class TestDerivedVersions:
     def test_recover_refuses_an_update_that_did_not_train_the_model(self, tmp_path):
         from flmm.aggregation import ClientUpdate
         core = TestRoundLog().run_rounds(tmp_path, n=3)
-        logged = core.log.load_update(1, "pa")
+        logged = logged_update(tmp_path, 1, "pa")
         relog_update(str(tmp_path), 1, "pa", encode_message(update_message(ClientUpdate(
             "pa", logged.base_version, random_deltas(999, core.snapshot),
             logged.sample_count, logged.submitted_round), "")))
@@ -557,8 +576,9 @@ class TestDerivedVersions:
             log.load_checkpoint(2)
 
     def test_a_base_older_than_the_readers_window_replays(self, tmp_path):
-        """The server's window is 20, a reader's 16: an update 18 versions
-        stale still replays, and recovery keeps the reader's window."""
+        """The server's window is 20 and recovery's 16: an update 18 versions
+        stale still replays, every window a reader replays holds the logged
+        window, and recovery keeps its own."""
         from dataclasses import replace
         cfg = ServerConfig(token=TOKEN, plan=AggregationPlan(strategy="async_mix"),
                            rounds=19, history_window=20, expected_parties=("pa", "pb"))
@@ -570,9 +590,13 @@ class TestDerivedVersions:
             assert submit(core, ("pa", "pb")[r % 2], random_deltas(400 + r, core.snapshot),
                           base).msg_type == "ACK"
         assert core.finished and core.snapshot.version == 19
-        assert core.log.load_update(18, "pa").base_version == 0
+        assert {r["history_window"] for r in core.log.records} == {"20"}
+        assert logged_update(tmp_path, 18, "pa").base_version == 0
         log = RoundLog(str(tmp_path))
         assert [rec.round for rec in log.logged_rounds()] == list(range(19))
+        windows = [dict(window) for _, window in log.replay()]
+        assert all(len(window) <= 21 for window in windows)
+        assert save_snapshot(windows[-1][19]) == save_snapshot(core.snapshot)
         assert save_snapshot(log.load_checkpoint(19)) == save_snapshot(core.snapshot)
         recovered = ServerCore.recover(replace(cfg, history_window=16), str(tmp_path),
                                        clock=FakeClock())
@@ -636,6 +660,23 @@ class TestRoundLog:
         assert len(records) == 2
         assert [r["status"] for r in records] == ["ok", "ok"]
 
+    def test_each_reader_parses_the_log_once(self, tmp_path, monkeypatch):
+        core = self.run_rounds(tmp_path, n=3)
+        verify, parsed = RoundLog.verify, []
+
+        def spy(log):
+            parsed.append(log.path)
+            return verify(log)
+
+        monkeypatch.setattr(RoundLog, "verify", spy)
+        reads = [lambda: RoundLog(str(tmp_path)).logged_rounds(),
+                 lambda: RoundLog(str(tmp_path)).load_checkpoint(2),
+                 lambda: ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())]
+        for read in reads:
+            parsed.clear()
+            read()
+            assert parsed == [core.log.path]
+
     def test_unparseable_line_is_a_history_error(self, tmp_path):
         core = self.run_rounds(tmp_path)
         # a well-chained record whose body is not all key=value pairs
@@ -658,7 +699,7 @@ class TestRoundLog:
 
     def test_update_files_roundtrip(self, tmp_path):
         core = self.run_rounds(tmp_path)
-        u = core.log.load_update(0, "pa")
+        u = core.log.load_update(core.log.records[0], "pa")
         assert u.client_id == "pa" and u.sample_count == 4
         assert set(u.deltas) == set(snapshot_blocks(core.snapshot))
 
@@ -694,18 +735,18 @@ class TestRoundLog:
         # the range and its CRC hold, so the frame's own fault is reported
         with pytest.raises(HistoryError, match="round 1 party 'pa'"
                            "(: | has bytes after its frame| names party 'pb')"):
-            core.log.load_update(1, "pa")
+            logged_update(tmp_path, 1, "pa")
 
     def test_a_logged_frame_naming_a_block_twice_is_a_history_error(self, tmp_path):
         core = self.run_rounds(tmp_path)
-        msg = update_message(core.log.load_update(1, "pa"), "")
+        msg = update_message(core.log.load_update(core.log.records[1], "pa"), "")
         _, bridge = pack_blocks({"bridge": np.zeros((4, 4))})
         relog_update(str(tmp_path), 1, "pa", encode_message(Message(
             "SUBMIT", {**msg.headers, "blocks": "bridge," + msg.header("blocks")},
             bridge + msg.body)))
         with pytest.raises(HistoryError,
                            match="round 1 party 'pa': block 'bridge' named twice"):
-            core.log.load_update(1, "pa")
+            logged_update(tmp_path, 1, "pa")
 
     @pytest.mark.parametrize("damage, error", [
         ("flip", "round 1 party 'pa' fails its CRC"),
@@ -723,11 +764,11 @@ class TestRoundLog:
         elif damage == "cut":  # the stream loses the tail of its last frame
             os.truncate(seg, seg.stat().st_size - 3)
         else:  # pa's range names pb's frame, with pb's length and CRC
-            _, pb = core.log.verify()[1]["updates"].split(",")
+            _, pb = core.log.records[1]["updates"].split(",")
             relog(str(tmp_path), 1, updates=f"{pb},{pb}")
         party = "pb" if damage == "cut" else "pa"
         with pytest.raises(HistoryError, match=error):
-            core.log.load_update(1, party)
+            logged_update(tmp_path, 1, party)
         with pytest.raises(HistoryError, match=error):
             RoundLog(str(tmp_path)).logged_rounds()
         with pytest.raises(HistoryError, match=error):
@@ -759,6 +800,7 @@ class TestRoundLog:
         record = core.log.verify()[-1]
         assert (record["round"], record["status"], record["reason"], record["updates"]) \
             == ("1", "failed", "OSError", "")
+        assert_writer_is_the_file(core, tmp_path)
         assert save_snapshot(core.snapshot) == before
         assert core.state.round == 2 and poll(core, "pa").msg_type == "ASSIGN"
         assert submit(core, "pa", random_deltas(29, core.snapshot), 1).msg_type == "ACK"
@@ -796,12 +838,12 @@ class TestRoundLog:
     def test_logged_rounds_refuses_updates_that_did_not_train_the_model(self, tmp_path):
         from flmm.aggregation import ClientUpdate
         core = self.run_rounds(tmp_path)
-        logged = core.log.load_update(1, "pa")
+        logged = core.log.load_update(core.log.records[1], "pa")
         relog_update(str(tmp_path), 1, "pa", encode_message(update_message(ClientUpdate(
             "pa", logged.base_version, random_deltas(999, core.snapshot),
             logged.sample_count, logged.submitted_round), "")))
         with pytest.raises(HistoryError, match="does not reproduce"):
-            core.log.logged_rounds()
+            RoundLog(str(tmp_path)).logged_rounds()
 
 
 class TestRecovery:
