@@ -197,10 +197,10 @@ def _party_weights(spec: str, parties: list) -> dict:
 
 
 def _clean(args) -> int:
-    from flmm.config import quality_threshold
+    from flmm.config import KNOWN_KEYS, parse_value
     from flmm.dataquality import load_corpus, repair_corpus, save_corpus, \
         score_and_filter
-    thr = quality_threshold(args.threshold, "--threshold")
+    thr = parse_value(KNOWN_KEYS["quality"]["threshold"], args.threshold, "--threshold")
     model = _load_model(args.model)
     with open(args.corpus) as f:
         records = load_corpus(f.read())

@@ -188,7 +188,7 @@ class ClientAgent:
             update = gaussian_mechanism(
                 update, self.cfg.privacy,
                 mix_seed(self.cfg.seed, _DP_SALT, job.round, hash_text(party)))
-        if self.cfg.privacy.masking_enabled:
+        if self.cfg.plan.masking_enabled:
             update = apply_pairwise_masks(
                 update, list(self.cfg.party_ids()),
                 mix_seed(self.cfg.seed, _MASK_SALT, job.round))

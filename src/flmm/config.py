@@ -1,8 +1,11 @@
 """Scenario configuration: INI-style file covering the whole run.
 
-Every knob has a stated default; FLMM_SEED in the environment overrides the
-configured seed. KNOWN_KEYS lists every section and key a run reads; any
-other section or key raises ConfigError, so no setting is silently ignored.
+KNOWN_KEYS, the key table, is the one statement of what a scenario file may
+hold: each section's keys, each with its parser and, where the settings
+dataclass it fills does not bound it, its bound. Any other section or key
+raises ConfigError, so no setting is silently ignored. A key the file does
+not set takes the default of the dataclass it fills, so no default is
+restated here. FLMM_SEED in the environment overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, fields
 
 from flmm.aggregation import AggregationPlan
-from flmm.dataquality import CorpusSpec
+from flmm.dataquality import TAGS, CorpusSpec
 from flmm.errors import ConfigError, PlanError, RangeError, SpecError
-from flmm.model import BLOCK_NAMES
-from flmm.orchestrator import valid_party_id
+from flmm.model import BLOCK_NAMES, D_EMB, D_T, D_V, RANK, TEMPERATURE, VOCAB
+from flmm.orchestrator import ServerConfig, valid_party_id
 from flmm.privacy import PrivacyConfig
 from flmm.training import TrainConfig
 
@@ -30,12 +34,12 @@ class PartyConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d_v: int = 16
-    d_t: int = 16
-    d_emb: int = 8
-    rank: int = 2
-    vocab: int = 64
-    temperature: float = 0.1
+    d_v: int = D_V
+    d_t: int = D_T
+    d_emb: int = D_EMB
+    rank: int = RANK
+    vocab: int = VOCAB
+    temperature: float = TEMPERATURE
     bridge: bool = True
 
 
@@ -47,16 +51,16 @@ class QualityConfig:
     floor: int = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    seed: int
-    rounds: int
-    token: str
-    deadline: float
+    seed: int = 42
+    rounds: int = 10
+    token: str = "flmm-shared-token"
+    deadline: float = ServerConfig.deadline
     train: TrainConfig
     model: ModelConfig
     plan: AggregationPlan
-    history_window: int
+    history_window: int = ServerConfig.history_window
     privacy: PrivacyConfig
     parties: tuple  # PartyConfig, ordered
     eval_spec: CorpusSpec
@@ -66,22 +70,81 @@ class ScenarioConfig:
         return tuple(p.party_id for p in self.parties)
 
 
-# section -> the keys a run reads from it
+def _flag(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("must be true or false (1 or 0, yes or no)")
+    return word in ("1", "true", "yes")
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.replace(",", " ").split())
+
+
+def _names(text: str) -> frozenset:
+    return frozenset(b.strip() for b in text.split(",") if b.strip())
+
+
+def _threshold(text: str) -> float | str:
+    """A score threshold: "auto" (Otsu's, per corpus) or a finite number."""
+    if text == "auto":
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("must be auto or a finite number")
+    return value
+
+
+def _at_least(least: int) -> tuple:
+    return (lambda value: value >= least), f"must be at least {least}"
+
+
+# both comparisons are false for nan
+_ABOVE_0 = (lambda value: 0.0 < value < math.inf), "must be finite and above 0"
+_AT_LEAST_0 = (lambda value: 0.0 <= value < math.inf), "must be finite and at least 0"
+
+# a corpus's keys; CorpusSpec bounds them and the corruption rates
+_CORPUS = {"size": (int,), "seed": (int,), "classes": (_ints,)}
+
+# section -> key -> (parser,) or (parser, check, the rule check enforces);
+# "party:<id>" stands for every [party:<id>] section. PrivacyConfig and
+# AggregationPlan bound their own fields.
 KNOWN_KEYS = {
-    "run": {"seed", "rounds", "token", "deadline", "epochs", "lr", "batch_size"},
-    "model": {"d_v", "d_t", "d_emb", "rank", "vocab", "temperature", "bridge"},
-    "privacy": {"dp_enabled", "clip_norm", "noise_std", "masking_enabled"},
-    "aggregation": {"strategy", "block_mask", "staleness_exponent", "mixing_rate",
-                    "history_window"},
-    "party:<id>": {"size", "seed", "classes", "anchor_mu", "mismatched",
-                   "sensitive_noise", "labels_only", "too_short"},
-    "eval": {"size", "seed", "classes"},
-    "quality": {"iters", "target", "threshold", "floor"},
+    "run": {"seed": (int,), "rounds": (int, *_at_least(1)), "token": (str,),
+            "deadline": (float, *_ABOVE_0), "epochs": (int, *_at_least(1)),
+            "lr": (float, *_ABOVE_0),
+            # a contrastive step needs a batch of 2; below that no step would run
+            "batch_size": (int, *_at_least(2))},
+    "model": {**{dim: (int, *_at_least(1)) for dim in ("d_v", "d_t", "d_emb", "vocab")},
+              "rank": (int,),  # bounded in _build: its bound depends on the dims
+              "temperature": (float, *_ABOVE_0), "bridge": (_flag,)},
+    "privacy": {"dp_enabled": (_flag,), "clip_norm": (float,), "noise_std": (float,),
+                "masking_enabled": (_flag,)},
+    "aggregation": {"strategy": (str,), "block_mask": (_names,),
+                    "staleness_exponent": (float,), "mixing_rate": (float,),
+                    "history_window": (int, *_at_least(0))},
+    "party:<id>": {**_CORPUS, "anchor_mu": (float, *_AT_LEAST_0),
+                   **{tag: (float,) for tag in TAGS}},
+    "eval": _CORPUS,
+    "quality": {"iters": (int, *_at_least(0)), "target": (float, math.isfinite, "must be finite"),
+                "threshold": (_threshold,), "floor": (int, *_at_least(0))},
 }
 
 
-def _ints(s: str) -> tuple:
-    return tuple(int(x) for x in s.replace(",", " ").split())
+def parse_value(key: tuple, text: str, what: str):
+    """``text`` parsed by ``key``, a KNOWN_KEYS entry; a ConfigError names
+    ``what`` when the text does not parse or breaks the key's bound."""
+    parse, *bound = key
+    try:
+        value = parse(text)
+    except ValueError as e:
+        raise ConfigError(f"{what} = {text!r}: {e}") from None
+    if bound and not bound[0](value):
+        raise ConfigError(f"{what} = {value}: {bound[1]}")
+    return value
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -91,152 +154,79 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     try:
         return _build(cp)
-    except (configparser.Error, KeyError, ValueError, PlanError, RangeError,
-            SpecError) as e:
+    except (configparser.Error, PlanError, RangeError, SpecError) as e:
         raise ConfigError(f"bad config {path!r}: {e}") from e
 
 
-def quality_threshold(text: str, what: str) -> float | str:
-    """A score threshold: "auto" (Otsu's, per corpus) or a finite number."""
-    if text == "auto":
-        return text
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} = {text!r}: must be auto or a finite number")
-    return value
-
-
-def _check_keys(cp: configparser.ConfigParser) -> None:
+def _read(cp: configparser.ConfigParser) -> dict:
+    """section -> the values of the keys it sets, each parsed by its entry."""
     if cp.defaults():
         raise ConfigError("unknown section [DEFAULT]")
+    read = defaultdict(dict)  # a section the file does not hold sets no keys
     for section in cp.sections():
-        kind = "party:<id>" if section.startswith("party:") else section
-        if kind not in KNOWN_KEYS:
+        keys = KNOWN_KEYS.get("party:<id>" if section.startswith("party:") else section)
+        if keys is None:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = sorted(set(cp[section]) - KNOWN_KEYS[kind])
-        if unknown:
-            raise ConfigError(f"[{section}]: unknown key {unknown[0]!r}")
+        read[section] = {}
+        for name, text in cp.items(section):
+            if name not in keys:
+                raise ConfigError(f"[{section}]: unknown key {name!r}")
+            read[section][name] = parse_value(keys[name], text, f"[{section}] {name}")
+    return read
+
+
+def _take(values: dict, cls) -> dict:
+    """The entries of ``values`` that set a field of ``cls``, moved out of it."""
+    return {f.name: values.pop(f.name) for f in fields(cls) if f.name in values}
+
+
+def _corpus(party: str, keys: dict, rates: dict, d_v: int, size: int,
+            seed: int) -> CorpusSpec:
+    """The corpus a section's ``keys`` describe; ``size`` and ``seed`` stand
+    where they set none, and classes 0..7 where they set no classes."""
+    return CorpusSpec(party=party, size=keys.get("size", size), corruption_rates=rates,
+                      seed=keys.get("seed", seed),
+                      scene_class_pool=keys.get("classes", tuple(range(8))), d_v=d_v)
 
 
 def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
-    _check_keys(cp)
-    run = cp["run"] if cp.has_section("run") else {}
-    seed = int(os.environ.get("FLMM_SEED", run.get("seed", "42")))
+    read = _read(cp)
+    run = read["run"]  # what TrainConfig does not take is the scenario's
+    if "FLMM_SEED" in os.environ:
+        run["seed"] = parse_value(KNOWN_KEYS["run"]["seed"], os.environ["FLMM_SEED"],
+                                  "FLMM_SEED")
+    train = TrainConfig(**_take(run, TrainConfig))
 
-    model_sec = cp["model"] if cp.has_section("model") else {}
-    model = ModelConfig(
-        d_v=int(model_sec.get("d_v", 16)),
-        d_t=int(model_sec.get("d_t", 16)),
-        d_emb=int(model_sec.get("d_emb", 8)),
-        rank=int(model_sec.get("rank", 2)),
-        vocab=int(model_sec.get("vocab", 64)),
-        temperature=float(model_sec.get("temperature", 0.1)),
-        bridge=str(model_sec.get("bridge", "true")).lower() in ("1", "true", "yes"),
-    )
-    for key in ("d_v", "d_t", "d_emb", "vocab"):
-        if getattr(model, key) < 1:
-            raise ConfigError(f"[model] {key} = {getattr(model, key)}: must be at least 1")
+    model = ModelConfig(**read["model"])
     if not 1 <= model.rank <= min(model.d_v, model.d_t, model.d_emb):
         raise ConfigError(f"[model] rank = {model.rank}: must be in "
                           f"[1, min(d_v, d_t, d_emb)]")
 
-    priv = cp["privacy"] if cp.has_section("privacy") else {}
-    privacy = PrivacyConfig(
-        dp_enabled=str(priv.get("dp_enabled", "false")).lower() in ("1", "true", "yes"),
-        clip_norm=float(priv.get("clip_norm", 1.0)),
-        noise_std=float(priv.get("noise_std", 0.0)),
-        masking_enabled=str(priv.get("masking_enabled", "false")).lower() in ("1", "true", "yes"),
-    )
-
-    agg = cp["aggregation"] if cp.has_section("aggregation") else {}
-    mask = agg.get("block_mask", ",".join(BLOCK_NAMES))
-    plan = AggregationPlan(
-        strategy=agg.get("strategy", "sync_avg"),
-        block_mask=frozenset(b.strip() for b in mask.split(",") if b.strip()),
-        staleness_exponent=float(agg.get("staleness_exponent", 0.5)),
-        mixing_rate=float(agg.get("mixing_rate", 0.5)),
-        masking_enabled=privacy.masking_enabled,
-    )
+    # [privacy] masking_enabled sets the plan's, so the server sums exactly
+    # what the clients mask; [aggregation] history_window is the scenario's
+    agg, privacy = read["aggregation"], read["privacy"]
+    plan = AggregationPlan(**_take(agg, AggregationPlan), **_take(privacy, AggregationPlan))
+    if not plan.block_mask & {b for b in BLOCK_NAMES if model.bridge or b != "bridge"}:
+        raise ConfigError(f"[aggregation] block_mask = {','.join(sorted(plan.block_mask))}: "
+                          f"names no block the model trains")
 
     parties = []
-    for section in cp.sections():
+    for section, keys in read.items():
         if not section.startswith("party:"):
             continue
-        p = cp[section]
         pid = section.split(":", 1)[1]
         if not valid_party_id(pid):
             raise ConfigError(f"[{section}]: party id cannot go in the round log")
-        rates = {}
-        for tag in ("mismatched", "sensitive_noise", "labels_only", "too_short"):
-            if tag in p:
-                rates[tag] = float(p[tag])
-        corpus = CorpusSpec(
-            party=pid,
-            size=int(p.get("size", 100)),
-            corruption_rates=rates,
-            seed=int(p.get("seed", seed)),
-            scene_class_pool=_ints(p.get("classes", "0,1,2,3,4,5,6,7")),
-            d_v=model.d_v,
-        )
-        mu = float(p.get("anchor_mu", 0.0))
-        if not 0.0 <= mu < math.inf:  # false for nan
-            raise ConfigError(f"[{section}] anchor_mu = {mu}: must be finite and at least 0")
-        parties.append(PartyConfig(party_id=pid, corpus=corpus, anchor_mu=mu))
+        rates = {tag: keys[tag] for tag in TAGS if tag in keys}
+        corpus = _corpus(pid, keys, rates, model.d_v, size=100,
+                         seed=run.get("seed", ScenarioConfig.seed))
+        parties.append(PartyConfig(party_id=pid, corpus=corpus, **_take(keys, PartyConfig)))
     if not parties:
         raise ConfigError("at least one [party:<id>] section is required")
     parties.sort(key=lambda p: p.party_id)
 
-    ev = cp["eval"] if cp.has_section("eval") else {}
-    eval_spec = CorpusSpec(
-        party="eval", size=int(ev.get("size", 200)), corruption_rates={},
-        seed=int(ev.get("seed", 999)),
-        scene_class_pool=_ints(ev.get("classes", "0,1,2,3,4,5,6,7")),
-        d_v=model.d_v,
-    )
-
-    q = cp["quality"] if cp.has_section("quality") else {}
-    quality = QualityConfig(
-        iters=int(q.get("iters", 0)),
-        target=float(q.get("target", 0.9)),
-        threshold=quality_threshold(q.get("threshold", "auto"), "[quality] threshold"),
-        floor=int(q.get("floor", 10)),
-    )
-
-    train = TrainConfig(
-        epochs=int(run.get("epochs", 2)),
-        lr=float(run.get("lr", 0.01)),
-        batch_size=int(run.get("batch_size", 16)),
-    )
-    rounds = int(run.get("rounds", 10))
-    history_window = int(agg.get("history_window", 16))
-    for section, key, value, least in (
-            # a contrastive step needs a batch of 2; below that no step would run
-            ("run", "batch_size", train.batch_size, 2),
-            ("run", "epochs", train.epochs, 1),
-            ("run", "rounds", rounds, 1),
-            ("aggregation", "history_window", history_window, 0)):
-        if value < least:
-            raise ConfigError(f"[{section}] {key} = {value}: must be at least {least}")
-    deadline = float(run.get("deadline", 60.0))
-    for section, key, value in (("run", "lr", train.lr), ("run", "deadline", deadline),
-                                ("model", "temperature", model.temperature)):
-        if not 0.0 < value < math.inf:  # false for nan
-            raise ConfigError(f"[{section}] {key} = {value}: must be finite and above 0")
-
     return ScenarioConfig(
-        seed=seed,
-        rounds=rounds,
-        token=run.get("token", "flmm-shared-token"),
-        deadline=deadline,
-        train=train,
-        model=model,
-        plan=plan,
-        history_window=history_window,
-        privacy=privacy,
+        train=train, model=model, plan=plan, privacy=PrivacyConfig(**privacy),
         parties=tuple(parties),
-        eval_spec=eval_spec,
-        quality=quality,
-    )
+        eval_spec=_corpus("eval", read["eval"], {}, model.d_v, size=200, seed=999),
+        quality=QualityConfig(**read["quality"]), **run, **agg)

@@ -317,17 +317,17 @@ class LoopIteration:
     corruption_recall: float  # test-only: fraction of planted-corrupt records dropped
 
 
-def quality_loop(corpora_by_party: dict, model0: ModelSnapshot, train_fn,
+def quality_loop(corpora: dict, model0: ModelSnapshot, train_fn,
                  eval_set: EvalBatch | list[SceneRecord], max_iters: int,
                  target_metric: float, threshold: float | str = "auto",
                  floor: int = 10):
     """Iterative data/model loop: train, filter each party, retrain on kept.
 
-    train_fn(model, corpora_by_party) -> trained model. Kept sets only ever
-    shrink; a party dropping below ``floor`` records aborts with a
-    starvation error.
+    ``corpora`` (party -> records) arrive repaired by ``repair_corpus``, as
+    ``simulate.build_corpora`` makes them; the loop only filters them.
+    train_fn(model, corpora) -> trained model. Kept sets only ever shrink; a
+    party dropping below ``floor`` records aborts with a starvation error.
     """
-    corpora = {p: repair_corpus(recs) for p, recs in corpora_by_party.items()}
     model = train_fn(model0, corpora)
     report: list[LoopIteration] = []
     for it in range(max_iters):

@@ -35,6 +35,7 @@ from flmm.aggregation import ASYNC_MIX, AggregationPlan, ClientUpdate, aggregate
 from flmm.contribution import LoggedRound
 from flmm.errors import (
     AuthError,
+    ConfigError,
     DuplicateError,
     FlmmError,
     HistoryError,
@@ -65,9 +66,13 @@ class ServerConfig:
     token: str
     plan: AggregationPlan
     rounds: int
+    expected_parties: tuple  # the parties every round waits for
     deadline: float = 60.0
     history_window: int = 16
-    expected_parties: tuple = ()
+
+    def __post_init__(self):
+        if not self.expected_parties:
+            raise ConfigError("a server needs at least one expected party")
 
 
 def valid_party_id(party: str) -> bool:
@@ -360,9 +365,8 @@ class ServerCore:
     # -- lifecycle ----------------------------------------------------------
 
     def _open_round(self, round_num: int) -> RoundState:
-        expected = set(self.cfg.expected_parties) or set(self.registry)
-        return RoundState(round=round_num, expected=expected, received={},
-                          opened_at=self.clock())
+        return RoundState(round=round_num, expected=set(self.cfg.expected_parties),
+                          received={}, opened_at=self.clock())
 
     @property
     def finished(self) -> bool:
@@ -440,8 +444,6 @@ class ServerCore:
         if not valid_party_id(party):
             raise ValidationError(f"party id {party!r} cannot go in the round log")
         self.registry.add(party)
-        if not self.cfg.expected_parties:
-            self.state.expected.add(party)
         return self._respond("ACK")
 
     def _poll(self, msg: Message) -> Message:

@@ -2,8 +2,10 @@
 secure-aggregation simulation.
 
 A run applies gaussian_mechanism when [privacy] dp_enabled is set, and each
-client masks its own update with apply_pairwise_masks when masking_enabled
-is set. The joint form of that masking, which masks every party's update in
+client masks its own update with apply_pairwise_masks when the run's
+AggregationPlan is masked, which [privacy] masking_enabled sets: the masking
+switch lives in the plan alone, so the server sums exactly what the clients
+mask. The joint form of that masking, which masks every party's update in
 one call, and an output blacklist filter are no run's code;
 ``tests/support.py`` keeps them as oracles.
 
@@ -29,7 +31,6 @@ class PrivacyConfig:
     dp_enabled: bool = False
     clip_norm: float = 1.0
     noise_std: float = 0.0
-    masking_enabled: bool = False
 
     def __post_init__(self):
         # both comparisons are false for nan

@@ -57,9 +57,9 @@ def build_eval_set(cfg: ScenarioConfig):
 
 
 def server_config(cfg: ScenarioConfig) -> ServerConfig:
-    """The server's settings; its plan is masked exactly when the clients mask."""
-    plan = replace(cfg.plan, masking_enabled=cfg.privacy.masking_enabled)
-    return ServerConfig(token=cfg.token, plan=plan, rounds=cfg.rounds,
+    """The server's settings. It fuses with the scenario's own plan, which
+    is masked exactly when the clients mask, and waits for every party."""
+    return ServerConfig(token=cfg.token, plan=cfg.plan, rounds=cfg.rounds,
                         deadline=cfg.deadline, history_window=cfg.history_window,
                         expected_parties=cfg.party_ids())
 

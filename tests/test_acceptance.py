@@ -67,8 +67,8 @@ def scenario(seed=7, parties=2, rounds=2, size=40, classes=(0, 1, 2, 3),
     return ScenarioConfig(
         seed=seed, rounds=rounds, token="tok", deadline=60.0,
         train=TrainConfig(epochs=epochs, lr=lr, batch_size=16),
-        model=ModelConfig(), plan=AggregationPlan(), history_window=16,
-        privacy=PrivacyConfig(masking_enabled=masking), parties=party_cfgs,
+        model=ModelConfig(), plan=AggregationPlan(masking_enabled=masking),
+        history_window=16, privacy=PrivacyConfig(), parties=party_cfgs,
         eval_spec=CorpusSpec(party="eval", size=60, corruption_rates={},
                              seed=seed + 99,
                              scene_class_pool=tuple(sorted({c for p in pools.values()

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from flmm.config import KNOWN_KEYS, load_config
+from flmm.aggregation import AggregationPlan
+from flmm.config import KNOWN_KEYS, ModelConfig, PartyConfig, QualityConfig, load_config
 from flmm.errors import ConfigError
+from flmm.orchestrator import ServerConfig
+from flmm.privacy import PrivacyConfig
 from flmm.simulate import run_simulation, server_config
+from flmm.training import TrainConfig
 
 BASE = """
 [run]
@@ -35,7 +39,7 @@ def test_base_config_loads(tmp_path):
 
 def test_masking_moves_into_the_plan(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "\n[privacy]\nmasking_enabled = true\n"))
-    assert cfg.plan.masking_enabled and cfg.privacy.masking_enabled
+    assert cfg.plan.masking_enabled
 
 
 @pytest.mark.parametrize("extra", [
@@ -110,10 +114,53 @@ def test_rejected_with_config_error(tmp_path, extra):
     ("privacy", "noise_std", "-0.5", r"noise_std = -0.5: must be finite and at least 0"),
     ("privacy", "noise_std", "nan", r"noise_std = nan: must be finite and at least 0"),
     ("privacy", "noise_std", "inf", r"noise_std = inf: must be finite and at least 0"),
+    ("privacy", "dp_enabled", "ture", r"\[privacy\] dp_enabled = 'ture': must be true or"),
+    ("privacy", "masking_enabled", "2", r"\[privacy\] masking_enabled = '2': must be true"),
+    ("model", "bridge", "maybe", r"\[model\] bridge = 'maybe': must be true or false"),
+    ("model", "bridge", "", r"\[model\] bridge = '': must be true or false"),
+    ("quality", "iters", "-3", r"\[quality\] iters = -3: must be at least 0"),
+    ("quality", "floor", "-5", r"\[quality\] floor = -5: must be at least 0"),
+    ("quality", "target", "nan", r"\[quality\] target = nan: must be finite"),
+    ("quality", "target", "-inf", r"\[quality\] target = -inf: must be finite"),
+    # under [model] bridge = false, see MASK_CONTEXT
+    ("aggregation", "block_mask", "bridge",
+     r"\[aggregation\] block_mask = bridge: names no block the model trains"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, section, key, value, message):
+    context = MASK_CONTEXT if key == "block_mask" else {}
     with pytest.raises(ConfigError, match=message):
-        load_config(write(tmp_path, render({section: {key: value}})))
+        load_config(write(tmp_path, render(context, {section: {key: value}})))
+
+
+# a model without a bridge trains only the tower adapters
+MASK_CONTEXT = {"model": {"bridge": "false"}}
+
+
+@pytest.mark.parametrize("text, flag", [
+    ("1", True), ("true", True), ("YES", True), ("True", True),
+    ("0", False), ("false", False), ("No", False), ("FALSE", False)])
+def test_flag_spellings_load(tmp_path, text, flag):
+    cfg = load_config(write(tmp_path, render({"privacy": {"dp_enabled": text}})))
+    assert cfg.privacy.dp_enabled is flag
+
+
+def test_a_mask_naming_a_missing_block_and_a_trained_one_loads(tmp_path):
+    cfg = load_config(write(tmp_path, render(
+        MASK_CONTEXT, {"aggregation": {"block_mask": "bridge,text.a"}})))
+    assert cfg.plan.block_mask == {"bridge", "text.a"}
+
+
+def test_a_file_of_one_party_takes_every_dataclass_default(tmp_path):
+    cfg = load_config(write(tmp_path, "[party:p0]\n"))
+    assert cfg.train == TrainConfig()
+    assert cfg.model == ModelConfig()
+    assert cfg.privacy == PrivacyConfig()
+    assert cfg.plan == AggregationPlan()
+    assert cfg.quality == QualityConfig()
+    assert cfg.parties[0].anchor_mu == PartyConfig.anchor_mu
+    # deadline and history_window are ServerConfig's defaults
+    assert server_config(cfg) == ServerConfig(token=cfg.token, plan=AggregationPlan(),
+                                              rounds=cfg.rounds, expected_parties=("p0",))
 
 
 def test_zero_noise_under_dp_accepted(tmp_path):

@@ -41,9 +41,9 @@ def make_scenario(seed=7, parties=2, rounds=2, size=40, masking=False,
         seed=seed, rounds=rounds, token="tok", deadline=60.0,
         train=TrainConfig(epochs=epochs, lr=lr, batch_size=16),
         model=ModelConfig(),
-        plan=AggregationPlan(),
+        plan=AggregationPlan(masking_enabled=masking),
         history_window=16,
-        privacy=PrivacyConfig(masking_enabled=masking),
+        privacy=PrivacyConfig(),
         parties=party_cfgs,
         eval_spec=CorpusSpec(party="eval", size=40, corruption_rates={},
                              seed=seed + 99, scene_class_pool=classes),

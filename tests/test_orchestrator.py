@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flmm.aggregation import AggregationPlan, snapshot_blocks
-from flmm.errors import HistoryError
+from flmm.errors import ConfigError, HistoryError
 from flmm.model import frozen_checksum, load_snapshot, save_snapshot
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, encode_message, pack_blocks, unpack_blocks, \
@@ -65,6 +65,10 @@ def submit(core, party, deltas, base_version, token=TOKEN, samples=4):
 
 
 class TestRegistration:
+    def test_a_server_without_expected_parties_is_refused(self):
+        with pytest.raises(ConfigError, match="at least one expected party"):
+            ServerConfig(token=TOKEN, plan=AggregationPlan(), rounds=1, expected_parties=())
+
     def test_register_ack(self, tmp_path):
         core = make_core(tmp_path)
         assert register(core, "pa").msg_type == "ACK"

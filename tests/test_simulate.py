@@ -30,9 +30,9 @@ def scenario(strategy="sync_avg", masking=False, dp=False, anchor_mus=(0.0, 0.0,
     return ScenarioConfig(
         seed=91, rounds=rounds, token="tok", deadline=60.0,
         train=TrainConfig(epochs=2, lr=0.1, batch_size=16), model=ModelConfig(),
-        plan=AggregationPlan(strategy=strategy), history_window=16,
-        privacy=PrivacyConfig(masking_enabled=masking, dp_enabled=dp,
-                              noise_std=0.001 if dp else 0.0),
+        plan=AggregationPlan(strategy=strategy, masking_enabled=masking),
+        history_window=16,
+        privacy=PrivacyConfig(dp_enabled=dp, noise_std=0.001 if dp else 0.0),
         parties=parties,
         eval_spec=CorpusSpec(party="eval", size=40, corruption_rates={}, seed=190,
                              scene_class_pool=(0, 1, 2, 3)),
