@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from flmm.config import PartyConfig, ScenarioConfig
 from flmm.dataquality import SceneRecord
-from flmm.errors import IdentityError, ProtocolError, TransportError
+from flmm.errors import AuthError, IdentityError, ProtocolError, TransportError
 from flmm.model import ModelSnapshot, frozen_checksum, load_snapshot, with_blocks
 from flmm.privacy import apply_pairwise_masks, gaussian_mechanism
 from flmm.protocol import Message, decode_payload, encode_message, read_frame, \
@@ -34,6 +34,8 @@ from flmm.training import TrainConfig, TrainingSet, local_train, make_update, \
 
 _DP_SALT = 0xD9
 _MASK_SALT = 0x3A5C
+_POLL_INTERVAL = 0.05  # seconds an idle cycle of run_client_loop sleeps
+_MAX_IDLE_POLLS = 2400  # idle cycles before run_client_loop gives up
 
 
 class InProcessTransport:
@@ -102,12 +104,10 @@ class SocketTransport:
 @dataclass(frozen=True, eq=False)
 class TrainingJob:
     """What one ASSIGN asks of an agent: train ``model``, the round's
-    assigned snapshot on the frozen base whose checksum is ``base``, on
-    ``data`` under ``cfg`` with ``seed``."""
+    assigned snapshot, on ``data`` under ``cfg`` with ``seed``."""
 
     round: int
     model: ModelSnapshot
-    base: str
     data: TrainingSet
     cfg: TrainConfig
     seed: int
@@ -172,8 +172,7 @@ class ClientAgent:
         model = self._assigned_model(resp)
         if self._inputs is None:
             self._inputs = training_set(model, self.records)
-        return TrainingJob(round=round_num, model=model, base=self.base_checksum,
-                           data=self._inputs,
+        return TrainingJob(round=round_num, model=model, data=self._inputs,
                            cfg=replace(self.cfg.train, anchor_mu=self.party.anchor_mu),
                            seed=mix_seed(self.cfg.seed, round_num,
                                          hash_text(self.party.party_id)))
@@ -221,21 +220,24 @@ class ClientAgent:
         return with_blocks(self.base, blocks, version)
 
 
-def run_client_loop(agent: ClientAgent, poll_interval: float = 0.05,
-                    max_idle_polls: int = 2400) -> int:
-    """Step until the server reports the run finished; returns round count.
+def run_client_loop(agent: ClientAgent) -> int:
+    """Register, then step until the server reports the run finished;
+    returns round count. A refused REGISTER raises AuthError with the
+    server's reason.
 
     Each cycle is one ``step``, so one POLL; a cycle that submits nothing
-    accepted sleeps ``poll_interval`` and counts as idle.
+    accepted sleeps ``_POLL_INTERVAL`` and counts as idle.
     """
-    agent.register()
+    resp = agent.register()
+    if resp.msg_type != "ACK":
+        raise AuthError(f"register refused: {resp.headers.get('reason')}")
     idle = 0
-    while idle < max_idle_polls:
+    while idle < _MAX_IDLE_POLLS:
         if agent.step() == "ACK":
             idle = 0
         elif agent.finished_round is not None:
             return agent.finished_round
         else:
             idle += 1
-            time.sleep(poll_interval)
+            time.sleep(_POLL_INTERVAL)
     raise TransportError("server never finished the run")

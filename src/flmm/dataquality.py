@@ -47,6 +47,8 @@ _PROTO_SALT = 0x5CE7E
 # size bounds the memory the walk holds beside the records.
 _CHUNK = 256
 
+_OTSU_BINS = 64  # histogram bins of otsu_threshold
+
 
 @dataclass(frozen=True)
 class Truth:
@@ -269,9 +271,9 @@ def alignment_scores(model: ModelSnapshot, records: list[SceneRecord]) -> np.nda
     return np.sum(z_v * z_t, axis=1)
 
 
-def otsu_threshold(scores: np.ndarray, bins: int = 64) -> float:
+def otsu_threshold(scores: np.ndarray) -> float:
     """Otsu split of the score histogram over [-1, 1]."""
-    hist, edges = np.histogram(scores, bins=bins, range=(-1.0, 1.0))
+    hist, edges = np.histogram(scores, bins=_OTSU_BINS, range=(-1.0, 1.0))
     total = hist.sum()
     if total == 0:
         return 0.0
@@ -281,7 +283,7 @@ def otsu_threshold(scores: np.ndarray, bins: int = 64) -> float:
     sum0 = np.cumsum(hist * centers)
     sum_all = sum0[-1]
     best_t, best_var = edges[0], -1.0
-    for i in range(bins - 1):
+    for i in range(_OTSU_BINS - 1):
         if w0[i] == 0 or w1[i] == 0:
             continue
         mu0 = sum0[i] / w0[i]

@@ -7,10 +7,12 @@ which a client needs only for its frozen base. All round-state mutations are
 serialized under one lock; reads of the current model touch only immutable
 snapshots. The stored state is three files: ``rounds.log``, a CRC-chained
 record per round; ``updates.seg``, the append-only stream of the updates the
-rounds fused; and one checkpoint, ``v0``. That is enough to recover after a
-crash and to replay coalitions for contribution measurement. A round commits
-in two durable appends: its frames go to ``updates.seg`` in one write and one
-fsync, and only then its record, whose ``updates=`` field names each frame by
+rounds fused; and one checkpoint, ``v0``. The server's state is its config,
+whose ``expected_parties`` are the only parties it serves, plus what the log
+rebuilds, so ``ServerCore.recover`` restores all of it after a crash; the log
+also replays coalitions for contribution measurement. A round commits in two
+durable appends: its frames go to ``updates.seg`` in one write and one fsync,
+and only then its record, whose ``updates=`` field names each frame by
 offset, length and CRC32, goes to ``rounds.log`` with a second fsync. Every
 later version is derived from ``v0`` by one walk over the log
 (``RoundLog.replay``), which checks each replayed round against its logged
@@ -56,9 +58,13 @@ class RoundState:
     """The open round: what it has received, until ``close_round``."""
 
     round: int
-    expected: set
     received: dict  # party -> ClientUpdate
     opened_at: float
+
+
+def valid_party_id(party: str) -> bool:
+    """Non-empty, without whitespace or the round log's separators ,:="""
+    return bool(party) and not any(c.isspace() or c in ",:=" for c in party)
 
 
 @dataclass(frozen=True)
@@ -66,18 +72,16 @@ class ServerConfig:
     token: str
     plan: AggregationPlan
     rounds: int
-    expected_parties: tuple  # the parties every round waits for
+    expected_parties: tuple  # the run's parties; every round waits for them
     deadline: float = 60.0
     history_window: int = 16
 
     def __post_init__(self):
         if not self.expected_parties:
             raise ConfigError("a server needs at least one expected party")
-
-
-def valid_party_id(party: str) -> bool:
-    """Non-empty, without whitespace or the round log's separators ,:="""
-    return bool(party) and not any(c.isspace() or c in ",:=" for c in party)
+        for party in self.expected_parties:
+            if not valid_party_id(party):
+                raise ConfigError(f"party id {party!r} cannot go in the round log")
 
 
 def _durable_append(path: str, data: bytes) -> int:
@@ -147,9 +151,9 @@ class RoundLog:
     A RoundLog is one view of the log: it parses and checks ``rounds.log``
     once, when it opens, into ``records``, and ``append`` adds each record it
     makes durable. A reader that must see later writes opens a new RoundLog.
-    ``versions`` is the server's in-memory window; ``replay`` derives any
-    version from the files. Only the writer (``ServerCore``) creates files; a
-    reader creates nothing.
+    ``versions`` is the server's in-memory window, whose newest version is
+    its current model; ``replay`` derives any version from the files. Only
+    the writer (``ServerCore``) creates files; a reader creates nothing.
     """
 
     def __init__(self, log_dir: str):
@@ -233,22 +237,15 @@ class RoundLog:
     def checkpoint_bytes(self, version: int) -> bytes:
         return save_snapshot(self.load_checkpoint(version))
 
-    def fuse(self, plan: AggregationPlan, updates, window: dict) -> ModelSnapshot:
-        """The next version: ``updates`` fused with ``aggregate`` into the
-        newest version in ``window``, async_mix updates each against its base
-        there. It joins ``window``."""
-        model = aggregate(plan, window[max(window)], updates, window)
-        window[model.version] = model
-        return model
-
     def replay(self):
         """The one walk over ``records``, from ``v0``: yields ``(None,
         window)`` at ``v0``, then ``(LoggedRound, window)`` after each ok
-        round. Each such round loads its updates once and ``fuse``s them
-        under its logged plan, as ``close_round`` did; one that does not
-        reproduce its logged ``blocks=`` and ``post_version`` raises
-        HistoryError naming it. ``window`` then keeps the ``recent`` versions
-        of the round's logged ``history_window``, as the server's did."""
+        round. Each such round loads its updates once and ``aggregate``s
+        them into the newest version under its logged plan, as
+        ``close_round`` did; one that does not reproduce its logged
+        ``blocks=`` and ``post_version`` raises HistoryError naming it.
+        ``window`` then keeps the ``recent`` versions of the round's logged
+        ``history_window``, as the server's did."""
         path = self._ckpt_path(0)
         if not os.path.exists(path):
             raise HistoryError("no checkpoint for version 0")
@@ -266,13 +263,14 @@ class RoundLog:
             wrong = (f"round {r}: replaying its logged updates does not reproduce "
                      f"the blocks logged in round {r}")
             try:
-                model = self.fuse(rec.plan, rec.updates, window)
+                model = aggregate(rec.plan, window[max(window)], rec.updates, window)
             except (KeyError, ValueError, FlmmError) as e:
                 raise HistoryError(f"{wrong}: {e!r}") from e
             if (blocks_field(model), str(model.version)) != \
                     (rec.blocks, fields["post_version"]):
                 raise HistoryError(wrong)
-            window = recent(window, int(fields["history_window"]))
+            window = recent({**window, model.version: model},
+                            int(fields["history_window"]))
             yield rec, window
 
     def _ckpt_path(self, version: int) -> str:
@@ -344,29 +342,31 @@ class ServerCore:
 
     def __init__(self, cfg: ServerConfig, initial: ModelSnapshot, log_dir: str,
                  clock=time.monotonic):
-        self._attach(cfg, RoundLog(log_dir), initial, clock)
-        self.log.save_checkpoint(initial)
+        log = RoundLog(log_dir)
+        log.save_checkpoint(initial)
+        self._attach(cfg, log, clock)
         self.state = self._open_round(0)
 
-    def _attach(self, cfg: ServerConfig, log: RoundLog, snapshot: ModelSnapshot,
-                clock) -> None:
+    def _attach(self, cfg: ServerConfig, log: RoundLog, clock) -> None:
         self.cfg = cfg
         self.clock = clock
         self.lock = threading.RLock()
-        self.registry: set = set()  # registered party ids
         self.log = log
-        self.snapshot = snapshot
         # every version shares the frozen base and the block shapes, so both
         # are taken once
-        self.base_checksum = f"{frozen_checksum(snapshot):08x}"
-        self._block_shapes = {n: m.shape for n, m in snapshot.blocks.items()}
+        self.base_checksum = f"{frozen_checksum(self.snapshot):08x}"
+        self._block_shapes = {n: m.shape for n, m in self.snapshot.blocks.items()}
         self._assign_body = None  # (version, block names, body, body crc)
+
+    @property
+    def snapshot(self) -> ModelSnapshot:
+        """The current model: the newest version in the window."""
+        return self.log.versions[max(self.log.versions)]
 
     # -- lifecycle ----------------------------------------------------------
 
     def _open_round(self, round_num: int) -> RoundState:
-        return RoundState(round=round_num, expected=set(self.cfg.expected_parties),
-                          received={}, opened_at=self.clock())
+        return RoundState(round=round_num, received={}, opened_at=self.clock())
 
     @property
     def finished(self) -> bool:
@@ -383,7 +383,7 @@ class ServerCore:
         log.versions = recent(window, cfg.history_window)
         next_round = int(log.records[-1]["round"]) + 1 if log.records else 0
         core = cls.__new__(cls)
-        core._attach(cfg, log, log.versions[max(log.versions)], clock)
+        core._attach(cfg, log, clock)
         core.state = core._open_round(next_round)
         return core
 
@@ -404,7 +404,8 @@ class ServerCore:
             self._check_deadline()
             try:
                 if msg.msg_type == "REGISTER":
-                    return self._register(msg)
+                    self._auth(msg)
+                    return self._respond("ACK")
                 if msg.msg_type == "POLL":
                     return self._poll(msg)
                 if msg.msg_type == "SUBMIT":
@@ -425,31 +426,20 @@ class ServerCore:
     def _reject(self, reason: str, kind: str = "ProtocolError") -> Message:
         return self._respond("REJECT", {"reason": reason, "kind": kind})
 
-    def _token_party(self, msg: Message) -> str:
-        """The requesting party, which must hold the token."""
+    def _auth(self, msg: Message) -> str:
+        """The requesting party, which must hold the token and be one of the
+        run's parties."""
         party = msg.header("party")
         if msg.header("token") != self.cfg.token:
             raise AuthError(f"bad token for party {party!r}")
+        if party not in self.cfg.expected_parties:
+            raise AuthError(f"party {party!r} is not in this run")
         return party
-
-    def _auth(self, msg: Message) -> str:
-        """The requesting party, which must hold the token and be registered."""
-        party = self._token_party(msg)
-        if party not in self.registry:
-            raise AuthError(f"party {party!r} is not registered")
-        return party
-
-    def _register(self, msg: Message) -> Message:
-        party = self._token_party(msg)
-        if not valid_party_id(party):
-            raise ValidationError(f"party id {party!r} cannot go in the round log")
-        self.registry.add(party)
-        return self._respond("ACK")
 
     def _poll(self, msg: Message) -> Message:
         party = self._auth(msg)
         st = self.state
-        if self.finished or party not in st.expected or party in st.received:
+        if self.finished or party in st.received:
             return self._respond("NOTASK", {"finished": "1" if self.finished else "0"})
         deadline_left = max(0.0, self.cfg.deadline - (self.clock() - st.opened_at))
         _, names, body, crc = self._adapter_body()
@@ -485,7 +475,7 @@ class ServerCore:
             raise StalenessError(f"update base {update.base_version} outside versions "
                                  f"{oldest}..{current}; refetch")
         st.received[party] = update
-        if mixing or set(st.received) >= st.expected:
+        if mixing or st.received.keys() >= set(self.cfg.expected_parties):
             self.close_round()
         return self._respond("ACK")
 
@@ -503,7 +493,8 @@ class ServerCore:
         st = self.state
         if (st.received and self.cfg.plan.strategy != ASYNC_MIX
                 and self.clock() - st.opened_at > self.cfg.deadline):
-            self.close_round(absent=tuple(sorted(st.expected - set(st.received))))
+            absent = set(self.cfg.expected_parties) - st.received.keys()
+            self.close_round(absent=tuple(sorted(absent)))
 
     def close_round(self, absent: tuple = ()) -> None:
         """Append the received updates to ``updates.seg``, fuse them, log the
@@ -519,15 +510,14 @@ class ServerCore:
             if self.cfg.plan.masking_enabled and absent:
                 raise MaskingError(f"absent {','.join(absent)}: their pair "
                                    f"masks would not cancel")
-            window = dict(self.log.versions)
-            model = self.log.fuse(self.cfg.plan, updates, window)
+            model = aggregate(self.cfg.plan, self.snapshot, updates, self.log.versions)
             self._append_round_record(updates, logged, absent, model, started)
         except Exception as e:  # failed rounds leave the model untouched
             self._append_round_record(updates, logged, absent, self.snapshot, started,
                                       reason=type(e).__name__)
         else:
-            self.snapshot = model
-            self.log.versions = recent(window, self.cfg.history_window)
+            self.log.versions = recent({**self.log.versions, model.version: model},
+                                       self.cfg.history_window)
         self.state = self._open_round(st.round + 1)
 
     def _append_round_record(self, updates, logged: str, absent: tuple,

@@ -4,16 +4,18 @@ import threading
 import zlib
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import flmm.client
 import flmm.simulate
 from flmm.aggregation import snapshot_blocks
 from flmm.client import ClientAgent, InProcessTransport, SocketTransport, \
     run_client_loop
 from flmm.config import ModelConfig
-from flmm.errors import IdentityError, ProtocolError
+from flmm.errors import AuthError, IdentityError, ProtocolError
 from flmm.model import frozen_checksum, save_snapshot
 from flmm.orchestrator import FederationServer, ServerCore
 from flmm.protocol import pack_blocks, unpack_blocks
@@ -140,6 +142,26 @@ class TestSocketLoop:
             server.server_close()
         assert finished == [rounds, rounds]
         assert [t.assigns for t in transports] == [rounds, rounds]
+
+
+@pytest.mark.parametrize("token,party,reason", [
+    ("wrong", "p0", "bad token for party 'p0'"),
+    ("tok", "p2", "party 'p2' is not in this run"),
+], ids=["bad_token", "unlisted_party"])
+def test_a_refused_register_stops_the_client_loop(tmp_path, monkeypatch, token, party,
+                                                  reason):
+    sleeps = []
+    monkeypatch.setattr(flmm.client, "time", SimpleNamespace(sleep=sleeps.append))
+    listed = make_scenario(parties=2)
+    core = ServerCore(server_config(listed), build_initial_model(listed),
+                      str(tmp_path))
+    cfg = replace(make_scenario(parties=3), token=token)
+    agent = ClientAgent(cfg, next(p for p in cfg.parties if p.party_id == party),
+                        [], Recording(core))
+    with pytest.raises(AuthError, match=reason):
+        run_client_loop(agent)
+    assert [m.msg_type for m, _ in agent.transport.log] == ["REGISTER"]
+    assert sleeps == []
 
 
 def test_each_agent_prepares_its_corpus_once_per_base(tmp_path, monkeypatch):
@@ -284,3 +306,19 @@ class TestRecovery:
         assert after.sent("FETCH") == []
         assert core.log.verify()[-1]["blocks"] == plain.round_records[-1]["blocks"]
         assert save_snapshot(core.snapshot) == save_snapshot(plain.final_model)
+
+    def test_agents_need_no_new_register_after_server_recovery(self, tmp_path):
+        cfg = make_scenario(parties=2, rounds=2, epochs=1)
+        log_dir = str(tmp_path)
+        core = ServerCore(server_config(cfg), build_initial_model(cfg), log_dir)
+        agents = agents_for(cfg, InProcessTransport(core))
+        for agent in agents:
+            agent.register()
+        sweep_until(agents, lambda: core.state.round == 1)
+
+        recovered = ServerCore.recover(server_config(cfg), log_dir)
+        after = Recording(recovered)
+        for agent in agents:
+            agent.transport = after
+        sweep_until(agents, lambda: recovered.finished)
+        assert after.sent("REGISTER") == [] and after.received("REJECT") == []

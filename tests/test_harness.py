@@ -273,6 +273,29 @@ class TestSocketTransport:
         assert core.state.round == 1
         assert old.state.round == 0
 
+    def test_agents_that_do_not_register_again_finish_a_round(self, served, tmp_path):
+        cfg, server, transport = served
+        corpora = build_corpora(cfg)
+        agents = [ClientAgent(cfg, p, corpora[p.party_id], transport)
+                  for p in cfg.parties]
+        for agent in agents:
+            agent.register()
+        port = server.server_address[1]
+        server.shutdown()
+        server.server_close()
+
+        core = ServerCore.recover(server_config(cfg), str(tmp_path / "log"))
+        restarted = FederationServer("127.0.0.1", port, core)
+        restarted.serve_background()
+        try:
+            while core.state.round == 0:
+                assert any([agent.step() == "ACK" for agent in agents])
+        finally:
+            transport.close()
+            restarted.shutdown()
+            restarted.server_close()
+        assert core.state.round == 1
+
     def test_retry_is_bounded(self, monkeypatch):
         attempts = []
         sleeps = []

@@ -16,6 +16,7 @@ from support import logged_frames, logged_spans, relog, relog_update, \
     relog_with_wrong_blocks, small_snapshot
 
 TOKEN = "secret"
+UNLOGGABLE_IDS = ["", "a b", "a\tb", "a,b", "a:b", "a=b"]
 
 
 class FakeClock:
@@ -72,21 +73,40 @@ class TestRegistration:
     def test_register_ack(self, tmp_path):
         core = make_core(tmp_path)
         assert register(core, "pa").msg_type == "ACK"
-        assert "pa" in core.registry
+        assert poll(core, "pa").msg_type == "ASSIGN"
 
     def test_bad_token_rejected(self, tmp_path):
         core = make_core(tmp_path)
         resp = register(core, "pa", token="wrong")
         assert resp.msg_type == "REJECT" and resp.header("kind") == "AuthError"
 
-    @pytest.mark.parametrize("party", ["", "a b", "a\tb", "a,b", "a:b", "a=b"])
+    @pytest.mark.parametrize("party", UNLOGGABLE_IDS)
     def test_party_id_the_log_cannot_record_rejected(self, tmp_path, party):
         core = make_core(tmp_path)
         resp = register(core, party)
         assert resp.msg_type == "REJECT"
-        assert resp.headers["kind"] == "ValidationError"
-        assert party not in core.registry
+        assert resp.headers["kind"] == "AuthError"
         RoundLog(str(tmp_path))  # the log still opens
+
+    @pytest.mark.parametrize("party", UNLOGGABLE_IDS)
+    def test_a_party_id_the_log_cannot_record_is_not_listed(self, party):
+        with pytest.raises(ConfigError, match="cannot go in the round log"):
+            ServerConfig(token=TOKEN, plan=AggregationPlan(), rounds=1,
+                         expected_parties=("pa", party))
+
+    def test_an_unlisted_party_is_refused_and_never_fused(self, tmp_path):
+        core = make_core(tmp_path, rounds=1)
+        refused = [register(core, "pc"), poll(core, "pc"),
+                   submit(core, "pc", random_deltas(5, core.snapshot), 0),
+                   core.handle(Message("FETCH", {"party": "pc", "token": TOKEN,
+                                                 "version": "0"}))]
+        assert [(r.msg_type, r.headers.get("kind")) for r in refused] == \
+            [("REJECT", "AuthError")] * 4
+        for i, p in enumerate(("pa", "pb")):
+            assert submit(core, p, random_deltas(6 + i, core.snapshot), 0).msg_type == "ACK"
+        assert core.finished
+        assert [r["contributors"] for r in RoundLog(str(tmp_path)).records] == \
+            ["pa:4,pb:4"]
 
     def test_unregistered_poll_rejected(self, tmp_path):
         core = make_core(tmp_path)
