@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 config error, 3 transport error, 4 starvation or
-partial failure.
+Exit codes: 0 success, 2 config error or a log directory that already holds
+a run, 3 transport error, 4 starvation or partial failure.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import math
 import os
 import sys
 
-from flmm.errors import ConfigError, FlmmError, StarvationError, TransportError
+from flmm.errors import ConfigError, FlmmError, StarvationError, TransportError, \
+    UsedLogError
 
 
 def main(argv=None) -> int:
@@ -67,6 +68,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except UsedLogError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except TransportError as e:
         print(f"transport error: {e}", file=sys.stderr)

@@ -46,6 +46,10 @@ class HistoryError(FlmmError):
     """Missing round-log or version-history entry."""
 
 
+class UsedLogError(HistoryError):
+    """A new run's log directory already holds a run's round log."""
+
+
 class PlanError(FlmmError):
     """Invalid aggregation plan (unknown block name, empty mask)."""
 

@@ -17,8 +17,10 @@ offset, length and CRC32, goes to ``rounds.log`` with a second fsync. Every
 later version is derived from ``v0`` by one walk over the log
 (``RoundLog.replay``), which checks each replayed round against its logged
 block CRCs and keeps the versions the round's logged ``history_window=``
-kept. A ``RoundLog`` reads ``rounds.log`` once, when it opens; the writer's
-own appends keep its records equal to the file.
+kept. A ``RoundLog`` is a view of a checked prefix of ``rounds.log``: it
+checks the file once, when it opens, and holds only the last record and the
+prefix's length, so its memory does not grow with the rounds it has logged.
+Every read streams that prefix again, and the writer's appends extend it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from flmm.errors import (
     PlanError,
     ProtocolError,
     StalenessError,
+    UsedLogError,
     ValidationError,
 )
 from flmm.model import ModelSnapshot, blocks_field, frozen_checksum, load_snapshot, \
@@ -148,9 +151,13 @@ class RoundLog:
     in ``contributors=`` order, for that party's SUBMIT frame (empty token) in
     ``updates.seg``, and its ``history_window=`` the server's window.
 
-    A RoundLog is one view of the log: it parses and checks ``rounds.log``
-    once, when it opens, into ``records``, and ``append`` adds each record it
-    makes durable. A reader that must see later writes opens a new RoundLog.
+    A RoundLog is a view of a checked prefix of ``rounds.log``. When it
+    opens, it checks the whole file once, as ``verify`` does, and keeps only
+    ``tail``, the last record, and ``size``, the bytes it checked; it holds
+    nothing per round. ``verify`` and ``replay`` stream that prefix again and
+    read no byte written after the view opened, so a reader sees what it saw
+    at open; a reader that must see later writes opens a new RoundLog. The
+    writer's ``append`` chains from ``tail`` and extends the prefix.
     ``versions`` is the server's in-memory window, whose newest version is
     its current model; ``replay`` derives any version from the files. Only
     the writer (``ServerCore``) creates files; a reader creates nothing.
@@ -161,18 +168,24 @@ class RoundLog:
         self.path = os.path.join(log_dir, "rounds.log")
         self.seg_path = os.path.join(log_dir, "updates.seg")
         self.versions: dict = {}  # version -> snapshot, the server's window
-        self.records = self.verify()
+        # the bytes of rounds.log this view has checked, and its last record,
+        # which the next one chains from
+        self.size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+        self.tail = None
+        for record in self._scan(self.size):
+            self.tail = record
 
     def append(self, fields: dict) -> None:
-        """Append one record chained to the last, durably (``_durable_append``);
-        only then does it join ``records``."""
-        prev = self.records[-1]["crc"] if self.records else "00000000"
+        """Append one record chained to ``tail``, durably
+        (``_durable_append``); only then does it become the tail."""
+        prev = self.tail["crc"] if self.tail else "00000000"
         record = {k: str(v) for k, v in fields.items()}
         record["prev_crc"] = prev
         body = " ".join(f"{k}={v}" for k, v in record.items())
         record["crc"] = f"{zlib.crc32(body.encode()):08x}"
-        _durable_append(self.path, f"{body} crc={record['crc']}\n".encode())
-        self.records.append(record)
+        line = f"{body} crc={record['crc']}\n".encode()
+        offset = _durable_append(self.path, line)
+        self.tail, self.size = record, offset + len(line)
 
     def append_updates(self, updates) -> str:
         """Append ``updates`` to ``updates.seg`` as their SUBMIT frames, with
@@ -187,33 +200,50 @@ class RoundLog:
         return ",".join(ranges)
 
     def verify(self) -> list:
-        """Parse all records, checking per-line CRCs, the chain, and the
-        fields every reader reads (``_checked``)."""
-        records = []
+        """The records of this view's prefix, each checked again as at open."""
+        return list(self._records())
+
+    def _records(self):
+        """Stream the records of this view's prefix; HistoryError if it no
+        longer ends at ``tail``, because rounds.log changed under the view."""
+        last = None
+        for last in self._scan(self.size):
+            yield last
+        if (last and last["crc"]) != (self.tail and self.tail["crc"]):
+            raise HistoryError("rounds.log changed since this view of it opened")
+
+    def _scan(self, size: int):
+        """Stream the records in the first ``size`` bytes of rounds.log,
+        checking per-line CRCs, the chain, and the fields every reader reads
+        (``_checked``)."""
+        if not size or not os.path.exists(self.path):
+            return
         prev = 0
-        if not os.path.exists(self.path):
-            return records
-        with open(self.path) as f:
-            for i, line in enumerate(f):
-                line = line.rstrip("\n")
+        end = 0
+        with open(self.path, "rb") as f:
+            for i, raw in enumerate(f):
+                if end >= size:
+                    return
+                raw = raw[:size - end]
+                end += len(raw)
+                line = raw.rstrip(b"\n")
                 if not line:
                     continue
-                body, _, crc_field = line.rpartition(" crc=")
+                body, _, crc_field = line.rpartition(b" crc=")
                 if not body:
                     raise HistoryError(f"round log line {i}: no crc field")
-                if f"{zlib.crc32(body.encode()):08x}" != crc_field:
+                if f"{zlib.crc32(body):08x}".encode() != crc_field:
                     raise HistoryError(f"round log line {i}: CRC mismatch")
                 try:
-                    fields = dict(kv.split("=", 1) for kv in body.split(" "))
+                    fields = dict(kv.split("=", 1) for kv in body.decode().split(" "))
                     chained = int(fields["prev_crc"], 16) == prev
                 except (KeyError, ValueError) as e:
                     raise HistoryError(f"round log line {i}: cannot parse") from e
                 if not chained:
                     raise HistoryError(f"round log line {i}: broken chain")
-                fields["crc"] = crc_field
+                fields["crc"] = crc_field.decode()
                 prev = int(crc_field, 16)
-                records.append(_checked(i, fields))
-        return records
+                yield _checked(i, fields)
 
     def save_checkpoint(self, snapshot: ModelSnapshot) -> None:
         """Write ``v0``, the one checkpoint file, and start the window at it."""
@@ -238,7 +268,7 @@ class RoundLog:
         return save_snapshot(self.load_checkpoint(version))
 
     def replay(self):
-        """The one walk over ``records``, from ``v0``: yields ``(None,
+        """The one walk over the records, from ``v0``: yields ``(None,
         window)`` at ``v0``, then ``(LoggedRound, window)`` after each ok
         round. Each such round loads its updates once and ``aggregate``s
         them into the newest version under its logged plan, as
@@ -252,7 +282,7 @@ class RoundLog:
         with open(path, "rb") as f:
             window = {0: load_snapshot(f.read())}
         yield None, window
-        for fields in self.records:
+        for fields in self._records():
             if fields["status"] != "ok":
                 continue
             r = int(fields["round"])
@@ -278,7 +308,7 @@ class RoundLog:
 
     def load_update(self, record: dict, party: str) -> ClientUpdate:
         """The update ``party`` gave in the round of ``record`` (a record of
-        ``records``), read from ``updates.seg``. A range that the record does
+        this log), read from ``updates.seg``. A range that the record does
         not name, that runs past the end of the stream or fails its CRC, a
         frame that is malformed, does not fill its range, or names another
         party, raises HistoryError naming the round and the party."""
@@ -338,11 +368,16 @@ def _logged_plan(fields: dict) -> AggregationPlan:
 
 
 class ServerCore:
-    """Protocol-level request handler; shared by socket and in-process use."""
+    """Protocol-level request handler; shared by socket and in-process use.
+    A new core starts one run in a directory whose log holds no record;
+    ``recover`` resumes a logged one."""
 
     def __init__(self, cfg: ServerConfig, initial: ModelSnapshot, log_dir: str,
                  clock=time.monotonic):
         log = RoundLog(log_dir)
+        if log.tail is not None:  # checked before v0 is rewritten
+            raise UsedLogError(f"{log_dir} already holds a run's round log; "
+                               f"start a new run in an empty directory")
         log.save_checkpoint(initial)
         self._attach(cfg, log, clock)
         self.state = self._open_round(0)
@@ -381,7 +416,7 @@ class ServerCore:
         for _, window in log.replay():
             pass  # each round is checked; only the last window is kept
         log.versions = recent(window, cfg.history_window)
-        next_round = int(log.records[-1]["round"]) + 1 if log.records else 0
+        next_round = int(log.tail["round"]) + 1 if log.tail else 0
         core = cls.__new__(cls)
         core._attach(cfg, log, clock)
         core.state = core._open_round(next_round)

@@ -1,8 +1,11 @@
 """Multi-party simulation driver: in-process and socket-distributed runs.
 
 Both modes share the client agents, the server core, and the wire protocol.
-With identical seeds and ``[quality] iters = 0`` they produce identical
-round logs and checkpoints; only the in-process run has a quality loop.
+Under ``sync_avg`` and ``product_refactor``, with identical seeds and
+``[quality] iters = 0``, they produce identical round logs and checkpoints;
+only the in-process run has a quality loop. A socket ``async_mix`` run is
+reproduced from its round log, whose replay gives its final model, and not
+from the seed: each client's base version depends on when it polls.
 
 In process, a round's agents train together: each ``take``s its job, the
 jobs train in one stacked local_train call, and each agent ``finish``es its
@@ -139,7 +142,7 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
         shapley = exact_shapley(fn)
 
     return SimulationResult(final_model=model,
-                            round_records=core.log.records,
+                            round_records=core.log.verify(),
                             reports=reports, shapley=shapley,
                             log_dir=log_dir, failure=failure)
 

@@ -421,7 +421,7 @@ def run_artifacts(out_dir: str) -> dict:
     with open(os.path.join(log_dir, "updates.seg"), "rb") as f:
         updates = f.read()
     records = [{k: v for k, v in rec.items() if k not in ("duration", "crc", "prev_crc")}
-               for rec in flmm.orchestrator.RoundLog(log_dir).records]
+               for rec in flmm.orchestrator.RoundLog(log_dir).verify()]
     return {"final.ckpt": final, "updates.seg": updates, "records": records}
 
 
@@ -429,7 +429,7 @@ def logged_spans(log_dir: str) -> dict:
     """(round, party) -> (offset, length) of each update frame a round record
     names in updates.seg, read off its ``updates=`` field."""
     spans = {}
-    for rec in flmm.orchestrator.RoundLog(log_dir).records:
+    for rec in flmm.orchestrator.RoundLog(log_dir).verify():
         parties = [kv.split(":")[0] for kv in rec["contributors"].split(",") if kv]
         ranges = [s for s in rec["updates"].split(",") if s]
         assert len(ranges) in (0, len(parties)), rec
@@ -451,7 +451,7 @@ def relog(log_dir: str, round_num: int, drop: tuple = (), **changes) -> None:
     """Rewrite the round log through ``RoundLog.append``, so every CRC and
     the chain stay valid, with round ``round_num``'s record taking
     ``changes`` and losing the fields named in ``drop``."""
-    records = flmm.orchestrator.RoundLog(log_dir).records
+    records = flmm.orchestrator.RoundLog(log_dir).verify()
     os.remove(os.path.join(log_dir, "rounds.log"))
     log = flmm.orchestrator.RoundLog(log_dir)
     for rec in records:
@@ -465,7 +465,7 @@ def relog(log_dir: str, round_num: int, drop: tuple = (), **changes) -> None:
 
 def relog_with_wrong_blocks(log_dir: str, round_num: int) -> None:
     """``relog`` round ``round_num`` with the ``blocks=`` of the record after it."""
-    records = flmm.orchestrator.RoundLog(log_dir).records
+    records = flmm.orchestrator.RoundLog(log_dir).verify()
     rounds = [int(rec["round"]) for rec in records]
     relog(log_dir, round_num, blocks=records[rounds.index(round_num) + 1]["blocks"])
 
@@ -477,7 +477,7 @@ def relog_update(log_dir: str, round_num: int, party: str, frame: bytes) -> None
     offset = os.path.getsize(path)
     with open(path, "ab") as f:
         f.write(frame)
-    record = next(rec for rec in flmm.orchestrator.RoundLog(log_dir).records
+    record = next(rec for rec in flmm.orchestrator.RoundLog(log_dir).verify()
                   if int(rec["round"]) == round_num)
     parties = [kv.split(":")[0] for kv in record["contributors"].split(",") if kv]
     spans = record["updates"].split(",")

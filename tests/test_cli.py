@@ -116,6 +116,29 @@ def test_simulate(config_file, tmp_path, capsys):
     assert "recall_at_1=" in capsys.readouterr().out
 
 
+def test_a_second_run_in_a_used_directory_exits_2_and_keeps_the_first(
+        config_file, tmp_path, capsys, monkeypatch):
+    import flmm.simulate
+
+    def no_server(*args):
+        raise AssertionError("the server started on a used log directory")
+
+    out = tmp_path / "run"
+    log = out / "log"
+    assert main(["simulate", "--config", config_file, "--out", str(out)]) == 0
+    files = [out / "final.ckpt", log / "rounds.log", log / "updates.seg",
+             log / "checkpoints" / "v0.ckpt"]
+    before = [f.read_bytes() for f in files]
+    capsys.readouterr()
+    assert main(["simulate", "--config", config_file, "--out", str(out)]) == 2
+    assert f"error: {log} already holds a run's round log" in capsys.readouterr().err
+    monkeypatch.setattr(flmm.simulate, "FederationServer", no_server)
+    assert main(["server", "start", "--config", config_file, "--port", "0",
+                 "--log-dir", str(log)]) == 2
+    assert f"error: {log} already holds a run's round log" in capsys.readouterr().err
+    assert [f.read_bytes() for f in files] == before
+
+
 def test_simulate_shapley(config_file, tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["simulate", "--config", config_file, "--out", out, "--shapley"])

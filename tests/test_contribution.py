@@ -462,7 +462,7 @@ class TestReplayFollowsTheLoggedPlan:
         plan = AggregationPlan(strategy=strategy, block_mask=mask)
         core = logged_server_run(str(tmp_path), plan)
         log = RoundLog(str(tmp_path))
-        records = log.records
+        records = log.verify()
         assert [r["status"] for r in records] == ["ok"] * len(records)
         rounds = log.logged_rounds()
         assert all(rec.plan == plan for rec in rounds)
@@ -486,7 +486,7 @@ class TestReplayFollowsTheLoggedPlan:
         logged_server_run(str(tmp_path), plan, parties=parties, bridge=bridge,
                           gaps=True)
         log = RoundLog(str(tmp_path))
-        assert {r["status"] for r in log.records} == {"ok"}
+        assert {r["status"] for r in log.verify()} == {"ok"}
         rounds = log.logged_rounds()
         last = parties[-1]
         assert any(last not in {u.client_id for u in rec.updates} for rec in rounds)
@@ -515,7 +515,7 @@ class TestReplayFollowsTheLoggedPlan:
         logged_server_run(str(tmp_path), plan, waves=1)
         log = RoundLog(str(tmp_path))
         initial = log.load_checkpoint(0)
-        pc = log.load_update(log.records[2], "pc")
+        pc = log.load_update(log.verify()[2], "pc")
         # pc trained on v0 and was mixed in at v2: staleness 2, and with pa
         # and pb left out the coalition's own v0 and v2 are both the initial
         beta = 0.5 * (1 + 2) ** -1.0
@@ -537,7 +537,7 @@ class TestReplayFollowsTheLoggedPlan:
         logged_server_run(str(tmp_path), AggregationPlan())
         log = RoundLog(str(tmp_path))
         rounds = log.logged_rounds()
-        assert [rec.blocks for rec in rounds] == [r["blocks"] for r in log.records]
+        assert [rec.blocks for rec in rounds] == [r["blocks"] for r in log.verify()]
         wrong = rounds[:-1] + [replace(rounds[-1], blocks=rounds[0].blocks)]
         with pytest.raises(HistoryError, match="does not reproduce the blocks logged "
                                                f"in round {rounds[-1].round}"):

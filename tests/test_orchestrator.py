@@ -1,11 +1,13 @@
+import gc
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from flmm.aggregation import AggregationPlan, snapshot_blocks
-from flmm.errors import ConfigError, HistoryError
+from flmm.errors import ConfigError, HistoryError, UsedLogError
 from flmm.model import frozen_checksum, load_snapshot, save_snapshot
 from flmm.orchestrator import RoundLog, ServerConfig, ServerCore
 from flmm.protocol import Message, encode_message, pack_blocks, unpack_blocks, \
@@ -40,12 +42,15 @@ def logged_update(log_dir, round_num, party):
     """``party``'s update in round ``round_num``, read through a new view of
     the log, which sees every record written so far."""
     log = RoundLog(str(log_dir))
-    return log.load_update(log.records[round_num], party)
+    return log.load_update(log.verify()[round_num], party)
 
 
 def assert_writer_is_the_file(core, log_dir):
-    """The writer's records are the ones a new view parses from the file."""
-    assert core.log.records == RoundLog(str(log_dir)).records
+    """The writer's tail and checked length, and the records it streams, are
+    the ones a new view reads from the file."""
+    view = RoundLog(str(log_dir))
+    assert (core.log.tail, core.log.size) == (view.tail, view.size)
+    assert core.log.verify() == view.verify()
 
 
 def random_deltas(seed, model):
@@ -105,7 +110,7 @@ class TestRegistration:
         for i, p in enumerate(("pa", "pb")):
             assert submit(core, p, random_deltas(6 + i, core.snapshot), 0).msg_type == "ACK"
         assert core.finished
-        assert [r["contributors"] for r in RoundLog(str(tmp_path)).records] == \
+        assert [r["contributors"] for r in RoundLog(str(tmp_path)).verify()] == \
             ["pa:4,pb:4"]
 
     def test_unregistered_poll_rejected(self, tmp_path):
@@ -614,7 +619,7 @@ class TestDerivedVersions:
             assert submit(core, ("pa", "pb")[r % 2], random_deltas(400 + r, core.snapshot),
                           base).msg_type == "ACK"
         assert core.finished and core.snapshot.version == 19
-        assert {r["history_window"] for r in core.log.records} == {"20"}
+        assert {r["history_window"] for r in core.log.verify()} == {"20"}
         assert logged_update(tmp_path, 18, "pa").base_version == 0
         log = RoundLog(str(tmp_path))
         assert [rec.round for rec in log.logged_rounds()] == list(range(19))
@@ -684,22 +689,70 @@ class TestRoundLog:
         assert len(records) == 2
         assert [r["status"] for r in records] == ["ok", "ok"]
 
-    def test_each_reader_parses_the_log_once(self, tmp_path, monkeypatch):
+    def test_a_view_streams_only_the_prefix_it_opened_on(self, tmp_path):
+        core = make_core(tmp_path, rounds=4)
+        for r in range(4):
+            if r == 2:
+                reader = RoundLog(str(tmp_path))
+                seen = reader.verify()
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                submit(core, p, random_deltas(90 + 2 * r + i, core.snapshot), v)
+        assert core.finished and len(RoundLog(str(tmp_path)).verify()) == 4
+        assert [r["round"] for r in seen] == ["0", "1"]
+        assert reader.verify() == seen and reader.tail == seen[-1]
+        assert [rec.round for rec in reader.logged_rounds()] == [0, 1]
+        with pytest.raises(HistoryError, match="no checkpoint for version 3"):
+            reader.load_checkpoint(3)
+
+    def test_a_new_view_reads_the_records_the_writer_appended(self, tmp_path,
+                                                              monkeypatch):
+        core = make_core(tmp_path, rounds=3)
+        append, appended = core.log.append, []
+
+        def kept(fields):
+            append(fields)
+            appended.append(core.log.tail)
+
+        monkeypatch.setattr(core.log, "append", kept)
+        for r in range(3):
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                submit(core, p, random_deltas(110 + 2 * r + i, core.snapshot), v)
+        assert len(appended) == 3
+        assert RoundLog(str(tmp_path)).verify() == appended
+        assert_writer_is_the_file(core, tmp_path)
+
+    @pytest.mark.parametrize("change", ["cut", "rewrite"])
+    def test_a_view_whose_file_changed_under_it_refuses_to_read(self, tmp_path, change):
+        self.run_rounds(tmp_path, n=2)
+        reader = RoundLog(str(tmp_path))
+        if change == "cut":  # the last record is gone
+            path = tmp_path / "rounds.log"
+            os.truncate(path, len(path.read_bytes().splitlines(True)[0]))
+        else:  # as long, every CRC and the chain hold, one field differs
+            relog(str(tmp_path), 1, metric="na")
+        for read in (reader.verify, reader.logged_rounds):
+            with pytest.raises(HistoryError, match="rounds.log changed"):
+                read()
+
+    def test_each_reader_checks_the_log_at_open_and_walks_it_once(self, tmp_path,
+                                                                  monkeypatch):
         core = self.run_rounds(tmp_path, n=3)
-        verify, parsed = RoundLog.verify, []
+        scan, parsed = RoundLog._scan, []
 
-        def spy(log):
-            parsed.append(log.path)
-            return verify(log)
+        def spy(log, size):
+            parsed.append(size)
+            return scan(log, size)
 
-        monkeypatch.setattr(RoundLog, "verify", spy)
+        monkeypatch.setattr(RoundLog, "_scan", spy)
         reads = [lambda: RoundLog(str(tmp_path)).logged_rounds(),
                  lambda: RoundLog(str(tmp_path)).load_checkpoint(2),
                  lambda: ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())]
         for read in reads:
             parsed.clear()
             read()
-            assert parsed == [core.log.path]
+            assert parsed == [core.log.size] * 2  # checked at open, then walked
 
     def test_unparseable_line_is_a_history_error(self, tmp_path):
         core = self.run_rounds(tmp_path)
@@ -723,7 +776,7 @@ class TestRoundLog:
 
     def test_update_files_roundtrip(self, tmp_path):
         core = self.run_rounds(tmp_path)
-        u = core.log.load_update(core.log.records[0], "pa")
+        u = core.log.load_update(core.log.verify()[0], "pa")
         assert u.client_id == "pa" and u.sample_count == 4
         assert set(u.deltas) == set(snapshot_blocks(core.snapshot))
 
@@ -763,7 +816,7 @@ class TestRoundLog:
 
     def test_a_logged_frame_naming_a_block_twice_is_a_history_error(self, tmp_path):
         core = self.run_rounds(tmp_path)
-        msg = update_message(core.log.load_update(core.log.records[1], "pa"), "")
+        msg = update_message(core.log.load_update(core.log.verify()[1], "pa"), "")
         _, bridge = pack_blocks({"bridge": np.zeros((4, 4))})
         relog_update(str(tmp_path), 1, "pa", encode_message(Message(
             "SUBMIT", {**msg.headers, "blocks": "bridge," + msg.header("blocks")},
@@ -788,7 +841,7 @@ class TestRoundLog:
         elif damage == "cut":  # the stream loses the tail of its last frame
             os.truncate(seg, seg.stat().st_size - 3)
         else:  # pa's range names pb's frame, with pb's length and CRC
-            _, pb = core.log.records[1]["updates"].split(",")
+            _, pb = core.log.verify()[1]["updates"].split(",")
             relog(str(tmp_path), 1, updates=f"{pb},{pb}")
         party = "pb" if damage == "cut" else "pa"
         with pytest.raises(HistoryError, match=error):
@@ -862,7 +915,7 @@ class TestRoundLog:
     def test_logged_rounds_refuses_updates_that_did_not_train_the_model(self, tmp_path):
         from flmm.aggregation import ClientUpdate
         core = self.run_rounds(tmp_path)
-        logged = core.log.load_update(core.log.records[1], "pa")
+        logged = core.log.load_update(core.log.verify()[1], "pa")
         relog_update(str(tmp_path), 1, "pa", encode_message(update_message(ClientUpdate(
             "pa", logged.base_version, random_deltas(999, core.snapshot),
             logged.sample_count, logged.submitted_round), "")))
@@ -902,6 +955,24 @@ class TestRecovery:
                                                    recovered.snapshot), v)
         assert recovered.finished
 
+    def test_recover_after_a_failed_last_round_opens_the_round_after_it(
+            self, tmp_path, monkeypatch):
+        core = make_core(tmp_path, parties=("pa",), rounds=3)
+        assert submit(core, "pa", random_deltas(120, core.snapshot), 0).msg_type == "ACK"
+
+        def disk_full(updates):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(core.log, "append_updates", disk_full)
+        assert submit(core, "pa", random_deltas(121, core.snapshot), 1).msg_type == "ACK"
+        monkeypatch.undo()
+        assert [r["status"] for r in core.log.verify()] == ["ok", "failed"]
+        recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+        assert recovered.state.round == core.state.round == 2
+        assert recovered.log.tail == core.log.tail
+        assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
+        assert recovered.snapshot.version == 1
+
     def test_recover_from_empty_log(self, tmp_path):
         core = make_core(tmp_path, rounds=2)
         recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
@@ -909,6 +980,71 @@ class TestRecovery:
         a, b = snapshot_blocks(core.snapshot), snapshot_blocks(recovered.snapshot)
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
+
+
+class TestOneRunPerDirectory:
+    def test_a_new_core_on_a_used_directory_is_refused_and_writes_nothing(
+            self, tmp_path):
+        """As ``flmm server start`` would after a crash: 2 of 3 rounds done."""
+        core = make_core(tmp_path, rounds=3)
+        for r in range(2):
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                submit(core, p, random_deltas(130 + 2 * r + i, core.snapshot), v)
+        files = ("rounds.log", "updates.seg", os.path.join("checkpoints", "v0.ckpt"))
+        before = {name: (tmp_path / name).read_bytes() for name in files}
+        with pytest.raises(UsedLogError, match=f"{tmp_path} already holds"):
+            ServerCore(core.cfg, small_snapshot(2), str(tmp_path), clock=FakeClock())
+        assert {name: (tmp_path / name).read_bytes() for name in files} == before
+        assert issubclass(UsedLogError, HistoryError)
+        recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
+        assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
+
+    def test_a_directory_whose_run_logged_no_round_is_not_refused(self, tmp_path):
+        first = make_core(tmp_path)
+        core = ServerCore(first.cfg, small_snapshot(2), str(tmp_path), clock=FakeClock())
+        assert save_snapshot(RoundLog(str(tmp_path)).load_checkpoint(0)) == \
+            save_snapshot(core.snapshot)
+
+
+class TestMemoryBound:
+    """The server's memory and a recovery's peak do not grow with the rounds
+    logged: a RoundLog holds its tail, not its records."""
+
+    ROUNDS = (100, 400)
+    BOUND = 64 * 1024  # bytes; a parsed record is about 2.5 KB
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        """(heap, recovery peak) by round, traced by tracemalloc over one
+        single-party run, each taken after a recovery at that round."""
+        log_dir = tmp_path_factory.mktemp("bound")
+        core = make_core(log_dir, parties=("pa",), rounds=max(self.ROUNDS))
+        deltas = random_deltas(140, core.snapshot)
+        out = {}
+        tracemalloc.start()
+        try:
+            while not core.finished:
+                submit(core, "pa", deltas, core.snapshot.version)
+                if core.state.round in self.ROUNDS:
+                    gc.collect()
+                    tracemalloc.reset_peak()
+                    start = tracemalloc.get_traced_memory()[0]
+                    ServerCore.recover(core.cfg, str(log_dir), clock=FakeClock())
+                    peak = tracemalloc.get_traced_memory()[1] - start
+                    gc.collect()
+                    out[core.state.round] = (tracemalloc.get_traced_memory()[0], peak)
+        finally:
+            tracemalloc.stop()
+        return out
+
+    def test_the_server_heap_does_not_grow_with_the_rounds(self, traced):
+        (first, _), (last, _) = (traced[r] for r in self.ROUNDS)
+        assert last - first < self.BOUND
+
+    def test_a_recovery_peak_does_not_grow_with_the_log(self, traced):
+        (_, first), (_, last) = (traced[r] for r in self.ROUNDS)
+        assert last - first < self.BOUND
 
 
 class TestHandleBytes:
