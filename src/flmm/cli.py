@@ -159,6 +159,7 @@ def _eval(args) -> int:
 def _shapley(args) -> int:
     from flmm.contribution import exact_shapley, fl_value_function, wtdp_shapley
     from flmm.dataquality import load_corpus
+    from flmm.model import load_snapshot
     from flmm.orchestrator import RoundLog
     log = RoundLog(args.log)
     rounds = log.logged_rounds()
@@ -166,7 +167,7 @@ def _shapley(args) -> int:
         eval_set = load_corpus(f.read())
     parties = sorted({u.client_id for rec in rounds for u in rec.updates})
     weights = _party_weights(args.weights, parties)
-    initial = log.load_checkpoint(0)
+    initial = load_snapshot(log.checkpoint_bytes())
     fn = fl_value_function(initial, rounds, eval_set, parties)
     if args.method == "exact":
         result = exact_shapley(fn)

@@ -118,12 +118,13 @@ class ClientAgent:
 
     An ASSIGN carries the round's trainable blocks (``blocks`` names them,
     ``crc`` is the CRC32 of the body) and ``base``, the frozen-weight
-    checksum they belong to. The agent keeps ``base``, the snapshot of its
-    first FETCH, and rebuilds each round's model from its frozen weights and
-    the ASSIGN's blocks. It FETCHes again only when ``base`` changes; a base
-    that still differs after that raises IdentityError, and a body that fails
-    its CRC raises before anything is submitted. Its records are prepared as
-    a TrainingSet at the first ASSIGN it takes after each FETCH.
+    checksum they belong to. A FETCH carries no version and returns ``v0``'s
+    checkpoint; the agent keeps it as ``base`` and rebuilds each round's
+    model from its frozen weights and the ASSIGN's version and blocks. It
+    FETCHes again only when ``base`` changes; a base that still differs
+    after that raises IdentityError, and a body that fails its CRC raises
+    before anything is submitted. Its records are prepared as a TrainingSet
+    at the first ASSIGN it takes after each FETCH.
     """
 
     def __init__(self, cfg: ScenarioConfig, party: PartyConfig,
@@ -138,11 +139,9 @@ class ClientAgent:
         self._inputs: TrainingSet | None = None  # records prepared for base
         self.finished_round: int | None = None  # set by a NOTASK saying finished
 
-    def _request(self, msg_type: str, headers: dict | None = None,
-                 body: bytes = b"") -> Message:
-        h = {"party": self.party.party_id, "token": self.cfg.token}
-        h.update(headers or {})
-        return self.transport.send(Message(msg_type, h, body))
+    def _request(self, msg_type: str) -> Message:
+        return self.transport.send(Message(
+            msg_type, {"party": self.party.party_id, "token": self.cfg.token}))
 
     def register(self) -> Message:
         return self._request("REGISTER")
@@ -194,8 +193,8 @@ class ClientAgent:
         ack = self.transport.send(update_message(update, self.cfg.token))
         return "ACK" if ack.msg_type == "ACK" else "REJECT"
 
-    def _fetch(self, version: int) -> ModelSnapshot:
-        resp = self._request("FETCH", {"version": version})
+    def _fetch(self) -> ModelSnapshot:
+        resp = self._request("FETCH")
         if resp.msg_type != "MODEL":
             raise ProtocolError(f"fetch failed: {resp.headers.get('reason')}")
         return load_snapshot(resp.body)
@@ -204,7 +203,7 @@ class ClientAgent:
         """The snapshot an ASSIGN names: the kept frozen base plus its blocks."""
         version = int(assign.header("version"))
         if assign.header("base") != self.base_checksum:
-            self.base = self._fetch(version)
+            self.base = self._fetch()
             self._inputs = None
             self.base_checksum = f"{frozen_checksum(self.base):08x}"
             self._block_shapes = {n: m.shape for n, m in self.base.blocks.items()}

@@ -136,7 +136,6 @@ def wtdp_shapley(fn: CoalitionValueFn, weights: dict, budget: int,
     v_grand = fn(frozenset(parties))
     v_empty = fn(frozenset())
     sums = {p: 0.0 for p in parties}
-    completed = 0
     for perm in perms:
         prefix: set = set()
         v_prev = v_empty
@@ -147,17 +146,14 @@ def wtdp_shapley(fn: CoalitionValueFn, weights: dict, budget: int,
             v_cur = fn(frozenset(prefix))
             sums[p] += v_cur - v_prev
             v_prev = v_cur
-        completed += 1
-    if completed == 0:
-        raise SamplingError("no permutation samples completed")
-    raw = {p: weights.get(p, 1.0) * sums[p] / completed for p in parties}
+    raw = {p: weights.get(p, 1.0) * sums[p] / budget for p in parties}
     total = sum(raw.values())
     target = v_grand - v_empty
     if total != 0.0:
         values = {p: v * target / total for p, v in raw.items()}
     else:
         values = {p: target / len(parties) for p in parties}
-    return ShapleyResult(values=values, method="wtdp", samples_used=completed,
+    return ShapleyResult(values=values, method="wtdp", samples_used=budget,
                          truncation_tolerance=tolerance,
                          party_weights=dict(weights))
 

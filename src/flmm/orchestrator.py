@@ -2,19 +2,20 @@
 
 Clients always initiate (register, poll, submit, fetch); the server opens no
 connections. An ASSIGN carries the current version's trainable blocks and the
-checksum of the frozen base they belong to; FETCH returns a whole checkpoint,
-which a client needs only for its frozen base. All round-state mutations are
-serialized under one lock; reads of the current model touch only immutable
-snapshots. The stored state is three files: ``rounds.log``, a CRC-chained
-record per round; ``updates.seg``, the append-only stream of the updates the
-rounds fused; and one checkpoint, ``v0``. The server's state is its config,
-whose ``expected_parties`` are the only parties it serves, plus what the log
-rebuilds, so ``ServerCore.recover`` restores all of it after a crash; the log
-also replays coalitions for contribution measurement. A round commits in two
-durable appends: its frames go to ``updates.seg`` in one write and one fsync,
-and only then its record, whose ``updates=`` field names each frame by
-offset, length and CRC32, goes to ``rounds.log`` with a second fsync. Every
-later version is derived from ``v0`` by one walk over the log
+checksum of the frozen base they belong to; FETCH returns ``v0``'s checkpoint,
+which a client needs only for the frozen base every version shares. All
+round-state mutations are serialized under one lock; reads of the current
+model touch only immutable snapshots. The stored state is three files:
+``rounds.log``, a CRC-chained record per round; ``updates.seg``, the
+append-only stream of the updates the rounds fused; and one checkpoint,
+``v0``. The server's state is its config, whose ``expected_parties`` are the
+only parties it serves, plus what the log rebuilds, so ``ServerCore.recover``
+restores all of it after a crash, its window of recent versions included;
+the log also replays coalitions for contribution measurement. A round
+commits in two durable appends: its frames go to ``updates.seg`` in one
+write and one fsync, and only then its record, whose ``updates=`` field
+names each frame by offset, length and CRC32, goes to ``rounds.log`` with a
+second fsync. Every later version is derived from ``v0`` by one walk over the log
 (``RoundLog.replay``), which checks each replayed round against its logged
 block CRCs and keeps the versions the round's logged ``history_window=``
 kept. A ``RoundLog`` is a view of a checked prefix of ``rounds.log``: it
@@ -158,8 +159,8 @@ class RoundLog:
     read no byte written after the view opened, so a reader sees what it saw
     at open; a reader that must see later writes opens a new RoundLog. The
     writer's ``append`` chains from ``tail`` and extends the prefix.
-    ``versions`` is the server's in-memory window, whose newest version is
-    its current model; ``replay`` derives any version from the files. Only
+    A RoundLog holds no model: ``checkpoint_bytes`` reads ``v0`` from its
+    file, and ``replay`` derives every later version from the files. Only
     the writer (``ServerCore``) creates files; a reader creates nothing.
     """
 
@@ -167,7 +168,6 @@ class RoundLog:
         self.dir = log_dir
         self.path = os.path.join(log_dir, "rounds.log")
         self.seg_path = os.path.join(log_dir, "updates.seg")
-        self.versions: dict = {}  # version -> snapshot, the server's window
         # the bytes of rounds.log this view has checked, and its last record,
         # which the next one chains from
         self.size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
@@ -246,26 +246,20 @@ class RoundLog:
                 yield _checked(i, fields)
 
     def save_checkpoint(self, snapshot: ModelSnapshot) -> None:
-        """Write ``v0``, the one checkpoint file, and start the window at it."""
+        """Write ``v0``, the one checkpoint file."""
         data = save_snapshot(snapshot)
         path = self._ckpt_path(snapshot.version)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as f:
             f.write(data)
-        self.versions = {snapshot.version: snapshot}
 
-    def load_checkpoint(self, version: int) -> ModelSnapshot:
-        """The model at ``version``: from the window, or else derived by
-        ``replay`` (``v0`` needs no log)."""
-        if version in self.versions:
-            return self.versions[version]
-        for _, window in self.replay():
-            if version in window:
-                return window[version]
-        raise HistoryError(f"no checkpoint for version {version}")
-
-    def checkpoint_bytes(self, version: int) -> bytes:
-        return save_snapshot(self.load_checkpoint(version))
+    def checkpoint_bytes(self) -> bytes:
+        """The bytes of ``v0``'s checkpoint file."""
+        try:
+            with open(self._ckpt_path(0), "rb") as f:
+                return f.read()
+        except FileNotFoundError:
+            raise HistoryError("no checkpoint for version 0") from None
 
     def replay(self):
         """The one walk over the records, from ``v0``: yields ``(None,
@@ -276,11 +270,7 @@ class RoundLog:
         ``blocks=`` and ``post_version`` raises HistoryError naming it.
         ``window`` then keeps the ``recent`` versions of the round's logged
         ``history_window``, as the server's did."""
-        path = self._ckpt_path(0)
-        if not os.path.exists(path):
-            raise HistoryError("no checkpoint for version 0")
-        with open(path, "rb") as f:
-            window = {0: load_snapshot(f.read())}
+        window = {0: load_snapshot(self.checkpoint_bytes())}
         yield None, window
         for fields in self._records():
             if fields["status"] != "ok":
@@ -370,7 +360,9 @@ def _logged_plan(fields: dict) -> AggregationPlan:
 class ServerCore:
     """Protocol-level request handler; shared by socket and in-process use.
     A new core starts one run in a directory whose log holds no record;
-    ``recover`` resumes a logged one."""
+    ``recover`` resumes a logged one. ``window`` holds the last
+    ``history_window`` + 1 versions, which ``async_mix`` mixes stale
+    updates against; its newest version is the current model."""
 
     def __init__(self, cfg: ServerConfig, initial: ModelSnapshot, log_dir: str,
                  clock=time.monotonic):
@@ -379,14 +371,15 @@ class ServerCore:
             raise UsedLogError(f"{log_dir} already holds a run's round log; "
                                f"start a new run in an empty directory")
         log.save_checkpoint(initial)
-        self._attach(cfg, log, clock)
+        self._attach(cfg, log, {initial.version: initial}, clock)
         self.state = self._open_round(0)
 
-    def _attach(self, cfg: ServerConfig, log: RoundLog, clock) -> None:
+    def _attach(self, cfg: ServerConfig, log: RoundLog, window: dict, clock) -> None:
         self.cfg = cfg
         self.clock = clock
         self.lock = threading.RLock()
         self.log = log
+        self.window = window  # version -> snapshot
         # every version shares the frozen base and the block shapes, so both
         # are taken once
         self.base_checksum = f"{frozen_checksum(self.snapshot):08x}"
@@ -396,7 +389,7 @@ class ServerCore:
     @property
     def snapshot(self) -> ModelSnapshot:
         """The current model: the newest version in the window."""
-        return self.log.versions[max(self.log.versions)]
+        return self.window[max(self.window)]
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -415,10 +408,9 @@ class ServerCore:
         log = RoundLog(log_dir)
         for _, window in log.replay():
             pass  # each round is checked; only the last window is kept
-        log.versions = recent(window, cfg.history_window)
         next_round = int(log.tail["round"]) + 1 if log.tail else 0
         core = cls.__new__(cls)
-        core._attach(cfg, log, clock)
+        core._attach(cfg, log, recent(window, cfg.history_window), clock)
         core.state = core._open_round(next_round)
         return core
 
@@ -516,11 +508,7 @@ class ServerCore:
 
     def _fetch(self, msg: Message) -> Message:
         self._auth(msg)
-        version = msg.int_header("version")
-        if version not in self.log.versions:
-            raise HistoryError(f"version {version} is not in the history window")
-        data = self.log.checkpoint_bytes(version)
-        return self._respond("MODEL", body=data)
+        return self._respond("MODEL", body=self.log.checkpoint_bytes())
 
     # -- aggregation --------------------------------------------------------
 
@@ -545,14 +533,14 @@ class ServerCore:
             if self.cfg.plan.masking_enabled and absent:
                 raise MaskingError(f"absent {','.join(absent)}: their pair "
                                    f"masks would not cancel")
-            model = aggregate(self.cfg.plan, self.snapshot, updates, self.log.versions)
+            model = aggregate(self.cfg.plan, self.snapshot, updates, self.window)
             self._append_round_record(updates, logged, absent, model, started)
         except Exception as e:  # failed rounds leave the model untouched
             self._append_round_record(updates, logged, absent, self.snapshot, started,
                                       reason=type(e).__name__)
         else:
-            self.log.versions = recent({**self.log.versions, model.version: model},
-                                       self.cfg.history_window)
+            self.window = recent({**self.window, model.version: model},
+                                 self.cfg.history_window)
         self.state = self._open_round(st.round + 1)
 
     def _append_round_record(self, updates, logged: str, absent: tuple,

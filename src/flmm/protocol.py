@@ -16,8 +16,9 @@ A SUBMIT carries the client's deltas the same way, with ``base_version``,
 ``sample_count`` and ``round`` headers: update_message writes it and
 message_update reads it back, for the client, the server and the round log,
 whose ``updates.seg`` stream holds SUBMIT frames with an empty token. A
-MODEL, the answer to FETCH, is a whole checkpoint; a client fetches one only
-to get the frozen base, at start-up or when ``base`` changes.
+MODEL, the answer to FETCH, is ``v0``'s whole checkpoint, whatever the round:
+a FETCH names no version, and a client fetches only to get the frozen base,
+at start-up or when ``base`` changes.
 """
 
 from __future__ import annotations

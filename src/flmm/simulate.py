@@ -16,6 +16,7 @@ every row has the bits it would have alone, so the modes agree.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, replace
 
 from flmm.aggregation import ASYNC_MIX
@@ -149,13 +150,12 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
 
 def run_server(cfg: ScenarioConfig, host: str, port: int, log_dir: str) -> ServerCore:
     """Socket server for a distributed run; blocks until rounds finish."""
-    import time
     core = ServerCore(server_config(cfg), build_initial_model(cfg), log_dir)
     server = FederationServer(host, port, core)
     server.serve_background()
     while not core.finished:
         time.sleep(0.05)
-    time.sleep(0.5)  # grace period so clients can fetch the final model
+    time.sleep(0.5)  # grace period so polling clients receive NOTASK finished=1
     server.shutdown()
     server.server_close()
     return core

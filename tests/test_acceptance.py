@@ -45,7 +45,8 @@ from flmm.dataquality import (
 from flmm.errors import ProtocolError
 from flmm.fusion import text_anchor_loss_and_grads
 from flmm.metrics import bleu, recall_at_k, rouge_l
-from flmm.model import contrastive_loss_and_grads, init_snapshot, save_snapshot
+from flmm.model import blocks_field, contrastive_loss_and_grads, init_snapshot, \
+    save_snapshot
 from flmm.orchestrator import RoundLog, ServerCore, FederationServer
 from flmm.privacy import PrivacyConfig, gaussian_mechanism
 from flmm.protocol import MSG_TYPES, Message, encode_message, read_frame
@@ -418,11 +419,15 @@ class TestCriterion8ProtocolPersistence:
         assert recovered.snapshot.version == result.final_model.version
         assert save_snapshot(recovered.snapshot) == save_snapshot(result.final_model)
         log = RoundLog(result.log_dir)
+        derived = {}
+        for _, window in log.replay():
+            assert len(window) <= cfg.history_window + 1
+            derived.update(window)
+        for v, model in recovered.window.items():
+            assert save_snapshot(derived[v]) == save_snapshot(model)
         for rec in log.verify():
             if rec.get("status") == "ok":
-                v = int(rec["post_version"])
-                assert save_snapshot(log.load_checkpoint(v)) == \
-                    save_snapshot(recovered.log.load_checkpoint(v))
+                assert blocks_field(derived[int(rec["post_version"])]) == rec["blocks"]
 
     def test_distributed_loopback_equals_in_process_to_1e12(self, tmp_path):
         cfg = scenario()

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import tracemalloc
 import zlib
@@ -103,8 +104,7 @@ class TestRegistration:
         core = make_core(tmp_path, rounds=1)
         refused = [register(core, "pc"), poll(core, "pc"),
                    submit(core, "pc", random_deltas(5, core.snapshot), 0),
-                   core.handle(Message("FETCH", {"party": "pc", "token": TOKEN,
-                                                 "version": "0"}))]
+                   core.handle(Message("FETCH", {"party": "pc", "token": TOKEN}))]
         assert [(r.msg_type, r.headers.get("kind")) for r in refused] == \
             [("REJECT", "AuthError")] * 4
         for i, p in enumerate(("pa", "pb")):
@@ -281,7 +281,7 @@ class TestSyncRound:
         register(core, "pa")
         assert submit(core, "pa", random_deltas(23, core.snapshot), 0).msg_type == "ACK"
         before = save_snapshot(core.snapshot)
-        window = dict(core.log.versions)
+        window = dict(core.window)
         assigned = poll(core, "pa")
         append, statuses = core.log.append, []
 
@@ -300,15 +300,15 @@ class TestSyncRound:
         assert record["pre_version"] == record["post_version"] == "1"
         assert_writer_is_the_file(core, tmp_path)
         assert save_snapshot(core.snapshot) == before
-        assert core.log.versions.keys() == window.keys()
-        assert all(core.log.versions[v] is window[v] for v in window)
+        assert core.window.keys() == window.keys()
+        assert all(core.window[v] is window[v] for v in window)
         again = poll(core, "pa")
         assert (again.header("round"), again.header("version")) == (2, 1)
         assert again.body == assigned.body and again.header("crc") == assigned.header("crc")
 
         recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
         assert save_snapshot(recovered.snapshot) == before
-        assert recovered.log.versions.keys() == window.keys()
+        assert recovered.window.keys() == window.keys()
         register(recovered, "pa")
         replayed = poll(recovered, "pa")
         assert (replayed.headers, replayed.body) == (again.headers, again.body)
@@ -370,6 +370,10 @@ class TestDeadline:
         assert core.state.round == 0
 
 
+def fetch(core):
+    return core.handle(Message("FETCH", {"party": "pa", "token": TOKEN}))
+
+
 def poll(core, party):
     return core.handle(Message("POLL", {"party": party, "token": TOKEN}))
 
@@ -412,8 +416,7 @@ class TestFetch:
     def test_fetch_returns_checkpoint(self, tmp_path):
         core = make_core(tmp_path)
         register(core, "pa")
-        resp = core.handle(Message("FETCH", {"party": "pa", "token": TOKEN,
-                                             "version": "0"}))
+        resp = fetch(core)
         assert resp.msg_type == "MODEL"
         model = load_snapshot(resp.body)
         a, b = snapshot_blocks(model), snapshot_blocks(core.snapshot)
@@ -422,18 +425,53 @@ class TestFetch:
 
     def test_unregistered_fetch_rejected(self, tmp_path):
         core = make_core(tmp_path)
-        resp = core.handle(Message("FETCH", {"party": "ghost", "token": TOKEN,
-                                             "version": "0"}))
+        resp = core.handle(Message("FETCH", {"party": "ghost", "token": TOKEN}))
         assert resp.msg_type == "REJECT"
         assert resp.headers["kind"] == "AuthError"
         assert resp.body == b""
 
-    def test_fetch_missing_version(self, tmp_path):
-        core = make_core(tmp_path)
-        register(core, "pa")
-        resp = core.handle(Message("FETCH", {"party": "pa", "token": TOKEN,
-                                             "version": "7"}))
-        assert resp.msg_type == "REJECT" and resp.header("kind") == "HistoryError"
+    @pytest.mark.parametrize("strategy", ["sync_avg", "async_mix"])
+    def test_fetch_serves_v0_whatever_the_round(self, tmp_path, strategy):
+        core = make_core(tmp_path, rounds=3, strategy=strategy)
+        v0 = (tmp_path / "checkpoints" / "v0.ckpt").read_bytes()
+        first = fetch(core)
+        assert (first.msg_type, first.body) == ("MODEL", v0)
+        while not core.finished:
+            v = core.snapshot.version
+            for i, p in enumerate(("pa", "pb")):
+                if not core.finished:
+                    submit(core, p, random_deltas(150 + v + i, core.snapshot), v)
+        assert core.snapshot.version == 3
+        last = fetch(core)
+        assert (last.msg_type, last.body) == ("MODEL", v0)
+        assert last.header("version") == 3
+
+    @pytest.mark.parametrize("strategy", ["sync_avg", "async_mix"])
+    def test_an_agent_that_first_polls_late_builds_the_current_model(self, tmp_path,
+                                                                      strategy):
+        from dataclasses import replace
+        from flmm.client import ClientAgent, InProcessTransport
+        from flmm.simulate import build_corpora, build_initial_model, server_config
+        from flmm.training import local_train
+        from test_harness import make_scenario
+        cfg = make_scenario(parties=2, rounds=4, epochs=1)
+        cfg = replace(cfg, plan=replace(cfg.plan, strategy=strategy))
+        core = ServerCore(server_config(cfg), build_initial_model(cfg), str(tmp_path))
+        corpora = build_corpora(cfg)
+        transport = InProcessTransport(core)
+        agents = [ClientAgent(cfg, p, corpora[p.party_id], transport)
+                  for p in cfg.parties]
+        for agent in itertools.cycle(agents):
+            if core.state.round == 3:
+                break
+            assert agent.step() == "ACK"
+        party = cfg.parties[1]
+        late = ClientAgent(cfg, party, corpora[party.party_id], transport)
+        job = late.take()
+        assert (job.round, job.model.version) == (3, core.snapshot.version)
+        assert save_snapshot(job.model) == save_snapshot(core.snapshot)
+        assert late.finish(job, local_train(job.model, job.data, job.cfg,
+                                            job.seed)) == "ACK"
 
 
 class TestAsync:
@@ -511,11 +549,6 @@ class TestMasking:
 STRAY = ("notes.txt", ".v2.ckpt")
 
 
-def fetch(core, version):
-    return core.handle(Message("FETCH", {"party": "pa", "token": TOKEN,
-                                         "version": str(version)}))
-
-
 def log_files(path):
     return {str(p.relative_to(path)) for p in path.rglob("*") if p.is_file()}
 
@@ -525,30 +558,32 @@ class TestDerivedVersions:
 
     @staticmethod
     def assert_recovers(core, tmp_path, made):
-        """A recovered server serves the live one's window and next ASSIGN,
-        and a fresh RoundLog derives every version made so far, holding no
-        more than the logged window of W = 2 while it replays."""
+        """A recovered server holds the live one's window and serves its
+        FETCH and next ASSIGN, and a fresh RoundLog's replay derives every
+        version made so far, holding no more than the logged window of
+        W = 2 while it replays."""
         recovered = ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
         for p in ("pa", "pb"):
             register(recovered, p)
-        window = sorted(core.log.versions)
-        assert sorted(recovered.log.versions) == window
+        window = sorted(core.window)
+        assert sorted(recovered.window) == window
         assert window == list(range(max(0, core.snapshot.version - 2),
                                     core.snapshot.version + 1))
         for v in window:
-            live, again = fetch(core, v), fetch(recovered, v)
-            assert live.msg_type == "MODEL" and live.body == made[v]
-            assert (again.headers, again.body) == (live.headers, live.body)
-        if window[0] > 0:
-            assert fetch(recovered, window[0] - 1).header("kind") == "HistoryError"
+            assert save_snapshot(core.window[v]) == made[v]
+            assert save_snapshot(recovered.window[v]) == made[v]
+        live, again = fetch(core), fetch(recovered)
+        assert live.msg_type == "MODEL" and live.body == made[0]
+        assert (again.headers, again.body) == (live.headers, live.body)
         live, again = poll(core, "pa"), poll(recovered, "pa")
         assert (again.msg_type, again.headers, again.body) == \
             (live.msg_type, live.headers, live.body)
         assert_writer_is_the_file(core, tmp_path)
-        log = RoundLog(str(tmp_path))
-        assert all(len(window) <= 3 for _, window in log.replay())
-        for v, data in made.items():
-            assert save_snapshot(log.load_checkpoint(v)) == data
+        derived = {}
+        for _, replayed in RoundLog(str(tmp_path)).replay():
+            assert len(replayed) <= 3
+            derived.update(replayed)
+        assert {v: save_snapshot(m) for v, m in derived.items()} == made
 
     @pytest.mark.parametrize("strategy", ["sync_avg", "async_mix"])
     def test_recover_at_every_round_boundary(self, tmp_path, strategy):
@@ -583,11 +618,12 @@ class TestDerivedVersions:
             logged.sample_count, logged.submitted_round), "")))
         with pytest.raises(HistoryError, match="round 1: replaying"):
             ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
-        log = RoundLog(str(tmp_path))
-        assert save_snapshot(log.load_checkpoint(1)) == \
-            save_snapshot(core.log.load_checkpoint(1))
+        walk = RoundLog(str(tmp_path)).replay()
+        next(walk)
+        _, window = next(walk)
+        assert save_snapshot(window[1]) == save_snapshot(core.window[1])
         with pytest.raises(HistoryError, match="round 1: replaying"):
-            log.load_checkpoint(2)
+            next(walk)
 
     def test_every_reader_refuses_a_wrong_middle_record(self, tmp_path):
         core = TestRoundLog().run_rounds(tmp_path, n=3)
@@ -599,10 +635,12 @@ class TestDerivedVersions:
             log.logged_rounds()
         with pytest.raises(HistoryError, match=wrong):
             ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())
-        assert save_snapshot(log.load_checkpoint(1)) == \
-            save_snapshot(core.log.load_checkpoint(1))
+        walk = log.replay()
+        next(walk)
+        _, window = next(walk)
+        assert save_snapshot(window[1]) == save_snapshot(core.window[1])
         with pytest.raises(HistoryError, match=wrong):
-            log.load_checkpoint(2)
+            next(walk)
 
     def test_a_base_older_than_the_readers_window_replays(self, tmp_path):
         """The server's window is 20 and recovery's 16: an update 18 versions
@@ -626,10 +664,9 @@ class TestDerivedVersions:
         windows = [dict(window) for _, window in log.replay()]
         assert all(len(window) <= 21 for window in windows)
         assert save_snapshot(windows[-1][19]) == save_snapshot(core.snapshot)
-        assert save_snapshot(log.load_checkpoint(19)) == save_snapshot(core.snapshot)
         recovered = ServerCore.recover(replace(cfg, history_window=16), str(tmp_path),
                                        clock=FakeClock())
-        assert sorted(recovered.log.versions) == list(range(3, 20))
+        assert sorted(recovered.window) == list(range(3, 20))
         assert save_snapshot(recovered.snapshot) == save_snapshot(core.snapshot)
 
     def test_a_closed_round_creates_no_file_and_grows_the_stream_by_its_frames(
@@ -702,8 +739,6 @@ class TestRoundLog:
         assert [r["round"] for r in seen] == ["0", "1"]
         assert reader.verify() == seen and reader.tail == seen[-1]
         assert [rec.round for rec in reader.logged_rounds()] == [0, 1]
-        with pytest.raises(HistoryError, match="no checkpoint for version 3"):
-            reader.load_checkpoint(3)
 
     def test_a_new_view_reads_the_records_the_writer_appended(self, tmp_path,
                                                               monkeypatch):
@@ -747,7 +782,6 @@ class TestRoundLog:
 
         monkeypatch.setattr(RoundLog, "_scan", spy)
         reads = [lambda: RoundLog(str(tmp_path)).logged_rounds(),
-                 lambda: RoundLog(str(tmp_path)).load_checkpoint(2),
                  lambda: ServerCore.recover(core.cfg, str(tmp_path), clock=FakeClock())]
         for read in reads:
             parsed.clear()
@@ -1003,8 +1037,7 @@ class TestOneRunPerDirectory:
     def test_a_directory_whose_run_logged_no_round_is_not_refused(self, tmp_path):
         first = make_core(tmp_path)
         core = ServerCore(first.cfg, small_snapshot(2), str(tmp_path), clock=FakeClock())
-        assert save_snapshot(RoundLog(str(tmp_path)).load_checkpoint(0)) == \
-            save_snapshot(core.snapshot)
+        assert RoundLog(str(tmp_path)).checkpoint_bytes() == save_snapshot(core.snapshot)
 
 
 class TestMemoryBound:
@@ -1056,18 +1089,17 @@ class TestHandleBytes:
         resp = decode_payload(resp_bytes)
         assert resp.msg_type == "ACK"
 
-    @pytest.mark.parametrize("msg_type,headers,bad", [
-        ("FETCH", {"version": "1.5"}, "version"),
-        ("SUBMIT", {"base_version": "zero", "sample_count": "4"}, "base_version"),
-        ("SUBMIT", {"base_version": "0", "sample_count": ""}, "sample_count"),
-    ], ids=["fetch_version", "submit_base_version", "submit_sample_count"])
-    def test_non_integer_header_rejected(self, tmp_path, msg_type, headers, bad):
+    @pytest.mark.parametrize("headers,bad", [
+        ({"base_version": "zero", "sample_count": "4"}, "base_version"),
+        ({"base_version": "0", "sample_count": ""}, "sample_count"),
+    ], ids=["submit_base_version", "submit_sample_count"])
+    def test_non_integer_header_rejected(self, tmp_path, headers, bad):
         from flmm.protocol import decode_payload, encode_message
         core = make_core(tmp_path)
         register(core, "pa")
         names, body = pack_blocks(random_deltas(1, core.snapshot))
-        msg = Message(msg_type, {"party": "pa", "token": TOKEN, "blocks": names,
-                                 **headers}, body if msg_type == "SUBMIT" else b"")
+        msg = Message("SUBMIT", {"party": "pa", "token": TOKEN, "blocks": names,
+                                 **headers}, body)
         resp = decode_payload(core.handle_bytes(encode_message(msg)[4:]))
         assert resp.msg_type == "REJECT"
         assert resp.headers["kind"] == "ProtocolError"
