@@ -4,8 +4,8 @@ submits its update.
 A step has two halves around its training: ``take`` polls and turns an
 ASSIGN into a TrainingJob, and ``finish`` turns the trained model into an
 update and submits it. ``step`` trains the job's one row with local_train
-in between; the in-process driver takes a whole round's jobs first and
-trains them in one stacked local_train call.
+in between; the in-process driver takes every agent's job for a pass
+first and trains them in one stacked local_train call.
 
 The agent only ever initiates requests; its transport may be a real socket
 or an in-process shim, both speaking the same frames. The model to train
@@ -36,6 +36,9 @@ _DP_SALT = 0xD9
 _MASK_SALT = 0x3A5C
 _POLL_INTERVAL = 0.05  # seconds an idle cycle of run_client_loop sleeps
 _MAX_IDLE_POLLS = 2400  # idle cycles before run_client_loop gives up
+_BASE_DELAY = 0.1  # seconds SocketTransport.send sleeps after a first failure
+_MAX_DELAY = 5.0  # the cap its doubling sleep reaches
+_MAX_ATTEMPTS = 10  # attempts before send raises TransportError
 
 
 class InProcessTransport:
@@ -55,26 +58,22 @@ class SocketTransport:
 
     The connection is opened on the first ``send``. A lock serialises
     requests, so one transport may be shared between threads. Between failed
-    attempts ``send`` sleeps ``base_delay``, doubling up to ``max_delay``;
-    after the last one it raises TransportError without sleeping.
+    attempts ``send`` sleeps ``_BASE_DELAY``, doubling up to ``_MAX_DELAY``;
+    after ``_MAX_ATTEMPTS`` it raises TransportError without sleeping.
     """
 
-    def __init__(self, host: str, port: int, base_delay: float = 0.1,
-                 max_delay: float = 5.0, max_attempts: int = 10):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.max_attempts = max_attempts
         self._lock = threading.Lock()
         self._sock = None
         self._rfile = None
 
     def send(self, msg: Message) -> Message:
-        delay = self.base_delay
+        delay = _BASE_DELAY
         last = None
         with self._lock:
-            for attempt in range(1, self.max_attempts + 1):
+            for attempt in range(1, _MAX_ATTEMPTS + 1):
                 try:
                     if self._sock is None:
                         self._sock = socket.create_connection(
@@ -85,9 +84,9 @@ class SocketTransport:
                 except (OSError, ProtocolError) as e:
                     last = e
                     self._close()
-                    if attempt < self.max_attempts:
+                    if attempt < _MAX_ATTEMPTS:
                         time.sleep(delay)
-                        delay = min(self.max_delay, delay * 2)
+                        delay = min(_MAX_DELAY, delay * 2)
         raise TransportError(f"{self.host}:{self.port} unreachable: {last}")
 
     def close(self) -> None:

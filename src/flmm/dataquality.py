@@ -295,7 +295,7 @@ def otsu_threshold(scores: np.ndarray) -> float:
 
 
 def score_and_filter(model: ModelSnapshot, corpus: list[SceneRecord],
-                     threshold: float | str = "auto"
+                     threshold: float | str
                      ) -> tuple[list[SceneRecord], list[SceneRecord]]:
     """Partition the corpus by alignment score: kept (>= threshold), dropped."""
     if not corpus:
@@ -321,8 +321,7 @@ class LoopIteration:
 
 def quality_loop(corpora: dict, model0: ModelSnapshot, train_fn,
                  eval_set: EvalBatch | list[SceneRecord], max_iters: int,
-                 target_metric: float, threshold: float | str = "auto",
-                 floor: int = 10):
+                 target_metric: float, threshold: float | str, floor: int):
     """Iterative data/model loop: train, filter each party, retrain on kept.
 
     ``corpora`` (party -> records) arrive repaired by ``repair_corpus``, as

@@ -7,10 +7,12 @@ only the in-process run has a quality loop. A socket ``async_mix`` run is
 reproduced from its round log, whose replay gives its final model, and not
 from the seed: each client's base version depends on when it polls.
 
-In process, a round's agents train together: each ``take``s its job, the
-jobs train in one stacked local_train call, and each agent ``finish``es its
-own in party order. A socket client ``step``s alone, one row at a time;
-every row has the bits it would have alone, so the modes agree.
+In process, every strategy runs one pass over all agents: each ``take``s
+its job, the jobs train in one stacked local_train call, and each agent
+``finish``es its own in party order. An ``async_mix`` SUBMIT closes a round,
+so the k-th of a pass, from 0, is k versions stale; one REJECTed as stale
+was trained for nothing. A socket client ``step``s alone, one row at a time;
+every row has the bits it would have alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-from flmm.aggregation import ASYNC_MIX
 from flmm.client import ClientAgent, InProcessTransport, SocketTransport, \
     TrainingJob, run_client_loop
 from flmm.config import ScenarioConfig
@@ -72,8 +73,9 @@ def train_batch(agents: list) -> bool:
     """One pass over ``agents``: each takes its job, the jobs train in one
     local_train call, each row with its own anchor_mu, and each agent
     finishes its job in party order. Every take runs before any finish, so
-    the jobs share a round, an assigned model and a TrainConfig but for
-    anchor_mu. True when a SUBMIT was ACKed."""
+    the jobs share an assigned model and a TrainConfig but for anchor_mu;
+    they share the round they submit to too, except under async_mix, where
+    each SUBMIT closes one. True when a SUBMIT was ACKed."""
     taken = [(agent, agent.take()) for agent in agents]
     jobs = [(agent, job) for agent, job in taken if isinstance(job, TrainingJob)]
     if not jobs:
@@ -101,18 +103,15 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
               for p in cfg.parties]
     for agent in agents:
         agent.register()
-    # an async_mix SUBMIT closes its round, so there each agent is a batch of
-    # its own: the next one takes the version that SUBMIT made
-    batches = [agents] if cfg.plan.strategy != ASYNC_MIX else [[a] for a in agents]
     failure = None
     while not core.finished:
-        if not any([train_batch(batch) for batch in batches]):
-            # no SUBMIT accepted this sweep: stop rather than spin, and say so
+        if not train_batch(agents):
+            # no SUBMIT accepted this pass: stop rather than spin, and say so
             failure = (f"protocol stopped at round {core.state.round} of {cfg.rounds}: "
                        f"no update accepted")
             break
 
-    del agents, batches  # each agent holds its prepared corpus; the loop prepares its own
+    del agents  # each agent holds its prepared corpus; the loop prepares its own
     model = core.snapshot
     reports = [evaluate(model, eval_set, "union-eval")]
 

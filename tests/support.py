@@ -21,6 +21,7 @@ from flmm.aggregation import (
     product_mean,
     refactor_matrix,
 )
+from flmm.client import TrainingJob
 from flmm.dataquality import (
     CLASS_TOKEN_BASE,
     HAZARD_TOKEN,
@@ -58,7 +59,7 @@ from flmm.model import (
 from flmm.privacy import _GRID, _blocks_of, _pair_masks
 from flmm.rng import GOLDEN, MASK64, SplitMix64, _mix, bulk_mix, hash_text, mix_seed, \
     to_uniform
-from flmm.training import make_update
+from flmm.training import local_train, make_update
 
 SMALL = dict(d_v=8, d_t=8, d_emb=4, rank=2, vocab=16)
 
@@ -396,18 +397,22 @@ def spy_local_train(monkeypatch) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Sequential-agent driver oracle: each agent steps on its own (POLL, one-row
-# local_train, SUBMIT) in party order, as run_simulation swept its agents
-# before it stacked them.
+# Pass oracle: every agent takes its job (POLL) in party order, each job
+# trains alone in a one-row local_train call, and then every agent finishes
+# its own (SUBMIT) in party order, for every strategy: run_simulation's
+# pass, unstacked.
 # ---------------------------------------------------------------------------
 
 def oracle_train_batch(agents) -> bool:
-    """Every agent steps alone, in party order."""
-    return any([agent.step() == "ACK" for agent in agents])
+    """One pass: all takes, one local_train per job, then all finishes."""
+    taken = [(agent, agent.take()) for agent in agents]
+    jobs = [(agent, job) for agent, job in taken if isinstance(job, TrainingJob)]
+    trained = [local_train(job.model, job.data, job.cfg, job.seed) for _, job in jobs]
+    return any([agent.finish(job, t) == "ACK" for (agent, job), t in zip(jobs, trained)])
 
 
 def run_sequential(cfg, out_dir: str, **kwargs):
-    """run_simulation with every agent stepping on its own."""
+    """run_simulation with every job of a pass trained on its own."""
     with mock.patch.object(flmm.simulate, "train_batch", oracle_train_batch):
         return flmm.simulate.run_simulation(cfg, out_dir, **kwargs)
 

@@ -277,6 +277,7 @@ KEY_CASES = [
     ("aggregation", "block_mask", "vision.a,vision.b", {}),
     ("aggregation", "mixing_rate", "0.25", ASYNC),
     ("aggregation", "staleness_exponent", "2.0", ASYNC),
+    ("aggregation", "history_window", "0", ASYNC),
     ("party:p0", "size", "20", {}),
     ("party:p0", "seed", "11", {}),
     ("party:p0", "classes", "0,1", {}),
@@ -293,16 +294,10 @@ KEY_CASES = [
     ("quality", "threshold", "0.0", {"quality": {"iters": "1", "target": "2.0"}}),
     ("quality", "floor", "1000", LOOP),
 ]
-# In-process agents take turns, so every async_mix update is based on the
-# current version: its staleness is 0 and (1 + 0) ** -exponent is 1. Only
-# concurrent socket clients submit stale updates.
-UNSEEN_IN_PROCESS = {("aggregation", "staleness_exponent")}
-
 # keys no in-process run can show: they reach only the server's settings
 SERVER_KEYS = [
     ("run", "token", "another-token"),
     ("run", "deadline", "5.0"),
-    ("aggregation", "history_window", "3"),
 ]
 
 
@@ -312,11 +307,8 @@ def test_every_key_has_a_case():
     assert covered == {(s.split(":")[0], k) for s, keys in KNOWN_KEYS.items() for k in keys}
 
 
-@pytest.mark.parametrize("section, key, value, context", [
-    pytest.param(*case, id=f"{case[0].split(':')[0]}.{case[1]}={case[2]}",
-                 marks=[pytest.mark.xfail(strict=True)]
-                 if case[:2] in UNSEEN_IN_PROCESS else [])
-    for case in KEY_CASES])
+@pytest.mark.parametrize("section, key, value, context", KEY_CASES,
+                         ids=[f"{s.split(':')[0]}.{k}={v}" for s, k, v, _ in KEY_CASES])
 def test_key_changes_the_run_output(run_output, section, key, value, context):
     assert run_output(render(context, {section: {key: value}})) != run_output(render(context))
 

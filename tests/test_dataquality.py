@@ -350,7 +350,8 @@ class TestQualityLoop:
     def test_zero_iters_returns_initial_training_only(self):
         corpora, model0, train_fn, eval_set = self._setup({})
         model, corpora_out, report = quality_loop(
-            corpora, model0, train_fn, eval_set, max_iters=0, target_metric=2.0)
+            corpora, model0, train_fn, eval_set, max_iters=0, target_metric=2.0,
+            threshold="auto", floor=10)
         assert report == []
         assert {p: len(v) for p, v in corpora_out.items()} == \
                {p: len(v) for p, v in corpora.items()}
@@ -358,7 +359,8 @@ class TestQualityLoop:
     def test_clean_fixture_drops_little(self):
         corpora, model0, train_fn, eval_set = self._setup({})
         model, corpora_out, report = quality_loop(
-            corpora, model0, train_fn, eval_set, max_iters=1, target_metric=2.0)
+            corpora, model0, train_fn, eval_set, max_iters=1, target_metric=2.0,
+            threshold="auto", floor=10)
         for it in report:
             total = sum(it.kept_counts.values()) + sum(it.dropped_counts.values())
             assert sum(it.dropped_counts.values()) <= 0.25 * total
@@ -366,7 +368,8 @@ class TestQualityLoop:
     def test_kept_sets_monotone(self):
         corpora, model0, train_fn, eval_set = self._setup({"mismatched": 0.3})
         model, corpora_out, report = quality_loop(
-            corpora, model0, train_fn, eval_set, max_iters=2, target_metric=2.0)
+            corpora, model0, train_fn, eval_set, max_iters=2, target_metric=2.0,
+            threshold="auto", floor=10)
         for p in corpora:
             assert len(corpora_out[p]) <= len(corpora[p])
 

@@ -170,14 +170,14 @@ def request(msg_type, party="p0"):
 
 class TestSocketTransport:
     @pytest.fixture
-    def served(self, tmp_path):
+    def served(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flmm.client, "_BASE_DELAY", 0.01)
         cfg = make_scenario()
         core = ServerCore(server_config(cfg), build_initial_model(cfg),
                           str(tmp_path / "log"))
         server = CountingServer("127.0.0.1", 0, core)
         server.serve_background()
-        transport = SocketTransport("127.0.0.1", server.server_address[1],
-                                    base_delay=0.01)
+        transport = SocketTransport("127.0.0.1", server.server_address[1])
         yield cfg, server, transport
         transport.close()
         server.shutdown()
@@ -311,16 +311,17 @@ class TestSocketTransport:
 
         monkeypatch.setattr(flmm.client, "socket", CountingSocket())
         monkeypatch.setattr(flmm.client, "time", RecordingTime())
+        monkeypatch.setattr(flmm.client, "_BASE_DELAY", 0.125)
+        monkeypatch.setattr(flmm.client, "_MAX_DELAY", 0.5)
+        monkeypatch.setattr(flmm.client, "_MAX_ATTEMPTS", 5)
         with socket.socket() as idle:  # bound, never listening: refuses
             idle.bind(("127.0.0.1", 0))
-            transport = SocketTransport("127.0.0.1", idle.getsockname()[1],
-                                        base_delay=0.125, max_delay=0.5,
-                                        max_attempts=5)
+            transport = SocketTransport("127.0.0.1", idle.getsockname()[1])
             t0 = time.monotonic()
             with pytest.raises(TransportError):
                 transport.send(request("POLL"))
         assert len(attempts) == 5
-        # doubling up to max_delay between attempts, none after the last
+        # doubling up to _MAX_DELAY between attempts, none after the last
         assert sleeps == [0.125, 0.25, 0.5, 0.5]
         assert time.monotonic() - t0 < 5.0
 

@@ -1,5 +1,6 @@
-"""The in-process driver: each round's agents train in stacked local_train
-calls and must write exactly what agents stepping one at a time write."""
+"""The in-process driver: each pass's jobs train in one stacked local_train
+call and must write exactly what the pass oracle, which trains each job
+alone, writes."""
 
 from dataclasses import replace
 
@@ -10,9 +11,13 @@ from flmm.cli import main
 from flmm.aggregation import AggregationPlan
 from flmm.client import InProcessTransport
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
+from flmm.contribution import fl_value_function
 from flmm.dataquality import CorpusSpec
+from flmm.model import save_snapshot
+from flmm.orchestrator import RoundLog, ServerCore
 from flmm.privacy import PrivacyConfig
-from flmm.simulate import build_corpora, run_simulation
+from flmm.simulate import build_corpora, build_eval_set, build_initial_model, \
+    run_simulation, server_config
 from flmm.training import TrainConfig, trainable_records
 
 from support import run_artifacts, run_sequential, spy_local_train
@@ -44,30 +49,70 @@ def rows_per_call(calls) -> list:
     return [len(seed) if isinstance(seed, list) else 1 for _, _, seed in calls]
 
 
-# scenario, and the rows of each of its local_train calls: an async_mix
-# SUBMIT closes its round, so there every party trains alone
+def submit_rejects(monkeypatch) -> list:
+    """The kind of each REJECT a SUBMIT gets in the runs that follow."""
+    kinds = []
+
+    class Recording(InProcessTransport):
+        def send(self, msg):
+            resp = super().send(msg)
+            if msg.msg_type == "SUBMIT" and resp.msg_type == "REJECT":
+                kinds.append(resp.headers["kind"])
+            return resp
+
+    monkeypatch.setattr(flmm.simulate, "InProcessTransport", Recording)
+    return kinds
+
+
+# scenario, the rows of each of its local_train calls, and its SUBMITs the
+# server REJECTs. Every strategy trains one stack per pass; an async_mix
+# SUBMIT closes its round, so 3 parties x 5 rounds train 6 jobs and the last
+# SUBMIT finds the run finished
 CASES = {
-    "sync_avg": (scenario(), [3] * 3),
-    "product_refactor": (scenario(strategy="product_refactor"), [3] * 3),
-    "masking_dp": (scenario(masking=True, dp=True), [3] * 3),
-    "mixed_anchor_mu": (scenario(anchor_mus=(0.0, 2.0, 2.0, 0.0)), [4] * 3),
-    "async_mix": (scenario(strategy="async_mix", rounds=5), [1] * 5),
+    "sync_avg": (scenario(), [3] * 3, []),
+    "product_refactor": (scenario(strategy="product_refactor"), [3] * 3, []),
+    "masking_dp": (scenario(masking=True, dp=True), [3] * 3, []),
+    "mixed_anchor_mu": (scenario(anchor_mus=(0.0, 2.0, 2.0, 0.0)), [4] * 3, []),
+    "async_mix": (scenario(strategy="async_mix", rounds=5), [3, 3], ["StalenessError"]),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_stacked_rounds_write_what_sequential_agents_write(case, tmp_path, monkeypatch):
-    cfg, rows = CASES[case]
+    cfg, rows, rejects = CASES[case]
     sequential = run_sequential(cfg, str(tmp_path / "sequential"))
     calls = spy_local_train(monkeypatch)
+    rejected = submit_rejects(monkeypatch)
     stacked = run_simulation(cfg, str(tmp_path / "stacked"))
     assert rows_per_call(calls) == rows
+    assert rejected == rejects
     assert stacked.failure is sequential.failure is None
     want = run_artifacts(str(tmp_path / "sequential"))
     assert run_artifacts(str(tmp_path / "stacked")) == want
     assert len(want["records"]) == cfg.rounds
     assert all(r["status"] == "ok" for r in want["records"])
-    assert sum(len(r["updates"].split(",")) for r in want["records"]) == sum(rows)
+    assert sum(len(r["updates"].split(",")) for r in want["records"]) \
+        == sum(rows) - len(rejects)
+
+
+def test_in_process_async_mix_logs_stale_updates_that_replay(tmp_path):
+    cfg = CASES["async_mix"][0]
+    result = run_simulation(cfg, str(tmp_path), with_shapley=True)
+    assert result.failure is None
+    log = RoundLog(result.log_dir)
+    # each round logs one update, named "party:sample_count"; the k-th
+    # SUBMIT of a pass is k versions behind the round it closes
+    staleness = [int(rec["pre_version"])
+                 - log.load_update(rec, rec["contributors"].split(":")[0]).base_version
+                 for rec in log.verify()]
+    assert staleness == [0, 1, 2, 0, 1]
+    final = (tmp_path / "final.ckpt").read_bytes()
+    assert save_snapshot(ServerCore.recover(server_config(cfg), result.log_dir).snapshot) \
+        == final
+    fn = fl_value_function(build_initial_model(cfg), log.logged_rounds(),
+                           build_eval_set(cfg), list(cfg.party_ids()))
+    assert result.shapley.efficiency_residual(fn(frozenset(cfg.party_ids())),
+                                              fn(frozenset())) <= 1e-9
 
 
 def test_mixed_anchor_mu_trains_one_stack_with_a_mu_per_row(tmp_path, monkeypatch):
