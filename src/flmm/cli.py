@@ -52,10 +52,11 @@ def main(argv=None) -> int:
     p.add_argument("--log", required=True, help="server log directory")
     p.add_argument("--eval", required=True, help="eval corpus file")
     p.add_argument("--method", choices=("exact", "wtdp"), default="exact")
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--tolerance", type=float, default=0.0)
-    p.add_argument("--weights", default="", help="party=weight,...")
-    p.add_argument("--seed", type=int, default=7)
+    # wtdp's own: given with exact, each is a config error (_WTDP_DEFAULTS)
+    p.add_argument("--budget", type=int, help="wtdp: permutations (default 200)")
+    p.add_argument("--tolerance", type=float, help="wtdp: truncation (default 0)")
+    p.add_argument("--weights", help="wtdp: party=weight,... (default all 1)")
+    p.add_argument("--seed", type=int, help="wtdp: permutation seed (default 7)")
 
     p = sub.add_parser("clean", help="model-scored corpus filtering")
     p.add_argument("--model", required=True)
@@ -156,23 +157,32 @@ def _eval(args) -> int:
     return 0
 
 
+# the flags only --method wtdp reads, and the value each takes when not given
+_WTDP_DEFAULTS = {"budget": 200, "tolerance": 0.0, "weights": "", "seed": 7}
+
+
 def _shapley(args) -> int:
     from flmm.contribution import exact_shapley, fl_value_function, wtdp_shapley
     from flmm.dataquality import load_corpus
     from flmm.model import load_snapshot
     from flmm.orchestrator import RoundLog
+    given = {name: getattr(args, name) for name in _WTDP_DEFAULTS
+             if getattr(args, name) is not None}
+    if args.method == "exact" and given:
+        raise ConfigError(f"--{next(iter(given))} applies only with --method wtdp")
     log = RoundLog(args.log)
     rounds = log.logged_rounds()
     with open(args.eval) as f:
         eval_set = load_corpus(f.read())
     parties = sorted({u.client_id for rec in rounds for u in rec.updates})
-    weights = _party_weights(args.weights, parties)
+    sampling = {**_WTDP_DEFAULTS, **given}
+    weights = _party_weights(sampling.pop("weights"), parties)
     initial = load_snapshot(log.checkpoint_bytes())
     fn = fl_value_function(initial, rounds, eval_set, parties)
     if args.method == "exact":
         result = exact_shapley(fn)
     else:
-        result = wtdp_shapley(fn, weights, args.budget, args.tolerance, args.seed)
+        result = wtdp_shapley(fn, weights, **sampling)
     v_grand = fn(frozenset(parties))
     v_empty = fn(frozenset())
     print(f"method={result.method}")

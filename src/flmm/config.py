@@ -5,18 +5,21 @@ hold: each section's keys, each with its parser and, where the settings
 dataclass it fills does not bound it, its bound. Any other section or key
 raises ConfigError, so no setting is silently ignored. A key the file does
 not set takes the default of the dataclass it fills, so no default is
-restated here. FLMM_SEED in the environment overrides the configured seed.
+restated here. APPLIES_ONLY states when each key that only some runs read
+acts on a run; a file that sets such a key where it would not act raises
+ConfigError too. FLMM_SEED in the environment overrides the configured seed.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import operator
 import os
 from collections import defaultdict
 from dataclasses import dataclass, fields
 
-from flmm.aggregation import AggregationPlan
+from flmm.aggregation import ASYNC_MIX, AggregationPlan
 from flmm.dataquality import TAGS, CorpusSpec
 from flmm.errors import ConfigError, PlanError, RangeError, SpecError
 from flmm.model import BLOCK_NAMES, D_EMB, D_T, D_V, RANK, TEMPERATURE, VOCAB
@@ -134,6 +137,29 @@ KNOWN_KEYS = {
 }
 
 
+# (section, key) -> the setting that key needs to act on a run, as
+# (section, key, op, value): the setting must equal ("="), differ from ("!=")
+# or reach (">=") the value, spelt as a file spells it
+_ASYNC = ("aggregation", "strategy", "=", ASYNC_MIX)
+_DP = ("privacy", "dp_enabled", "=", "true")
+_LOOP = ("quality", "iters", ">=", "1")
+APPLIES_ONLY = {
+    ("aggregation", "mixing_rate"): _ASYNC,
+    ("aggregation", "staleness_exponent"): _ASYNC,
+    # the server reads its window only to mix a stale update
+    ("aggregation", "history_window"): _ASYNC,
+    # an async_mix round closes at its first update and has no deadline
+    ("run", "deadline"): ("aggregation", "strategy", "!=", ASYNC_MIX),
+    ("privacy", "clip_norm"): _DP,
+    ("privacy", "noise_std"): _DP,
+    ("quality", "target"): _LOOP,
+    ("quality", "threshold"): _LOOP,
+    ("quality", "floor"): _LOOP,
+}
+_OPS = {"=": (operator.eq, "is"), "!=": (operator.ne, "is not"),
+        ">=": (operator.ge, "is at least")}
+
+
 def parse_value(key: tuple, text: str, what: str):
     """``text`` parsed by ``key``, a KNOWN_KEYS entry; a ConfigError names
     ``what`` when the text does not parse or breaks the key's bound."""
@@ -189,6 +215,20 @@ def _corpus(party: str, keys: dict, rates: dict, d_v: int, size: int,
                       scene_class_pool=keys.get("classes", tuple(range(8))), d_v=d_v)
 
 
+def _refuse_inert(cp: configparser.ConfigParser, cfg: ScenarioConfig) -> None:
+    """A ConfigError for the first key the file sets where APPLIES_ONLY says
+    it does not act, naming the key and the setting that makes it inert."""
+    settings = {"aggregation": cfg.plan, "privacy": cfg.privacy, "quality": cfg.quality}
+    for (section, key), (on, setting, op, value) in APPLIES_ONLY.items():
+        have = getattr(settings[on], setting)
+        holds, words = _OPS[op]
+        if cp.has_option(section, key) and \
+                not holds(have, KNOWN_KEYS[on][setting][0](value)):
+            spelt = str(have).lower() if isinstance(have, bool) else have
+            raise ConfigError(f"[{section}] {key} acts only where [{on}] {setting} "
+                              f"{words} {value}, and this run's is {spelt}")
+
+
 def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
     read = _read(cp)
     run = read["run"]  # what TrainConfig does not take is the scenario's
@@ -225,8 +265,10 @@ def _build(cp: configparser.ConfigParser) -> ScenarioConfig:
         raise ConfigError("at least one [party:<id>] section is required")
     parties.sort(key=lambda p: p.party_id)
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         train=train, model=model, plan=plan, privacy=PrivacyConfig(**privacy),
         parties=tuple(parties),
         eval_spec=_corpus("eval", read["eval"], {}, model.d_v, size=200, seed=999),
         quality=QualityConfig(**read["quality"]), **run, **agg)
+    _refuse_inert(cp, cfg)
+    return cfg

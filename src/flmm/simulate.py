@@ -1,18 +1,22 @@
 """Multi-party simulation driver: in-process and socket-distributed runs.
 
 Both modes share the client agents, the server core, and the wire protocol.
-Under ``sync_avg`` and ``product_refactor``, with identical seeds and
-``[quality] iters = 0``, they produce identical round logs and checkpoints;
-only the in-process run has a quality loop. A socket ``async_mix`` run is
-reproduced from its round log, whose replay gives its final model, and not
-from the seed: each client's base version depends on when it polls.
+Under ``sync_avg`` and ``product_refactor``, with identical seeds, they
+produce identical round logs and checkpoints. Only the in-process run has a
+quality loop, so the socket path refuses ``[quality] iters`` above 0. A
+socket ``async_mix`` run is reproduced from its round log, whose replay
+gives its final model, and not from the seed: each client's base version
+depends on when it polls.
 
-In process, every strategy runs one pass over all agents: each ``take``s
-its job, the jobs train in one stacked local_train call, and each agent
-``finish``es its own in party order. An ``async_mix`` SUBMIT closes a round,
-so the k-th of a pass, from 0, is k versions stale; one REJECTed as stale
-was trained for nothing. A socket client ``step``s alone, one row at a time;
-every row has the bits it would have alone.
+In process, each pass ``take``s the jobs of its agents, trains them in one
+stacked local_train call, and ``finish``es each in party order. Under
+``sync_avg`` and ``product_refactor`` a pass holds every agent. An
+``async_mix`` SUBMIT closes a round, so the k-th of a pass, from 0, is k
+versions stale: a pass holds the next ``history_window`` + 1 agents, no more
+than the party count or the rounds left, in party order that wraps, so
+every SUBMIT is within the window and none trains for a round that is never
+opened. A socket client ``step``s alone, one row at a time; every row has
+the bits it would have alone.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 
+from flmm.aggregation import ASYNC_MIX
 from flmm.client import ClientAgent, InProcessTransport, SocketTransport, \
     TrainingJob, run_client_loop
 from flmm.config import ScenarioConfig
@@ -104,12 +109,17 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
     for agent in agents:
         agent.register()
     failure = None
+    start = 0  # the agent the next pass starts at
     while not core.finished:
-        if not train_batch(agents):
+        size = len(agents)
+        if cfg.plan.strategy == ASYNC_MIX:  # each SUBMIT closes a round
+            size = min(cfg.history_window + 1, size, cfg.rounds - core.state.round)
+        if not train_batch([agents[(start + i) % len(agents)] for i in range(size)]):
             # no SUBMIT accepted this pass: stop rather than spin, and say so
             failure = (f"protocol stopped at round {core.state.round} of {cfg.rounds}: "
                        f"no update accepted")
             break
+        start = (start + size) % len(agents)
 
     del agents  # each agent holds its prepared corpus; the loop prepares its own
     model = core.snapshot
@@ -147,8 +157,15 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
                             log_dir=log_dir, failure=failure)
 
 
+def _refuse_quality_loop(cfg: ScenarioConfig) -> None:
+    if cfg.quality.iters > 0:
+        raise ConfigError(f"[quality] iters = {cfg.quality.iters}: a socket run has no "
+                          f"quality loop; only flmm simulate runs one")
+
+
 def run_server(cfg: ScenarioConfig, host: str, port: int, log_dir: str) -> ServerCore:
     """Socket server for a distributed run; blocks until rounds finish."""
+    _refuse_quality_loop(cfg)
     core = ServerCore(server_config(cfg), build_initial_model(cfg), log_dir)
     server = FederationServer(host, port, core)
     server.serve_background()
@@ -161,6 +178,7 @@ def run_server(cfg: ScenarioConfig, host: str, port: int, log_dir: str) -> Serve
 
 
 def run_client(cfg: ScenarioConfig, party_id: str, host: str, port: int) -> int:
+    _refuse_quality_loop(cfg)
     party = next((p for p in cfg.parties if p.party_id == party_id), None)
     if party is None:
         raise ConfigError(f"unknown party {party_id!r}")

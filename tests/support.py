@@ -397,10 +397,11 @@ def spy_local_train(monkeypatch) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Pass oracle: every agent takes its job (POLL) in party order, each job
+# Pass oracle: every agent of a pass takes its job (POLL) in order, each job
 # trains alone in a one-row local_train call, and then every agent finishes
-# its own (SUBMIT) in party order, for every strategy: run_simulation's
-# pass, unstacked.
+# its own (SUBMIT) in order, for every strategy: run_simulation's pass,
+# unstacked. run_simulation picks each pass's agents: all of them, or under
+# async_mix the next history_window + 1 in turn.
 # ---------------------------------------------------------------------------
 
 def oracle_train_batch(agents) -> bool:

@@ -86,7 +86,7 @@ def test_gendata_missing_config(tmp_path, capsys):
     ("deadline = 60", "deadline = 0"),
     ("deadline = 60", "deadline = -1"),
     ("deadline = 60", "deadline = nan"),
-    ("[model]\n", "[aggregation]\nhistory_window = -1\n\n[model]\n"),
+    ("[model]\n", "[aggregation]\nstrategy = async_mix\nhistory_window = -1\n\n[model]\n"),
     ("[model]\n", "[privacy]\ndp_enabled = true\nclip_norm = nan\n\n[model]\n"),
     ("[model]\n", "[privacy]\ndp_enabled = true\nclip_norm = inf\n\n[model]\n"),
     ("[model]\n", "[privacy]\ndp_enabled = true\nclip_norm = 0\n\n[model]\n"),
@@ -258,6 +258,18 @@ def test_shapley_bad_weights_rejected_before_replay(logged_run, capsys, monkeypa
     assert "config error: --weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--budget", "20"], ["--tolerance", "0.1"],
+                                  ["--weights", "p0=2.0"], ["--seed", "3"]],
+                         ids=["budget", "tolerance", "weights", "seed"])
+@pytest.mark.parametrize("method", [[], ["--method", "exact"]], ids=["default", "exact"])
+def test_shapley_refuses_a_wtdp_flag_under_exact(logged_run, capsys, flag, method):
+    log, eval_corpus = logged_run
+    capsys.readouterr()
+    assert main(["shapley", "--log", log, "--eval", eval_corpus, *method, *flag]) == 2
+    assert f"config error: {flag[0]} applies only with --method wtdp" \
+        in capsys.readouterr().err
+
+
 def test_shapley_after_more_rounds_than_history_window(tmp_path, capsys):
     from flmm.aggregation import AggregationPlan
     from flmm.config import load_config
@@ -265,8 +277,9 @@ def test_shapley_after_more_rounds_than_history_window(tmp_path, capsys):
     from flmm.orchestrator import RoundLog
     from flmm.simulate import build_eval_set, build_initial_model
     path = tmp_path / "scenario.ini"
-    path.write_text(CONFIG.replace("rounds = 2", "rounds = 5")
-                    + "\n[aggregation]\nhistory_window = 2\n")
+    # the run's deadline is sync_avg's, and history_window async_mix's
+    path.write_text(CONFIG.replace("rounds = 2", "rounds = 5").replace("deadline = 60\n", "")
+                    + "\n[aggregation]\nstrategy = async_mix\nhistory_window = 2\n")
     data = str(tmp_path / "data")
     run = str(tmp_path / "run")
     log = os.path.join(run, "log")
@@ -279,7 +292,7 @@ def test_shapley_after_more_rounds_than_history_window(tmp_path, capsys):
                  "--eval", os.path.join(data, "eval.corpus")]) == 0
     text = capsys.readouterr().out
     cfg = load_config(str(path))
-    rounds = RoundLog(log).logged_rounds(AggregationPlan())
+    rounds = RoundLog(log).logged_rounds(AggregationPlan(strategy="async_mix"))
     fn = fl_value_function(build_initial_model(cfg), rounds, build_eval_set(cfg),
                            ["p0", "p1"])
     for party, value in sorted(exact_shapley(fn).values.items()):
@@ -439,6 +452,21 @@ def test_server_client_loopback(config_file, tmp_path, capsys):
     server.join(timeout=120)
     assert not server.is_alive()
     assert os.path.exists(os.path.join(log_dir, "rounds.log"))
+
+
+@pytest.mark.parametrize("command", [
+    ["server", "start", "--port", "9", "--log-dir", "{out}"],
+    ["client", "run", "--endpoint", "127.0.0.1:9", "--party", "p0"]],
+    ids=["server", "client"])
+def test_socket_run_refuses_the_quality_loop(tmp_path, capsys, command):
+    path = tmp_path / "scenario.ini"
+    path.write_text(CONFIG + "\n[quality]\niters = 1\n")
+    out = tmp_path / "log"
+    argv = [arg.format(out=out) for arg in command] + ["--config", str(path)]
+    assert main(argv) == 2
+    assert "config error: [quality] iters = 1: a socket run has no quality loop" \
+        in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["scenario.ini"]
 
 
 def test_client_bad_endpoint(config_file, capsys, monkeypatch):

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from flmm.aggregation import AggregationPlan
-from flmm.config import KNOWN_KEYS, ModelConfig, PartyConfig, QualityConfig, load_config
+from flmm.config import APPLIES_ONLY, KNOWN_KEYS, ModelConfig, PartyConfig, QualityConfig, \
+    load_config
 from flmm.errors import ConfigError
 from flmm.orchestrator import ServerConfig
 from flmm.privacy import PrivacyConfig
@@ -43,9 +44,9 @@ def test_masking_moves_into_the_plan(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    "[aggregation]\nstaleness_exponent = nan\n",
+    "[aggregation]\nstrategy = async_mix\nstaleness_exponent = nan\n",
     "[aggregation]\nstrategy = async_mix\nstaleness_exponent = inf\n",
-    "[aggregation]\nstaleness_exponent = -0.5\n",
+    "[aggregation]\nstrategy = async_mix\nstaleness_exponent = -0.5\n",
     "[aggregation]\nstrategy = chained\n",
     "[aggregation]\nstrategy = product_refactor\n[privacy]\nmasking_enabled = true\n",
     "[aggregation]\nstrategy = async_mix\n[privacy]\nmasking_enabled = true\n",
@@ -127,7 +128,7 @@ def test_rejected_with_config_error(tmp_path, extra):
      r"\[aggregation\] block_mask = bridge: names no block the model trains"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, section, key, value, message):
-    context = MASK_CONTEXT if key == "block_mask" else {}
+    context = MASK_CONTEXT if key == "block_mask" else needed(section, key)
     with pytest.raises(ConfigError, match=message):
         load_config(write(tmp_path, render(context, {section: {key: value}})))
 
@@ -222,9 +223,17 @@ KEYED_BASE = {
     "party:p1": {"size": "24", "classes": "0,1,2,3"},
     "eval": {"size": "16"},
 }
-ASYNC = {"aggregation": {"strategy": "async_mix"}}
-DP = {"privacy": {"dp_enabled": "true"}}
-LOOP = {"quality": {"iters": "1", "target": "2.0", "threshold": "0.0"}}
+
+
+def needed(section: str, key: str, holds: bool = True) -> dict:
+    """A layer that meets the setting APPLIES_ONLY says ``[section] key``
+    needs, or with ``holds`` False fails it: the setting at the table's value
+    where that value meets it ("=", ">="), else left at its default, which
+    the table's "!=" values are not."""
+    if (section.split(":")[0], key) not in APPLIES_ONLY:
+        return {}
+    on, setting, op, value = APPLIES_ONLY[section, key]
+    return {on: {setting: value}} if (op != "!=") == holds else {}
 
 
 def render(*layers) -> str:
@@ -254,7 +263,8 @@ def run_output(tmp_path_factory):
     return run
 
 
-# (section, key, a value away from its default, the settings under which it applies)
+# (section, key, a value away from its default, settings that need the key);
+# each case runs under the setting the key needs, read from APPLIES_ONLY
 KEY_CASES = [
     ("run", "seed", "4", {}),
     ("run", "rounds", "3", {}),
@@ -269,15 +279,15 @@ KEY_CASES = [
     ("model", "temperature", "0.2", {}),
     ("model", "bridge", "false", {}),
     ("privacy", "dp_enabled", "true", {"privacy": {"noise_std": "0.01"}}),
-    ("privacy", "clip_norm", "0.001", DP),
-    ("privacy", "noise_std", "0.01", DP),
+    ("privacy", "clip_norm", "0.001", {}),
+    ("privacy", "noise_std", "0.01", {}),
     ("privacy", "masking_enabled", "true", {}),
     ("aggregation", "strategy", "product_refactor", {}),
     ("aggregation", "strategy", "async_mix", {}),
     ("aggregation", "block_mask", "vision.a,vision.b", {}),
-    ("aggregation", "mixing_rate", "0.25", ASYNC),
-    ("aggregation", "staleness_exponent", "2.0", ASYNC),
-    ("aggregation", "history_window", "0", ASYNC),
+    ("aggregation", "mixing_rate", "0.25", {}),
+    ("aggregation", "staleness_exponent", "2.0", {}),
+    ("aggregation", "history_window", "0", {}),
     ("party:p0", "size", "20", {}),
     ("party:p0", "seed", "11", {}),
     ("party:p0", "classes", "0,1", {}),
@@ -290,9 +300,9 @@ KEY_CASES = [
     ("eval", "seed", "5", {}),
     ("eval", "classes", "0,1,2,3", {}),
     ("quality", "iters", "1", {}),
-    ("quality", "target", "0.0", LOOP),
-    ("quality", "threshold", "0.0", {"quality": {"iters": "1", "target": "2.0"}}),
-    ("quality", "floor", "1000", LOOP),
+    ("quality", "target", "0.0", {}),
+    ("quality", "threshold", "0.0", {}),
+    ("quality", "floor", "1000", {}),
 ]
 # keys no in-process run can show: they reach only the server's settings
 SERVER_KEYS = [
@@ -301,16 +311,35 @@ SERVER_KEYS = [
 ]
 
 
+# each key that only some runs read, set where its setting says it is inert
+INERT_CASES = [(s, k, v) for s, k, v, *_ in KEY_CASES + SERVER_KEYS
+               if (s, k) in APPLIES_ONLY]
+
+
 def test_every_key_has_a_case():
     covered = {(s.split(":")[0], k) for s, k, _, _ in KEY_CASES} \
         | {(s, k) for s, k, _ in SERVER_KEYS}
     assert covered == {(s.split(":")[0], k) for s, keys in KNOWN_KEYS.items() for k in keys}
+    assert {(s, k) for s, k, _ in INERT_CASES} == set(APPLIES_ONLY)
 
 
-@pytest.mark.parametrize("section, key, value, context", KEY_CASES,
+@pytest.mark.parametrize("section, key, value, companions", KEY_CASES,
                          ids=[f"{s.split(':')[0]}.{k}={v}" for s, k, v, _ in KEY_CASES])
-def test_key_changes_the_run_output(run_output, section, key, value, context):
-    assert run_output(render(context, {section: {key: value}})) != run_output(render(context))
+def test_key_changes_the_run_output(run_output, section, key, value, companions):
+    context = needed(section, key)
+    assert run_output(render(context, {section: {key: value}}, companions)) \
+        != run_output(render(context))
+
+
+@pytest.mark.parametrize("section, key, value", INERT_CASES,
+                         ids=[f"{s}.{k}" for s, k, _ in INERT_CASES])
+def test_key_set_where_it_is_inert_is_a_config_error(tmp_path, section, key, value):
+    on, setting, _, _ = APPLIES_ONLY[section, key]
+    text = render(needed(section, key, holds=False), {section: {key: value}})
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} acts only where "
+                                          rf"\[{on}\] {setting} "):
+        load_config(write(tmp_path, text))
+    assert load_config(write(tmp_path, render(needed(section, key, holds=False))))
 
 
 def test_flmm_seed_changes_the_run_output(run_output, monkeypatch):
@@ -322,7 +351,9 @@ def test_flmm_seed_changes_the_run_output(run_output, monkeypatch):
 @pytest.mark.parametrize("section, key, value", SERVER_KEYS,
                          ids=[k for _, k, _ in SERVER_KEYS])
 def test_server_key_reaches_server_config(tmp_path, section, key, value):
-    base = server_config(load_config(write(tmp_path, render())))
-    changed = server_config(load_config(write(tmp_path, render({section: {key: value}}))))
+    context = needed(section, key)
+    base = server_config(load_config(write(tmp_path, render(context))))
+    changed = server_config(load_config(write(tmp_path, render(context,
+                                                               {section: {key: value}}))))
     assert getattr(changed, key) != getattr(base, key)
     assert replace(changed, **{key: getattr(base, key)}) == base

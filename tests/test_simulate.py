@@ -24,7 +24,7 @@ from support import run_artifacts, run_sequential, spy_local_train
 
 
 def scenario(strategy="sync_avg", masking=False, dp=False, anchor_mus=(0.0, 0.0, 0.0),
-             sizes=None, rounds=3, quality_iters=0) -> ScenarioConfig:
+             sizes=None, rounds=3, quality_iters=0, history_window=16) -> ScenarioConfig:
     sizes = sizes or (40,) * len(anchor_mus)
     parties = tuple(
         PartyConfig(party_id=f"p{i}",
@@ -36,7 +36,7 @@ def scenario(strategy="sync_avg", masking=False, dp=False, anchor_mus=(0.0, 0.0,
         seed=91, rounds=rounds, token="tok", deadline=60.0,
         train=TrainConfig(epochs=2, lr=0.1, batch_size=16), model=ModelConfig(),
         plan=AggregationPlan(strategy=strategy, masking_enabled=masking),
-        history_window=16,
+        history_window=history_window,
         privacy=PrivacyConfig(dp_enabled=dp, noise_std=0.001 if dp else 0.0),
         parties=parties,
         eval_spec=CorpusSpec(party="eval", size=40, corruption_rates={}, seed=190,
@@ -66,14 +66,18 @@ def submit_rejects(monkeypatch) -> list:
 
 # scenario, the rows of each of its local_train calls, and its SUBMITs the
 # server REJECTs. Every strategy trains one stack per pass; an async_mix
-# SUBMIT closes its round, so 3 parties x 5 rounds train 6 jobs and the last
-# SUBMIT finds the run finished
+# SUBMIT closes its round, so an async_mix pass holds history_window + 1
+# agents at most, and no more than the rounds left
 CASES = {
     "sync_avg": (scenario(), [3] * 3, []),
     "product_refactor": (scenario(strategy="product_refactor"), [3] * 3, []),
     "masking_dp": (scenario(masking=True, dp=True), [3] * 3, []),
     "mixed_anchor_mu": (scenario(anchor_mus=(0.0, 2.0, 2.0, 0.0)), [4] * 3, []),
-    "async_mix": (scenario(strategy="async_mix", rounds=5), [3, 3], ["StalenessError"]),
+    "async_mix": (scenario(strategy="async_mix", rounds=5), [3, 2], []),
+    "async_mix_window_1": (scenario(strategy="async_mix", rounds=5, history_window=1),
+                           [2, 2, 1], []),
+    "async_mix_window_0": (scenario(strategy="async_mix", rounds=5, history_window=0),
+                           [1] * 5, []),
 }
 
 
@@ -113,6 +117,17 @@ def test_in_process_async_mix_logs_stale_updates_that_replay(tmp_path):
                            build_eval_set(cfg), list(cfg.party_ids()))
     assert result.shapley.efficiency_residual(fn(frozenset(cfg.party_ids())),
                                               fn(frozenset())) <= 1e-9
+
+
+@pytest.mark.parametrize("window", [0, 1, 16])
+def test_async_mix_passes_take_the_parties_in_turn(tmp_path, window):
+    """Each pass starts after the agent the last one ended at, so every
+    party contributes whatever the window."""
+    result = run_simulation(scenario(strategy="async_mix", rounds=5, history_window=window),
+                            str(tmp_path))
+    assert result.failure is None
+    assert [r["contributors"].split(":")[0] for r in result.round_records] \
+        == ["p0", "p1", "p2", "p0", "p1"]
 
 
 def test_mixed_anchor_mu_trains_one_stack_with_a_mu_per_row(tmp_path, monkeypatch):
