@@ -5,8 +5,6 @@ Token-id layout (vocab >= 64): 1-5 structural filler, 10+c class name for
 scene class c, 40/41 hazard/safe, 50-55 sensitive (addresses, IDs). No
 corpus holds token 0 or 58-59; the output-filter oracle in
 ``tests/support.py`` uses them as the refusal and the blacklisted tokens.
-Truth fields on records are test-only oracles and never enter training or
-the wire.
 
 A corpus is drawn from one splitmix64 stream. Its per-record draws (class,
 tag, mismatch class, noise tokens and their position) are read from
@@ -20,14 +18,14 @@ from __future__ import annotations
 
 import base64
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 
 from flmm.errors import SpecError, StarvationError, TemplateGapError
 from flmm.metrics import EvalBatch, recall_at_k
-from flmm.model import ModelSnapshot, _text_forward, _vision_forward
+from flmm.model import ModelSnapshot, pair_forward
 from flmm.rng import (GOLDEN, MASK64, SplitMix64, bulk_mix, gaussian_outputs,
                       gaussian_rows, mix_seed)
 
@@ -51,15 +49,6 @@ _OTSU_BINS = 64  # histogram bins of otsu_threshold
 
 
 @dataclass(frozen=True)
-class Truth:
-    """Hidden ground truth; test-only oracle, never transmitted."""
-
-    scene_class: int
-    hazard: bool
-    pristine_caption: tuple
-
-
-@dataclass(frozen=True)
 class SceneRecord:
     id: str
     party: str
@@ -67,12 +56,6 @@ class SceneRecord:
     caption: tuple  # token ids; empty for labels_only
     object_labels: tuple
     corruption: frozenset  # subset of TAGS, or empty (= clean)
-    truth: Truth | None = None
-    quality_score: float | None = None
-
-    @property
-    def clean(self) -> bool:
-        return not self.corruption
 
 
 @dataclass(frozen=True)
@@ -148,8 +131,8 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
     for the chunk if every record took the longest stride, each record's
     draws are read from it, and the next chunk starts where the walk stopped.
     One gaussian_rows call then draws every record's noise from the states
-    the walk noted. A pool class's captions, labels and Truth, and each tag
-    set, are built once and shared by every record that has them.
+    the walk noted. A pool class's captions and labels, and each tag set,
+    are built once and shared by every record that has them.
     """
     pool = spec.scene_class_pool
     n = len(pool)
@@ -164,8 +147,6 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
     pristine = [caption_template(c, class_hazard(c)) for c in pool]
     labels = [(CLASS_TOKEN_BASE + c, HAZARD_TOKEN if class_hazard(c) else SAFE_TOKEN)
               for c in pool]
-    truths = [Truth(scene_class=c, hazard=class_hazard(c), pristine_caption=p)
-              for c, p in zip(pool, pristine)]
     tag_sets = {None: frozenset(), **{t: frozenset({t}) for t in TAGS}}
     ks, captions, tags, noise_starts = [], [], [], []
     state = spec.seed & MASK64
@@ -204,9 +185,11 @@ def generate_corpus(spec: CorpusSpec) -> list[SceneRecord]:
         state = (state + pos * GOLDEN) & MASK64
 
     prototypes = np.stack([class_prototype(c, spec.d_v) for c in pool])
-    images = prototypes[ks] + 0.1 * gaussian_rows(noise_starts, spec.d_v)
+    # the class rows are gathered once the noise is drawn, not held through it
+    images = 0.1 * gaussian_rows(noise_starts, spec.d_v)
+    images += prototypes[ks]
     return [SceneRecord(f"{spec.party}-{i:05d}", spec.party, image, caption, labels[k],
-                        tag_set, truths[k])
+                        tag_set)
             for i, (k, caption, tag_set, image) in enumerate(zip(ks, captions, tags, images))]
 
 
@@ -265,10 +248,9 @@ def repair_corpus(records: list[SceneRecord]) -> list[SceneRecord]:
 # --- model-scored filtering -------------------------------------------------
 
 def alignment_scores(model: ModelSnapshot, records: list[SceneRecord]) -> np.ndarray:
-    xs = np.stack([r.image for r in records])
-    z_v, _ = _vision_forward(model, xs)
-    z_t, _ = _text_forward(model, [list(r.caption) for r in records])
-    return np.sum(z_v * z_t, axis=1)
+    """Each record's image-caption cosine under ``model``."""
+    fwd = pair_forward(model, [(r.image, r.caption) for r in records])
+    return np.sum(fwd.z_v * fwd.z_t, axis=1)
 
 
 def otsu_threshold(scores: np.ndarray) -> float:
@@ -297,7 +279,8 @@ def otsu_threshold(scores: np.ndarray) -> float:
 def score_and_filter(model: ModelSnapshot, corpus: list[SceneRecord],
                      threshold: float | str
                      ) -> tuple[list[SceneRecord], list[SceneRecord]]:
-    """Partition the corpus by alignment score: kept (>= threshold), dropped."""
+    """Partition the corpus by alignment score: kept (>= threshold), dropped.
+    Both hold the given records, in corpus order."""
     if not corpus:
         return [], []
     scores = alignment_scores(model, corpus)
@@ -305,18 +288,8 @@ def score_and_filter(model: ModelSnapshot, corpus: list[SceneRecord],
         threshold = otsu_threshold(scores)
     kept, dropped = [], []
     for rec, s in zip(corpus, scores):
-        rec = replace(rec, quality_score=float(s))
         (kept if s >= threshold else dropped).append(rec)
     return kept, dropped
-
-
-@dataclass(frozen=True)
-class LoopIteration:
-    iteration: int
-    metric: float
-    kept_counts: dict
-    dropped_counts: dict
-    corruption_recall: float  # test-only: fraction of planted-corrupt records dropped
 
 
 def quality_loop(corpora: dict, model0: ModelSnapshot, train_fn,
@@ -326,37 +299,25 @@ def quality_loop(corpora: dict, model0: ModelSnapshot, train_fn,
 
     ``corpora`` (party -> records) arrive repaired by ``repair_corpus``, as
     ``simulate.build_corpora`` makes them; the loop only filters them.
-    train_fn(model, corpora) -> trained model. Kept sets only ever shrink; a
-    party dropping below ``floor`` records aborts with a starvation error.
+    train_fn(model, corpora) -> trained model. Each iteration scores the eval
+    set once and stops when recall@1 reaches ``target_metric``. Kept sets only
+    ever shrink; a party dropping below ``floor`` records aborts with a
+    starvation error. Returns the last model and the corpora it trained on.
     """
     model = train_fn(model0, corpora)
-    report: list[LoopIteration] = []
-    for it in range(max_iters):
-        metric = recall_at_k(model, eval_set, 1)
-        if metric >= target_metric:
+    for _ in range(max_iters):
+        if recall_at_k(model, eval_set, 1) >= target_metric:
             break
-        kept_counts, dropped_counts = {}, {}
-        dropped_all: list[SceneRecord] = []
         new_corpora = {}
         for party, recs in corpora.items():
-            kept, dropped = score_and_filter(model, recs, threshold)
+            kept, _ = score_and_filter(model, recs, threshold)
             if len(kept) < floor:
                 raise StarvationError(
                     f"party {party!r} kept {len(kept)} < floor {floor}", party)
             new_corpora[party] = kept
-            kept_counts[party] = len(kept)
-            dropped_counts[party] = len(dropped)
-            dropped_all.extend(dropped)
         corpora = new_corpora
         model = train_fn(model, corpora)
-        n_corrupt_dropped = sum(1 for r in dropped_all if not r.clean)
-        n_dropped = len(dropped_all)
-        recall = n_corrupt_dropped / n_dropped if n_dropped else 0.0
-        report.append(LoopIteration(
-            iteration=it, metric=recall_at_k(model, eval_set, 1),
-            kept_counts=kept_counts, dropped_counts=dropped_counts,
-            corruption_recall=recall))
-    return model, corpora, report
+    return model, corpora
 
 
 # --- corpus file format -----------------------------------------------------

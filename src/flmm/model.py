@@ -194,10 +194,6 @@ def _vision_forward(snapshot: ModelSnapshot, xs: np.ndarray):
     return z, (xs, y, z, norms)
 
 
-def _text_forward(snapshot: ModelSnapshot, token_lists: list[list[int]]):
-    return _text_tower(snapshot, text_features(snapshot, token_lists))
-
-
 def _text_tower(snapshot: ModelSnapshot, ts: np.ndarray):
     """Returns (z, cache) for rows of text_features."""
     blocks = snapshot.blocks
@@ -428,7 +424,8 @@ MAGIC = b"FLMM"
 FORMAT_VERSION = 1
 
 
-def _pack_matrix(m: np.ndarray) -> bytes:
+def pack_matrix(m: np.ndarray) -> bytes:
+    """A matrix's bytes in a checkpoint and in a wire body."""
     rows, cols = m.shape
     return struct.pack("<II", rows, cols) + np.ascontiguousarray(m, dtype="<f8").tobytes()
 
@@ -439,10 +436,10 @@ def save_snapshot(snapshot: ModelSnapshot) -> bytes:
     out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
     for m in (snapshot.w_v, blocks["vision.a"], blocks["vision.b"],
               snapshot.w_t, blocks["text.a"], blocks["text.b"], snapshot.token_embed):
-        out.append(_pack_matrix(m))
+        out.append(pack_matrix(m))
     if "bridge" in blocks:
         out.append(b"\x01")
-        out.append(_pack_matrix(blocks["bridge"]))
+        out.append(pack_matrix(blocks["bridge"]))
     else:
         out.append(b"\x00")
     out.append(struct.pack("<d", snapshot.temperature))

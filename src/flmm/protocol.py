@@ -6,8 +6,8 @@ Frame: u32 LE payload length, then payload
 
 Every request carries ``party`` and ``token`` headers; every response
 carries ``round`` and ``version``. Matrix bodies reuse the checkpoint
-block encoding (u32 rows, u32 cols, row-major f64 LE), with a ``blocks``
-header naming them in order.
+block encoding, ``model.pack_matrix`` (u32 rows, u32 cols, row-major f64
+LE), with a ``blocks`` header naming them in order.
 
 An ASSIGN carries the assigned version's trainable blocks as its body, with
 ``blocks``, ``crc`` (CRC32 of the body, 8 hex digits) and ``base`` (the
@@ -31,7 +31,7 @@ import numpy as np
 from flmm.aggregation import ClientUpdate
 from flmm.errors import NumericError, PlanError, ProtocolError, ShapeError, \
     ValidationError
-from flmm.model import check_unstacked
+from flmm.model import check_unstacked, pack_matrix
 
 PROTO = "FLMM/1"
 MSG_TYPES = ("REGISTER", "POLL", "ASSIGN", "SUBMIT", "ACK", "REJECT",
@@ -122,12 +122,7 @@ def pack_blocks(blocks: dict) -> tuple[str, bytes]:
     """Serialize named matrices; returns (names header value, body bytes)."""
     check_unstacked(blocks, "wire blocks")
     names = sorted(blocks)
-    parts = []
-    for name in names:
-        m = blocks[name]
-        parts.append(struct.pack("<II", m.shape[0], m.shape[1]))
-        parts.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
-    return ",".join(names), b"".join(parts)
+    return ",".join(names), b"".join(pack_matrix(blocks[name]) for name in names)
 
 
 def unpack_blocks(names_header: str, body: bytes) -> dict:

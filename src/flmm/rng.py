@@ -89,14 +89,16 @@ def gaussian_rows(starts, n: int) -> np.ndarray:
     """
     m = gaussian_outputs(n) // 2
     u = to_uniform(mix_counters(starts, 2 * m))
-    u1 = u[:, 0::2]
-    u2 = u[:, 1::2]
-    u1 = np.where(u1 == 0.0, 2.0**-53, u1)  # cheap guard, p ~ 2^-53
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * np.pi * u2
+    r = np.where(u[:, 0::2] == 0.0, 2.0**-53, u[:, 0::2])  # cheap guard, p ~ 2^-53
+    ang = 2.0 * np.pi * u[:, 1::2]
+    del u
+    # in place from here: each array is held once, with the same bits
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
     out = np.empty((len(starts), 2 * m))
-    out[:, 0::2] = r * np.cos(ang)
-    out[:, 1::2] = r * np.sin(ang)
+    np.multiply(r, np.cos(ang), out=out[:, 0::2])
+    np.multiply(r, np.sin(ang), out=out[:, 1::2])
     return out[:, :n]
 
 

@@ -131,7 +131,7 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str,
                                    rounds=cfg.rounds, plan=cfg.plan, seed=cfg.seed)
 
         try:
-            model, corpora, _loop = quality_loop(
+            model, corpora = quality_loop(
                 corpora, model, train_fn, eval_set,
                 max_iters=cfg.quality.iters, target_metric=cfg.quality.target,
                 threshold=cfg.quality.threshold, floor=cfg.quality.floor)

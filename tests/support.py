@@ -28,7 +28,6 @@ from flmm.dataquality import (
     SAFE_TOKEN,
     SENSITIVE_TOKENS,
     SceneRecord,
-    Truth,
     caption_template,
     class_hazard,
     class_prototype,
@@ -42,18 +41,19 @@ from flmm.model import (
     MAGIC,
     ModelSnapshot,
     PairBatch,
-    _pack_matrix,
     _text_backward,
-    _text_forward,
+    _text_tower,
     _vision_backward,
     _vision_forward,
     contrastive_loss_and_grads,
     init_snapshot,
+    pack_matrix,
     pair_batch,
     pair_forward,
     save_snapshot,
     sgd_step,
     snapshot_blocks,
+    text_features,
     with_blocks,
 )
 from flmm.privacy import _GRID, _blocks_of, _pair_masks
@@ -94,8 +94,8 @@ def checkpoint_bytes(matrices, bridge=None, temperature: float = 0.1,
     """A CRC-valid checkpoint written field by field, with no shape check:
     the seven matrices in save_snapshot's order, then the optional bridge."""
     body = MAGIC + struct.pack("<H", FORMAT_VERSION) \
-        + b"".join(_pack_matrix(m) for m in matrices) \
-        + (b"\x00" if bridge is None else b"\x01" + _pack_matrix(bridge)) \
+        + b"".join(pack_matrix(m) for m in matrices) \
+        + (b"\x00" if bridge is None else b"\x01" + pack_matrix(bridge)) \
         + struct.pack("<dQ", temperature, version)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -312,7 +312,6 @@ def oracle_generate_corpus(spec) -> list:
             caption=caption,
             object_labels=labels,
             corruption=frozenset() if tag is None else frozenset({tag}),
-            truth=Truth(scene_class=cls, hazard=hazard, pristine_caption=pristine),
         ))
     return records
 
@@ -320,8 +319,26 @@ def oracle_generate_corpus(spec) -> list:
 def corpus_bytes(records) -> list:
     """Every field of every record, images as bytes, for exact comparison."""
     return [(r.id, r.party, r.image.dtype.str, r.image.shape, r.image.tobytes(),
-             r.caption, r.object_labels, r.corruption, r.truth, r.quality_score)
+             r.caption, r.object_labels, r.corruption)
             for r in records]
+
+
+@dataclass(frozen=True)
+class Truth:
+    """A generated record's hidden ground truth."""
+
+    scene_class: int
+    hazard: bool
+    pristine_caption: tuple
+
+
+def truth_of(record) -> Truth:
+    """The truth a generated record was drawn from, read from its object
+    labels (class token, then hazard or safe token), which no corruption
+    or repair changes."""
+    scene_class = record.object_labels[0] - CLASS_TOKEN_BASE
+    hazard = record.object_labels[1] == HAZARD_TOKEN
+    return Truth(scene_class, hazard, caption_template(scene_class, hazard))
 
 
 def oracle_local_train(model, records, cfg, seed):
@@ -570,6 +587,11 @@ class ConsensusMap:
     embeddings: dict  # item_id -> unit-norm target; items absent add no loss
 
 
+def text_forward(snapshot: ModelSnapshot, token_lists):
+    """The text tower's (z, cache) for captions given as token lists."""
+    return _text_tower(snapshot, text_features(snapshot, token_lists))
+
+
 def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
                                 consensus: ConsensusMap, lam: float
                                 ) -> tuple[float, dict]:
@@ -585,7 +607,7 @@ def distillation_loss_and_grads(snapshot: ModelSnapshot, probe: ProbeSet,
               for modality in ("image", "text")]
     m = len(halves[0]) + len(halves[1])
     loss = 0.0
-    for items, forward, backward in zip(halves, (_vision_forward, _text_forward),
+    for items, forward, backward in zip(halves, (_vision_forward, text_forward),
                                         (_vision_backward, _text_backward)):
         if not items:
             continue

@@ -292,9 +292,9 @@ class TestCriterion4QualityLoop:
         assert mism_dropped / mism_total >= 0.8
         assert clean_dropped / clean_total <= 0.2
 
-        final, _, iters = quality_loop(corpora, model0, train_fn, eval_set,
-                                       max_iters=2, target_metric=2.0,
-                                       threshold="auto", floor=10)
+        final, _ = quality_loop(corpora, model0, train_fn, eval_set,
+                                max_iters=2, target_metric=2.0,
+                                threshold="auto", floor=10)
         assert recall_at_k(final, eval_set, 1) >= r_nofilter
         assert time.monotonic() - t0 < 600.0
 

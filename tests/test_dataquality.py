@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import flmm.dataquality
 from flmm.aggregation import AggregationPlan
 from flmm.dataquality import (
     _CHUNK,
@@ -13,7 +14,9 @@ from flmm.dataquality import (
     MIN_CAPTION_LEN,
     SAFE_TOKEN,
     SENSITIVE_TOKENS,
+    TAGS,
     CorpusSpec,
+    alignment_scores,
     caption_template,
     class_hazard,
     class_prototype,
@@ -30,11 +33,11 @@ from flmm.dataquality import (
 )
 from flmm.errors import SpecError, StarvationError, TemplateGapError
 from flmm.metrics import recall_at_k
-from flmm.model import init_snapshot
+from flmm.model import _vision_forward, init_snapshot, save_snapshot
 from flmm.rng import SplitMix64, mix_seed
 from flmm.training import TrainConfig, federated_train
 
-from support import corpus_bytes, oracle_generate_corpus
+from support import corpus_bytes, oracle_generate_corpus, text_forward, truth_of
 
 
 def spec(party="p", size=50, rates=None, seed=5, classes=(0, 1, 2, 3)):
@@ -49,11 +52,42 @@ class TestGeneration:
     def test_all_clean_matches_template_oracle(self):
         recs = generate_corpus(spec(size=40))
         for r in recs:
-            assert r.clean
+            assert not r.corruption
             # regenerate the template independently from truth attributes
-            expected = caption_template(r.truth.scene_class, r.truth.hazard)
+            truth = truth_of(r)
+            expected = caption_template(truth.scene_class, truth.hazard)
             assert r.caption == expected
-            assert r.truth.pristine_caption == expected
+            assert truth.pristine_caption == expected
+
+    def test_truth_oracle_reads_the_drawn_class_under_every_tag(self):
+        """truth_of gives the pool class the record was drawn from: the image
+        sits near its prototype, a clean caption is its pristine caption, and
+        each tag's caption is the pristine caption corrupted as that tag says."""
+        pool = (2, 5, 7, 11)
+        rates = {t: 0.2 for t in TAGS}
+        recs = generate_corpus(spec(size=200, rates=rates, seed=19, classes=pool))
+        pristine_of_pool = {caption_template(c, class_hazard(c)) for c in pool}
+        seen = set()
+        for r in recs:
+            truth = truth_of(r)
+            assert truth.scene_class in pool
+            assert truth.hazard == class_hazard(truth.scene_class)
+            proto = class_prototype(truth.scene_class, 16)
+            assert np.linalg.norm(r.image - proto) < 0.1 * 6 * np.sqrt(16)
+            tag = next(iter(r.corruption), None)
+            seen.add(tag)
+            if tag is None:
+                assert r.caption == truth.pristine_caption
+            elif tag == "mismatched":
+                assert r.caption != truth.pristine_caption
+                assert r.caption in pristine_of_pool
+            elif tag == "sensitive_noise":
+                assert rule_clean(r).caption == truth.pristine_caption
+            elif tag == "labels_only":
+                assert r.caption == ()
+            else:
+                assert r.caption == truth.pristine_caption[:2]
+        assert seen == {None, *TAGS}
 
     def test_determinism_and_seed_sensitivity(self):
         a = generate_corpus(spec(seed=9))
@@ -180,7 +214,7 @@ class TestGeneration:
         for r in by_tag["sensitive_noise"]:
             assert any(t in SENSITIVE_TOKENS for t in r.caption)
         for r in by_tag["mismatched"]:
-            assert r.caption != r.truth.pristine_caption
+            assert r.caption != truth_of(r).pristine_caption
         # rates approximately honored
         for t in rates:
             assert 0.1 < len(by_tag[t]) / 400 < 0.3
@@ -188,7 +222,7 @@ class TestGeneration:
     def test_image_near_class_prototype(self):
         recs = generate_corpus(spec(size=30, seed=3))
         for r in recs:
-            proto = class_prototype(r.truth.scene_class, 16)
+            proto = class_prototype(truth_of(r).scene_class, 16)
             assert np.linalg.norm(r.image - proto) < 0.1 * 6 * np.sqrt(16)
 
     @pytest.mark.parametrize("class_id, d_v", [(0, 16), (5, 16), (5, 8), (29, 32)])
@@ -214,7 +248,7 @@ class TestRepairs:
         assert dirty
         for r in dirty:
             fixed = rule_clean(r)
-            assert fixed.caption == r.truth.pristine_caption
+            assert fixed.caption == truth_of(r).pristine_caption
             assert "sensitive_noise" not in fixed.corruption
 
     def test_rule_clean_fully_sensitive_caption_goes_empty(self):
@@ -309,7 +343,34 @@ class TestFilter:
         kept, dropped = score_and_filter(model, recs, threshold=0.0)
         assert len(kept) + len(dropped) == 60
         assert not {r.id for r in kept} & {r.id for r in dropped}
-        assert all(r.quality_score is not None for r in kept + dropped)
+        score = dict(zip((r.id for r in recs), alignment_scores(model, recs)))
+        assert all(score[r.id] >= 0.0 for r in kept)
+        assert all(score[r.id] < 0.0 for r in dropped)
+
+    def test_returns_the_given_records_in_order(self):
+        recs = repair_corpus(generate_corpus(spec(size=60, rates={"mismatched": 0.3},
+                                                  seed=16)))
+        kept, dropped = score_and_filter(init_snapshot(2), recs, threshold=0.0)
+        assert kept and dropped
+        in_kept = {id(r) for r in kept}
+        for part, want in ((kept, [r for r in recs if id(r) in in_kept]),
+                           (dropped, [r for r in recs if id(r) not in in_kept])):
+            assert len(part) == len(want)
+            assert all(a is b for a, b in zip(part, want))
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    def test_alignment_scores_are_the_towers_cosines(self, bridge):
+        """The score through pair_forward has the bits of each tower run on
+        its own: the vision forward of the images, the text forward of the
+        captions, and their row-wise dot product."""
+        recs = repair_corpus(generate_corpus(spec(size=40, rates={"mismatched": 0.3,
+                                                                  "too_short": 0.2},
+                                                  seed=23)))
+        model = init_snapshot(3, with_bridge=bridge)
+        z_v, _ = _vision_forward(model, np.stack([r.image for r in recs]))
+        z_t, _ = text_forward(model, [list(r.caption) for r in recs])
+        want = np.sum(z_v * z_t, axis=1)
+        assert alignment_scores(model, recs).tobytes() == want.tobytes()
 
     def test_otsu_split_separates_planted_mismatches(self):
         clean_spec = spec(size=160, seed=17, classes=(0, 1, 2, 3, 4, 5))
@@ -320,7 +381,7 @@ class TestFilter:
             seed=18, scene_class_pool=(0, 1, 2, 3, 4, 5)))
         kept, dropped = score_and_filter(model, recs, threshold="auto")
         mism_dropped = sum(1 for r in dropped if "mismatched" in r.corruption)
-        clean_dropped = sum(1 for r in dropped if r.clean)
+        clean_dropped = sum(1 for r in dropped if not r.corruption)
         n_mism = sum(1 for r in recs if "mismatched" in r.corruption)
         n_clean = len(recs) - n_mism
         assert mism_dropped / n_mism >= 0.8
@@ -349,29 +410,60 @@ class TestQualityLoop:
 
     def test_zero_iters_returns_initial_training_only(self):
         corpora, model0, train_fn, eval_set = self._setup({})
-        model, corpora_out, report = quality_loop(
+        model, corpora_out = quality_loop(
             corpora, model0, train_fn, eval_set, max_iters=0, target_metric=2.0,
             threshold="auto", floor=10)
-        assert report == []
-        assert {p: len(v) for p, v in corpora_out.items()} == \
-               {p: len(v) for p, v in corpora.items()}
+        assert save_snapshot(model) == save_snapshot(train_fn(model0, corpora))
+        assert corpora_out.keys() == corpora.keys()
+        for p in corpora:
+            assert len(corpora_out[p]) == len(corpora[p])
+            assert all(a is b for a, b in zip(corpora_out[p], corpora[p]))
 
     def test_clean_fixture_drops_little(self):
         corpora, model0, train_fn, eval_set = self._setup({})
-        model, corpora_out, report = quality_loop(
+        model, corpora_out = quality_loop(
             corpora, model0, train_fn, eval_set, max_iters=1, target_metric=2.0,
             threshold="auto", floor=10)
-        for it in report:
-            total = sum(it.kept_counts.values()) + sum(it.dropped_counts.values())
-            assert sum(it.dropped_counts.values()) <= 0.25 * total
+        total = sum(len(v) for v in corpora.values())
+        kept = sum(len(v) for v in corpora_out.values())
+        assert total - kept <= 0.25 * total
 
     def test_kept_sets_monotone(self):
         corpora, model0, train_fn, eval_set = self._setup({"mismatched": 0.3})
-        model, corpora_out, report = quality_loop(
+        model, corpora_out = quality_loop(
             corpora, model0, train_fn, eval_set, max_iters=2, target_metric=2.0,
             threshold="auto", floor=10)
         for p in corpora:
             assert len(corpora_out[p]) <= len(corpora[p])
+            given = {id(r) for r in corpora[p]}
+            assert all(id(r) in given for r in corpora_out[p])
+
+    @pytest.mark.parametrize("max_iters, target, checks, trainings", [
+        (0, 2.0, 0, 1),                 # no iteration runs
+        (2, 2.0, 2, 3),                 # the target is never reached
+        (3, float("-inf"), 1, 1),       # the first check meets the target
+    ])
+    def test_eval_set_scored_once_per_iteration(self, monkeypatch, max_iters, target,
+                                                checks, trainings):
+        corpora, model0, train_fn, eval_set = self._setup({"mismatched": 0.3})
+        scored, trained = [], []
+
+        def spy_recall(model, batch, k):
+            scored.append((model, k))
+            return recall_at_k(model, batch, k)
+
+        def spy_train(model, cps):
+            trained.append(train_fn(model, cps))
+            return trained[-1]
+
+        monkeypatch.setattr(flmm.dataquality, "recall_at_k", spy_recall)
+        model, _ = quality_loop(corpora, model0, spy_train, eval_set,
+                                max_iters=max_iters, target_metric=target,
+                                threshold="auto", floor=10)
+        assert len(scored) == checks and len(trained) == trainings
+        # each check scores the model the iteration filters with, at k = 1
+        assert all(m is t and k == 1 for (m, k), t in zip(scored, trained))
+        assert model is trained[-1]
 
     def test_starvation(self):
         corpora, model0, train_fn, eval_set = self._setup({}, sizes=(12,))
@@ -387,8 +479,6 @@ class TestTruthQuarantine:
         # serialized records carry exactly the six public fields
         for line in text.strip().splitlines():
             assert len(line.split("\t")) == 6
-        loaded = load_corpus(text)
-        assert all(r.truth is None for r in loaded)
 
 
 def test_corpus_file_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 
 from flmm.aggregation import ClientUpdate
 from flmm.errors import ProtocolError, ValidationError
-from flmm.model import snapshot_blocks
+from flmm.model import save_snapshot, snapshot_blocks
 from flmm.protocol import (
     MAX_FRAME,
     MSG_TYPES,
@@ -138,6 +138,23 @@ class TestBlocks:
         assert set(out) == set(blocks)
         for n in blocks:
             np.testing.assert_array_equal(out[n], blocks[n])
+
+    def test_body_is_the_checkpoint_matrix_encoding(self):
+        """Each block in name order: u32 rows, u32 cols, then its values
+        row-major as f64 LE, a transposed (non-contiguous) block included;
+        the bytes the checkpoint stores for the same matrix."""
+        blocks = self.random_blocks(3)
+        blocks["vision.a"] = blocks["vision.a"].T.copy().T
+        blocks["text.b"] = SplitMix64(4).normal_matrix(2, 16).T
+        names, body = pack_blocks(blocks)
+        want = b"".join(
+            struct.pack("<II", *blocks[n].shape)
+            + struct.pack(f"<{blocks[n].size}d", *blocks[n].ravel().tolist())
+            for n in sorted(blocks))
+        assert names == ",".join(sorted(blocks)) and body == want
+        snapshot = small_snapshot(6)
+        _, bridge = pack_blocks({"bridge": snapshot.blocks["bridge"]})
+        assert bridge in save_snapshot(snapshot)
 
     def test_names_sorted(self):
         names, _ = pack_blocks(self.random_blocks())
