@@ -4,8 +4,9 @@
 models at once: each block is a (C, r, c) stack, and a membership matrix says
 which updates join which row. Shapley replay runs it with one row per
 coalition; ``aggregate``, for the server and ``federated_train``, is its
-one-row slice. There are three strategies: sample-weighted averaging,
-product-space re-factorization, or staleness-weighted async mixing. A masked
+one-row slice. There are three strategies: sample-weighted averaging; the
+weighted mean of the parties' trained products, re-factored to rank r by
+SVD (the bridge still averages); or staleness-weighted async mixing. A masked
 plan must average, with unit weights: pair masks cancel only in a plain sum.
 Summation runs in sorted-client order, and a row with nothing to add keeps
 its blocks by a masked select, never by adding a zero delta (which could
@@ -20,12 +21,11 @@ form is ``protocol.update_message``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from flmm.errors import (
-    FactorizationError,
     FutureVersionError,
     NumericError,
     PlanError,
@@ -33,12 +33,12 @@ from flmm.errors import (
     StalenessError,
 )
 from flmm.model import BLOCK_NAMES, LORA_SCALE, ModelSnapshot, snapshot_blocks, with_blocks
-from flmm.rng import SplitMix64
 
 SYNC_AVG = "sync_avg"
 PRODUCT_REFACTOR = "product_refactor"
 ASYNC_MIX = "async_mix"
 STRATEGIES = (SYNC_AVG, PRODUCT_REFACTOR, ASYNC_MIX)
+TOWERS = (("vision.a", "vision.b"), ("text.a", "text.b"))  # (a, b) factor names
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,11 @@ class AggregationPlan:
             raise PlanError("staleness_exponent must be finite and >= 0")
         if self.masking_enabled and self.strategy != SYNC_AVG:
             raise PlanError(f"masking needs sync_avg, not {self.strategy}")
+        if self.strategy == PRODUCT_REFACTOR:
+            for a, b in TOWERS:
+                if (a in self.block_mask) != (b in self.block_mask):
+                    raise PlanError(f"product_refactor fuses {a} and {b} together; "
+                                    f"the mask names only one of them")
 
 
 def fedavg_adapters(updates: list[ClientUpdate], plan: AggregationPlan,
@@ -121,45 +126,6 @@ def fedavg_adapters(updates: list[ClientUpdate], plan: AggregationPlan,
 def _server_weights(updates: list[ClientUpdate], plan: AggregationPlan) -> np.ndarray:
     """One weight per update: its sample count, or 1 under a masked plan."""
     return np.array([1 if plan.masking_enabled else u.sample_count for u in updates])
-
-
-def product_mean(updates: list[ClientUpdate], tower: str,
-                 scale: float) -> np.ndarray:
-    """Sample-weighted mean of the clients' product-space deltas scale*B@A."""
-    if not updates:
-        raise StalenessError("no updates to refactor")
-    a_name, b_name = f"{tower}.a", f"{tower}.b"
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    total = sum(u.sample_count for u in ordered)
-    m = None
-    for u in ordered:
-        if a_name not in u.deltas or b_name not in u.deltas:
-            raise ShapeError(f"update {u.client_id!r} missing {tower} factors")
-        dw = scale * (u.deltas[b_name] @ u.deltas[a_name])
-        m = dw * u.sample_count if m is None else m + dw * u.sample_count
-    return m / total
-
-
-def refactor_matrix(m: np.ndarray, rank: int, scale: float, tol: float = 1e-10,
-                    max_iters: int = 500) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-r factors (a, b) with scale * b @ a ~ m, by subspace iteration."""
-    d_out, _ = m.shape
-    rng = SplitMix64(0xF1CA)
-    q = rng.normal_matrix(d_out, rank)
-    q, _ = np.linalg.qr(q)
-    mmT = m @ m.T
-    prev = -1.0
-    for _ in range(max_iters):
-        q, _ = np.linalg.qr(mmT @ q)
-        captured = float(np.linalg.norm(q.T @ m))
-        if abs(captured - prev) <= tol * max(1.0, captured):
-            b = q
-            a = (q.T @ m) / scale
-            return a, b
-        prev = captured
-    residual = float(np.linalg.norm(m - q @ (q.T @ m)))
-    raise FactorizationError(f"subspace iteration did not converge in {max_iters} steps",
-                             residual)
 
 
 def async_mix(server_blocks: dict, update: ClientUpdate, current_version: int,
@@ -232,17 +198,17 @@ def aggregate_stack(plan: AggregationPlan, version: int, blocks: dict,
     stale = sorted({u.base_version for u in updates} - {version})
     if stale:
         raise StalenessError(f"bases {stale} != version {version}")
-    if plan.strategy == PRODUCT_REFACTOR:
-        out = {n: m.copy() if n in plan.block_mask else m for n, m in blocks.items()}
-        for i in np.flatnonzero(member.any(axis=1)):
-            subset = [u for u, j in zip(updates, member[i]) if j]
-            base = {n: m[i].copy() for n, m in blocks.items()}
-            for n, m in _refactored_blocks(plan, base, subset).items():
-                out[n][i] = m
-        return out
     weights = np.where(member, _server_weights(updates, plan), 0)
     out = dict(blocks)
-    for n, new in fedavg_adapters(updates, plan, weights).items():
+    averaged = plan
+    if plan.strategy == PRODUCT_REFACTOR:
+        for a, b in TOWERS:
+            if a in plan.block_mask:  # and so is b; see AggregationPlan
+                out[a], out[b] = _refactored_tower(a, b, blocks, updates, member, weights)
+        if "bridge" not in plan.block_mask:
+            return out
+        averaged = AggregationPlan(block_mask=frozenset({"bridge"}))
+    for n, new in fedavg_adapters(updates, averaged, weights).items():
         adds = member[:, [n in u.deltas for u in updates]].any(axis=1)
         # in place, so a replay holds no third stack; copyto acts as np.where
         new += blocks[n]
@@ -251,20 +217,27 @@ def aggregate_stack(plan: AggregationPlan, version: int, blocks: dict,
     return out
 
 
-def _refactored_blocks(plan: AggregationPlan, base: dict, updates) -> dict:
-    """New adapter factors approximating the old product plus the averaged
-    product-space delta; the bridge (full-rank) still averages elementwise."""
-    result = {}
-    for tower in ("vision", "text"):
-        a, b = base[f"{tower}.a"], base[f"{tower}.b"]
-        m = LORA_SCALE * (b @ a) + product_mean(updates, tower, LORA_SCALE)
-        result[f"{tower}.a"], result[f"{tower}.b"] = \
-            refactor_matrix(m, a.shape[0], LORA_SCALE)
-    bridged = [u for u in updates if "bridge" in u.deltas]
-    if "bridge" in plan.block_mask and bridged:
-        delta = fedavg_adapters(bridged, replace(plan, block_mask=frozenset({"bridge"})))
-        result["bridge"] = base["bridge"] + delta["bridge"]
-    return {n: m for n, m in result.items() if n in plan.block_mask}
+def _refactored_tower(a_name: str, b_name: str, blocks: dict, updates, member,
+                      weights) -> tuple:
+    """Each row's new (a, b) for one tower: the best rank-r factors, by SVD,
+    of the weighted mean of its members' trained products
+    LORA_SCALE * (b + db_j) @ (a + da_j), summed in client order. An omitted
+    factor is a zero delta; a row whose members carry neither factor keeps
+    both bit for bit."""
+    a, b = blocks[a_name], blocks[b_name]
+    total = weights.sum(axis=-1)
+    m = np.zeros(b.shape[:-1] + a.shape[-1:])
+    for j in sorted(range(len(updates)), key=lambda j: updates[j].client_id):
+        d = updates[j].deltas
+        trained = LORA_SCALE * ((b + d.get(b_name, 0)) @ (a + d.get(a_name, 0)))
+        m = m + weights[:, j, None, None] * trained
+    m = m / np.where(total == 0, 1, total)[:, None, None]
+    new_b = np.linalg.svd(m, full_matrices=False)[0][..., :a.shape[-2]].copy()
+    new_a = (new_b.swapaxes(-1, -2) @ m) / LORA_SCALE
+    keep = ~member[:, [a_name in u.deltas or b_name in u.deltas for u in updates]].any(axis=1)
+    np.copyto(new_a, a, where=keep[:, None, None])
+    np.copyto(new_b, b, where=keep[:, None, None])
+    return new_a, new_b
 
 
 def apply_block_mask(result: dict, snapshot: ModelSnapshot) -> ModelSnapshot:

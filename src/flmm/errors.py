@@ -54,14 +54,6 @@ class PlanError(FlmmError):
     """Invalid aggregation plan (unknown block name, empty mask)."""
 
 
-class FactorizationError(FlmmError):
-    """Low-rank refactorization failed to converge."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class SpecError(FlmmError):
     """Invalid corpus or scenario specification."""
 

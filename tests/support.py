@@ -14,13 +14,7 @@ import numpy as np
 import flmm.orchestrator
 import flmm.simulate
 import flmm.training
-from flmm.aggregation import (
-    aggregate,
-    apply_block_mask,
-    async_mix,
-    product_mean,
-    refactor_matrix,
-)
+from flmm.aggregation import aggregate, apply_block_mask, async_mix
 from flmm.client import TrainingJob
 from flmm.dataquality import (
     CLASS_TOKEN_BASE,
@@ -192,6 +186,20 @@ def oracle_fedavg(updates, plan) -> dict:
     return out
 
 
+def oracle_refactored_tower(a, b, updates, a_name, b_name) -> tuple:
+    """Rank-r factors (a, b), by SVD, of the sample-weighted mean of the
+    parties' trained products LORA_SCALE * (b + db) @ (a + da), one row; an
+    omitted factor is a zero delta."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    m = np.zeros((b.shape[0], a.shape[1]))
+    for u in ordered:
+        trained = LORA_SCALE * ((b + u.deltas.get(b_name, 0)) @ (a + u.deltas.get(a_name, 0)))
+        m = m + u.sample_count * trained
+    m = m / sum(u.sample_count for u in ordered)
+    new_b = np.linalg.svd(m, full_matrices=False)[0][:, :a.shape[0]]
+    return (new_b.T @ m) / LORA_SCALE, new_b
+
+
 def oracle_aggregate(plan, snapshot: ModelSnapshot, updates, history) -> ModelSnapshot:
     """One round of fusion for one coalition."""
     base = snapshot_blocks(snapshot)
@@ -201,17 +209,14 @@ def oracle_aggregate(plan, snapshot: ModelSnapshot, updates, history) -> ModelSn
             result = async_mix(result, u, snapshot.version, plan,
                                snapshot_blocks(history[u.base_version]))
     elif plan.strategy == "product_refactor":
-        result = {}
+        result = {n: base[n] + d for n, d in oracle_fedavg(updates, plan).items()
+                  if n == "bridge"}
         for tower in ("vision", "text"):
-            rank = base[f"{tower}.a"].shape[0]
-            m = LORA_SCALE * (base[f"{tower}.b"] @ base[f"{tower}.a"]) \
-                + product_mean(updates, tower, LORA_SCALE)
-            result[f"{tower}.a"], result[f"{tower}.b"] = \
-                refactor_matrix(m, rank, LORA_SCALE)
-        bridged = [u for u in updates if "bridge" in u.deltas]
-        if "bridge" in plan.block_mask and bridged:
-            bridge_only = replace(plan, block_mask=frozenset({"bridge"}))
-            result["bridge"] = base["bridge"] + oracle_fedavg(bridged, bridge_only)["bridge"]
+            a_name, b_name = f"{tower}.a", f"{tower}.b"
+            if not any(a_name in u.deltas or b_name in u.deltas for u in updates):
+                continue
+            result[a_name], result[b_name] = oracle_refactored_tower(
+                base[a_name], base[b_name], updates, a_name, b_name)
     else:
         result = {n: base[n] + d for n, d in oracle_fedavg(updates, plan).items()}
     return apply_block_mask({n: m for n, m in result.items() if n in plan.block_mask},

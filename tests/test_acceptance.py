@@ -26,9 +26,8 @@ from flmm.aggregation import (
     AggregationPlan,
     BLOCK_NAMES,
     ClientUpdate,
+    aggregate,
     fedavg_adapters,
-    product_mean,
-    refactor_matrix,
     snapshot_blocks,
 )
 from flmm.client import ClientAgent, SocketTransport, run_client_loop
@@ -45,8 +44,8 @@ from flmm.dataquality import (
 from flmm.errors import ProtocolError
 from flmm.fusion import text_anchor_loss_and_grads
 from flmm.metrics import bleu, recall_at_k, rouge_l
-from flmm.model import blocks_field, contrastive_loss_and_grads, init_snapshot, \
-    save_snapshot
+from flmm.model import LORA_SCALE, blocks_field, contrastive_loss_and_grads, \
+    init_snapshot, save_snapshot, with_blocks
 from flmm.orchestrator import RoundLog, ServerCore, FederationServer
 from flmm.privacy import PrivacyConfig, gaussian_mechanism
 from flmm.protocol import MSG_TYPES, Message, encode_message, read_frame
@@ -170,17 +169,21 @@ class TestCriterion2Aggregation:
                 np.testing.assert_array_equal(out[name], ref[name])
 
     def test_product_refactor_matches_dense_svd_oracle(self):
-        # The iteration is driven to a tight stagnation tolerance here: the
-        # operational default (1e-10, 500 iterations) bounds round-time cost,
-        # not the distance to the optimum, which is what this oracle checks.
-        rank, alpha = 2, 4.0
-        scale = alpha / rank
+        # the fused product's residual from the weighted mean of the parties'
+        # trained products s*(B + dB_i)(A + dA_i) is the best rank-r residual
+        plan = AggregationPlan(strategy="product_refactor")
+        rank = 2
         for case in range(50):
+            start = random_update(mix_seed(7, case, 0xB), "base", scale=0.5).deltas
+            base = with_blocks(init_snapshot(mix_seed(7, case)), start, 0)
             updates = [random_update(mix_seed(7, case, i), f"c{i}")
                        for i in range(3)]
-            m = product_mean(updates, "vision", scale)  # 8x16
-            a, b = refactor_matrix(m, rank, scale, tol=1e-13, max_iters=5000)
-            residual = np.linalg.norm(m - scale * (b @ a))
+            a, b = base.blocks["vision.a"], base.blocks["vision.b"]
+            m = sum(u.sample_count * LORA_SCALE
+                    * ((b + u.deltas["vision.b"]) @ (a + u.deltas["vision.a"]))
+                    for u in updates) / sum(u.sample_count for u in updates)  # 8x16
+            fused = aggregate(plan, base, updates, {}).blocks
+            residual = np.linalg.norm(m - LORA_SCALE * (fused["vision.b"] @ fused["vision.a"]))
             svals = np.linalg.svd(m, compute_uv=False)
             oracle = float(np.sqrt(np.sum(svals[rank:] ** 2)))
             assert abs(residual - oracle) <= 1e-8

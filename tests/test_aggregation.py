@@ -11,13 +11,12 @@ from flmm.aggregation import (
     apply_block_mask,
     async_mix,
     fedavg_adapters,
-    product_mean,
-    refactor_matrix,
     snapshot_blocks,
     with_blocks,
 )
 from flmm.errors import NumericError, PlanError, ShapeError, StalenessError, \
     FutureVersionError
+from flmm.model import LORA_SCALE
 from flmm.rng import SplitMix64
 
 from support import oracle_aggregate, small_snapshot
@@ -187,65 +186,79 @@ class TestAggregateStack:
                 assert out[n][i].tobytes() == oracle[n].tobytes(), (i, n)
 
 
-def product_refactor(updates, tower, rank, alpha):
-    """Rank-r factors of the clients' mean product-space delta."""
-    scale = alpha / rank
-    return refactor_matrix(product_mean(updates, tower, scale), rank, scale)
+REFACTOR = AggregationPlan(strategy="product_refactor")
+
+
+def refactored(snapshot, updates, tower):
+    """The fused product s*b@a of ``tower`` after a product_refactor round of
+    ``updates`` on ``snapshot``, and the weighted mean of the parties' trained
+    products s*(B + dB_i)(A + dA_i) that it approximates."""
+    a, b = snapshot.blocks[f"{tower}.a"], snapshot.blocks[f"{tower}.b"]
+    total = sum(u.sample_count for u in updates)
+    mean = sum(u.sample_count * LORA_SCALE * ((b + u.deltas[f"{tower}.b"])
+                                              @ (a + u.deltas[f"{tower}.a"]))
+               for u in updates) / total
+    fused = aggregate(REFACTOR, snapshot, updates, {}).blocks
+    return LORA_SCALE * (fused[f"{tower}.b"] @ fused[f"{tower}.a"]), mean
 
 
 def best_rank_r_oracle(m, r):
-    """Dense decomposition residual; independent of the iterative route."""
+    """Dense decomposition residual, from numpy's SVD of the target."""
     u, s, vt = np.linalg.svd(m)
     approx = (u[:, :r] * s[:r]) @ vt[:r]
     return approx, float(np.linalg.norm(m - approx))
 
 
 class TestProductRefactor:
-    def test_single_client_reconstructs_exactly(self):
-        u = random_update(70, "solo")
-        a, b = product_refactor([u], "vision", rank=2, alpha=4.0)
-        recon = (4.0 / 2) * (b @ a)
-        target = (4.0 / 2) * (u.deltas["vision.b"] @ u.deltas["vision.a"])
-        np.testing.assert_allclose(recon, target, atol=1e-9)
+    @pytest.mark.parametrize("tower", ["vision", "text"])
+    def test_single_client_reconstructs_its_trained_product(self, tower):
+        s = small_snapshot(70)
+        recon, trained = refactored(s, [random_update(70, "solo", 3)], tower)
+        assert np.linalg.norm(recon - trained) <= 1e-12 * np.linalg.norm(trained)
 
     def test_identical_clients_match_single(self):
+        s = small_snapshot(71)
         u = random_update(71, "x")
-        u2 = ClientUpdate("y", 0, u.deltas, u.sample_count, 0)
-        a1, b1 = product_refactor([u], "text", 2, 4.0)
-        a2, b2 = product_refactor([u, u2], "text", 2, 4.0)
-        np.testing.assert_allclose((b1 @ a1), (b2 @ a2), atol=1e-9)
+        u2 = ClientUpdate("y", 0, u.deltas, 5, 0)
+        one, _ = refactored(s, [u], "text")
+        two, _ = refactored(s, [u, u2], "text")
+        np.testing.assert_allclose(one, two, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_matches_dense_oracle(self, seed):
-        # two random rank-2 deltas on 4x8 towers: the mean is generically
+        # two trained rank-2 products on 4x8 towers: the mean is generically
         # rank 4, so truncation to rank 2 has a real residual
-        updates = [random_update(80 + seed * 2 + i, f"c{i}", sample_count=i + 1)
+        s = small_snapshot(80 + seed)
+        updates = [random_update(80 + seed * 2 + i, f"c{i}", sample_count=i + 1, scale=0.3)
                    for i in range(2)]
-        scale = 4.0 / 2
-        m = sum(u.sample_count * scale * (u.deltas["vision.b"] @ u.deltas["vision.a"])
-                for u in updates) / sum(u.sample_count for u in updates)
-        a, b = product_refactor(updates, "vision", 2, 4.0)
-        recon = scale * (b @ a)
-        _, best_residual = best_rank_r_oracle(m, 2)
-        got_residual = float(np.linalg.norm(m - recon))
-        assert abs(got_residual - best_residual) < 1e-8
+        recon, mean = refactored(s, updates, "vision")
+        _, best_residual = best_rank_r_oracle(mean, 2)
+        assert best_residual > 1e-3
+        assert abs(float(np.linalg.norm(mean - recon)) - best_residual) < 1e-8
 
     def test_closes_separate_averaging_gap(self):
-        # mean(B_i) @ mean(A_i) != mean(B_i @ A_i): a 2-client counterexample
-        a1 = np.array([[1.0, 0.0]])
-        b1 = np.array([[1.0], [0.0]])
-        a2 = np.array([[0.0, 1.0]])
-        b2 = np.array([[0.0], [1.0]])
+        # mean(B_i) @ mean(A_i) != mean(B_i @ A_i): two parties that train
+        # disjoint rank-2 products from zero factors
+        s = with_blocks(small_snapshot(72), {"vision.a": np.zeros((2, 8)),
+                                             "vision.b": np.zeros((4, 2))}, 0)
+        eye = np.eye(8)
+        b1, a1 = eye[:4, :2], eye[:2]
+        b2, a2 = eye[:4, 2:4], eye[2:4]
         u1 = ClientUpdate("p", 0, {"vision.a": a1, "vision.b": b1}, 1, 0)
         u2 = ClientUpdate("q", 0, {"vision.a": a2, "vision.b": b2}, 1, 0)
-        separate = (0.5 * (b1 + b2)) @ (0.5 * (a1 + a2))
-        product_mean = 0.5 * (b1 @ a1 + b2 @ a2)
-        gap = np.linalg.norm(separate - product_mean)
-        assert gap > 0.1  # the bias is real
-        a, b = product_refactor([u1, u2], "vision", 1, 1.0)
-        recon = (1.0 / 1) * (b @ a)
-        _, best = best_rank_r_oracle(product_mean, 1)
-        assert abs(np.linalg.norm(product_mean - recon) - best) < 1e-8
+        separate = LORA_SCALE * (0.5 * (b1 + b2)) @ (0.5 * (a1 + a2))
+        recon, mean = refactored(s, [u1, u2], "vision")
+        assert np.linalg.norm(separate - mean) > 0.1  # the bias is real
+        _, best = best_rank_r_oracle(mean, 2)
+        assert abs(np.linalg.norm(mean - recon) - best) < 1e-8
+
+    def test_a_tower_no_member_carries_keeps_its_bits(self):
+        s = small_snapshot(75)
+        u = without(random_update(75, "a"), "text.a", "text.b")
+        out = snapshot_blocks(aggregate(REFACTOR, s, [u], {}))
+        for n in ("text.a", "text.b"):
+            assert out[n].tobytes() == s.blocks[n].tobytes()
+        assert not np.array_equal(out["vision.a"], s.blocks["vision.a"])
 
 
 class TestAsyncMix:
@@ -395,3 +408,10 @@ def test_plan_validation():
     for strategy in ("product_refactor", "async_mix"):
         with pytest.raises(PlanError):
             AggregationPlan(strategy=strategy, masking_enabled=True)
+    for half in ({"vision.a"}, {"text.b", "bridge"}, {"vision.a", "vision.b", "text.a"}):
+        with pytest.raises(PlanError, match="fuses .* together"):
+            AggregationPlan(strategy="product_refactor", block_mask=frozenset(half))
+    # only product_refactor ties a tower's factors together
+    for strategy in ("sync_avg", "async_mix"):
+        AggregationPlan(strategy=strategy, block_mask=frozenset({"vision.a"}))
+    AggregationPlan(strategy="product_refactor", block_mask=frozenset({"text.a", "text.b"}))

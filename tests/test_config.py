@@ -50,6 +50,8 @@ def test_masking_moves_into_the_plan(tmp_path):
     "[aggregation]\nstrategy = chained\n",
     "[aggregation]\nstrategy = product_refactor\n[privacy]\nmasking_enabled = true\n",
     "[aggregation]\nstrategy = async_mix\n[privacy]\nmasking_enabled = true\n",
+    "[aggregation]\nstrategy = product_refactor\nblock_mask = vision.a\n",
+    "[aggregation]\nstrategy = product_refactor\nblock_mask = vision.a,vision.b,text.b\n",
     "[party:a b]\nsize = 20\n",
     "[party:a,b]\nsize = 20\n",
     "[party:a:b]\nsize = 20\n",
@@ -57,7 +59,8 @@ def test_masking_moves_into_the_plan(tmp_path):
     "[party:]\nsize = 20\n",
     "[party:p2]\nsize = 20\nmismatched = 1.5\ntoo_short = -0.6\n",
 ], ids=["nan_exponent", "inf_exponent", "negative_exponent", "chained",
-        "masked_product_refactor", "masked_async_mix", "id_space", "id_comma",
+        "masked_product_refactor", "masked_async_mix", "half_tower_product_refactor",
+        "one_and_a_half_towers_product_refactor", "id_space", "id_comma",
         "id_colon", "id_equals", "id_empty", "rates_out_of_range_sum_below_1"])
 def test_rejected_with_config_error(tmp_path, extra):
     with pytest.raises(ConfigError):

@@ -414,7 +414,7 @@ def logged_server_run(log_dir, plan, waves=3, parties=PARTIES, bridge=True,
 
     With ``gaps``, the second wave has holes: the last party sits it out (a
     sync round closes at its deadline without it), and the first party sends
-    no bridge, and under sync_avg and async_mix no text.b either."""
+    no bridge and no text.b."""
     mixing = plan.strategy == "async_mix"
     rounds = waves * len(parties) - gaps if mixing else waves
     cfg = ServerConfig(token=TOKEN, plan=plan, rounds=rounds, deadline=60.0,
@@ -434,9 +434,8 @@ def logged_server_run(log_dir, plan, waves=3, parties=PARTIES, bridge=True,
             blocks = {n: rng.normal_matrix(*m.shape, 0.05) for n, m
                       in snapshot_blocks(core.snapshot).items()}
             if holes and i == 0:
-                dropped = {"bridge"} if plan.strategy == "product_refactor" \
-                    else {"bridge", "text.b"}
-                blocks = {n: m for n, m in blocks.items() if n not in dropped}
+                blocks = {n: m for n, m in blocks.items()
+                          if n not in ("bridge", "text.b")}
             names, body = pack_blocks(blocks)
             resp = core.handle(Message("SUBMIT", {
                 "party": p, "token": TOKEN, "base_version": str(version),

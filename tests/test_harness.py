@@ -15,7 +15,7 @@ from flmm.client import ClientAgent, SocketTransport, run_client_loop
 from flmm.config import ModelConfig, PartyConfig, QualityConfig, ScenarioConfig
 from flmm.dataquality import CorpusSpec
 from flmm.errors import TransportError
-from flmm.model import load_snapshot, save_snapshot
+from flmm.model import LORA_SCALE, load_snapshot, save_snapshot
 from flmm.orchestrator import FederationServer, ServerCore
 from flmm.privacy import PrivacyConfig
 from flmm.protocol import Message, decode_payload
@@ -29,7 +29,8 @@ from flmm.training import TrainConfig
 
 
 def make_scenario(seed=7, parties=2, rounds=2, size=40, masking=False,
-                  quality_iters=0, epochs=2, lr=0.1, classes=(0, 1, 2, 3)):
+                  quality_iters=0, epochs=2, lr=0.1, classes=(0, 1, 2, 3),
+                  strategy="sync_avg"):
     party_cfgs = tuple(
         PartyConfig(
             party_id=f"p{i}",
@@ -41,7 +42,7 @@ def make_scenario(seed=7, parties=2, rounds=2, size=40, masking=False,
         seed=seed, rounds=rounds, token="tok", deadline=60.0,
         train=TrainConfig(epochs=epochs, lr=lr, batch_size=16),
         model=ModelConfig(),
-        plan=AggregationPlan(masking_enabled=masking),
+        plan=AggregationPlan(strategy=strategy, masking_enabled=masking),
         history_window=16,
         privacy=PrivacyConfig(),
         parties=party_cfgs,
@@ -72,10 +73,11 @@ class TestSimulationDeterminism:
 
 
 class TestSingleParty:
-    def test_one_party_round_equals_local_training(self, tmp_path):
+    @pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor"])
+    def test_one_party_round_equals_local_training(self, tmp_path, strategy):
         from flmm.rng import hash_text, mix_seed
         from flmm.training import local_train, trainable_records
-        cfg = make_scenario(parties=1, rounds=1)
+        cfg = make_scenario(parties=1, rounds=1, strategy=strategy)
         result = run_simulation(cfg, str(tmp_path))
         initial = build_initial_model(cfg)
         records = trainable_records(build_corpora(cfg)["p0"])
@@ -86,6 +88,12 @@ class TestSingleParty:
                                mix_seed(cfg.seed, 0, hash_text("p0")))
         a = snapshot_blocks(result.final_model)
         b = snapshot_blocks(expected)
+        if strategy == "product_refactor":  # the factors may differ; s*b@a may not
+            for tower in ("vision", "text"):
+                fused, trained = (LORA_SCALE * (m[f"{tower}.b"] @ m[f"{tower}.a"])
+                                  for m in (a, b))
+                assert np.linalg.norm(fused - trained) <= 1e-12 * np.linalg.norm(trained)
+                del a[f"{tower}.a"], a[f"{tower}.b"]
         for n in a:
             np.testing.assert_allclose(a[n], b[n], atol=1e-15)
 
@@ -120,8 +128,9 @@ class TestMaskedRun:
 
 
 class TestDistributedLoopback:
-    def test_loopback_equals_in_process(self, tmp_path):
-        cfg = make_scenario()
+    @pytest.mark.parametrize("strategy", ["sync_avg", "product_refactor"])
+    def test_loopback_equals_in_process(self, tmp_path, strategy):
+        cfg = make_scenario(strategy=strategy)
         in_proc = run_simulation(cfg, str(tmp_path / "inproc"))
 
         core = ServerCore(server_config(cfg), build_initial_model(cfg),

@@ -208,6 +208,26 @@ class TestSyncRound:
             ("0", "ok", "1")
         assert core.snapshot.version == 1
 
+    def test_a_product_refactor_submit_without_a_factor_counts_it_as_zero(self, tmp_path):
+        # pb omits text.b: the round closes ok, as if pb had sent a zero text.b
+        cores = {}
+        for case in ("omitted", "zero"):
+            core = make_core(tmp_path / case, strategy="product_refactor")
+            for p in ("pa", "pb"):
+                register(core, p)
+            partial = random_deltas(15, core.snapshot)
+            if case == "omitted":
+                del partial["text.b"]
+            else:
+                partial["text.b"] = np.zeros_like(partial["text.b"])
+            assert submit(core, "pa", random_deltas(14, core.snapshot), 0,
+                          samples=2).msg_type == "ACK"
+            assert submit(core, "pb", partial, 0, samples=3).msg_type == "ACK"
+            record = core.log.verify()[-1]
+            assert (record["status"], record["post_version"]) == ("ok", "1")
+            cores[case] = core
+        assert save_snapshot(cores["omitted"].snapshot) == save_snapshot(cores["zero"].snapshot)
+
     def test_block_named_twice_rejected(self, tmp_path):
         core = make_core(tmp_path)
         register(core, "pa")
